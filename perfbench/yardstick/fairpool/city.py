@@ -1,0 +1,278 @@
+"""City model: locations, travel-time closure, trip pricing, and neighborhoods.
+
+Travel times are stored as the all-pairs shortest-path closure (in minutes, as
+edge files give them), so the duration of any leg is a single matrix lookup.
+The simulation clock runs in seconds; use :func:`travel_seconds` at call sites.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
+
+__all__ = [
+    "Location",
+    "NeighborhoodMap",
+    "CityGraph",
+    "build_travel_closure",
+    "fare",
+    "travel_seconds",
+    "kmeans_neighborhoods",
+    "grid_components",
+    "gen_grid_city",
+    "build_city",
+    "load_locations",
+    "load_edges",
+    "write_locations",
+    "write_edges",
+    "write_neighborhoods",
+]
+
+
+@dataclass(frozen=True)
+class Location:
+    id: int
+    lat: float
+    lon: float
+
+
+@dataclass(frozen=True)
+class NeighborhoodMap:
+    """Assignment of each location to a neighborhood label in [1, H]."""
+
+    labels: tuple[int, ...]
+    num_neighborhoods: int
+
+    def label(self, location_id: int) -> int:
+        return self.labels[location_id]
+
+
+@dataclass
+class CityGraph:
+    locations: list[Location]
+    travel_minutes: np.ndarray  # closure, shape (|L|, |L|)
+    delta: float  # flat fare component, currency units
+    neighborhoods: NeighborhoodMap
+
+    def __post_init__(self) -> None:
+        n = len(self.locations)
+        if self.travel_minutes.shape != (n, n):
+            raise ValueError(
+                f"travel matrix shape {self.travel_minutes.shape} does not match "
+                f"{n} locations"
+            )
+        if self.delta < 0:
+            raise ValueError("delta must be nonnegative")
+        if len(self.neighborhoods.labels) != n:
+            raise ValueError("neighborhood map does not cover all locations")
+
+    @property
+    def num_locations(self) -> int:
+        return len(self.locations)
+
+
+def build_travel_closure(num_locations: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+    """All-pairs shortest travel times (minutes) from a sparse edge list.
+
+    Edges are directed; pass both directions for a symmetric network. Raises if
+    any weight is negative or some ordered pair stays unreachable.
+    """
+    if num_locations < 1:
+        raise ValueError("need at least one location")
+    dense = np.full((num_locations, num_locations), np.inf)
+    np.fill_diagonal(dense, 0.0)
+    for src, dst, minutes in edges:
+        if minutes < 0:
+            raise ValueError(f"edge ({src}, {dst}) has negative travel time {minutes}")
+        if not (0 <= src < num_locations and 0 <= dst < num_locations):
+            raise ValueError(f"edge ({src}, {dst}) references an unknown location")
+        dense[src, dst] = min(dense[src, dst], float(minutes))
+    if num_locations == 1:
+        return np.zeros((1, 1))
+    graph = csgraph_from_dense(dense, null_value=np.inf)
+    closure = shortest_path(graph, method="D", directed=True)
+    if not np.all(np.isfinite(closure)):
+        i, j = np.argwhere(~np.isfinite(closure))[0]
+        raise ValueError(f"graph is not strongly connected: no path from {i} to {j}")
+    return closure
+
+
+def fare(graph: CityGraph, origin: int, destination: int) -> float:
+    """Price of a trip: travel minutes plus the flat component delta."""
+    return float(graph.travel_minutes[origin, destination]) + graph.delta
+
+
+def travel_seconds(graph: CityGraph, origin: int, destination: int) -> float:
+    return float(graph.travel_minutes[origin, destination]) * 60.0
+
+
+def _farthest_point_seeds(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Pick k seed indices: a random first point, then farthest-point traversal."""
+    n = len(coords)
+    first = int(rng.integers(n))
+    chosen = [first]
+    min_d2 = np.sum((coords - coords[first]) ** 2, axis=1)
+    while len(chosen) < k:
+        nxt = int(np.argmax(min_d2))  # argmax takes the lowest index on ties
+        chosen.append(nxt)
+        min_d2 = np.minimum(min_d2, np.sum((coords - coords[nxt]) ** 2, axis=1))
+    return coords[chosen].copy()
+
+
+def kmeans_neighborhoods(locations: list[Location], num_neighborhoods: int, seed: int) -> NeighborhoodMap:
+    """Cluster locations on (lat, lon) with Lloyd iterations.
+
+    Deterministic for a fixed seed: farthest-point seeding from a seeded first
+    point, ties broken by lowest index, and final labels renumbered 1..H by
+    ascending centroid latitude then longitude. Stops when no label changes or
+    after 100 iterations.
+    """
+    n = len(locations)
+    h = num_neighborhoods
+    if h <= 0:
+        raise ValueError("neighborhood count must be positive")
+    if h > n:
+        raise ValueError(f"cannot split {n} locations into {h} neighborhoods")
+    coords = np.array([(loc.lat, loc.lon) for loc in locations], dtype=float)
+    rng = np.random.default_rng(seed)
+    centroids = _farthest_point_seeds(coords, h, rng)
+
+    assign = np.full(n, -1, dtype=int)
+    for _ in range(100):
+        d2 = np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for k in range(h):
+            members = coords[assign == k]
+            if len(members) > 0:
+                centroids[k] = members.mean(axis=0)
+            else:
+                # relocate an empty cluster to the point farthest from its centroid
+                dist_own = np.sum((coords - centroids[assign]) ** 2, axis=1)
+                centroids[k] = coords[int(np.argmax(dist_own))]
+
+    # renumber clusters 1..H by centroid geography so labels are report-stable
+    order = sorted(range(h), key=lambda k: (centroids[k][0], centroids[k][1]))
+    relabel = {old: new + 1 for new, old in enumerate(order)}
+    labels = tuple(relabel[int(a)] for a in assign)
+    return NeighborhoodMap(labels=labels, num_neighborhoods=h)
+
+
+def build_city(
+    locations: list[Location],
+    edges: list[tuple[int, int, float]],
+    delta: float,
+    num_neighborhoods: int,
+    seed: int,
+) -> CityGraph:
+    """Assemble a CityGraph: validate ids, compute the closure, cluster neighborhoods."""
+    ids = sorted(loc.id for loc in locations)
+    if ids != list(range(len(locations))):
+        raise ValueError("location ids must be dense and unique, 0..n-1")
+    for loc in locations:
+        if not (np.isfinite(loc.lat) and np.isfinite(loc.lon)):
+            raise ValueError(f"location {loc.id} has non-finite coordinates")
+    by_id = sorted(locations, key=lambda loc: loc.id)
+    closure = build_travel_closure(len(locations), edges)
+    nbhd = kmeans_neighborhoods(by_id, num_neighborhoods, seed)
+    return CityGraph(locations=by_id, travel_minutes=closure, delta=delta, neighborhoods=nbhd)
+
+
+def grid_components(
+    width: int, height: int, edge_minutes: float
+) -> tuple[list[Location], list[tuple[int, int, float]]]:
+    """Locations and raw (pre-closure) edges of a width x height grid with
+    4-neighbor links of uniform cost. Location id = row * width + col."""
+    if width < 1 or height < 1:
+        raise ValueError("grid dimensions must be at least 1x1")
+    locations = [
+        Location(id=row * width + col, lat=float(row), lon=float(col))
+        for row in range(height)
+        for col in range(width)
+    ]
+    edges: list[tuple[int, int, float]] = []
+    for row in range(height):
+        for col in range(width):
+            src = row * width + col
+            if col + 1 < width:
+                dst = src + 1
+                edges.append((src, dst, edge_minutes))
+                edges.append((dst, src, edge_minutes))
+            if row + 1 < height:
+                dst = src + width
+                edges.append((src, dst, edge_minutes))
+                edges.append((dst, src, edge_minutes))
+    return locations, edges
+
+
+def gen_grid_city(
+    width: int,
+    height: int,
+    edge_minutes: float,
+    delta: float,
+    num_neighborhoods: int,
+    seed: int,
+) -> CityGraph:
+    """Synthetic width x height grid city with 4-neighbor edges of uniform cost."""
+    locations, edges = grid_components(width, height, edge_minutes)
+    return build_city(locations, edges, delta, num_neighborhoods, seed)
+
+
+def load_locations(path: str) -> list[Location]:
+    """Read a `id,lat,lon` CSV into Location records."""
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != ["id", "lat", "lon"]:
+            raise ValueError(f"{path}: expected header id,lat,lon, got {reader.fieldnames}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                out.append(Location(id=int(row["id"]), lat=float(row["lat"]), lon=float(row["lon"])))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed location row: {exc}") from exc
+    return out
+
+
+def load_edges(path: str) -> list[tuple[int, int, float]]:
+    """Read a `src,dst,minutes` CSV into an edge list."""
+    out = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != ["src", "dst", "minutes"]:
+            raise ValueError(f"{path}: expected header src,dst,minutes, got {reader.fieldnames}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                out.append((int(row["src"]), int(row["dst"]), float(row["minutes"])))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed edge row: {exc}") from exc
+    return out
+
+
+def write_locations(locations: list[Location], path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "lat", "lon"])
+        for loc in locations:
+            writer.writerow([loc.id, repr(loc.lat), repr(loc.lon)])
+
+
+def write_edges(edges: list[tuple[int, int, float]], path: str) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src", "dst", "minutes"])
+        for src, dst, minutes in edges:
+            writer.writerow([src, dst, repr(float(minutes))])
+
+
+def write_neighborhoods(graph: CityGraph, path: str) -> None:
+    """Export the location -> neighborhood assignment as `location_id,neighborhood`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["location_id", "neighborhood"])
+        for loc in graph.locations:
+            writer.writerow([loc.id, graph.neighborhoods.label(loc.id)])

@@ -1,0 +1,587 @@
+"""Command-line entry points.
+
+Subcommands: gen-city, simulate, sweep, train, shapley, redistribute, report.
+Every command is a pure function of (config file, seed) to output bytes:
+artifacts are written with sorted keys and repr-exact floats, so rerunning a
+command with the same inputs reproduces files byte for byte.
+
+Exit codes: 0 success, 2 configuration error, 3 runtime error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import os
+import sys
+from dataclasses import replace
+
+from .city import (
+    CityGraph,
+    build_city,
+    gen_grid_city,
+    grid_components,
+    load_edges,
+    load_locations,
+    write_edges,
+    write_locations,
+    write_neighborhoods,
+)
+from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
+from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
+from .fleet import init_fleet
+from .matching import DelayConstraints
+from .objectives import OBJECTIVES, ObjectiveSpec
+from .redistribution import (
+    EXACT_SHAPLEY_CAP,
+    RedistributionParams,
+    ResimulationOracle,
+    ShapleyEstimate,
+    gain_metric,
+    load_coalition_table,
+    minimum_wage_bound,
+    redistribute,
+    shapley_exact,
+    shapley_mc,
+)
+from .reporting import fairness_metrics, metrics_from_parts, write_report
+from .simulate import run_simulation, train_synthetic
+from .value import ValueModel, load_value_model, save_value_model
+
+BOUND_TOLERANCE = 1e-9
+
+
+def build_graph(config: RunConfig) -> CityGraph:
+    if config.city_kind == "grid":
+        return gen_grid_city(
+            config.city_width,
+            config.city_height,
+            config.city_edge_minutes,
+            config.delta,
+            config.num_neighborhoods,
+            config.seed,
+        )
+    locations = load_locations(config.city_locations)
+    edges = load_edges(config.city_edges)
+    return build_city(locations, edges, config.delta, config.num_neighborhoods, config.seed)
+
+
+def build_batches(config: RunConfig, graph: CityGraph) -> list[RequestBatch]:
+    if config.demand_kind == "synthetic":
+        stream = synth_demand(
+            graph,
+            config.demand_rate_per_epoch,
+            config.demand_num_epochs,
+            config.demand_hotspot_skew,
+            config.seed,
+            epoch_len_seconds=config.epoch_len_seconds,
+        )
+    else:
+        stream = ingest_trips(config.demand_trips, graph).requests
+    return batch_requests(stream, config.epoch_len_seconds)
+
+
+def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
+    changes = {}
+    if getattr(args, "seed", None) is not None:
+        changes["seed"] = args.seed
+    if getattr(args, "objective", None) is not None:
+        if "," in args.objective:
+            raise ConfigError("this command takes a single --objective")
+        changes["objective"] = args.objective
+    if getattr(args, "lam", None) is not None:
+        if "," in args.lam:
+            raise ConfigError("this command takes a single --lambda")
+        changes["lam"] = float(args.lam)
+    if not changes:
+        return config
+    config = replace(config, **changes)
+    # round-trip through the parser to rerun validation on the merged config
+    return parse_config(dump_config(config))
+
+
+def _load_config(args: argparse.Namespace, grids: bool = False) -> RunConfig:
+    """Config from --config (or all defaults), with flag overrides applied.
+    Grid commands interpret --objective/--lambda as axes, not overrides."""
+    if getattr(args, "config", None):
+        config = load_config(args.config)
+    else:
+        config = parse_config("")
+    if grids:
+        if getattr(args, "seed", None) is not None:
+            config = parse_config(dump_config(replace(config, seed=args.seed)))
+        return config
+    return _apply_overrides(config, args)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def run_one(config: RunConfig, out_dir: str):
+    """Simulate one configuration and write the full artifact set."""
+    os.makedirs(out_dir, exist_ok=True)
+    graph = build_graph(config)
+    batches = build_batches(config, graph)
+    spec = ObjectiveSpec(config.objective, config.lam)
+    constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
+    model = None
+    if config.value_mode == "tabular":
+        model = ValueModel(
+            mode="tabular", gamma=config.gamma, alpha=config.value_alpha, seed=config.seed
+        )
+        if config.train_episodes > 0:
+            if config.demand_kind != "synthetic":
+                raise ConfigError("training requires synthetic demand (value.episodes > 0)")
+            train_synthetic(
+                graph,
+                model,
+                spec,
+                config.num_drivers,
+                config.capacity,
+                config.demand_rate_per_epoch,
+                config.demand_num_epochs,
+                config.demand_hotspot_skew,
+                config.train_episodes,
+                config.seed,
+                constraints,
+                config.epoch_len_seconds,
+            )
+        save_value_model(model, os.path.join(out_dir, "value_table.txt"))
+    fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
+    result = run_simulation(
+        graph,
+        batches,
+        fleet,
+        spec,
+        constraints,
+        value_model=model,
+        gamma=config.gamma,
+        epoch_len_seconds=config.epoch_len_seconds,
+    )
+
+    _write_text(os.path.join(out_dir, "config.resolved"), dump_config(config))
+    with open(os.path.join(out_dir, "epochs.jsonl"), "w") as fh:
+        for epoch in result.epochs:
+            record = {
+                "epoch": epoch.epoch_index,
+                "clock": epoch.clock,
+                "batch_size": epoch.batch_size,
+                "assignments": {
+                    str(d): list(action.request_ids)
+                    for d, action in sorted(epoch.assignments.items())
+                    if action.requests
+                },
+                "total_weight": epoch.total_weight,
+                "objective": epoch.objective_value,
+                "num_actions": epoch.num_actions,
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with open(os.path.join(out_dir, "fleet.jsonl"), "w") as fh:
+        for row in result.snapshots:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    with open(os.path.join(out_dir, "requests.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["request_id", "origin", "destination", "created_at", "serviced", "driver"])
+        for req in result.log.all_requests:
+            serviced = req.request_id in result.log.serviced_ids
+            driver = result.log.assigned_driver.get(req.request_id, "")
+            writer.writerow(
+                [req.request_id, req.origin, req.destination, repr(req.created_at), int(serviced), driver]
+            )
+    with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["driver_id", "kind", "request_id", "location", "arrival"])
+        for driver_id, stop in result.fleet.journal or []:
+            writer.writerow([driver_id, stop.kind, stop.request_id, stop.location, repr(stop.arrival)])
+
+    report = fairness_metrics(result.fleet, result.log, graph)
+    write_report(report, os.path.join(out_dir, "report.json"), "structured")
+    write_report(report, os.path.join(out_dir, "report.csv"), "tabular")
+    return result, report
+
+
+def cmd_gen_city(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    if config.city_kind != "grid":
+        raise ConfigError("gen-city synthesizes grid cities; city.kind must be grid")
+    os.makedirs(args.out, exist_ok=True)
+    locations, edges = grid_components(
+        config.city_width, config.city_height, config.city_edge_minutes
+    )
+    graph = build_graph(config)
+    write_locations(locations, os.path.join(args.out, "locations.csv"))
+    write_edges(edges, os.path.join(args.out, "edges.csv"))
+    write_neighborhoods(graph, os.path.join(args.out, "neighborhoods.csv"))
+    _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
+    return 0
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    run_one(config, args.out)
+    return 0
+
+
+def _parse_grid(text: str, what: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"cannot parse {what} grid {text!r}") from None
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    config = _load_config(args, grids=True)
+    objectives = args.objective.split(",") if args.objective else list(OBJECTIVES)
+    for objective in objectives:
+        if objective not in OBJECTIVES:
+            raise ConfigError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
+    lambdas = _parse_grid(args.lam, "lambda") if args.lam else [config.lam]
+    os.makedirs(args.out, exist_ok=True)
+    rows = []
+    failures = []
+    for objective in objectives:
+        for lam in lambdas:
+            cell = replace(config, objective=objective, lam=lam)
+            cell_dir = os.path.join(args.out, f"{objective}-lam{lam!r}")
+            try:
+                _, report = run_one(cell, cell_dir)
+            except Exception as exc:  # keep sweeping, record the failure
+                failures.append((objective, lam, str(exc)))
+                continue
+            rows.append(
+                (
+                    objective,
+                    repr(lam),
+                    report.total_requests,
+                    report.total_serviced,
+                    "" if report.overall_success_rate is None else repr(report.overall_success_rate),
+                    "" if report.success_rate_var is None else repr(report.success_rate_var),
+                    "" if report.min_success_rate is None else repr(report.min_success_rate),
+                    repr(report.total_income),
+                    repr(report.income_var),
+                    repr(report.income_min),
+                )
+            )
+    with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            [
+                "objective",
+                "lambda",
+                "total_requests",
+                "total_serviced",
+                "success_rate",
+                "success_rate_var",
+                "min_success_rate",
+                "total_income",
+                "income_var",
+                "income_min",
+            ]
+        )
+        writer.writerows(rows)
+    if failures:
+        with open(os.path.join(args.out, "failures.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["objective", "lambda", "error"])
+            for objective, lam, error in failures:
+                writer.writerow([objective, repr(lam), error])
+        return 3
+    return 0
+
+
+def cmd_train(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    if config.value_mode != "tabular":
+        raise ConfigError("training requires value.mode = tabular")
+    if config.demand_kind != "synthetic":
+        raise ConfigError("training requires synthetic demand")
+    graph = build_graph(config)
+    spec = ObjectiveSpec(config.objective, config.lam)
+    constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
+    model = ValueModel(
+        mode="tabular", gamma=config.gamma, alpha=config.value_alpha, seed=config.seed
+    )
+    errors = train_synthetic(
+        graph,
+        model,
+        spec,
+        config.num_drivers,
+        config.capacity,
+        config.demand_rate_per_epoch,
+        config.demand_num_epochs,
+        config.demand_hotspot_skew,
+        config.train_episodes,
+        config.seed,
+        constraints,
+        config.epoch_len_seconds,
+    )
+    os.makedirs(args.out, exist_ok=True)
+    _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
+    save_value_model(model, os.path.join(args.out, "value_table.txt"))
+    with open(os.path.join(args.out, "training_errors.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["episode", "abs_td_error"])
+        for episode, error in enumerate(errors):
+            writer.writerow([episode, repr(error)])
+    return 0
+
+
+def _read_pi_csv(path: str) -> dict[int, float]:
+    incomes: dict[int, float] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header][:2] != ["driver_id", "pi"]:
+            raise ConfigError(f"{path}: expected header driver_id,pi")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                incomes[int(row[0])] = float(row[1])
+            except (ValueError, IndexError):
+                raise ConfigError(f"{path}:{lineno}: malformed income row {row!r}") from None
+    return incomes
+
+
+def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
+    config = load_config(os.path.join(run_dir, "config.resolved"))
+    graph = build_graph(config)
+    batches = build_batches(config, graph)
+    template = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
+    spec = ObjectiveSpec(config.objective, config.lam)
+    constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
+    model = None
+    table_path = os.path.join(run_dir, "value_table.txt")
+    if os.path.exists(table_path):
+        model = load_value_model(table_path)
+    oracle = ResimulationOracle(
+        graph,
+        batches,
+        template,
+        spec,
+        constraints,
+        value_model=model,
+        gamma=config.gamma,
+        epoch_len_seconds=config.epoch_len_seconds,
+    )
+    driver_ids = [d.driver_id for d in template.drivers]
+    estimate = _run_shapley(oracle, driver_ids, args, seed=config.seed)
+    incomes = oracle.incomes(frozenset(driver_ids))
+    pi = [incomes.get(d, 0.0) for d in driver_ids]
+    return estimate, pi
+
+
+def _run_shapley(oracle, driver_ids, args: argparse.Namespace, seed: int) -> ShapleyEstimate:
+    method = args.method
+    if method == "auto":
+        method = "exact" if len(driver_ids) <= EXACT_SHAPLEY_CAP else "monte_carlo"
+    if method == "exact":
+        return shapley_exact(oracle, driver_ids)
+    return shapley_mc(oracle, driver_ids, args.samples, seed)
+
+
+def cmd_shapley(args: argparse.Namespace) -> int:
+    if os.path.isdir(args.source):
+        estimate, pi = _shapley_from_run_dir(args.source, args)
+    else:
+        oracle, n = load_coalition_table(args.source)
+        driver_ids = list(range(n))
+        estimate = _run_shapley(oracle, driver_ids, args, seed=args.seed or 0)
+        if args.pi:
+            by_driver = _read_pi_csv(args.pi)
+            missing = [d for d in driver_ids if d not in by_driver]
+            if missing:
+                raise ConfigError(f"{args.pi}: missing incomes for drivers {missing}")
+            pi = [by_driver[d] for d in driver_ids]
+        else:
+            # a coalition table fixes total income but not its split; default
+            # the per-driver incomes to the attributed values
+            pi = list(estimate.values)
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "shapley.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["driver_id", "pi", "v"])
+        for driver_id, p, v in zip(estimate.driver_ids, pi, estimate.values):
+            writer.writerow([driver_id, repr(p), repr(v)])
+    meta = [
+        f"method = {estimate.method}",
+        f"samples = {estimate.samples}",
+        f"seed = {estimate.seed if estimate.seed is not None else ''}",
+        f"total_value = {sum(estimate.values)!r}",
+        f"total_income = {sum(pi)!r}",
+    ]
+    _write_text(os.path.join(args.out, "shapley_meta.txt"), "\n".join(meta) + "\n")
+    return 0
+
+
+def _read_shapley_csv(path: str) -> tuple[list[int], list[float], list[float]]:
+    driver_ids: list[int] = []
+    pi: list[float] = []
+    v: list[float] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header][:3] != ["driver_id", "pi", "v"]:
+            raise ConfigError(f"{path}: expected header driver_id,pi,v")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                driver_ids.append(int(row[0]))
+                pi.append(float(row[1]))
+                v.append(float(row[2]))
+            except (ValueError, IndexError):
+                raise ConfigError(f"{path}:{lineno}: malformed row {row!r}") from None
+    if not driver_ids:
+        raise ConfigError(f"{path}: no drivers found")
+    return driver_ids, pi, v
+
+
+def cmd_redistribute(args: argparse.Namespace) -> int:
+    source = args.source
+    if os.path.isdir(source):
+        source = os.path.join(source, "shapley.csv")
+    driver_ids, pi, v = _read_shapley_csv(source)
+    grid = _parse_grid(args.r, "r") if args.r else [i / 10 for i in range(11)]
+    mode = args.mode or "as_printed"
+    os.makedirs(args.out, exist_ok=True)
+    detail_rows = []
+    summary_rows = []
+    for r in grid:
+        params = RedistributionParams(r=r, mode=mode)
+        q = redistribute(pi, v, params)
+        for i, driver_id in enumerate(driver_ids):
+            bound = minimum_wage_bound(v[i], r)
+            ok = int(q[i] >= bound - BOUND_TOLERANCE)
+            detail_rows.append(
+                (repr(r), driver_id, repr(pi[i]), repr(v[i]), repr(q[i]), repr(bound), ok)
+            )
+        if all(value > 0 for value in v):
+            gains = [gain_metric(pi, v, params, i) for i in range(len(v))]
+            g = repr(sum(gains) / len(gains))
+            ratios = [q_i / v_i for q_i, v_i in zip(q, v)]
+            mean_ratio = sum(ratios) / len(ratios)
+            spread = repr((sum((x - mean_ratio) ** 2 for x in ratios) / len(ratios)) ** 0.5)
+        else:
+            g = ""
+            spread = ""
+        summary_rows.append(
+            (repr(r), mode, repr(sum(pi)), repr(sum(v)), repr(sum(q)), g, spread)
+        )
+    with open(os.path.join(args.out, "redistribution.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "driver_id", "pi", "v", "q", "bound", "bound_ok"])
+        writer.writerows(detail_rows)
+    with open(os.path.join(args.out, "redistribution_summary.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "mode", "sum_pi", "sum_v", "sum_q", "g", "std_q_over_v"])
+        writer.writerows(summary_rows)
+    return 0
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    run_dir = args.source
+    config = load_config(os.path.join(run_dir, "config.resolved"))
+    graph = build_graph(config)
+    log = RequestLog()
+    with open(os.path.join(run_dir, "requests.csv"), newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            req = RideRequest(
+                request_id=int(row["request_id"]),
+                origin=int(row["origin"]),
+                destination=int(row["destination"]),
+                created_at=float(row["created_at"]),
+            )
+            log.all_requests.append(req)
+            if row["serviced"] == "1":
+                log.mark_serviced(req.request_id, int(row["driver"]))
+    incomes: dict[int, float] = {}
+    with open(os.path.join(run_dir, "fleet.jsonl")) as fh:
+        for line in fh:
+            row = json.loads(line)
+            incomes[int(row["driver_id"])] = float(row["income"])  # last snapshot wins
+    report = metrics_from_parts(incomes, log, graph)
+    out_dir = args.out or run_dir
+    os.makedirs(out_dir, exist_ok=True)
+    write_report(report, os.path.join(out_dir, "report.json"), "structured")
+    write_report(report, os.path.join(out_dir, "report.csv"), "tabular")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fairpool",
+        description="Ride-pooling dispatch simulator with fairness objectives and income redistribution.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
+        p.add_argument("--config", help="path to a key = value config file")
+        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--seed", type=int, help="override the config seed")
+
+    p = sub.add_parser("gen-city", help="write a grid city's location/edge/neighborhood CSVs")
+    common(p)
+    p.set_defaults(func=cmd_gen_city)
+
+    p = sub.add_parser("simulate", help="run one dispatch simulation and write artifacts")
+    common(p)
+    p.add_argument("--objective", help="override objective kind")
+    p.add_argument("--lambda", dest="lam", help="override lambda")
+    p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("sweep", help="run an objective x lambda grid on one demand stream")
+    common(p)
+    p.add_argument("--objective", help="comma-separated objectives (default: all four)")
+    p.add_argument("--lambda", dest="lam", help="comma-separated lambda grid")
+    p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser("train", help="train a tabular value model and save its table")
+    common(p)
+    p.add_argument("--objective", help="override objective kind")
+    p.add_argument("--lambda", dest="lam", help="override lambda")
+    p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("shapley", help="attribute income to drivers by Shapley value")
+    p.add_argument("source", help="run directory, or coalition_bitmask,value CSV")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, help="seed for Monte Carlo sampling")
+    p.add_argument("--method", choices=["auto", "exact", "monte_carlo"], default="auto")
+    p.add_argument("--samples", type=int, default=50_000, help="Monte Carlo permutations")
+    p.add_argument("--pi", help="driver_id,pi CSV with true incomes (table input only)")
+    p.set_defaults(func=cmd_shapley)
+
+    p = sub.add_parser("redistribute", help="compute payouts over an r grid")
+    p.add_argument("source", help="run directory with shapley.csv, or a driver_id,pi,v CSV")
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--r", help="comma-separated risk grid (default 0,0.1,...,1)")
+    p.add_argument("--mode", choices=["as_printed", "keep_income"], help="payout mode")
+    p.set_defaults(func=cmd_redistribute)
+
+    p = sub.add_parser("report", help="recompute metrics from run artifacts")
+    p.add_argument("source", help="run directory")
+    p.add_argument("--out", help="output directory (default: the run directory)")
+    p.set_defaults(func=cmd_report)
+
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,206 @@
+"""Request streams: trip-CSV ingestion, synthetic demand, and per-minute batching.
+
+A request that is not matched in its own batch is permanently rejected; it
+still counts toward per-neighborhood demand totals, but never re-enters a
+later batch.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .city import CityGraph
+from .seeds import substream
+
+__all__ = [
+    "RideRequest",
+    "RequestBatch",
+    "RequestLog",
+    "IngestResult",
+    "ingest_trips",
+    "batch_requests",
+    "synth_demand",
+    "write_trips",
+]
+
+EPOCH_SECONDS = 60.0
+
+
+@dataclass(frozen=True)
+class RideRequest:
+    request_id: int
+    origin: int
+    destination: int
+    created_at: float  # seconds since run start
+
+    def __post_init__(self) -> None:
+        if self.origin == self.destination:
+            raise ValueError(f"request {self.request_id}: origin equals destination")
+        if self.created_at < 0:
+            raise ValueError(f"request {self.request_id}: negative creation time")
+
+
+@dataclass(frozen=True)
+class RequestBatch:
+    epoch_index: int
+    requests: tuple[RideRequest, ...]
+
+
+@dataclass
+class RequestLog:
+    """Append-only record of every batched request, with monotone serviced flags."""
+
+    all_requests: list[RideRequest] = field(default_factory=list)
+    serviced_ids: set[int] = field(default_factory=set)
+    assigned_driver: dict[int, int] = field(default_factory=dict)
+
+    def add_batch(self, batch: RequestBatch) -> None:
+        self.all_requests.extend(batch.requests)
+
+    def mark_serviced(self, request_id: int, driver_id: int) -> None:
+        self.serviced_ids.add(request_id)
+        self.assigned_driver[request_id] = driver_id
+
+    def is_serviced(self, request_id: int) -> bool:
+        return request_id in self.serviced_ids
+
+    def demand_by_neighborhood(self, graph: CityGraph) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for req in self.all_requests:
+            j = graph.neighborhoods.label(req.origin)
+            counts[j] = counts.get(j, 0) + 1
+        return counts
+
+
+@dataclass
+class IngestResult:
+    requests: list[RideRequest]
+    dropped: int  # rows discarded because origin == destination after snapping
+
+
+def _snap(lat: float, lon: float, coords: np.ndarray) -> int:
+    """Nearest location by squared distance; ties go to the lower id."""
+    d2 = (coords[:, 0] - lat) ** 2 + (coords[:, 1] - lon) ** 2
+    return int(np.argmin(d2))
+
+
+def ingest_trips(path: str, graph: CityGraph) -> IngestResult:
+    """Read trip rows, snap endpoints to locations, and emit a t-sorted stream.
+
+    Rows whose pickup and dropoff snap to the same location are dropped and
+    tallied. Malformed rows raise with their line number.
+    """
+    coords = np.array([(loc.lat, loc.lon) for loc in graph.locations], dtype=float)
+    header = ["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"]
+    raw: list[tuple[float, int, int]] = []
+    dropped = 0
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}, got {reader.fieldnames}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                t = float(row["epoch_seconds"])
+                g = _snap(float(row["pickup_lat"]), float(row["pickup_lon"]), coords)
+                e = _snap(float(row["dropoff_lat"]), float(row["dropoff_lon"]), coords)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed trip row: {exc}") from exc
+            if t < 0:
+                raise ValueError(f"{path}:{lineno}: negative epoch_seconds")
+            if g == e:
+                dropped += 1
+                continue
+            raw.append((t, g, e))
+    raw.sort(key=lambda item: item[0])
+    requests = [
+        RideRequest(request_id=i, origin=g, destination=e, created_at=t)
+        for i, (t, g, e) in enumerate(raw)
+    ]
+    return IngestResult(requests=requests, dropped=dropped)
+
+
+def batch_requests(
+    stream: list[RideRequest], epoch_len_seconds: float = EPOCH_SECONDS
+) -> list[RequestBatch]:
+    """Partition a t-sorted stream into half-open windows [k*len, (k+1)*len).
+
+    Empty epochs up to the last request are emitted as empty batches; an empty
+    stream yields no batches.
+    """
+    if not stream:
+        return []
+    for prev, cur in zip(stream, stream[1:]):
+        if cur.created_at < prev.created_at:
+            raise ValueError("request stream is not sorted by creation time")
+    last_epoch = int(stream[-1].created_at // epoch_len_seconds)
+    buckets: list[list[RideRequest]] = [[] for _ in range(last_epoch + 1)]
+    for req in stream:
+        buckets[int(req.created_at // epoch_len_seconds)].append(req)
+    return [
+        RequestBatch(epoch_index=k, requests=tuple(reqs)) for k, reqs in enumerate(buckets)
+    ]
+
+
+def synth_demand(
+    graph: CityGraph,
+    rate_per_epoch: float,
+    num_epochs: int,
+    hotspot_skew: float,
+    seed: int,
+    epoch_len_seconds: float = EPOCH_SECONDS,
+) -> list[RideRequest]:
+    """Poisson demand with a seeded hot neighborhood.
+
+    Each epoch draws Poisson(rate) requests. With probability `hotspot_skew`
+    an origin is uniform over the hot neighborhood's locations, otherwise
+    uniform over all locations; destinations are uniform over the rest.
+    """
+    if rate_per_epoch < 0:
+        raise ValueError("rate_per_epoch must be nonnegative")
+    if not 0.0 <= hotspot_skew <= 1.0:
+        raise ValueError("hotspot_skew must lie in [0, 1]")
+    n = graph.num_locations
+    if n < 2:
+        return []  # no origin/destination pair exists
+    rng = substream(seed, "demand")
+    labels = graph.neighborhoods.labels
+    hot_label = int(rng.integers(1, graph.neighborhoods.num_neighborhoods + 1))
+    hot_locations = [i for i in range(n) if labels[i] == hot_label]
+
+    requests: list[RideRequest] = []
+    next_id = 0
+    for epoch in range(num_epochs):
+        count = int(rng.poisson(rate_per_epoch))
+        times = np.sort(rng.uniform(0.0, epoch_len_seconds, size=count))
+        for t_off in times:
+            if rng.uniform() < hotspot_skew:
+                origin = int(hot_locations[rng.integers(len(hot_locations))])
+            else:
+                origin = int(rng.integers(n))
+            dest = int(rng.integers(n - 1))
+            if dest >= origin:
+                dest += 1
+            requests.append(
+                RideRequest(
+                    request_id=next_id,
+                    origin=origin,
+                    destination=dest,
+                    created_at=float(epoch * epoch_len_seconds + t_off),
+                )
+            )
+            next_id += 1
+    return requests
+
+
+def write_trips(requests: list[RideRequest], graph: CityGraph, path: str) -> None:
+    """Export a stream in the trip-CSV format so runs can be replayed from file."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"])
+        for req in requests:
+            g = graph.locations[req.origin]
+            e = graph.locations[req.destination]
+            writer.writerow([repr(g.lat), repr(g.lon), repr(e.lat), repr(e.lon), repr(req.created_at)])

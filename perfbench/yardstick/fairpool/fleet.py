@@ -1,0 +1,200 @@
+"""Driver state and route execution.
+
+A driver's position is its committed next location plus the seconds remaining
+to reach it; stops carry absolute scheduled arrivals, so advancing the clock
+by a+b seconds is identical to advancing by a and then by b. Income accrues
+when a request is accepted, not when it completes, because a driver's earnings
+span both ongoing and finished rides.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .city import CityGraph, fare
+from .demand import RideRequest
+from .seeds import substream
+
+__all__ = [
+    "Stop",
+    "RoutePlan",
+    "DriverState",
+    "FleetState",
+    "init_fleet",
+    "apply_matching",
+    "advance_fleet",
+    "snapshot_rows",
+]
+
+PICKUP = "pickup"
+DROPOFF = "dropoff"
+
+
+@dataclass(frozen=True)
+class Stop:
+    kind: str  # PICKUP or DROPOFF
+    request_id: int
+    location: int
+    arrival: float  # absolute seconds on the simulation clock
+
+
+@dataclass(frozen=True)
+class RoutePlan:
+    """Validated stop sequence with the onboard count after each stop."""
+
+    stops: tuple[Stop, ...]
+    onboard_profile: tuple[int, ...]
+    total_delay: float = 0.0
+
+
+@dataclass
+class DriverState:
+    driver_id: int
+    capacity: int
+    loc: int  # committed next location (current location when stationary)
+    secs_to_loc: float = 0.0
+    active: dict[int, RideRequest] = field(default_factory=dict)  # p_i
+    onboard: dict[int, float] = field(default_factory=dict)  # request_id -> pickup time
+    completed: dict[int, RideRequest] = field(default_factory=dict)  # s_i
+    route: RoutePlan | None = None
+    income: float = 0.0
+
+    @property
+    def occupancy(self) -> int:
+        return len(self.onboard)
+
+    @property
+    def rides_count(self) -> int:
+        return len(self.active) + len(self.completed)
+
+    def route_end(self) -> int:
+        """Location where the driver will be free: last stop, or here if idle."""
+        if self.route is not None and self.route.stops:
+            return self.route.stops[-1].location
+        return self.loc
+
+
+@dataclass
+class FleetState:
+    drivers: list[DriverState]
+    clock: float = 0.0
+    # When set, every executed stop is appended as (driver_id, stop) so a run
+    # can be audited against the service guarantees after the fact.
+    journal: list[tuple[int, Stop]] | None = None
+
+
+def init_fleet(graph: CityGraph, num_drivers: int, capacity: int, seed: int) -> FleetState:
+    """Drivers placed uniformly at random over locations, deterministic per seed."""
+    if num_drivers < 1:
+        raise ValueError("need at least one driver")
+    if capacity < 1:
+        raise ValueError("capacity must be positive")
+    rng = substream(seed, "fleet")
+    positions = rng.integers(graph.num_locations, size=num_drivers)
+    drivers = [
+        DriverState(driver_id=i, capacity=capacity, loc=int(positions[i]))
+        for i in range(num_drivers)
+    ]
+    return FleetState(drivers=drivers, clock=0.0)
+
+
+def apply_matching(fleet: FleetState, assignments: dict, graph: CityGraph) -> None:
+    """Commit chosen actions: extend p_i, accrue fares, install the new routes.
+
+    `assignments` maps driver_id to an action carrying `requests` (tuple of
+    RideRequest) and `route` (RoutePlan, or None for the empty action). Raises
+    if any request is assigned twice or was already being serviced.
+    """
+    taken: set[int] = set()
+    for driver in fleet.drivers:
+        taken.update(driver.active)
+        taken.update(driver.completed)
+    seen: set[int] = set()
+    for driver_id, action in assignments.items():
+        for req in action.requests:
+            if req.request_id in taken:
+                raise ValueError(
+                    f"request {req.request_id} is already assigned and cannot go to driver {driver_id}"
+                )
+            if req.request_id in seen:
+                raise ValueError(f"request {req.request_id} assigned to two drivers")
+            seen.add(req.request_id)
+
+    by_id = {driver.driver_id: driver for driver in fleet.drivers}
+    for driver_id, action in assignments.items():
+        if not action.requests:
+            continue
+        driver = by_id[driver_id]
+        if action.route is None or not action.route.stops:
+            raise ValueError(f"driver {driver_id}: non-empty action without a route plan")
+        for req in action.requests:
+            driver.active[req.request_id] = req
+            driver.income += fare(graph, req.origin, req.destination)
+        driver.route = action.route
+        first = action.route.stops[0]
+        driver.loc = first.location
+        driver.secs_to_loc = first.arrival - fleet.clock
+
+
+def advance_fleet(fleet: FleetState, dt_seconds: float) -> None:
+    """Move every driver dt seconds along its route; idle drivers stay put."""
+    if dt_seconds <= 0:
+        raise ValueError("dt must be positive")
+    new_clock = fleet.clock + dt_seconds
+    for driver in fleet.drivers:
+        if driver.route is None:
+            continue
+        stops = list(driver.route.stops)
+        idx = 0
+        while idx < len(stops) and stops[idx].arrival <= new_clock:
+            stop = stops[idx]
+            if fleet.journal is not None:
+                fleet.journal.append((driver.driver_id, stop))
+            if stop.kind == PICKUP:
+                if stop.request_id not in driver.active or stop.request_id in driver.onboard:
+                    raise RuntimeError(
+                        f"driver {driver.driver_id}: pickup for request {stop.request_id} out of order"
+                    )
+                driver.onboard[stop.request_id] = stop.arrival
+                if driver.occupancy > driver.capacity:
+                    raise RuntimeError(
+                        f"driver {driver.driver_id}: occupancy exceeded capacity at t={stop.arrival}"
+                    )
+            else:
+                if stop.request_id not in driver.onboard:
+                    raise RuntimeError(
+                        f"driver {driver.driver_id}: dropoff before pickup for request {stop.request_id}"
+                    )
+                driver.completed[stop.request_id] = driver.active.pop(stop.request_id)
+                del driver.onboard[stop.request_id]
+            idx += 1
+        if idx == len(stops):
+            driver.loc = stops[-1].location
+            driver.secs_to_loc = 0.0
+            driver.route = None
+        else:
+            remaining = tuple(stops[idx:])
+            driver.route = RoutePlan(
+                stops=remaining,
+                onboard_profile=driver.route.onboard_profile[idx:],
+                total_delay=driver.route.total_delay,
+            )
+            driver.loc = remaining[0].location
+            driver.secs_to_loc = remaining[0].arrival - new_clock
+    fleet.clock = new_clock
+
+
+def snapshot_rows(fleet: FleetState, epoch: int) -> list[dict]:
+    """One record per driver, suitable for the line-delimited snapshot file."""
+    return [
+        {
+            "epoch": epoch,
+            "driver_id": d.driver_id,
+            "location": d.loc,
+            "occupancy": d.occupancy,
+            "active": len(d.active),
+            "completed": len(d.completed),
+            "income": d.income,
+        }
+        for d in fleet.drivers
+    ]

@@ -1,0 +1,387 @@
+"""Batch assignment of ride requests to drivers.
+
+Each epoch the new requests are pooled, every driver enumerates the request
+subsets it could absorb without breaking the service guarantees (bounded
+pickup wait, bounded dropoff detour, seat capacity), each candidate is scored
+by its marginal objective gain plus a discounted value estimate of the state
+it leads to, and the one-action-per-driver / one-driver-per-request problem
+is solved to optimality.
+
+Subset enumeration prunes upward: travel times form a shortest-path metric,
+so dropping a rider from a feasible route never delays the remaining stops,
+which means any feasible subset has all its sub-subsets feasible and sizes
+can be grown level by level.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from .city import CityGraph, fare, travel_seconds
+from .demand import RequestBatch, RequestLog, RideRequest
+from .fleet import (
+    DROPOFF,
+    PICKUP,
+    DriverState,
+    FleetState,
+    RoutePlan,
+    Stop,
+    apply_matching,
+)
+from .objectives import NeighborhoodTallies, ObjectiveSpec, ObjectiveState, delta_objective, eval_objective
+from .value import StateKey, ValueModel, state_key
+
+__all__ = [
+    "DelayConstraints",
+    "FeasibleAction",
+    "AssignmentSolution",
+    "EpochResult",
+    "route_feasible",
+    "enumerate_feasible",
+    "solve_assignment",
+    "run_epoch",
+]
+
+
+@dataclass(frozen=True)
+class DelayConstraints:
+    """Service guarantees, both strict inequalities in seconds."""
+
+    max_pickup_delay: float = 300.0  # wait from request creation to pickup
+    max_detour_delay: float = 60.0  # dropoff lateness versus a direct ride from pickup
+
+
+@dataclass(frozen=True)
+class FeasibleAction:
+    driver_id: int
+    requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
+    route: RoutePlan | None  # None only for the empty action
+
+    @property
+    def request_ids(self) -> tuple[int, ...]:
+        return tuple(req.request_id for req in self.requests)
+
+
+def route_feasible(
+    graph: CityGraph,
+    driver: DriverState,
+    new_requests: tuple[RideRequest, ...],
+    clock: float,
+    constraints: DelayConstraints,
+) -> RoutePlan | None:
+    """Best stop ordering serving the driver's unfinished riders plus the new
+    ones, or None when no ordering meets the guarantees.
+
+    Riders already in the car only need a dropoff; accepted-but-waiting riders
+    keep their original creation time, so taking on more work can never
+    silently degrade an earlier promise. Among feasible orderings the one with
+    the least total delay wins, ties broken by the stop key sequence, which
+    pins the plan down deterministically.
+    """
+    requests: dict[int, RideRequest] = dict(driver.active)
+    for req in new_requests:
+        requests[req.request_id] = req
+    if not requests:
+        return RoutePlan(stops=(), onboard_profile=(), total_delay=0.0)
+
+    picked: dict[int, float] = dict(driver.onboard)
+    onboard = set(driver.onboard)
+    pending = set(requests) - onboard
+    capacity = driver.capacity
+    max_pickup = constraints.max_pickup_delay
+    max_detour = constraints.max_detour_delay
+
+    best_delay = [float("inf")]
+    best_keys: list[tuple[tuple[int, int], ...] | None] = [None]
+    best_plan: list[tuple[tuple[Stop, ...], tuple[int, ...]] | None] = [None]
+
+    seq: list[Stop] = []
+    profile: list[int] = []
+    keys: list[tuple[int, int]] = []
+
+    def reachable(loc: int, now: float) -> bool:
+        # admissible lower bounds: direct travel can only underestimate arrival
+        for rid in pending:
+            req = requests[rid]
+            if now + travel_seconds(graph, loc, req.origin) - req.created_at >= max_pickup:
+                return False
+        for rid in onboard:
+            req = requests[rid]
+            direct = travel_seconds(graph, req.origin, req.destination)
+            if now + travel_seconds(graph, loc, req.destination) - (picked[rid] + direct) >= max_detour:
+                return False
+        return True
+
+    def dfs(loc: int, now: float, delay_sum: float) -> None:
+        if not onboard and not pending:
+            key_seq = tuple(keys)
+            if delay_sum < best_delay[0] or (
+                delay_sum == best_delay[0]
+                and (best_keys[0] is None or key_seq < best_keys[0])
+            ):
+                best_delay[0] = delay_sum
+                best_keys[0] = key_seq
+                best_plan[0] = (tuple(seq), tuple(profile))
+            return
+        options = sorted([(rid, 0) for rid in pending] + [(rid, 1) for rid in onboard])
+        for rid, kind_rank in options:
+            req = requests[rid]
+            if kind_rank == 0:
+                if len(onboard) >= capacity:
+                    continue
+                arrival = now + travel_seconds(graph, loc, req.origin)
+                delay = arrival - req.created_at
+                if delay >= max_pickup or delay_sum + delay > best_delay[0]:
+                    continue
+                picked[rid] = arrival
+                pending.discard(rid)
+                onboard.add(rid)
+                if reachable(req.origin, arrival):
+                    seq.append(Stop(PICKUP, rid, req.origin, arrival))
+                    profile.append(len(onboard))
+                    keys.append((rid, 0))
+                    dfs(req.origin, arrival, delay_sum + delay)
+                    seq.pop()
+                    profile.pop()
+                    keys.pop()
+                onboard.discard(rid)
+                pending.add(rid)
+                del picked[rid]
+            else:
+                arrival = now + travel_seconds(graph, loc, req.destination)
+                direct = travel_seconds(graph, req.origin, req.destination)
+                delay = arrival - (picked[rid] + direct)
+                if delay >= max_detour or delay_sum + delay > best_delay[0]:
+                    continue
+                onboard.discard(rid)
+                if reachable(req.destination, arrival):
+                    seq.append(Stop(DROPOFF, rid, req.destination, arrival))
+                    profile.append(len(onboard))
+                    keys.append((rid, 1))
+                    dfs(req.destination, arrival, delay_sum + delay)
+                    seq.pop()
+                    profile.pop()
+                    keys.pop()
+                onboard.add(rid)
+
+    dfs(driver.loc, clock + driver.secs_to_loc, 0.0)
+    if best_plan[0] is None:
+        return None
+    stops, onboard_profile = best_plan[0]
+    return RoutePlan(stops=stops, onboard_profile=onboard_profile, total_delay=best_delay[0])
+
+
+def enumerate_feasible(
+    graph: CityGraph,
+    driver: DriverState,
+    batch: tuple[RideRequest, ...],
+    clock: float,
+    constraints: DelayConstraints,
+) -> list[FeasibleAction]:
+    """All request subsets the driver can take, each with its best route.
+
+    The empty action (keep the current route) is always first. Subsets are
+    grown level by level and a set is only attempted when every subset one
+    smaller was feasible.
+    """
+    actions = [FeasibleAction(driver_id=driver.driver_id, requests=(), route=None)]
+    seats_free = driver.capacity - driver.occupancy
+    if seats_free <= 0 or not batch:
+        return actions
+    ordered = sorted(batch, key=lambda r: r.request_id)
+    prev_level: set[frozenset[int]] = {frozenset()}
+    for size in range(1, min(seats_free, len(ordered)) + 1):
+        level: set[frozenset[int]] = set()
+        for combo in itertools.combinations(ordered, size):
+            ids = frozenset(req.request_id for req in combo)
+            if size > 1 and any(ids - {rid} not in prev_level for rid in ids):
+                continue
+            plan = route_feasible(graph, driver, combo, clock, constraints)
+            if plan is None:
+                continue
+            level.add(ids)
+            actions.append(
+                FeasibleAction(driver_id=driver.driver_id, requests=combo, route=plan)
+            )
+        if not level:
+            break
+        prev_level = level
+    return actions
+
+
+@dataclass(frozen=True)
+class AssignmentSolution:
+    total_weight: float
+    chosen: tuple[int, ...]  # index into each driver's action list
+
+
+def solve_assignment(
+    weights: list[list[float]],
+    request_ids: list[list[tuple[int, ...]]],
+) -> AssignmentSolution:
+    """Exact maximum-weight assignment: one action per driver, no request in
+    two actions.
+
+    Branch and bound in two passes. The first finds the optimal value using a
+    sum-of-per-driver-maxima bound; the second walks drivers in index order
+    and actions in request-id order and returns the first assignment that
+    attains the optimum, which makes the reported argmax independent of
+    search heuristics.
+    """
+    n = len(weights)
+    if n != len(request_ids):
+        raise ValueError("weights and request_ids must align")
+    all_ids = sorted({rid for per in request_ids for ids in per for rid in ids})
+    bit = {rid: 1 << i for i, rid in enumerate(all_ids)}
+    masks = [[0 for _ in per] for per in request_ids]
+    for i, per in enumerate(request_ids):
+        for j, ids in enumerate(per):
+            m = 0
+            for rid in ids:
+                if m & bit[rid]:
+                    raise ValueError(f"duplicate request {rid} inside one action")
+                m |= bit[rid]
+            masks[i][j] = m
+
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        if not weights[i]:
+            raise ValueError(f"driver {i} has no actions; include the empty action")
+        suffix[i] = suffix[i + 1] + max(weights[i])
+
+    # Bounds are float sums taken in a different order than leaf accumulation,
+    # so at mathematical ties they can round a hair below an achievable total;
+    # prune with slack so the true optimum always survives, and keep leaf
+    # comparisons exact.
+    slack = 1e-9 * (1.0 + sum(max(abs(w) for w in per) for per in weights))
+
+    by_weight = [sorted(range(len(w)), key=lambda j: -w[j]) for w in weights]
+    best = [float("-inf")]
+
+    def search_value(i: int, used: int, acc: float) -> None:
+        if i == n:
+            if acc > best[0]:
+                best[0] = acc
+            return
+        if acc + suffix[i] <= best[0] - slack:
+            return
+        for j in by_weight[i]:
+            if used & masks[i][j]:
+                continue
+            search_value(i + 1, used | masks[i][j], acc + weights[i][j])
+
+    search_value(0, 0, 0.0)
+    optimum = best[0]
+
+    canonical = [
+        sorted(range(len(per)), key=lambda j: (per[j], j)) for per in request_ids
+    ]
+
+    def search_argmax(i: int, used: int, acc: float) -> tuple[int, ...] | None:
+        if i == n:
+            return () if acc == optimum else None
+        for j in canonical[i]:
+            if used & masks[i][j]:
+                continue
+            if acc + weights[i][j] + suffix[i + 1] < optimum - slack:
+                continue
+            rest = search_argmax(i + 1, used | masks[i][j], acc + weights[i][j])
+            if rest is not None:
+                return (j,) + rest
+        return None
+
+    chosen = search_argmax(0, 0, 0.0)
+    if chosen is None:
+        raise RuntimeError("assignment search failed to reproduce its own optimum")
+    return AssignmentSolution(total_weight=optimum, chosen=chosen)
+
+
+@dataclass
+class EpochResult:
+    epoch_index: int
+    clock: float
+    batch_size: int
+    assignments: dict[int, FeasibleAction]  # every driver, empty actions included
+    deltas: dict[int, float]  # myopic objective gain of each chosen action
+    pre_keys: dict[int, StateKey]  # driver state keys before the actions applied
+    total_weight: float
+    objective_value: float
+    num_actions: int
+
+
+def run_epoch(
+    graph: CityGraph,
+    fleet: FleetState,
+    batch: RequestBatch,
+    log: RequestLog,
+    tallies: NeighborhoodTallies,
+    spec: ObjectiveSpec,
+    constraints: DelayConstraints,
+    value_model: ValueModel | None = None,
+    gamma: float = 0.9,
+) -> EpochResult:
+    """Match one batch at the current fleet clock and commit the result."""
+    log.add_batch(batch)
+    for req in batch.requests:
+        tallies.add_requested(graph.neighborhoods.label(req.origin))
+    state = ObjectiveState.from_fleet(fleet, tallies)
+
+    per_driver: list[list[FeasibleAction]] = []
+    weights: list[list[float]] = []
+    ids: list[list[tuple[int, ...]]] = []
+    deltas: list[list[float]] = []
+    pre_keys: dict[int, StateKey] = {}
+    for di, driver in enumerate(fleet.drivers):
+        actions = enumerate_feasible(graph, driver, batch.requests, fleet.clock, constraints)
+        pre_keys[driver.driver_id] = state_key(graph, driver, fleet.clock)
+        row_w: list[float] = []
+        row_ids: list[tuple[int, ...]] = []
+        row_d: list[float] = []
+        for action in actions:
+            fares = [fare(graph, r.origin, r.destination) for r in action.requests]
+            labels = [graph.neighborhoods.label(r.origin) for r in action.requests]
+            delta = delta_objective(spec, state, di, fares, labels)
+            weight = delta
+            if value_model is not None:
+                if action.route is not None and action.route.stops:
+                    end = action.route.stops[-1].location
+                else:
+                    end = driver.route_end()
+                weight += gamma * value_model.estimate(
+                    state_key(graph, driver, fleet.clock, route_end=end)
+                )
+            row_w.append(weight)
+            row_ids.append(action.request_ids)
+            row_d.append(delta)
+        per_driver.append(actions)
+        weights.append(row_w)
+        ids.append(row_ids)
+        deltas.append(row_d)
+
+    solution = solve_assignment(weights, ids)
+    chosen: dict[int, FeasibleAction] = {}
+    chosen_deltas: dict[int, float] = {}
+    for di, driver in enumerate(fleet.drivers):
+        action = per_driver[di][solution.chosen[di]]
+        chosen[driver.driver_id] = action
+        chosen_deltas[driver.driver_id] = deltas[di][solution.chosen[di]]
+
+    apply_matching(fleet, chosen, graph)
+    for driver_id, action in chosen.items():
+        for req in action.requests:
+            log.mark_serviced(req.request_id, driver_id)
+            tallies.add_serviced(graph.neighborhoods.label(req.origin))
+
+    after = eval_objective(spec, ObjectiveState.from_fleet(fleet, tallies))
+    return EpochResult(
+        epoch_index=batch.epoch_index,
+        clock=fleet.clock,
+        batch_size=len(batch.requests),
+        assignments=chosen,
+        deltas=chosen_deltas,
+        pre_keys=pre_keys,
+        total_weight=solution.total_weight,
+        objective_value=after,
+        num_actions=sum(len(a) for a in per_driver),
+    )

@@ -1,0 +1,158 @@
+"""Dispatch objectives.
+
+Four interchangeable scores for an assignment state: requests served,
+platform income, and two fairness-regularized variants that subtract a
+lambda-weighted population variance, either of neighborhood service rates
+(serviced / requested, over neighborhoods with demand) or of driver incomes.
+With lambda = 0 both fairness objectives coincide with platform income.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .city import CityGraph, fare
+from .demand import RequestLog
+from .fleet import DriverState, FleetState
+
+OBJECTIVES = ("requests", "income", "rider_fairness", "driver_fairness")
+
+__all__ = [
+    "OBJECTIVES",
+    "ObjectiveSpec",
+    "NeighborhoodTallies",
+    "ObjectiveState",
+    "population_variance",
+    "driver_income",
+    "eval_objective",
+    "delta_objective",
+]
+
+
+@dataclass(frozen=True)
+class ObjectiveSpec:
+    name: str
+    lam: float = 0.0  # variance weight; ignored by requests / income
+
+    def __post_init__(self) -> None:
+        if self.name not in OBJECTIVES:
+            raise ValueError(f"unknown objective {self.name!r}, expected one of {OBJECTIVES}")
+        if self.lam < 0:
+            raise ValueError("lambda must be nonnegative")
+
+
+@dataclass
+class NeighborhoodTallies:
+    """Per-neighborhood request and service counts, indexed by label (1-based)."""
+
+    requested: np.ndarray
+    serviced: np.ndarray
+
+    @classmethod
+    def empty(cls, num_neighborhoods: int) -> "NeighborhoodTallies":
+        return cls(
+            requested=np.zeros(num_neighborhoods + 1, dtype=np.int64),
+            serviced=np.zeros(num_neighborhoods + 1, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_log(cls, log: RequestLog, graph: CityGraph) -> "NeighborhoodTallies":
+        tallies = cls.empty(graph.neighborhoods.num_neighborhoods)
+        for req in log.all_requests:
+            label = graph.neighborhoods.label(req.origin)
+            tallies.requested[label] += 1
+            if req.request_id in log.serviced_ids:
+                tallies.serviced[label] += 1
+        return tallies
+
+    def add_requested(self, label: int) -> None:
+        self.requested[label] += 1
+
+    def add_serviced(self, label: int) -> None:
+        self.serviced[label] += 1
+
+    def copy(self) -> "NeighborhoodTallies":
+        return NeighborhoodTallies(self.requested.copy(), self.serviced.copy())
+
+    def service_rates(self) -> np.ndarray:
+        """h_j / k_j over neighborhoods with at least one request."""
+        mask = self.requested[1:] > 0
+        return self.serviced[1:][mask] / self.requested[1:][mask]
+
+
+@dataclass
+class ObjectiveState:
+    """The quantities an objective reads, detached from full fleet state."""
+
+    incomes: np.ndarray  # per-driver income, order = driver index in the fleet
+    rides: np.ndarray  # per-driver accepted request count (ongoing + finished)
+    tallies: NeighborhoodTallies
+
+    @classmethod
+    def from_fleet(cls, fleet: FleetState, tallies: NeighborhoodTallies) -> "ObjectiveState":
+        return cls(
+            incomes=np.array([d.income for d in fleet.drivers], dtype=float),
+            rides=np.array([d.rides_count for d in fleet.drivers], dtype=np.int64),
+            tallies=tallies,
+        )
+
+    def copy(self) -> "ObjectiveState":
+        return ObjectiveState(self.incomes.copy(), self.rides.copy(), self.tallies.copy())
+
+
+def population_variance(values: np.ndarray) -> float:
+    if len(values) == 0:
+        return 0.0
+    return float(np.var(values))
+
+
+def driver_income(graph: CityGraph, driver: DriverState) -> float:
+    """Income from first principles: fare of every accepted request."""
+    total = 0.0
+    for req in driver.active.values():
+        total += fare(graph, req.origin, req.destination)
+    for req in driver.completed.values():
+        total += fare(graph, req.origin, req.destination)
+    return total
+
+
+def eval_objective(spec: ObjectiveSpec, state: ObjectiveState) -> float:
+    if spec.name == "requests":
+        return float(state.rides.sum())
+    total = float(state.incomes.sum())
+    if spec.name == "income":
+        return total
+    if spec.name == "rider_fairness":
+        return total - spec.lam * population_variance(state.tallies.service_rates())
+    return total - spec.lam * population_variance(state.incomes)
+
+
+def delta_objective(
+    spec: ObjectiveSpec,
+    state: ObjectiveState,
+    driver_index: int,
+    fares: list[float],
+    origin_labels: list[int],
+) -> float:
+    """Objective change if the driver at `driver_index` accepts the given
+    requests, scored against the current state. Matches
+    eval_objective(after) - eval_objective(before) up to rounding."""
+    if spec.name == "requests":
+        return float(len(fares))
+    added = float(sum(fares))
+    if spec.name == "income":
+        return added
+    if spec.name == "rider_fairness":
+        before = population_variance(state.tallies.service_rates())
+        bumped = state.tallies.copy()
+        for label in origin_labels:
+            bumped.add_serviced(label)
+        after = population_variance(bumped.service_rates())
+        return added - spec.lam * (after - before)
+    before = population_variance(state.incomes)
+    incomes = state.incomes.copy()
+    incomes[driver_index] += added
+    after = population_variance(incomes)
+    return added - spec.lam * (after - before)

@@ -1,0 +1,293 @@
+"""Shapley income attribution and risk-parameterized redistribution.
+
+A coalition oracle answers "what would this subset of drivers have earned
+on the same demand"; Shapley values split the full fleet's income by average
+marginal contribution (exactly for small fleets, by permutation sampling
+otherwise). The payout step then blends each driver's own number with a
+deficit-weighted share of a common pool, controlled by a risk knob r: at the
+extremes the payout pins to one of the two vectors, in between low earners
+with high attributed value are topped up.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass, field
+from typing import Protocol, Sequence
+
+from .city import CityGraph
+from .demand import RequestBatch
+from .fleet import FleetState
+from .matching import DelayConstraints
+from .objectives import ObjectiveSpec
+from .seeds import substream
+from .simulate import coalition_incomes
+from .value import ValueModel
+
+PAYOUT_MODES = ("as_printed", "keep_income")
+EXACT_SHAPLEY_CAP = 12
+
+__all__ = [
+    "PAYOUT_MODES",
+    "EXACT_SHAPLEY_CAP",
+    "CoalitionOracle",
+    "TableOracle",
+    "ResimulationOracle",
+    "ShapleyEstimate",
+    "RedistributionParams",
+    "shapley_exact",
+    "shapley_mc",
+    "redistribute",
+    "gain_metric",
+    "mean_gain",
+    "minimum_wage_bound",
+    "load_coalition_table",
+]
+
+
+class CoalitionOracle(Protocol):
+    def value(self, coalition: frozenset[int]) -> float:
+        """Total income the coalition would earn operating alone."""
+        ...
+
+
+@dataclass
+class TableOracle:
+    """Explicit coalition-value map, mainly for tests and CSV input."""
+
+    values: dict[frozenset[int], float]
+
+    def value(self, coalition: frozenset[int]) -> float:
+        if not coalition:
+            return self.values.get(frozenset(), 0.0)
+        try:
+            return self.values[coalition]
+        except KeyError:
+            raise ValueError(f"coalition {sorted(coalition)} missing from table") from None
+
+
+@dataclass
+class ResimulationOracle:
+    """Reruns the matching simulation restricted to a coalition.
+
+    Demand, seeds, and every driver's start position are identical across
+    calls, so coalition values are well-defined; results are memoized because
+    permutation prefixes repeat heavily.
+    """
+
+    graph: CityGraph
+    batches: list[RequestBatch]
+    template: FleetState
+    spec: ObjectiveSpec
+    constraints: DelayConstraints = DelayConstraints()
+    value_model: ValueModel | None = None
+    gamma: float = 0.9
+    epoch_len_seconds: float = 60.0
+    _memo: dict[frozenset[int], dict[int, float]] = field(default_factory=dict)
+
+    def incomes(self, coalition: frozenset[int]) -> dict[int, float]:
+        if coalition not in self._memo:
+            if not coalition:
+                self._memo[coalition] = {}
+            else:
+                self._memo[coalition] = coalition_incomes(
+                    self.graph,
+                    self.batches,
+                    self.template,
+                    coalition,
+                    self.spec,
+                    self.constraints,
+                    value_model=self.value_model,
+                    gamma=self.gamma,
+                    epoch_len_seconds=self.epoch_len_seconds,
+                )
+        return self._memo[coalition]
+
+    def value(self, coalition: frozenset[int]) -> float:
+        return sum(self.incomes(coalition).values())
+
+
+@dataclass(frozen=True)
+class ShapleyEstimate:
+    driver_ids: tuple[int, ...]
+    values: tuple[float, ...]
+    method: str  # exact | monte_carlo
+    samples: int = 0
+    seed: int | None = None
+
+    def by_driver(self) -> dict[int, float]:
+        return dict(zip(self.driver_ids, self.values))
+
+
+def shapley_exact(
+    oracle: CoalitionOracle, driver_ids: Sequence[int], cap: int = EXACT_SHAPLEY_CAP
+) -> ShapleyEstimate:
+    """Exact Shapley values by full coalition enumeration (2^n evaluations)."""
+    ids = tuple(driver_ids)
+    n = len(ids)
+    if n == 0:
+        raise ValueError("need at least one driver")
+    if n > cap:
+        raise ValueError(
+            f"{n} drivers need 2^{n} coalition evaluations; use shapley_mc instead"
+        )
+    coalition_of = [frozenset(ids[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    vals = [oracle.value(c) for c in coalition_of]
+    fact = [math.factorial(k) for k in range(n + 1)]
+    # integer weights, one division at the end: on integer-valued tables the
+    # accumulation is exact, so small examples come out correctly rounded
+    weight = [float(fact[s] * fact[n - 1 - s]) for s in range(n)]
+    denom = float(fact[n])
+    shapley = []
+    for i in range(n):
+        bit = 1 << i
+        acc = 0.0
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            acc += weight[bin(mask).count("1")] * (vals[mask | bit] - vals[mask])
+        shapley.append(acc / denom)
+    return ShapleyEstimate(driver_ids=ids, values=tuple(shapley), method="exact")
+
+
+def shapley_mc(
+    oracle: CoalitionOracle,
+    driver_ids: Sequence[int],
+    num_permutations: int,
+    seed: int,
+) -> ShapleyEstimate:
+    """Shapley values by uniform permutation sampling.
+
+    Each permutation adds drivers one at a time and credits each with its
+    marginal contribution to the prefix; coalition values are memoized, so a
+    permutation costs at most n oracle calls and repeats cost none.
+    """
+    ids = tuple(driver_ids)
+    n = len(ids)
+    if n == 0:
+        raise ValueError("need at least one driver")
+    if num_permutations < 1:
+        raise ValueError("need at least one permutation")
+    rng = substream(seed, "mc-shapley")
+    memo: dict[int, float] = {}
+
+    def val(mask: int) -> float:
+        if mask not in memo:
+            memo[mask] = oracle.value(frozenset(ids[i] for i in range(n) if mask >> i & 1))
+        return memo[mask]
+
+    acc = [0.0] * n
+    for _ in range(num_permutations):
+        perm = rng.permutation(n)
+        mask = 0
+        prev = val(0)
+        for i in perm:
+            mask |= 1 << i
+            cur = val(mask)
+            acc[i] += cur - prev
+            prev = cur
+    values = tuple(a / num_permutations for a in acc)
+    return ShapleyEstimate(
+        driver_ids=ids, values=values, method="monte_carlo", samples=num_permutations, seed=seed
+    )
+
+
+@dataclass(frozen=True)
+class RedistributionParams:
+    r: float
+    mode: str = "as_printed"
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.r <= 1.0:
+            raise ValueError("risk parameter r must lie in [0, 1]")
+        if self.mode not in PAYOUT_MODES:
+            raise ValueError(f"unknown payout mode {self.mode!r}, expected one of {PAYOUT_MODES}")
+
+
+def redistribute(
+    pi: Sequence[float], v: Sequence[float], params: RedistributionParams
+) -> list[float]:
+    """Payouts after pooling: q_i = r*base_i + (deficit_i/d) * (1-r)*sum(base).
+
+    The base vector is v in as_printed mode and pi in keep_income mode;
+    deficit_i = max(0, v_i - r*pi_i) and d is the total deficit, with the pool
+    share defined as 0 when nobody runs a deficit. Budget balance
+    (sum(q) = sum(pi)) holds in keep_income mode whenever d > 0, and in both
+    modes when sum(v) = sum(pi).
+    """
+    if len(pi) != len(v):
+        raise ValueError(f"income and value vectors differ in length: {len(pi)} vs {len(v)}")
+    for i, (p_i, v_i) in enumerate(zip(pi, v)):
+        if p_i < 0 or v_i < 0:
+            raise ValueError(f"negative input at driver index {i}")
+    r = params.r
+    base = v if params.mode == "as_printed" else pi
+    deficits = [max(0.0, v_i - r * p_i) for p_i, v_i in zip(pi, v)]
+    d = sum(deficits)
+    if d == 0.0:
+        return [r * b for b in base]
+    # one scalar pool rate keeps the endpoint identities exact: at r=1 the
+    # rate is 0, and at r=0 with matching totals it is exactly 1
+    rate = (1.0 - r) * sum(base) / d
+    return [r * b + df * rate for b, df in zip(base, deficits)]
+
+
+def gain_metric(
+    pi: Sequence[float], v: Sequence[float], params: RedistributionParams, i: int
+) -> float:
+    """Payout sensitivity to attributed value: how much q_i moves, per unit of
+    v_i, when driver i's value doubles with everything else held fixed."""
+    if not 0 <= i < len(v):
+        raise ValueError(f"driver index {i} out of range")
+    if v[i] == 0:
+        raise ValueError("gain is undefined for a driver with zero value")
+    doubled = list(v)
+    doubled[i] = 2.0 * v[i]
+    q = redistribute(pi, v, params)
+    q_prime = redistribute(pi, doubled, params)
+    return (q_prime[i] - q[i]) / v[i]
+
+
+def mean_gain(pi: Sequence[float], v: Sequence[float], params: RedistributionParams) -> float:
+    gains = [gain_metric(pi, v, params, i) for i in range(len(v))]
+    return sum(gains) / len(gains)
+
+
+def minimum_wage_bound(v_i: float, r: float) -> float:
+    """Guaranteed payout floor for a driver with attributed value v_i."""
+    if v_i < 0:
+        raise ValueError("value must be nonnegative")
+    return min(r * v_i, (1.0 - r) * v_i)
+
+
+def load_coalition_table(path: str) -> tuple[TableOracle, int]:
+    """Read a `coalition_bitmask,value` CSV; returns the oracle and the driver
+    count inferred from the widest bitmask. Driver ids are bit positions."""
+    values: dict[frozenset[int], float] = {}
+    n = 0
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["coalition_bitmask", "value"]:
+            raise ValueError(f"{path}: expected header coalition_bitmask,value")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                mask = int(row[0])
+                val = float(row[1])
+            except (ValueError, IndexError):
+                raise ValueError(f"{path}:{lineno}: malformed coalition row {row!r}") from None
+            if mask < 0:
+                raise ValueError(f"{path}:{lineno}: bitmask must be nonnegative")
+            coalition = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+            if coalition in values:
+                raise ValueError(f"{path}:{lineno}: duplicate coalition {mask}")
+            if not coalition and val != 0.0:
+                raise ValueError(f"{path}:{lineno}: the empty coalition must have value 0")
+            values[coalition] = val
+            n = max(n, mask.bit_length())
+    if n == 0:
+        raise ValueError(f"{path}: no coalitions found")
+    return TableOracle(values), n

@@ -1,0 +1,151 @@
+"""Run metrics and report files.
+
+Collects the per-run quantities worth comparing across dispatch objectives:
+how many requests were served, how income spread out over drivers, and how
+service rates spread out over neighborhoods. Neighborhoods that saw no
+requests are reported as absent rather than as rate 0, so minima are not
+artificially dragged down. Reports serialize deterministically, byte for
+byte, in either a structured JSON document or a flat metric,scope,value CSV.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict, dataclass
+
+import numpy as np
+
+from .city import CityGraph
+from .demand import RequestLog
+from .fleet import FleetState
+from .objectives import NeighborhoodTallies, population_variance
+
+REPORT_VERSION = 1
+REPORT_FORMATS = ("structured", "tabular")
+
+__all__ = [
+    "REPORT_VERSION",
+    "REPORT_FORMATS",
+    "MetricsReport",
+    "metrics_from_parts",
+    "fairness_metrics",
+    "income_value_spread",
+    "write_report",
+    "read_report",
+]
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    total_requests: int
+    total_serviced: int
+    total_income: float
+    overall_success_rate: float | None  # None when there were no requests
+    neighborhood_rates: dict[int, float]  # only neighborhoods with demand
+    min_success_rate: float | None
+    success_rate_var: float | None
+    incomes: dict[int, float]
+    income_min: float
+    income_var: float
+    redistribution: dict | None = None  # summary of a payout run, when one happened
+    report_version: int = REPORT_VERSION
+
+
+def metrics_from_parts(
+    incomes: dict[int, float], log: RequestLog, graph: CityGraph
+) -> MetricsReport:
+    """Metrics from the raw parts; lets reports be rebuilt from artifacts."""
+    tallies = NeighborhoodTallies.from_log(log, graph)
+    rates = {
+        j: float(tallies.serviced[j]) / float(tallies.requested[j])
+        for j in range(1, graph.neighborhoods.num_neighborhoods + 1)
+        if tallies.requested[j] > 0
+    }
+    total_requests = len(log.all_requests)
+    total_serviced = len(log.serviced_ids)
+    income_values = np.array(list(incomes.values()), dtype=float)
+    rate_values = np.array(list(rates.values()), dtype=float)
+    return MetricsReport(
+        total_requests=total_requests,
+        total_serviced=total_serviced,
+        total_income=float(income_values.sum()),
+        overall_success_rate=(total_serviced / total_requests) if total_requests else None,
+        neighborhood_rates=rates,
+        min_success_rate=float(rate_values.min()) if rates else None,
+        success_rate_var=population_variance(rate_values) if rates else None,
+        incomes=incomes,
+        income_min=float(income_values.min()),
+        income_var=population_variance(income_values),
+    )
+
+
+def fairness_metrics(fleet: FleetState, log: RequestLog, graph: CityGraph) -> MetricsReport:
+    return metrics_from_parts({d.driver_id: d.income for d in fleet.drivers}, log, graph)
+
+
+def income_value_spread(q, v) -> float:
+    """Population standard deviation of the payout-to-value ratios q_i/v_i."""
+    if len(q) != len(v):
+        raise ValueError(f"payout and value vectors differ in length: {len(q)} vs {len(v)}")
+    zero = [i for i, v_i in enumerate(v) if v_i == 0]
+    if zero:
+        raise ValueError(f"ratio undefined for zero-value drivers at indices {zero}")
+    ratios = np.array([q_i / v_i for q_i, v_i in zip(q, v)], dtype=float)
+    return float(np.sqrt(population_variance(ratios)))
+
+
+def _tabular_rows(report: MetricsReport) -> list[tuple[str, str, str]]:
+    rows: list[tuple[str, str, str]] = [
+        ("report_version", "overall", repr(report.report_version)),
+        ("total_requests", "overall", repr(report.total_requests)),
+        ("total_serviced", "overall", repr(report.total_serviced)),
+        ("total_income", "overall", repr(report.total_income)),
+    ]
+    if report.overall_success_rate is not None:
+        rows.append(("success_rate", "overall", repr(report.overall_success_rate)))
+    for j in sorted(report.neighborhood_rates):
+        rows.append(("success_rate", str(j), repr(report.neighborhood_rates[j])))
+    if report.min_success_rate is not None:
+        rows.append(("success_rate_min", "overall", repr(report.min_success_rate)))
+    if report.success_rate_var is not None:
+        rows.append(("success_rate_var", "overall", repr(report.success_rate_var)))
+    for d in sorted(report.incomes):
+        rows.append(("income", str(d), repr(report.incomes[d])))
+    rows.append(("income_min", "overall", repr(report.income_min)))
+    rows.append(("income_var", "overall", repr(report.income_var)))
+    if report.redistribution is not None:
+        for key in sorted(report.redistribution):
+            value = report.redistribution[key]
+            rows.append((f"redistribution_{key}", "overall", str(value)))
+    return rows
+
+
+def write_report(report: MetricsReport, path: str, format: str = "structured") -> None:
+    if format not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {format!r}, expected one of {REPORT_FORMATS}")
+    try:
+        if format == "structured":
+            payload = asdict(report)
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        else:
+            lines = ["metric,scope,value"]
+            lines.extend(",".join(row) for row in _tabular_rows(report))
+            text = "\n".join(lines) + "\n"
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
+
+
+def read_report(path: str) -> MetricsReport:
+    """Parse a structured report back; inverse of write_report('structured')."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise OSError(f"cannot read report from {path}: {exc}") from exc
+    if payload.get("report_version") != REPORT_VERSION:
+        raise ValueError(f"{path}: unsupported report_version {payload.get('report_version')!r}")
+    payload["neighborhood_rates"] = {int(k): v for k, v in payload["neighborhood_rates"].items()}
+    payload["incomes"] = {int(k): v for k, v in payload["incomes"].items()}
+    return MetricsReport(**payload)

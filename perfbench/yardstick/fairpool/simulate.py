@@ -1,0 +1,301 @@
+"""Episode loop: advance the fleet, match each batch, drain open routes.
+
+Batch k covers requests created in [k*epoch_len, (k+1)*epoch_len) and is
+matched when the clock reaches the window end. After the last batch the fleet
+runs until every committed stop has executed, so completed runs leave no rider
+mid-trip and the executed-stop journal is complete for auditing.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable
+
+from .city import CityGraph, travel_seconds
+from .demand import RequestBatch, RequestLog, batch_requests, synth_demand
+from .fleet import DriverState, FleetState, advance_fleet, init_fleet, snapshot_rows
+from .matching import DelayConstraints, EpochResult, run_epoch
+from .objectives import NeighborhoodTallies, ObjectiveSpec
+from .seeds import subseed
+from .value import ValueModel, td_update
+
+__all__ = [
+    "SimResult",
+    "run_simulation",
+    "train_value_model",
+    "train_synthetic",
+    "subset_fleet",
+    "coalition_incomes",
+    "audit_journal",
+]
+
+
+@dataclass
+class SimResult:
+    epochs: list[EpochResult]
+    fleet: FleetState
+    log: RequestLog
+    tallies: NeighborhoodTallies
+    snapshots: list[dict]
+
+    def incomes(self) -> dict[int, float]:
+        return {d.driver_id: d.income for d in self.fleet.drivers}
+
+
+def run_simulation(
+    graph: CityGraph,
+    batches: Iterable[RequestBatch],
+    fleet: FleetState,
+    spec: ObjectiveSpec,
+    constraints: DelayConstraints = DelayConstraints(),
+    value_model: ValueModel | None = None,
+    gamma: float = 0.9,
+    epoch_len_seconds: float = 60.0,
+) -> SimResult:
+    if fleet.journal is None:
+        fleet.journal = []
+    log = RequestLog()
+    tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
+    epochs: list[EpochResult] = []
+    snapshots: list[dict] = []
+    for batch in batches:
+        window_end = (batch.epoch_index + 1) * epoch_len_seconds
+        if window_end > fleet.clock:
+            advance_fleet(fleet, window_end - fleet.clock)
+        result = run_epoch(
+            graph,
+            fleet,
+            batch,
+            log,
+            tallies,
+            spec,
+            constraints,
+            value_model=value_model,
+            gamma=gamma,
+        )
+        epochs.append(result)
+        snapshots.extend(snapshot_rows(fleet, batch.epoch_index))
+    horizon = fleet.clock
+    for driver in fleet.drivers:
+        if driver.route is not None and driver.route.stops:
+            horizon = max(horizon, driver.route.stops[-1].arrival)
+    if horizon > fleet.clock:
+        advance_fleet(fleet, horizon - fleet.clock)
+    return SimResult(epochs=epochs, fleet=fleet, log=log, tallies=tallies, snapshots=snapshots)
+
+
+def train_value_model(
+    graph: CityGraph,
+    batches: list[RequestBatch],
+    fleet_factory: Callable[[], FleetState],
+    spec: ObjectiveSpec,
+    model: ValueModel,
+    constraints: DelayConstraints = DelayConstraints(),
+    episodes: int = 1,
+    epoch_len_seconds: float = 60.0,
+) -> list[float]:
+    """On-policy one-step TD over repeated episodes of the same demand.
+
+    Each epoch's reward is the myopic objective gain of the action the driver
+    was assigned; the next decision point's state key provides the bootstrap,
+    with the episode end treated as terminal. Returns the summed absolute TD
+    error per episode, which should shrink as the table settles.
+    """
+    if model.mode != "tabular":
+        raise ValueError("training requires a tabular value model")
+    errors: list[float] = []
+    for _ in range(episodes):
+        fleet = fleet_factory()
+        log = RequestLog()
+        tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
+        prev: EpochResult | None = None
+        total_error = 0.0
+        for batch in batches:
+            window_end = (batch.epoch_index + 1) * epoch_len_seconds
+            if window_end > fleet.clock:
+                advance_fleet(fleet, window_end - fleet.clock)
+            result = run_epoch(
+                graph,
+                fleet,
+                batch,
+                log,
+                tallies,
+                spec,
+                constraints,
+                value_model=model,
+                gamma=model.gamma,
+            )
+            if prev is not None:
+                for driver in fleet.drivers:
+                    d = driver.driver_id
+                    total_error += abs(
+                        td_update(model, prev.pre_keys[d], prev.deltas[d], result.pre_keys[d])
+                    )
+            prev = result
+        if prev is not None:
+            for driver in fleet.drivers:
+                d = driver.driver_id
+                total_error += abs(td_update(model, prev.pre_keys[d], prev.deltas[d], None))
+        errors.append(total_error)
+    return errors
+
+
+def train_synthetic(
+    graph: CityGraph,
+    model: ValueModel,
+    spec: ObjectiveSpec,
+    num_drivers: int,
+    capacity: int,
+    rate_per_epoch: float,
+    num_epochs: int,
+    hotspot_skew: float,
+    episodes: int,
+    seed: int,
+    constraints: DelayConstraints = DelayConstraints(),
+    epoch_len_seconds: float = 60.0,
+) -> list[float]:
+    """Train on freshly drawn demand each episode, one fixed fleet placement.
+
+    Episode k draws its own demand stream from a seed derived from (seed, k),
+    so a rerun with the same arguments reproduces the exact table.
+    """
+    errors: list[float] = []
+    for episode in range(episodes):
+        stream = synth_demand(
+            graph,
+            rate_per_epoch,
+            num_epochs,
+            hotspot_skew,
+            seed=subseed(seed, f"train-ep{episode}"),
+            epoch_len_seconds=epoch_len_seconds,
+        )
+        batches = batch_requests(stream, epoch_len_seconds)
+        errors.extend(
+            train_value_model(
+                graph,
+                batches,
+                lambda: init_fleet(graph, num_drivers, capacity, seed),
+                spec,
+                model,
+                constraints,
+                episodes=1,
+                epoch_len_seconds=epoch_len_seconds,
+            )
+        )
+    return errors
+
+
+def subset_fleet(template: FleetState, driver_ids: Iterable[int]) -> FleetState:
+    """Fresh fleet containing only the given drivers, at their seeded start
+    positions. Used to rerun a scenario with a coalition of the drivers."""
+    wanted = set(driver_ids)
+    by_id = {d.driver_id: d for d in template.drivers}
+    missing = wanted - set(by_id)
+    if missing:
+        raise ValueError(f"unknown driver ids {sorted(missing)}")
+    drivers = [
+        DriverState(driver_id=d.driver_id, capacity=d.capacity, loc=d.loc)
+        for d in template.drivers
+        if d.driver_id in wanted
+    ]
+    if not drivers:
+        raise ValueError("coalition must contain at least one driver")
+    return FleetState(drivers=drivers, clock=0.0)
+
+
+def coalition_incomes(
+    graph: CityGraph,
+    batches: list[RequestBatch],
+    template: FleetState,
+    driver_ids: Iterable[int],
+    spec: ObjectiveSpec,
+    constraints: DelayConstraints = DelayConstraints(),
+    value_model: ValueModel | None = None,
+    gamma: float = 0.9,
+    epoch_len_seconds: float = 60.0,
+) -> dict[int, float]:
+    """Incomes each coalition member earns when only the coalition operates."""
+    fleet = subset_fleet(template, driver_ids)
+    result = run_simulation(
+        graph,
+        batches,
+        fleet,
+        spec,
+        constraints,
+        value_model=value_model,
+        gamma=gamma,
+        epoch_len_seconds=epoch_len_seconds,
+    )
+    return result.incomes()
+
+
+def audit_journal(
+    graph: CityGraph,
+    fleet: FleetState,
+    log: RequestLog,
+    constraints: DelayConstraints,
+) -> list[str]:
+    """Check an executed run against every service guarantee.
+
+    Returns human-readable violation strings; an empty list means the run
+    honored all of: each serviced request picked up then dropped off exactly
+    once by its assigned driver, strict pickup-wait and dropoff-detour bounds,
+    and seat capacity at every moment.
+    """
+    violations: list[str] = []
+    journal = fleet.journal or []
+    requests = {req.request_id: req for req in log.all_requests}
+    capacities = {d.driver_id: d.capacity for d in fleet.drivers}
+
+    pickups: dict[int, tuple[int, float]] = {}
+    dropoffs: dict[int, tuple[int, float]] = {}
+    occupancy: dict[int, int] = {d.driver_id: 0 for d in fleet.drivers}
+    for driver_id, stop in journal:
+        rid = stop.request_id
+        if rid not in requests:
+            violations.append(f"stop for unknown request {rid}")
+            continue
+        if rid not in log.serviced_ids:
+            violations.append(f"request {rid} executed but never marked serviced")
+        if log.assigned_driver.get(rid) != driver_id:
+            violations.append(
+                f"request {rid} executed by driver {driver_id}, assigned to "
+                f"{log.assigned_driver.get(rid)}"
+            )
+        if stop.kind == "pickup":
+            if rid in pickups:
+                violations.append(f"request {rid} picked up twice")
+            pickups[rid] = (driver_id, stop.arrival)
+            occupancy[driver_id] += 1
+            if occupancy[driver_id] > capacities[driver_id]:
+                violations.append(
+                    f"driver {driver_id} over capacity at t={stop.arrival:.1f}"
+                )
+            delay = stop.arrival - requests[rid].created_at
+            if not delay < constraints.max_pickup_delay:
+                violations.append(
+                    f"request {rid} pickup wait {delay:.1f}s breaches "
+                    f"{constraints.max_pickup_delay:.0f}s"
+                )
+        else:
+            if rid in dropoffs:
+                violations.append(f"request {rid} dropped off twice")
+            if rid not in pickups:
+                violations.append(f"request {rid} dropped off before pickup")
+                continue
+            dropoffs[rid] = (driver_id, stop.arrival)
+            occupancy[driver_id] -= 1
+            req = requests[rid]
+            direct = travel_seconds(graph, req.origin, req.destination)
+            detour = stop.arrival - (pickups[rid][1] + direct)
+            if not detour < constraints.max_detour_delay:
+                violations.append(
+                    f"request {rid} dropoff detour {detour:.1f}s breaches "
+                    f"{constraints.max_detour_delay:.0f}s"
+                )
+    for rid in sorted(log.serviced_ids):
+        if rid not in pickups:
+            violations.append(f"serviced request {rid} never picked up")
+        if rid not in dropoffs:
+            violations.append(f"serviced request {rid} never dropped off")
+    return violations

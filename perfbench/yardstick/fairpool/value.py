@@ -1,0 +1,128 @@
+"""Tabular state-value model for non-myopic dispatch.
+
+A driver's state is collapsed to (neighborhood of the committed route end,
+riders onboard, 900-second time bucket). In `tabular` mode the table maps
+that key to an estimated discounted future objective gain, trained by
+one-step TD updates over simulated episodes. `zero` mode scores every state
+0, which makes dispatch purely myopic; that is the default.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from typing import Iterable
+
+from .city import CityGraph
+from .fleet import DriverState
+
+BUCKET_SECONDS = 900.0
+MODES = ("zero", "tabular")
+
+__all__ = [
+    "BUCKET_SECONDS",
+    "MODES",
+    "StateKey",
+    "ValueModel",
+    "state_key",
+    "estimate_value",
+    "td_update",
+    "save_value_model",
+    "load_value_model",
+]
+
+StateKey = tuple[int, int, int]  # (neighborhood label, onboard count, time bucket)
+
+
+def state_key(
+    graph: CityGraph, driver: DriverState, clock: float, route_end: int | None = None
+) -> StateKey:
+    """Key for the driver's state at `clock`; pass route_end to project the
+    state after committing to a different route."""
+    end = driver.route_end() if route_end is None else route_end
+    return (
+        graph.neighborhoods.label(end),
+        driver.occupancy,
+        int(clock // BUCKET_SECONDS),
+    )
+
+
+@dataclass
+class ValueModel:
+    mode: str = "zero"
+    gamma: float = 0.9
+    alpha: float = 0.1
+    seed: int = 0
+    table: dict[StateKey, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"unknown value model mode {self.mode!r}, expected one of {MODES}")
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError("gamma must lie in [0, 1)")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must lie in (0, 1]")
+
+    def estimate(self, key: StateKey) -> float:
+        if self.mode == "zero":
+            return 0.0
+        return self.table.get(key, 0.0)
+
+
+def estimate_value(model: ValueModel, keys: Iterable[StateKey]) -> float:
+    """Value of a fleet projection: sum of per-driver state estimates."""
+    return sum(model.estimate(key) for key in keys)
+
+
+def td_update(
+    model: ValueModel, key: StateKey, reward: float, next_key: StateKey | None
+) -> float:
+    """One-step bootstrapped update; next_key None marks a terminal state.
+    Returns the TD error."""
+    if model.mode == "zero":
+        raise ValueError("zero value model is not trainable")
+    bootstrap = 0.0 if next_key is None else model.estimate(next_key)
+    error = reward + model.gamma * bootstrap - model.estimate(key)
+    updated = model.estimate(key) + model.alpha * error
+    if not math.isfinite(updated):
+        raise ValueError(f"value update for {key} is not finite")
+    model.table[key] = updated
+    return error
+
+
+def save_value_model(model: ValueModel, path: str) -> None:
+    """Plain-text table, one key per line, restored bit-exactly by the loader."""
+    lines = [
+        f"# value-table mode={model.mode} gamma={model.gamma!r} "
+        f"alpha={model.alpha!r} seed={model.seed}\n"
+    ]
+    for key in sorted(model.table):
+        nbhd, onboard, bucket = key
+        lines.append(f"{nbhd} {onboard} {bucket} {model.table[key]!r}\n")
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+
+
+def load_value_model(path: str) -> ValueModel:
+    with open(path) as fh:
+        header = fh.readline()
+        if not header.startswith("# value-table "):
+            raise ValueError(f"{path}: not a value-table file")
+        params = dict(part.split("=", 1) for part in header.split()[2:])
+        model = ValueModel(
+            mode=params["mode"],
+            gamma=float(params["gamma"]),
+            alpha=float(params["alpha"]),
+            seed=int(params["seed"]),
+        )
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+            value = float(parts[3])
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite table value")
+            model.table[(int(parts[0]), int(parts[1]), int(parts[2]))] = value
+    return model
