@@ -177,6 +177,7 @@ def run_one(config: RunConfig, out_dir: str):
                 "total_weight": epoch.total_weight,
                 "objective": epoch.objective_value,
                 "num_actions": epoch.num_actions,
+                "solver_nodes": epoch.solver_nodes,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     with open(os.path.join(out_dir, "fleet.jsonl"), "w") as fh:
@@ -442,11 +443,15 @@ def _read_shapley_csv(path: str) -> tuple[list[int], list[float], list[float]]:
 
 def cmd_redistribute(args: argparse.Namespace) -> int:
     source = args.source
+    mode = args.mode or "as_printed"
     if os.path.isdir(source):
+        # a run directory carries its configured payout mode; --mode wins
+        resolved = os.path.join(source, "config.resolved")
+        if args.mode is None and os.path.exists(resolved):
+            mode = load_config(resolved).payout_mode
         source = os.path.join(source, "shapley.csv")
     driver_ids, pi, v = _read_shapley_csv(source)
     grid = _parse_grid(args.r, "r") if args.r else [i / 10 for i in range(11)]
-    mode = args.mode or "as_printed"
     os.makedirs(args.out, exist_ok=True)
     detail_rows = []
     summary_rows = []
@@ -499,7 +504,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             log.all_requests.append(req)
             if row["serviced"] == "1":
                 log.mark_serviced(req.request_id, int(row["driver"]))
-    incomes: dict[int, float] = {}
+    # every configured driver exists, even one that never had a snapshot row
+    incomes = {d: 0.0 for d in range(config.num_drivers)}
     with open(os.path.join(run_dir, "fleet.jsonl")) as fh:
         for line in fh:
             row = json.loads(line)

@@ -11,6 +11,15 @@ Subset enumeration prunes upward: travel times form a shortest-path metric,
 so dropping a rider from a feasible route never delays the remaining stops,
 which means any feasible subset has all its sub-subsets feasible and sizes
 can be grown level by level.
+
+The assignment solve is a two-pass branch and bound over drivers in index
+order. Besides the per-driver-maxima bound it prunes by state dominance: two
+partial assignments that have used the same requests before the same driver
+face identical completions, and because round-to-nearest float addition is
+monotone, the one with the smaller or equal prefix sum cannot end higher.
+Remembering the best prefix seen per (driver, used-requests) state collapses
+the tie plateaus that objectives with many equal weights produce, without
+changing the optimum or the canonical argmax.
 """
 
 from __future__ import annotations
@@ -214,6 +223,7 @@ def enumerate_feasible(
 class AssignmentSolution:
     total_weight: float
     chosen: tuple[int, ...]  # index into each driver's action list
+    nodes: int  # search nodes entered by both passes together
 
 
 def solve_assignment(
@@ -228,6 +238,19 @@ def solve_assignment(
     and actions in request-id order and returns the first assignment that
     attains the optimum, which makes the reported argmax independent of
     search heuristics.
+
+    Both passes prune by state dominance. A search state is the next driver
+    index plus the mask of requests already used, and the completions open
+    from it do not depend on how it was reached. Totals are folded left to
+    right in driver order, and IEEE-754 round-to-nearest addition is monotone
+    (a <= b implies fl(a + c) <= fl(b + c)), so a prefix sum no larger than
+    one already explored from the same state can neither fold to a larger
+    total nor reach the optimum where the larger prefix could not. Pass one
+    therefore skips a state whose prefix is at most the largest prefix it
+    already searched from there, and pass two skips a state whose prefix is
+    at most the largest one from which it already failed to reach the
+    optimum. Both prunes are exact: the optimum and the canonical argmax are
+    the ones an unpruned search returns, bit for bit.
     """
     n = len(weights)
     if n != len(request_ids):
@@ -258,14 +281,22 @@ def solve_assignment(
 
     by_weight = [sorted(range(len(w)), key=lambda j: -w[j]) for w in weights]
     best = [float("-inf")]
+    nodes = [0]
+    # memo[i][used]: the dominating prefix sum recorded for state (i, used)
+    memo: list[dict[int, float]] = [{} for _ in range(n)]
 
     def search_value(i: int, used: int, acc: float) -> None:
+        nodes[0] += 1
         if i == n:
             if acc > best[0]:
                 best[0] = acc
             return
         if acc + suffix[i] <= best[0] - slack:
             return
+        seen = memo[i].get(used)
+        if seen is not None and acc <= seen:
+            return
+        memo[i][used] = acc
         for j in by_weight[i]:
             if used & masks[i][j]:
                 continue
@@ -273,14 +304,20 @@ def solve_assignment(
 
     search_value(0, 0, 0.0)
     optimum = best[0]
+    for level in memo:
+        level.clear()
 
     canonical = [
         sorted(range(len(per)), key=lambda j: (per[j], j)) for per in request_ids
     ]
 
     def search_argmax(i: int, used: int, acc: float) -> tuple[int, ...] | None:
+        nodes[0] += 1
         if i == n:
             return () if acc == optimum else None
+        failed = memo[i].get(used)
+        if failed is not None and acc <= failed:
+            return None
         for j in canonical[i]:
             if used & masks[i][j]:
                 continue
@@ -289,12 +326,13 @@ def solve_assignment(
             rest = search_argmax(i + 1, used | masks[i][j], acc + weights[i][j])
             if rest is not None:
                 return (j,) + rest
+        memo[i][used] = acc
         return None
 
     chosen = search_argmax(0, 0, 0.0)
     if chosen is None:
         raise RuntimeError("assignment search failed to reproduce its own optimum")
-    return AssignmentSolution(total_weight=optimum, chosen=chosen)
+    return AssignmentSolution(total_weight=optimum, chosen=chosen, nodes=nodes[0])
 
 
 @dataclass
@@ -308,6 +346,7 @@ class EpochResult:
     total_weight: float
     objective_value: float
     num_actions: int
+    solver_nodes: int
 
 
 def run_epoch(
@@ -384,4 +423,5 @@ def run_epoch(
         total_weight=solution.total_weight,
         objective_value=after,
         num_actions=sum(len(a) for a in per_driver),
+        solver_nodes=solution.nodes,
     )

@@ -104,6 +104,25 @@ def test_simulate_zero_demand_exits_clean(tmp_path):
     assert read_csv_rows(out / "requests.csv") == []
 
 
+def test_report_on_zero_demand_run_rebuilds_zero_incomes(tmp_path):
+    cfg = write_config(
+        tmp_path / "quiet.cfg",
+        "city.width = 2\ncity.height = 2\ncity.neighborhoods = 1\n"
+        "fleet.num_drivers = 2\ndemand.rate_per_epoch = 0.0\ndemand.num_epochs = 3\n",
+    )
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", str(run_dir), "--out", str(rebuilt)]) == 0
+    for name in ("report.json", "report.csv"):
+        with open(run_dir / name, "rb") as want, open(rebuilt / name, "rb") as got:
+            assert got.read() == want.read()
+    with open(rebuilt / "report.json") as fh:
+        report = json.load(fh)
+    assert report["incomes"] == {"0": 0.0, "1": 0.0}
+    assert report["income_min"] == 0.0
+
+
 def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", "riders = 3\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -140,6 +159,9 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
         "report.json",
         "report.csv",
     }
+    with open(a / "epochs.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    assert records and all(r["solver_nodes"] >= 1 for r in records)
 
 
 def test_resolved_config_echo_reproduces_run(tmp_path):
@@ -383,6 +405,28 @@ def test_shapley_then_redistribute_pipeline(tmp_path):
         assert float(row["q"]) == pytest.approx(float(row["v"]), abs=1e-9)
         assert row["bound_ok"] == "1"
     assert [float(r["v"]) for r in rows] == [35.0 / 6.0, 35.0 / 6.0, 10.0 / 3.0]
+
+
+def test_redistribute_run_dir_uses_configured_payout_mode(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY + "payout.mode = keep_income\n")
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    assert main(["shapley", str(run_dir), "--out", str(run_dir)]) == 0
+
+    configured, explicit = tmp_path / "configured", tmp_path / "explicit"
+    assert main(["redistribute", str(run_dir), "--out", str(configured)]) == 0
+    rc = main(["redistribute", str(run_dir), "--out", str(explicit), "--mode", "keep_income"])
+    assert rc == 0
+    assert dir_digests(configured) == dir_digests(explicit)
+    summary = read_csv_rows(configured / "redistribution_summary.csv")
+    assert summary and all(r["mode"] == "keep_income" for r in summary)
+
+    # an explicit --mode still wins over the run's configured mode
+    override = tmp_path / "override"
+    rc = main(["redistribute", str(run_dir), "--out", str(override), "--mode", "as_printed"])
+    assert rc == 0
+    summary = read_csv_rows(override / "redistribution_summary.csv")
+    assert all(r["mode"] == "as_printed" for r in summary)
 
 
 def write_payout_csv(path):

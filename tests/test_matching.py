@@ -1,6 +1,8 @@
 """Route feasibility, action enumeration, and the exact assignment solver."""
 
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -271,6 +273,72 @@ def test_solver_matches_brute_force(data):
     best_total, best_choice = helpers.brute_force_assignment(weights, ids)
     assert solution.total_weight == best_total
     assert solution.chosen == best_choice
+
+
+# Weight pools where many assignments tie exactly, or tie mathematically but
+# round apart (0.1 + 0.2 != 0.3; 1e16 swallows small addends), which is where
+# the solver's dominance prune and canonical tie-break have work to do.
+TIE_POOLS = [(0.0, 1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7, 1e16, -0.1)]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_solver_matches_brute_force_on_tie_plateaus(data):
+    pool = data.draw(st.sampled_from(TIE_POOLS))
+    n_drivers = data.draw(st.integers(min_value=1, max_value=6))
+    # few requests per driver make partial assignments collide on the same
+    # used-request set, so the dominance memo is exercised
+    n_requests = data.draw(st.integers(min_value=1, max_value=4))
+    weights = []
+    ids = []
+    for _ in range(n_drivers):
+        row_w = [data.draw(st.sampled_from(pool))]
+        row_ids = [()]
+        n_actions = data.draw(st.integers(min_value=0, max_value=4))
+        for _ in range(n_actions):
+            size = data.draw(st.integers(min_value=1, max_value=min(3, n_requests)))
+            subset = data.draw(
+                st.permutations(range(n_requests)).map(lambda p: tuple(sorted(p[:size])))
+            )
+            row_ids.append(subset)
+            row_w.append(data.draw(st.sampled_from(pool)))
+        weights.append(row_w)
+        ids.append(row_ids)
+    solution = solve_assignment(weights, ids)
+    best_total, best_choice = helpers.brute_force_assignment(weights, ids)
+    assert solution.total_weight == best_total
+    assert solution.chosen == best_choice
+
+
+@pytest.mark.parametrize(
+    "weights, ids",
+    [
+        # pass one meets state (2, {0}) first at 0.3, then at 0.1 + 0.2, one
+        # ulp higher: the later prefix must not be pruned as dominated
+        ([[0.1, 0.3], [0.0, 0.2], [0.0]], [[(), (0,)], [(), (0,)], [()]]),
+        # pass two fails from (2, {0, 1}) at 0.3 before the canonical order
+        # reaches the same state one ulp higher, where the optimum lies
+        ([[0.3, 0.1], [0.0, 0.2], [0.0]], [[(0,), (1,)], [(1,), (0,)], [()]]),
+    ],
+)
+def test_solver_dominance_prune_is_exact_to_the_ulp(weights, ids):
+    solution = solve_assignment(weights, ids)
+    assert solution.total_weight == 0.1 + 0.2 != 0.3
+    assert (solution.total_weight, solution.chosen) == helpers.brute_force_assignment(weights, ids)
+
+
+def test_solver_contended_epoch_is_pinned():
+    """Epoch 0 of a contended 20-driver income day (10x10 grid, 10 requests
+    per epoch, config seed 0). Its weights tie so heavily that the branch and
+    bound needs about ten million nodes without the dominance prune."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "contended_epoch0.json")
+    with open(path) as fh:
+        instance = json.load(fh)
+    ids = [[tuple(action) for action in per] for per in instance["request_ids"]]
+    solution = solve_assignment(instance["weights"], ids)
+    assert solution.total_weight == 123.0
+    assert solution.chosen == (0, 0, 0, 0, 0, 0, 0, 8, 0, 2, 0, 2, 3, 0, 4, 0, 5, 3, 0, 1)
+    assert solution.nodes < 100_000
 
 
 def fresh_epoch_inputs(graph):
