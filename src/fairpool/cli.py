@@ -30,7 +30,7 @@ from .city import (
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
 from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
-from .fleet import init_fleet
+from .fleet import FleetState, init_fleet
 from .matching import DelayConstraints
 from .objectives import OBJECTIVES, ObjectiveSpec
 from .redistribution import (
@@ -38,15 +38,15 @@ from .redistribution import (
     RedistributionParams,
     ResimulationOracle,
     ShapleyEstimate,
-    gain_metric,
     load_coalition_table,
+    mean_gain,
     minimum_wage_bound,
     redistribute,
     shapley_exact,
     shapley_mc,
 )
-from .reporting import fairness_metrics, metrics_from_parts, write_report
-from .simulate import run_simulation, train_synthetic
+from .reporting import fairness_metrics, income_value_spread, metrics_from_parts, write_report
+from .simulate import audit_journal, run_simulation, train_synthetic
 from .value import ValueModel, load_value_model, save_value_model
 
 BOUND_TOLERANCE = 1e-9
@@ -120,37 +120,57 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def run_one(config: RunConfig, out_dir: str):
-    """Simulate one configuration and write the full artifact set."""
-    os.makedirs(out_dir, exist_ok=True)
+def build_run(
+    config: RunConfig,
+) -> tuple[CityGraph, list[RequestBatch], ObjectiveSpec, DelayConstraints, FleetState]:
+    """Everything one simulated day needs: graph, demand batches, objective,
+    service guarantees and the seeded fleet."""
     graph = build_graph(config)
     batches = build_batches(config, graph)
     spec = ObjectiveSpec(config.objective, config.lam)
     constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
+    fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
+    return graph, batches, spec, constraints, fleet
+
+
+def _train_tabular(
+    config: RunConfig, graph: CityGraph, spec: ObjectiveSpec, constraints: DelayConstraints
+) -> tuple[ValueModel, list[float]]:
+    """Tabular value model trained for value.episodes synthetic episodes, and
+    the absolute TD error of each episode."""
+    model = ValueModel(
+        mode="tabular", gamma=config.gamma, alpha=config.value_alpha, seed=config.seed
+    )
+    if config.train_episodes == 0:
+        return model, []
+    if config.demand_kind != "synthetic":
+        raise ConfigError("training requires synthetic demand (value.episodes > 0)")
+    errors = train_synthetic(
+        graph,
+        model,
+        spec,
+        config.num_drivers,
+        config.capacity,
+        config.demand_rate_per_epoch,
+        config.demand_num_epochs,
+        config.demand_hotspot_skew,
+        config.train_episodes,
+        config.seed,
+        constraints,
+        config.epoch_len_seconds,
+    )
+    return model, errors
+
+
+def run_one(config: RunConfig, out_dir: str):
+    """Simulate one configuration and write the full artifact set. A run that
+    breaks a service guarantee raises before any result artifact is written."""
+    os.makedirs(out_dir, exist_ok=True)
+    graph, batches, spec, constraints, fleet = build_run(config)
     model = None
     if config.value_mode == "tabular":
-        model = ValueModel(
-            mode="tabular", gamma=config.gamma, alpha=config.value_alpha, seed=config.seed
-        )
-        if config.train_episodes > 0:
-            if config.demand_kind != "synthetic":
-                raise ConfigError("training requires synthetic demand (value.episodes > 0)")
-            train_synthetic(
-                graph,
-                model,
-                spec,
-                config.num_drivers,
-                config.capacity,
-                config.demand_rate_per_epoch,
-                config.demand_num_epochs,
-                config.demand_hotspot_skew,
-                config.train_episodes,
-                config.seed,
-                constraints,
-                config.epoch_len_seconds,
-            )
+        model, _ = _train_tabular(config, graph, spec, constraints)
         save_value_model(model, os.path.join(out_dir, "value_table.txt"))
-    fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
     result = run_simulation(
         graph,
         batches,
@@ -158,9 +178,13 @@ def run_one(config: RunConfig, out_dir: str):
         spec,
         constraints,
         value_model=model,
-        gamma=config.gamma,
         epoch_len_seconds=config.epoch_len_seconds,
     )
+    violations = audit_journal(graph, result.fleet, result.log, constraints)
+    if violations:
+        raise RuntimeError(
+            f"journal audit found {len(violations)} violation(s), first: {violations[0]}"
+        )
 
     _write_text(os.path.join(out_dir, "config.resolved"), dump_config(config))
     with open(os.path.join(out_dir, "epochs.jsonl"), "w") as fh:
@@ -195,7 +219,7 @@ def run_one(config: RunConfig, out_dir: str):
     with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "kind", "request_id", "location", "arrival"])
-        for driver_id, stop in result.fleet.journal or []:
+        for driver_id, stop in result.fleet.journal:
             writer.writerow([driver_id, stop.kind, stop.request_id, stop.location, repr(stop.arrival)])
 
     report = fairness_metrics(result.fleet, result.log, graph)
@@ -299,26 +323,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("training requires value.mode = tabular")
     if config.demand_kind != "synthetic":
         raise ConfigError("training requires synthetic demand")
-    graph = build_graph(config)
-    spec = ObjectiveSpec(config.objective, config.lam)
-    constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
-    model = ValueModel(
-        mode="tabular", gamma=config.gamma, alpha=config.value_alpha, seed=config.seed
-    )
-    errors = train_synthetic(
-        graph,
-        model,
-        spec,
-        config.num_drivers,
-        config.capacity,
-        config.demand_rate_per_epoch,
-        config.demand_num_epochs,
-        config.demand_hotspot_skew,
-        config.train_episodes,
-        config.seed,
-        constraints,
-        config.epoch_len_seconds,
-    )
+    graph, _, spec, constraints, _ = build_run(config)
+    model, errors = _train_tabular(config, graph, spec, constraints)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
     save_value_model(model, os.path.join(args.out, "value_table.txt"))
@@ -349,11 +355,7 @@ def _read_pi_csv(path: str) -> dict[int, float]:
 
 def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     config = load_config(os.path.join(run_dir, "config.resolved"))
-    graph = build_graph(config)
-    batches = build_batches(config, graph)
-    template = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
-    spec = ObjectiveSpec(config.objective, config.lam)
-    constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
+    graph, batches, spec, constraints, template = build_run(config)
     model = None
     table_path = os.path.join(run_dir, "value_table.txt")
     if os.path.exists(table_path):
@@ -365,7 +367,6 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
         spec,
         constraints,
         value_model=model,
-        gamma=config.gamma,
         epoch_len_seconds=config.epoch_len_seconds,
     )
     driver_ids = [d.driver_id for d in template.drivers]
@@ -465,11 +466,8 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
                 (repr(r), driver_id, repr(pi[i]), repr(v[i]), repr(q[i]), repr(bound), ok)
             )
         if all(value > 0 for value in v):
-            gains = [gain_metric(pi, v, params, i) for i in range(len(v))]
-            g = repr(sum(gains) / len(gains))
-            ratios = [q_i / v_i for q_i, v_i in zip(q, v)]
-            mean_ratio = sum(ratios) / len(ratios)
-            spread = repr((sum((x - mean_ratio) ** 2 for x in ratios) / len(ratios)) ** 0.5)
+            g = repr(mean_gain(pi, v, params))
+            spread = repr(income_value_spread(q, v))
         else:
             g = ""
             spread = ""

@@ -64,16 +64,6 @@ class RequestLog:
         self.serviced_ids.add(request_id)
         self.assigned_driver[request_id] = driver_id
 
-    def is_serviced(self, request_id: int) -> bool:
-        return request_id in self.serviced_ids
-
-    def demand_by_neighborhood(self, graph: CityGraph) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for req in self.all_requests:
-            j = graph.neighborhoods.label(req.origin)
-            counts[j] = counts.get(j, 0) + 1
-        return counts
-
 
 @dataclass
 class IngestResult:

@@ -40,11 +40,9 @@ class Stop:
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """Validated stop sequence with the onboard count after each stop."""
+    """Validated stop sequence."""
 
     stops: tuple[Stop, ...]
-    onboard_profile: tuple[int, ...]
-    total_delay: float = 0.0
 
 
 @dataclass
@@ -78,9 +76,9 @@ class DriverState:
 class FleetState:
     drivers: list[DriverState]
     clock: float = 0.0
-    # When set, every executed stop is appended as (driver_id, stop) so a run
-    # can be audited against the service guarantees after the fact.
-    journal: list[tuple[int, Stop]] | None = None
+    # Every executed stop is appended as (driver_id, stop) so a run can be
+    # audited against the service guarantees after the fact.
+    journal: list[tuple[int, Stop]] = field(default_factory=list)
 
 
 def init_fleet(graph: CityGraph, num_drivers: int, capacity: int, seed: int) -> FleetState:
@@ -148,8 +146,7 @@ def advance_fleet(fleet: FleetState, dt_seconds: float) -> None:
         idx = 0
         while idx < len(stops) and stops[idx].arrival <= new_clock:
             stop = stops[idx]
-            if fleet.journal is not None:
-                fleet.journal.append((driver.driver_id, stop))
+            fleet.journal.append((driver.driver_id, stop))
             if stop.kind == PICKUP:
                 if stop.request_id not in driver.active or stop.request_id in driver.onboard:
                     raise RuntimeError(
@@ -174,11 +171,7 @@ def advance_fleet(fleet: FleetState, dt_seconds: float) -> None:
             driver.route = None
         else:
             remaining = tuple(stops[idx:])
-            driver.route = RoutePlan(
-                stops=remaining,
-                onboard_profile=driver.route.onboard_profile[idx:],
-                total_delay=driver.route.total_delay,
-            )
+            driver.route = RoutePlan(stops=remaining)
             driver.loc = remaining[0].location
             driver.secs_to_loc = remaining[0].arrival - new_clock
     fleet.clock = new_clock

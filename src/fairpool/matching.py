@@ -92,7 +92,7 @@ def route_feasible(
     for req in new_requests:
         requests[req.request_id] = req
     if not requests:
-        return RoutePlan(stops=(), onboard_profile=(), total_delay=0.0)
+        return RoutePlan(stops=())
 
     picked: dict[int, float] = dict(driver.onboard)
     onboard = set(driver.onboard)
@@ -103,10 +103,9 @@ def route_feasible(
 
     best_delay = [float("inf")]
     best_keys: list[tuple[tuple[int, int], ...] | None] = [None]
-    best_plan: list[tuple[tuple[Stop, ...], tuple[int, ...]] | None] = [None]
+    best_plan: list[tuple[Stop, ...] | None] = [None]
 
     seq: list[Stop] = []
-    profile: list[int] = []
     keys: list[tuple[int, int]] = []
 
     def reachable(loc: int, now: float) -> bool:
@@ -131,7 +130,7 @@ def route_feasible(
             ):
                 best_delay[0] = delay_sum
                 best_keys[0] = key_seq
-                best_plan[0] = (tuple(seq), tuple(profile))
+                best_plan[0] = tuple(seq)
             return
         options = sorted([(rid, 0) for rid in pending] + [(rid, 1) for rid in onboard])
         for rid, kind_rank in options:
@@ -148,11 +147,9 @@ def route_feasible(
                 onboard.add(rid)
                 if reachable(req.origin, arrival):
                     seq.append(Stop(PICKUP, rid, req.origin, arrival))
-                    profile.append(len(onboard))
                     keys.append((rid, 0))
                     dfs(req.origin, arrival, delay_sum + delay)
                     seq.pop()
-                    profile.pop()
                     keys.pop()
                 onboard.discard(rid)
                 pending.add(rid)
@@ -166,19 +163,16 @@ def route_feasible(
                 onboard.discard(rid)
                 if reachable(req.destination, arrival):
                     seq.append(Stop(DROPOFF, rid, req.destination, arrival))
-                    profile.append(len(onboard))
                     keys.append((rid, 1))
                     dfs(req.destination, arrival, delay_sum + delay)
                     seq.pop()
-                    profile.pop()
                     keys.pop()
                 onboard.add(rid)
 
     dfs(driver.loc, clock + driver.secs_to_loc, 0.0)
     if best_plan[0] is None:
         return None
-    stops, onboard_profile = best_plan[0]
-    return RoutePlan(stops=stops, onboard_profile=onboard_profile, total_delay=best_delay[0])
+    return RoutePlan(stops=best_plan[0])
 
 
 def enumerate_feasible(
@@ -358,7 +352,6 @@ def run_epoch(
     spec: ObjectiveSpec,
     constraints: DelayConstraints,
     value_model: ValueModel | None = None,
-    gamma: float = 0.9,
 ) -> EpochResult:
     """Match one batch at the current fleet clock and commit the result."""
     log.add_batch(batch)
@@ -387,7 +380,7 @@ def run_epoch(
                     end = action.route.stops[-1].location
                 else:
                     end = driver.route_end()
-                weight += gamma * value_model.estimate(
+                weight += value_model.gamma * value_model.estimate(
                     state_key(graph, driver, fleet.clock, route_end=end)
                 )
             row_w.append(weight)

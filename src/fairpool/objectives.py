@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .city import CityGraph, fare
+from .city import CityGraph
 from .demand import RequestLog
-from .fleet import DriverState, FleetState
+from .fleet import FleetState
 
 OBJECTIVES = ("requests", "income", "rider_fairness", "driver_fairness")
 
@@ -25,7 +25,6 @@ __all__ = [
     "NeighborhoodTallies",
     "ObjectiveState",
     "population_variance",
-    "driver_income",
     "eval_objective",
     "delta_objective",
 ]
@@ -106,16 +105,6 @@ def population_variance(values: np.ndarray) -> float:
     if len(values) == 0:
         return 0.0
     return float(np.var(values))
-
-
-def driver_income(graph: CityGraph, driver: DriverState) -> float:
-    """Income from first principles: fare of every accepted request."""
-    total = 0.0
-    for req in driver.active.values():
-        total += fare(graph, req.origin, req.destination)
-    for req in driver.completed.values():
-        total += fare(graph, req.origin, req.destination)
-    return total
 
 
 def eval_objective(spec: ObjectiveSpec, state: ObjectiveState) -> float:

@@ -82,7 +82,6 @@ class ResimulationOracle:
     spec: ObjectiveSpec
     constraints: DelayConstraints = DelayConstraints()
     value_model: ValueModel | None = None
-    gamma: float = 0.9
     epoch_len_seconds: float = 60.0
     _memo: dict[frozenset[int], dict[int, float]] = field(default_factory=dict)
 
@@ -99,7 +98,6 @@ class ResimulationOracle:
                     self.spec,
                     self.constraints,
                     value_model=self.value_model,
-                    gamma=self.gamma,
                     epoch_len_seconds=self.epoch_len_seconds,
                 )
         return self._memo[coalition]

@@ -84,14 +84,21 @@ def fairness_metrics(fleet: FleetState, log: RequestLog, graph: CityGraph) -> Me
 
 
 def income_value_spread(q, v) -> float:
-    """Population standard deviation of the payout-to-value ratios q_i/v_i."""
+    """Population standard deviation of the payout-to-value ratios q_i/v_i.
+
+    Summed left to right in plain Python: the `std_q_over_v` column of
+    redistribution_summary.csv is this value, and numpy's pairwise sums round
+    differently."""
     if len(q) != len(v):
         raise ValueError(f"payout and value vectors differ in length: {len(q)} vs {len(v)}")
     zero = [i for i, v_i in enumerate(v) if v_i == 0]
     if zero:
         raise ValueError(f"ratio undefined for zero-value drivers at indices {zero}")
-    ratios = np.array([q_i / v_i for q_i, v_i in zip(q, v)], dtype=float)
-    return float(np.sqrt(population_variance(ratios)))
+    if len(v) == 0:
+        return 0.0
+    ratios = [q_i / v_i for q_i, v_i in zip(q, v)]
+    mean = sum(ratios) / len(ratios)
+    return (sum((x - mean) ** 2 for x in ratios) / len(ratios)) ** 0.5
 
 
 def _tabular_rows(report: MetricsReport) -> list[tuple[str, str, str]]:

@@ -49,11 +49,14 @@ def run_simulation(
     spec: ObjectiveSpec,
     constraints: DelayConstraints = DelayConstraints(),
     value_model: ValueModel | None = None,
-    gamma: float = 0.9,
     epoch_len_seconds: float = 60.0,
+    on_epoch: Callable[[EpochResult], None] | None = None,
 ) -> SimResult:
-    if fleet.journal is None:
-        fleet.journal = []
+    """Play the day: match every batch, then drain the fleet.
+
+    `on_epoch` sees each epoch's result right after it is committed, before
+    the fleet moves on.
+    """
     log = RequestLog()
     tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
     epochs: list[EpochResult] = []
@@ -63,16 +66,10 @@ def run_simulation(
         if window_end > fleet.clock:
             advance_fleet(fleet, window_end - fleet.clock)
         result = run_epoch(
-            graph,
-            fleet,
-            batch,
-            log,
-            tallies,
-            spec,
-            constraints,
-            value_model=value_model,
-            gamma=gamma,
+            graph, fleet, batch, log, tallies, spec, constraints, value_model=value_model
         )
+        if on_epoch is not None:
+            on_epoch(result)
         epochs.append(result)
         snapshots.extend(snapshot_rows(fleet, batch.epoch_index))
     horizon = fleet.clock
@@ -105,37 +102,29 @@ def train_value_model(
         raise ValueError("training requires a tabular value model")
     errors: list[float] = []
     for _ in range(episodes):
-        fleet = fleet_factory()
-        log = RequestLog()
-        tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
         prev: EpochResult | None = None
         total_error = 0.0
-        for batch in batches:
-            window_end = (batch.epoch_index + 1) * epoch_len_seconds
-            if window_end > fleet.clock:
-                advance_fleet(fleet, window_end - fleet.clock)
-            result = run_epoch(
-                graph,
-                fleet,
-                batch,
-                log,
-                tallies,
-                spec,
-                constraints,
-                value_model=model,
-                gamma=model.gamma,
-            )
+
+        def update(result: EpochResult) -> None:
+            nonlocal prev, total_error
             if prev is not None:
-                for driver in fleet.drivers:
-                    d = driver.driver_id
-                    total_error += abs(
-                        td_update(model, prev.pre_keys[d], prev.deltas[d], result.pre_keys[d])
-                    )
+                for d, key in prev.pre_keys.items():
+                    total_error += abs(td_update(model, key, prev.deltas[d], result.pre_keys[d]))
             prev = result
+
+        run_simulation(
+            graph,
+            batches,
+            fleet_factory(),
+            spec,
+            constraints,
+            value_model=model,
+            epoch_len_seconds=epoch_len_seconds,
+            on_epoch=update,
+        )
         if prev is not None:
-            for driver in fleet.drivers:
-                d = driver.driver_id
-                total_error += abs(td_update(model, prev.pre_keys[d], prev.deltas[d], None))
+            for d, key in prev.pre_keys.items():
+                total_error += abs(td_update(model, key, prev.deltas[d], None))
         errors.append(total_error)
     return errors
 
@@ -211,7 +200,6 @@ def coalition_incomes(
     spec: ObjectiveSpec,
     constraints: DelayConstraints = DelayConstraints(),
     value_model: ValueModel | None = None,
-    gamma: float = 0.9,
     epoch_len_seconds: float = 60.0,
 ) -> dict[int, float]:
     """Incomes each coalition member earns when only the coalition operates."""
@@ -223,7 +211,6 @@ def coalition_incomes(
         spec,
         constraints,
         value_model=value_model,
-        gamma=gamma,
         epoch_len_seconds=epoch_len_seconds,
     )
     return result.incomes()
@@ -243,14 +230,13 @@ def audit_journal(
     and seat capacity at every moment.
     """
     violations: list[str] = []
-    journal = fleet.journal or []
     requests = {req.request_id: req for req in log.all_requests}
     capacities = {d.driver_id: d.capacity for d in fleet.drivers}
 
     pickups: dict[int, tuple[int, float]] = {}
     dropoffs: dict[int, tuple[int, float]] = {}
     occupancy: dict[int, int] = {d.driver_id: 0 for d in fleet.drivers}
-    for driver_id, stop in journal:
+    for driver_id, stop in fleet.journal:
         rid = stop.request_id
         if rid not in requests:
             violations.append(f"stop for unknown request {rid}")

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
-
 from .city import CityGraph
 from .fleet import DriverState
 
@@ -25,7 +23,6 @@ __all__ = [
     "StateKey",
     "ValueModel",
     "state_key",
-    "estimate_value",
     "td_update",
     "save_value_model",
     "load_value_model",
@@ -67,11 +64,6 @@ class ValueModel:
         if self.mode == "zero":
             return 0.0
         return self.table.get(key, 0.0)
-
-
-def estimate_value(model: ValueModel, keys: Iterable[StateKey]) -> float:
-    """Value of a fleet projection: sum of per-driver state estimates."""
-    return sum(model.estimate(key) for key in keys)
 
 
 def td_update(

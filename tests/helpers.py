@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from fairpool.city import CityGraph, Location, build_city
+from fairpool.city import CityGraph, Location, build_city, fare
 from fairpool.demand import RequestBatch, RideRequest
 from fairpool.fleet import DriverState, FleetState, advance_fleet, apply_matching
 from fairpool.matching import DelayConstraints, enumerate_feasible
@@ -49,6 +49,17 @@ def place_fleet(graph: CityGraph, locs: list[int], capacity: int = 4) -> FleetSt
         DriverState(driver_id=i, capacity=capacity, loc=loc) for i, loc in enumerate(locs)
     ]
     return FleetState(drivers=drivers, clock=0.0)
+
+
+def driver_income(graph: CityGraph, driver: DriverState) -> float:
+    """Income from first principles: fare of every accepted request, ongoing
+    and finished."""
+    total = 0.0
+    for req in driver.active.values():
+        total += fare(graph, req.origin, req.destination)
+    for req in driver.completed.values():
+        total += fare(graph, req.origin, req.destination)
+    return total
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:

@@ -484,7 +484,7 @@ def test_criterion_13_learned_dispatch_beats_myopic():
     )
     assert trained.estimate((2, 0, 0)) > trained.estimate((1, 0, 0)) == 0.0
 
-    run = run_simulation(graph, batches, fleet(), spec, constraints, value_model=trained, gamma=0.9)
+    run = run_simulation(graph, batches, fleet(), spec, constraints, value_model=trained)
     trail = tuple(
         tuple(sorted(r for a in ep.assignments.values() for r in a.request_ids))
         for ep in run.epochs

@@ -7,8 +7,10 @@ arithmetic. The reproducibility tests compare whole directories byte for byte.
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
@@ -546,6 +548,99 @@ def test_sweep_failure_manifest(tmp_path):
     assert len(failures) == 1
     assert failures[0]["objective"] == "income"
     assert "missing.csv" in failures[0]["error"]
+
+
+def test_simulate_exits_3_when_the_journal_audit_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        "fairpool.cli.audit_journal", lambda *args: ["request 0 picked up twice"]
+    )
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "1 violation" in err and "request 0 picked up twice" in err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", cfg, "--out", str(out), "--objective", "income", "--lambda", "0.0"])
+    assert rc == 3
+    assert read_csv_rows(out / "sweep.csv") == []
+    failures = read_csv_rows(out / "failures.csv")
+    assert [f["objective"] for f in failures] == ["income"]
+    assert "request 0 picked up twice" in failures[0]["error"]
+
+
+GOLDEN_CITY = """
+city.width = 4
+city.height = 4
+city.neighborhoods = 3
+fleet.num_drivers = 4
+demand.rate_per_epoch = 3.0
+demand.num_epochs = 10
+value.mode = tabular
+value.episodes = 2
+seed = 11
+"""
+
+# sha256 of every artifact the pipeline below writes. Refactors keep these
+# bytes; a change meant to alter an artifact updates its digest and says why
+# in CHANGES.md.
+GOLDEN_DIGESTS = {
+    "as_printed/redistribution.csv": "f5e0515f8bc3b6eee9018ce2867af033260bed3a24e94b96c90efda98c626bba",
+    "as_printed/redistribution_summary.csv": "256a3fefdc129aeadc61e70d4badb8be44d0822fe2b92ca54c676c4a35b923df",
+    "keep_income/redistribution.csv": "6d140e8971285e275baf4a55f9535dcc5305eb7972e217d82a51e60e034be2a2",
+    "keep_income/redistribution_summary.csv": "c8cdb88b4b77b9f568d6fd5a521b0278f5594bc7598445792a17102ac2f51dc7",
+    "reread/report.csv": "583ed5e27f98d626e5f32b71c448f4b15e74f5af21d081c895f9a2df184e7a2c",
+    "reread/report.json": "f3d4531114d7fa562025e68cc22a9bc81ad64ced36055cc6e0e5b224f8a3094a",
+    "run/config.resolved": "448740c7ea820434cce58bd969d334366513311c55e384b0c41589d2143ebb6e",
+    "run/epochs.jsonl": "cb7f16d72d6324c960499b55aaf5e33b4b0d199ad06b8e18225a9958401c9342",
+    "run/fleet.jsonl": "3cc8be6eddc39dd72db59aee2254b94bb86bdc8c5acabc2c9fbfe5f05fed8a55",
+    "run/report.csv": "583ed5e27f98d626e5f32b71c448f4b15e74f5af21d081c895f9a2df184e7a2c",
+    "run/report.json": "f3d4531114d7fa562025e68cc22a9bc81ad64ced36055cc6e0e5b224f8a3094a",
+    "run/requests.csv": "b5fbdd4d17943dfde6b0aa09e1cb6d18070f242a913464bf929cf76bdc01d505",
+    "run/shapley.csv": "9ed1cb282f40787e46554c5170b15a8c7b191333adbb74185681215cd9992f38",
+    "run/shapley_meta.txt": "04ae5c3c80ba305eb417969a11c6a9021f9820d9725b0aed8fd859ca4c24ed34",
+    "run/stops.csv": "aa5bfc13285ed790682299a033bc1b4b04ca350aa2d9fdef908d223ed90c3c82",
+    "run/value_table.txt": "3fdce94eb9c30cb6b50b377f14d2bde5ee123c928234e4438f58abd811b72f84",
+    "train/config.resolved": "448740c7ea820434cce58bd969d334366513311c55e384b0c41589d2143ebb6e",
+    "train/training_errors.csv": "b5729fe3c9b027952e7bc35308569ec6fd29e8b397adb796a99ad6a690bb3669",
+    "train/value_table.txt": "3fdce94eb9c30cb6b50b377f14d2bde5ee123c928234e4438f58abd811b72f84",
+}
+
+
+def run_golden_pipeline(root):
+    cfg = write_config(root / "golden.cfg", GOLDEN_CITY)
+    run = str(root / "run")
+    for argv in (
+        ["simulate", "--config", cfg, "--out", run],
+        ["train", "--config", cfg, "--out", str(root / "train")],
+        ["shapley", run, "--out", run, "--method", "exact"],
+        ["redistribute", run, "--out", str(root / "as_printed"), "--mode", "as_printed"],
+        ["redistribute", run, "--out", str(root / "keep_income"), "--mode", "keep_income"],
+        ["report", run, "--out", str(root / "reread")],
+    ):
+        assert main(argv) == 0, argv
+    digests = dir_digests(root)
+    del digests["golden.cfg"]
+    return digests
+
+
+def test_pipeline_artifacts_match_pinned_digests(tmp_path):
+    assert run_golden_pipeline(tmp_path) == GOLDEN_DIGESTS
+
+
+def test_benchmark_layer_hooks_resolve():
+    # perfbench/worker.py wraps each LAYERS entry where its caller looks it
+    # up; a renamed or moved function would silently drop out of the trace
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "worker.py")
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    assert worker.LAYERS
+    for module, attr, _ in worker.LAYERS:
+        owner = sys.modules[module]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
 
 
 def test_report_rebuild_is_byte_identical(tmp_path):

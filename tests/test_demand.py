@@ -2,7 +2,6 @@
 
 import pytest
 
-import helpers
 from fairpool.demand import (
     RideRequest,
     RequestBatch,
@@ -154,11 +153,10 @@ def test_request_validation():
 
 
 def test_request_log_counts_by_neighborhood():
-    graph = helpers.line_city([1.0], num_neighborhoods=1)
     log = RequestLog()
     log.add_batch(RequestBatch(epoch_index=0, requests=(req(0, 1.0), req(1, 2.0))))
     log.add_batch(RequestBatch(epoch_index=1, requests=(req(2, 61.0),)))
     log.mark_serviced(1, driver_id=0)
-    assert log.is_serviced(1) and not log.is_serviced(0)
+    assert log.serviced_ids == {1}
     assert log.assigned_driver == {1: 0}
-    assert log.demand_by_neighborhood(graph) == {1: 3}
+    assert [r.request_id for r in log.all_requests] == [0, 1, 2]

@@ -158,7 +158,6 @@ def test_advance_detects_capacity_breach():
             Stop(DROPOFF, 0, 2, 120.0),
             Stop(DROPOFF, 1, 2, 120.0),
         ),
-        onboard_profile=(1, 2, 1, 0),
     )
     with pytest.raises(RuntimeError, match="capacity"):
         advance_fleet(fleet, 200.0)
@@ -170,9 +169,7 @@ def test_advance_detects_dropoff_before_pickup():
     driver = fleet.drivers[0]
     r0 = RideRequest(request_id=0, origin=0, destination=1, created_at=0.0)
     driver.active = {0: r0}
-    driver.route = RoutePlan(
-        stops=(Stop(DROPOFF, 0, 1, 60.0),), onboard_profile=(0,)
-    )
+    driver.route = RoutePlan(stops=(Stop(DROPOFF, 0, 1, 60.0),))
     with pytest.raises(RuntimeError, match="dropoff before pickup"):
         advance_fleet(fleet, 100.0)
 

@@ -34,7 +34,7 @@ def test_route_feasible_empty_task_set_is_idle_plan():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0])
     plan = route_feasible(graph, fleet.drivers[0], (), 0.0, C)
-    assert plan == type(plan)(stops=(), onboard_profile=(), total_delay=0.0)
+    assert plan == type(plan)(stops=())
 
 
 def test_route_feasible_single_request_schedule():
@@ -44,7 +44,6 @@ def test_route_feasible_single_request_schedule():
     assert plan is not None
     kinds = [(s.kind, s.request_id, s.location, s.arrival) for s in plan.stops]
     assert kinds == [("pickup", 0, 1, 60.0), ("dropoff", 0, 3, 180.0)]
-    assert plan.onboard_profile == (1, 0)
 
 
 def test_pickup_delay_bound_is_strict():
@@ -419,7 +418,7 @@ def test_run_epoch_weight_includes_discounted_continuation():
     log, tallies = fresh_epoch_inputs(graph)
     result = run_epoch(
         graph, fleet, batch, log, tallies, ObjectiveSpec(name="income"), C,
-        value_model=model, gamma=model.gamma,
+        value_model=model,
     )
     # taking the ride scores fare + gamma * V(end at 1); recompute by hand
     assert result.total_weight == 6.0 + 0.5 * 10.0

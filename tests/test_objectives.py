@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 import helpers
 from fairpool.demand import RequestBatch, RequestLog, RideRequest
-from fairpool.fleet import DriverState, FleetState
 from fairpool.objectives import (
     OBJECTIVES,
     NeighborhoodTallies,
     ObjectiveSpec,
     ObjectiveState,
     delta_objective,
-    driver_income,
     eval_objective,
     population_variance,
 )
@@ -48,27 +46,6 @@ def test_population_variance_edges():
     assert population_variance(np.array([])) == 0.0
     assert population_variance(np.array([3.0])) == 0.0
     assert population_variance(np.array([10.0, 5.0])) == 6.25
-
-
-def test_driver_income_from_first_principles():
-    graph = helpers.line_city([10.0], delta=5.0)
-    driver = DriverState(driver_id=0, capacity=4, loc=0)
-    assert driver_income(graph, driver) == 0.0
-    ride = RideRequest(request_id=0, origin=0, destination=1, created_at=0.0)
-    driver.completed[0] = ride
-    assert driver_income(graph, driver) == 15.0
-    driver.active[1] = RideRequest(request_id=1, origin=1, destination=0, created_at=9.0)
-    assert driver_income(graph, driver) == 30.0
-
-
-def test_driver_income_counts_ongoing_and_finished():
-    # fares 15, 8, 12 split across the active and completed ledgers
-    graph = helpers.line_city([10.0, 3.0, 7.0], delta=5.0)
-    driver = DriverState(driver_id=0, capacity=4, loc=0)
-    driver.active[0] = RideRequest(request_id=0, origin=0, destination=1, created_at=0.0)
-    driver.completed[1] = RideRequest(request_id=1, origin=1, destination=2, created_at=0.0)
-    driver.completed[2] = RideRequest(request_id=2, origin=2, destination=3, created_at=0.0)
-    assert driver_income(graph, driver) == 35.0
 
 
 def test_tallies_from_log_counts_by_origin_neighborhood():

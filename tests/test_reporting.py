@@ -112,6 +112,11 @@ def test_income_value_spread_values():
     assert income_value_spread([5.0, 10.0], [5.0, 10.0]) == 0.0
     # ratios 0.5 and 1.5 have standard deviation exactly one half
     assert income_value_spread([1.0, 3.0], [2.0, 2.0]) == 0.5
+    # left-to-right sums, as written to redistribution_summary.csv; numpy's
+    # var/sqrt gives 1.3844373104863457 here
+    assert income_value_spread([11.0, 3.0, 12.0, 4.0, 13.0, 5.0, 14.0, 6.0], [3.0] * 8) == (
+        1.3844373104863459
+    )
     with pytest.raises(ValueError, match="indices \\[1\\]"):
         income_value_spread([1.0, 1.0], [2.0, 0.0])
     with pytest.raises(ValueError, match="differ in length"):

@@ -69,6 +69,28 @@ def test_income_equals_fares_of_serviced_requests(grid55):
     )
     assert total == pytest.approx(fares, abs=1e-9)
     assert total > 0.0
+    for driver in result.fleet.drivers:
+        assert driver.income == pytest.approx(helpers.driver_income(grid55, driver), abs=1e-9)
+
+
+def test_on_epoch_sees_each_epoch_once_committed(grid55):
+    stream = synth_demand(grid55, rate_per_epoch=3.0, num_epochs=25, hotspot_skew=0.5, seed=2)
+    batches = batch_requests(stream)
+    fleet = init_fleet(grid55, num_drivers=4, capacity=4, seed=2)
+    seen = []
+
+    def check(epoch):
+        # called after the commit and before the fleet moves on: every new
+        # ride is ongoing and already paid for
+        assert fleet.clock == epoch.clock
+        for driver in fleet.drivers:
+            assert set(epoch.assignments[driver.driver_id].request_ids) <= set(driver.active)
+            assert driver.income == pytest.approx(helpers.driver_income(grid55, driver), abs=1e-9)
+        seen.append(epoch)
+
+    result = run_simulation(grid55, batches, fleet, ObjectiveSpec(name="income"), on_epoch=check)
+    assert seen == result.epochs
+    assert any(action.requests for epoch in seen for action in epoch.assignments.values())
 
 
 def test_tallies_match_log(grid55):
@@ -124,7 +146,7 @@ def test_zero_model_run_is_exactly_myopic(grid55):
     )
     zeroed = run_simulation(
         grid55, batches, init_fleet(grid55, 4, 4, seed=4), spec,
-        value_model=ValueModel(mode="zero"), gamma=0.9,
+        value_model=ValueModel(mode="zero"),
     )
     assert plain.log.serviced_ids == zeroed.log.serviced_ids
     assert plain.incomes() == zeroed.incomes()

@@ -9,7 +9,6 @@ from fairpool.fleet import DriverState
 from fairpool.value import (
     BUCKET_SECONDS,
     ValueModel,
-    estimate_value,
     load_value_model,
     save_value_model,
     state_key,
@@ -31,7 +30,7 @@ def test_state_key_components():
 def test_zero_mode_estimates_zero_everywhere():
     model = ValueModel(mode="zero")
     assert model.estimate((1, 0, 0)) == 0.0
-    assert estimate_value(model, [(1, 0, 0), (2, 3, 1)]) == 0.0
+    assert model.estimate((2, 3, 1)) == 0.0
 
 
 def test_zero_mode_is_not_trainable():
@@ -46,10 +45,7 @@ def test_tabular_estimates_sum_over_keys():
     model.table[(2, 0, 0)] = 5.0
     assert model.estimate((1, 0, 0)) == 2.0
     assert model.estimate((9, 9, 9)) == 0.0
-    assert estimate_value(model, [(1, 0, 0), (2, 0, 0)]) == 7.0
-    single = ValueModel(mode="tabular")
-    single.table[(1, 1, 0)] = 3.5
-    assert estimate_value(single, [(1, 1, 0)]) == 3.5
+    assert model.estimate((1, 0, 0)) + model.estimate((2, 0, 0)) == 7.0
 
 
 def test_td_update_formula():
