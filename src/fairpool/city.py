@@ -2,13 +2,16 @@
 
 Travel times are stored as the all-pairs shortest-path closure (in minutes, as
 edge files give them), so the duration of any leg is a single matrix lookup.
-The simulation clock runs in seconds; use :func:`travel_seconds` at call sites.
+The simulation clock runs in seconds, so a graph also keeps the closure in
+seconds as plain Python float rows, ``graph.travel_secs[origin][destination]``,
+built once; each entry is bit-identical to ``float(minutes) * 60.0``. Hot
+loops index the rows directly; :func:`travel_seconds` reads the same rows.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
@@ -56,6 +59,7 @@ class CityGraph:
     travel_minutes: np.ndarray  # closure, shape (|L|, |L|)
     delta: float  # flat fare component, currency units
     neighborhoods: NeighborhoodMap
+    travel_secs: list[list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.locations)
@@ -68,6 +72,8 @@ class CityGraph:
             raise ValueError("delta must be nonnegative")
         if len(self.neighborhoods.labels) != n:
             raise ValueError("neighborhood map does not cover all locations")
+        # float64 times 60.0 rounds exactly as float(m) * 60.0 does
+        self.travel_secs = (np.asarray(self.travel_minutes, dtype=np.float64) * 60.0).tolist()
 
     @property
     def num_locations(self) -> int:
@@ -106,7 +112,7 @@ def fare(graph: CityGraph, origin: int, destination: int) -> float:
 
 
 def travel_seconds(graph: CityGraph, origin: int, destination: int) -> float:
-    return float(graph.travel_minutes[origin, destination]) * 60.0
+    return graph.travel_secs[origin][destination]
 
 
 def _farthest_point_seeds(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

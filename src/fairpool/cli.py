@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from typing import NamedTuple
 
 from .city import (
     CityGraph,
@@ -67,7 +68,10 @@ def build_graph(config: RunConfig) -> CityGraph:
     return build_city(locations, edges, config.delta, config.num_neighborhoods, config.seed)
 
 
-def build_batches(config: RunConfig, graph: CityGraph) -> list[RequestBatch]:
+def build_batches(config: RunConfig, graph: CityGraph) -> tuple[list[RequestBatch], int | None]:
+    """Demand batches, and the trip-CSV rows dropped at ingest (None for
+    synthetic demand, which drops nothing)."""
+    dropped = None
     if config.demand_kind == "synthetic":
         stream = synth_demand(
             graph,
@@ -78,8 +82,9 @@ def build_batches(config: RunConfig, graph: CityGraph) -> list[RequestBatch]:
             epoch_len_seconds=config.epoch_len_seconds,
         )
     else:
-        stream = ingest_trips(config.demand_trips, graph).requests
-    return batch_requests(stream, config.epoch_len_seconds)
+        ingest = ingest_trips(config.demand_trips, graph)
+        stream, dropped = ingest.requests, ingest.dropped
+    return batch_requests(stream, config.epoch_len_seconds), dropped
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
@@ -120,17 +125,26 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def build_run(
-    config: RunConfig,
-) -> tuple[CityGraph, list[RequestBatch], ObjectiveSpec, DelayConstraints, FleetState]:
-    """Everything one simulated day needs: graph, demand batches, objective,
-    service guarantees and the seeded fleet."""
+class RunInputs(NamedTuple):
+    """Everything one simulated day needs."""
+
+    graph: CityGraph
+    batches: list[RequestBatch]
+    spec: ObjectiveSpec
+    constraints: DelayConstraints
+    fleet: FleetState
+    rows_dropped: int | None  # trip-CSV rows dropped at ingest; None if synthetic
+
+
+def build_run(config: RunConfig) -> RunInputs:
+    """Graph, demand batches, objective, service guarantees and the seeded
+    fleet of one configuration."""
     graph = build_graph(config)
-    batches = build_batches(config, graph)
+    batches, dropped = build_batches(config, graph)
     spec = ObjectiveSpec(config.objective, config.lam)
     constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
     fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
-    return graph, batches, spec, constraints, fleet
+    return RunInputs(graph, batches, spec, constraints, fleet, dropped)
 
 
 def _train_tabular(
@@ -164,9 +178,11 @@ def _train_tabular(
 
 def run_one(config: RunConfig, out_dir: str):
     """Simulate one configuration and write the full artifact set. A run that
-    breaks a service guarantee raises before any result artifact is written."""
+    breaks a service guarantee raises before any result artifact is written.
+    Demand read from a trips CSV also gets `ingest.txt` with the count of rows
+    dropped at ingest."""
     os.makedirs(out_dir, exist_ok=True)
-    graph, batches, spec, constraints, fleet = build_run(config)
+    graph, batches, spec, constraints, fleet, rows_dropped = build_run(config)
     model = None
     if config.value_mode == "tabular":
         model, _ = _train_tabular(config, graph, spec, constraints)
@@ -187,6 +203,8 @@ def run_one(config: RunConfig, out_dir: str):
         )
 
     _write_text(os.path.join(out_dir, "config.resolved"), dump_config(config))
+    if rows_dropped is not None:
+        _write_text(os.path.join(out_dir, "ingest.txt"), f"rows_dropped = {rows_dropped}\n")
     with open(os.path.join(out_dir, "epochs.jsonl"), "w") as fh:
         for epoch in result.epochs:
             record = {
@@ -323,8 +341,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("training requires value.mode = tabular")
     if config.demand_kind != "synthetic":
         raise ConfigError("training requires synthetic demand")
-    graph, _, spec, constraints, _ = build_run(config)
-    model, errors = _train_tabular(config, graph, spec, constraints)
+    run = build_run(config)
+    model, errors = _train_tabular(config, run.graph, run.spec, run.constraints)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
     save_value_model(model, os.path.join(args.out, "value_table.txt"))
@@ -354,8 +372,10 @@ def _read_pi_csv(path: str) -> dict[int, float]:
 
 
 def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
+    """Shapley estimate, full-fleet incomes, and the resimulation counters
+    for shapley_meta.txt."""
     config = load_config(os.path.join(run_dir, "config.resolved"))
-    graph, batches, spec, constraints, template = build_run(config)
+    graph, batches, spec, constraints, template, _ = build_run(config)
     model = None
     table_path = os.path.join(run_dir, "value_table.txt")
     if os.path.exists(table_path):
@@ -373,7 +393,12 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     estimate = _run_shapley(oracle, driver_ids, args, seed=config.seed)
     incomes = oracle.incomes(frozenset(driver_ids))
     pi = [incomes.get(d, 0.0) for d in driver_ids]
-    return estimate, pi
+    counters = [
+        f"coalitions = {oracle.coalitions}",
+        f"route_memo_entries = {len(oracle.route_memo.entries)}",
+        f"route_memo_hits = {oracle.route_memo.hits}",
+    ]
+    return estimate, pi, counters
 
 
 def _run_shapley(oracle, driver_ids, args: argparse.Namespace, seed: int) -> ShapleyEstimate:
@@ -386,8 +411,9 @@ def _run_shapley(oracle, driver_ids, args: argparse.Namespace, seed: int) -> Sha
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
+    counters: list[str] = []
     if os.path.isdir(args.source):
-        estimate, pi = _shapley_from_run_dir(args.source, args)
+        estimate, pi, counters = _shapley_from_run_dir(args.source, args)
     else:
         oracle, n = load_coalition_table(args.source)
         driver_ids = list(range(n))
@@ -414,6 +440,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         f"seed = {estimate.seed if estimate.seed is not None else ''}",
         f"total_value = {sum(estimate.values)!r}",
         f"total_income = {sum(pi)!r}",
+        *counters,
     ]
     _write_text(os.path.join(args.out, "shapley_meta.txt"), "\n".join(meta) + "\n")
     return 0

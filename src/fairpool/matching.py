@@ -12,6 +12,12 @@ so dropping a rider from a feasible route never delays the remaining stops,
 which means any feasible subset has all its sub-subsets feasible and sizes
 can be grown level by level.
 
+Coalition resimulations replay the same demand with subsets of the fleet, so
+one driver meets the same batch in the same state many times over. A
+:class:`RouteMemo` passed to :func:`enumerate_feasible` stores the feasible
+(requests, route) pairs under everything route search reads and hands them
+back on a repeat, which makes the repeat exact by construction.
+
 The assignment solve is a two-pass branch and bound over drivers in index
 order. Besides the per-driver-maxima bound it prunes by state dominance: two
 partial assignments that have used the same requests before the same driver
@@ -25,9 +31,9 @@ changing the optimum or the canonical argmax.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .city import CityGraph, fare, travel_seconds
+from .city import CityGraph, fare
 from .demand import RequestBatch, RequestLog, RideRequest
 from .fleet import (
     DROPOFF,
@@ -44,6 +50,7 @@ from .value import StateKey, ValueModel, state_key
 __all__ = [
     "DelayConstraints",
     "FeasibleAction",
+    "RouteMemo",
     "AssignmentSolution",
     "EpochResult",
     "route_feasible",
@@ -70,6 +77,23 @@ class FeasibleAction:
     @property
     def request_ids(self) -> tuple[int, ...]:
         return tuple(req.request_id for req in self.requests)
+
+
+@dataclass
+class RouteMemo:
+    """Feasible (requests, route) pairs of earlier enumerations on one graph.
+
+    The key is everything route search reads: the driver's loc, secs_to_loc,
+    capacity, active requests, onboard riders with their pickup times, the
+    batch, the clock and the constraints. It leaves out the driver id, so
+    drivers in the same state share an entry, and the graph, so a memo must
+    serve a single graph.
+    """
+
+    entries: dict[tuple, tuple[tuple[tuple[RideRequest, ...], RoutePlan], ...]] = field(
+        default_factory=dict
+    )
+    hits: int = 0
 
 
 def route_feasible(
@@ -100,6 +124,7 @@ def route_feasible(
     capacity = driver.capacity
     max_pickup = constraints.max_pickup_delay
     max_detour = constraints.max_detour_delay
+    secs = graph.travel_secs
 
     best_delay = [float("inf")]
     best_keys: list[tuple[tuple[int, int], ...] | None] = [None]
@@ -110,14 +135,15 @@ def route_feasible(
 
     def reachable(loc: int, now: float) -> bool:
         # admissible lower bounds: direct travel can only underestimate arrival
+        row = secs[loc]
         for rid in pending:
             req = requests[rid]
-            if now + travel_seconds(graph, loc, req.origin) - req.created_at >= max_pickup:
+            if now + row[req.origin] - req.created_at >= max_pickup:
                 return False
         for rid in onboard:
             req = requests[rid]
-            direct = travel_seconds(graph, req.origin, req.destination)
-            if now + travel_seconds(graph, loc, req.destination) - (picked[rid] + direct) >= max_detour:
+            direct = secs[req.origin][req.destination]
+            if now + row[req.destination] - (picked[rid] + direct) >= max_detour:
                 return False
         return True
 
@@ -133,12 +159,13 @@ def route_feasible(
                 best_plan[0] = tuple(seq)
             return
         options = sorted([(rid, 0) for rid in pending] + [(rid, 1) for rid in onboard])
+        row = secs[loc]
         for rid, kind_rank in options:
             req = requests[rid]
             if kind_rank == 0:
                 if len(onboard) >= capacity:
                     continue
-                arrival = now + travel_seconds(graph, loc, req.origin)
+                arrival = now + row[req.origin]
                 delay = arrival - req.created_at
                 if delay >= max_pickup or delay_sum + delay > best_delay[0]:
                     continue
@@ -155,8 +182,8 @@ def route_feasible(
                 pending.add(rid)
                 del picked[rid]
             else:
-                arrival = now + travel_seconds(graph, loc, req.destination)
-                direct = travel_seconds(graph, req.origin, req.destination)
+                arrival = now + row[req.destination]
+                direct = secs[req.origin][req.destination]
                 delay = arrival - (picked[rid] + direct)
                 if delay >= max_detour or delay_sum + delay > best_delay[0]:
                     continue
@@ -181,17 +208,38 @@ def enumerate_feasible(
     batch: tuple[RideRequest, ...],
     clock: float,
     constraints: DelayConstraints,
+    memo: RouteMemo | None = None,
 ) -> list[FeasibleAction]:
     """All request subsets the driver can take, each with its best route.
 
     The empty action (keep the current route) is always first. Subsets are
     grown level by level and a set is only attempted when every subset one
-    smaller was feasible.
+    smaller was feasible. With a memo, a driver state already enumerated
+    against this batch and clock gets the stored pairs back under its own id.
     """
     actions = [FeasibleAction(driver_id=driver.driver_id, requests=(), route=None)]
     seats_free = driver.capacity - driver.occupancy
     if seats_free <= 0 or not batch:
         return actions
+    if memo is not None:
+        key = (
+            driver.loc,
+            driver.secs_to_loc,
+            driver.capacity,
+            tuple(sorted(driver.active.items())),
+            tuple(sorted(driver.onboard.items())),
+            batch,
+            clock,
+            constraints,
+        )
+        stored = memo.entries.get(key)
+        if stored is not None:
+            memo.hits += 1
+            actions.extend(
+                FeasibleAction(driver_id=driver.driver_id, requests=combo, route=plan)
+                for combo, plan in stored
+            )
+            return actions
     ordered = sorted(batch, key=lambda r: r.request_id)
     prev_level: set[frozenset[int]] = {frozenset()}
     for size in range(1, min(seats_free, len(ordered)) + 1):
@@ -210,6 +258,8 @@ def enumerate_feasible(
         if not level:
             break
         prev_level = level
+    if memo is not None:
+        memo.entries[key] = tuple((action.requests, action.route) for action in actions[1:])
     return actions
 
 
@@ -352,6 +402,7 @@ def run_epoch(
     spec: ObjectiveSpec,
     constraints: DelayConstraints,
     value_model: ValueModel | None = None,
+    route_memo: RouteMemo | None = None,
 ) -> EpochResult:
     """Match one batch at the current fleet clock and commit the result."""
     log.add_batch(batch)
@@ -365,7 +416,9 @@ def run_epoch(
     deltas: list[list[float]] = []
     pre_keys: dict[int, StateKey] = {}
     for di, driver in enumerate(fleet.drivers):
-        actions = enumerate_feasible(graph, driver, batch.requests, fleet.clock, constraints)
+        actions = enumerate_feasible(
+            graph, driver, batch.requests, fleet.clock, constraints, route_memo
+        )
         pre_keys[driver.driver_id] = state_key(graph, driver, fleet.clock)
         row_w: list[float] = []
         row_ids: list[tuple[int, ...]] = []

@@ -19,7 +19,7 @@ from typing import Protocol, Sequence
 from .city import CityGraph
 from .demand import RequestBatch
 from .fleet import FleetState
-from .matching import DelayConstraints
+from .matching import DelayConstraints, RouteMemo
 from .objectives import ObjectiveSpec
 from .seeds import substream
 from .simulate import coalition_incomes
@@ -73,7 +73,8 @@ class ResimulationOracle:
 
     Demand, seeds, and every driver's start position are identical across
     calls, so coalition values are well-defined; results are memoized because
-    permutation prefixes repeat heavily.
+    permutation prefixes repeat heavily. All resimulations share one route
+    memo: a driver in the same state meets the same batch in many coalitions.
     """
 
     graph: CityGraph
@@ -84,6 +85,7 @@ class ResimulationOracle:
     value_model: ValueModel | None = None
     epoch_len_seconds: float = 60.0
     _memo: dict[frozenset[int], dict[int, float]] = field(default_factory=dict)
+    route_memo: RouteMemo = field(default_factory=RouteMemo, init=False, repr=False)
 
     def incomes(self, coalition: frozenset[int]) -> dict[int, float]:
         if coalition not in self._memo:
@@ -99,8 +101,14 @@ class ResimulationOracle:
                     self.constraints,
                     value_model=self.value_model,
                     epoch_len_seconds=self.epoch_len_seconds,
+                    route_memo=self.route_memo,
                 )
         return self._memo[coalition]
+
+    @property
+    def coalitions(self) -> int:
+        """Distinct non-empty coalitions resimulated so far."""
+        return sum(1 for coalition in self._memo if coalition)
 
     def value(self, coalition: frozenset[int]) -> float:
         return sum(self.incomes(coalition).values())

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 from .city import CityGraph, travel_seconds
 from .demand import RequestBatch, RequestLog, batch_requests, synth_demand
 from .fleet import DriverState, FleetState, advance_fleet, init_fleet, snapshot_rows
-from .matching import DelayConstraints, EpochResult, run_epoch
+from .matching import DelayConstraints, EpochResult, RouteMemo, run_epoch
 from .objectives import NeighborhoodTallies, ObjectiveSpec
 from .seeds import subseed
 from .value import ValueModel, td_update
@@ -51,11 +51,14 @@ def run_simulation(
     value_model: ValueModel | None = None,
     epoch_len_seconds: float = 60.0,
     on_epoch: Callable[[EpochResult], None] | None = None,
+    route_memo: RouteMemo | None = None,
 ) -> SimResult:
     """Play the day: match every batch, then drain the fleet.
 
     `on_epoch` sees each epoch's result right after it is committed, before
-    the fleet moves on.
+    the fleet moves on. `route_memo` is handed to every epoch's route
+    enumeration; pass one only when it is shared with other runs on the same
+    graph, since a single run seldom repeats a driver state.
     """
     log = RequestLog()
     tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
@@ -66,7 +69,15 @@ def run_simulation(
         if window_end > fleet.clock:
             advance_fleet(fleet, window_end - fleet.clock)
         result = run_epoch(
-            graph, fleet, batch, log, tallies, spec, constraints, value_model=value_model
+            graph,
+            fleet,
+            batch,
+            log,
+            tallies,
+            spec,
+            constraints,
+            value_model=value_model,
+            route_memo=route_memo,
         )
         if on_epoch is not None:
             on_epoch(result)
@@ -201,8 +212,13 @@ def coalition_incomes(
     constraints: DelayConstraints = DelayConstraints(),
     value_model: ValueModel | None = None,
     epoch_len_seconds: float = 60.0,
+    route_memo: RouteMemo | None = None,
 ) -> dict[int, float]:
-    """Incomes each coalition member earns when only the coalition operates."""
+    """Incomes each coalition member earns when only the coalition operates.
+
+    Coalitions of one scenario replay the same demand, so a `route_memo`
+    shared across calls skips the route searches they have in common.
+    """
     fleet = subset_fleet(template, driver_ids)
     result = run_simulation(
         graph,
@@ -212,6 +228,7 @@ def coalition_incomes(
         constraints,
         value_model=value_model,
         epoch_len_seconds=epoch_len_seconds,
+        route_memo=route_memo,
     )
     return result.incomes()
 

@@ -14,7 +14,16 @@ import numpy as np
 
 from fairpool.city import CityGraph, Location, build_city, fare
 from fairpool.demand import RequestBatch, RideRequest
-from fairpool.fleet import DriverState, FleetState, advance_fleet, apply_matching
+from fairpool.fleet import (
+    DROPOFF,
+    PICKUP,
+    DriverState,
+    FleetState,
+    RoutePlan,
+    Stop,
+    advance_fleet,
+    apply_matching,
+)
 from fairpool.matching import DelayConstraints, enumerate_feasible
 
 
@@ -60,6 +69,108 @@ def driver_income(graph: CityGraph, driver: DriverState) -> float:
     for req in driver.completed.values():
         total += fare(graph, req.origin, req.destination)
     return total
+
+
+def _numpy_seconds(graph: CityGraph, origin: int, destination: int) -> float:
+    return float(graph.travel_minutes[origin, destination]) * 60.0
+
+
+def route_feasible_reference(
+    graph: CityGraph,
+    driver: DriverState,
+    new_requests: tuple[RideRequest, ...],
+    clock: float,
+    constraints: DelayConstraints,
+) -> RoutePlan | None:
+    """The route search as it was before travel times were kept as float
+    rows: every leg is read from the minutes matrix as a numpy scalar and
+    converted on the spot. Same DFS, same pruning, same tie-break, so the
+    kernel in fairpool.matching must return the identical plan."""
+    requests: dict[int, RideRequest] = dict(driver.active)
+    for req in new_requests:
+        requests[req.request_id] = req
+    if not requests:
+        return RoutePlan(stops=())
+
+    picked: dict[int, float] = dict(driver.onboard)
+    onboard = set(driver.onboard)
+    pending = set(requests) - onboard
+    capacity = driver.capacity
+    max_pickup = constraints.max_pickup_delay
+    max_detour = constraints.max_detour_delay
+
+    best_delay = [float("inf")]
+    best_keys: list[tuple[tuple[int, int], ...] | None] = [None]
+    best_plan: list[tuple[Stop, ...] | None] = [None]
+
+    seq: list[Stop] = []
+    keys: list[tuple[int, int]] = []
+
+    def reachable(loc: int, now: float) -> bool:
+        # admissible lower bounds: direct travel can only underestimate arrival
+        for rid in pending:
+            req = requests[rid]
+            if now + _numpy_seconds(graph, loc, req.origin) - req.created_at >= max_pickup:
+                return False
+        for rid in onboard:
+            req = requests[rid]
+            direct = _numpy_seconds(graph, req.origin, req.destination)
+            if now + _numpy_seconds(graph, loc, req.destination) - (picked[rid] + direct) >= max_detour:
+                return False
+        return True
+
+    def dfs(loc: int, now: float, delay_sum: float) -> None:
+        if not onboard and not pending:
+            key_seq = tuple(keys)
+            if delay_sum < best_delay[0] or (
+                delay_sum == best_delay[0]
+                and (best_keys[0] is None or key_seq < best_keys[0])
+            ):
+                best_delay[0] = delay_sum
+                best_keys[0] = key_seq
+                best_plan[0] = tuple(seq)
+            return
+        options = sorted([(rid, 0) for rid in pending] + [(rid, 1) for rid in onboard])
+        for rid, kind_rank in options:
+            req = requests[rid]
+            if kind_rank == 0:
+                if len(onboard) >= capacity:
+                    continue
+                arrival = now + _numpy_seconds(graph, loc, req.origin)
+                delay = arrival - req.created_at
+                if delay >= max_pickup or delay_sum + delay > best_delay[0]:
+                    continue
+                picked[rid] = arrival
+                pending.discard(rid)
+                onboard.add(rid)
+                if reachable(req.origin, arrival):
+                    seq.append(Stop(PICKUP, rid, req.origin, arrival))
+                    keys.append((rid, 0))
+                    dfs(req.origin, arrival, delay_sum + delay)
+                    seq.pop()
+                    keys.pop()
+                onboard.discard(rid)
+                pending.add(rid)
+                del picked[rid]
+            else:
+                arrival = now + _numpy_seconds(graph, loc, req.destination)
+                direct = _numpy_seconds(graph, req.origin, req.destination)
+                delay = arrival - (picked[rid] + direct)
+                if delay >= max_detour or delay_sum + delay > best_delay[0]:
+                    continue
+                onboard.discard(rid)
+                if reachable(req.destination, arrival):
+                    seq.append(Stop(DROPOFF, rid, req.destination, arrival))
+                    keys.append((rid, 1))
+                    dfs(req.destination, arrival, delay_sum + delay)
+                    seq.pop()
+                    keys.pop()
+                onboard.add(rid)
+
+    dfs(driver.loc, clock + driver.secs_to_loc, 0.0)
+    if best_plan[0] is None:
+        return None
+    return RoutePlan(stops=best_plan[0])
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:

@@ -20,6 +20,11 @@ from fairpool.city import (
     write_edges,
     write_locations,
 )
+from fairpool.demand import batch_requests, synth_demand
+from fairpool.fleet import init_fleet
+from fairpool.matching import DelayConstraints
+from fairpool.objectives import ObjectiveSpec
+from fairpool.simulate import audit_journal, run_simulation
 
 
 def test_grid_closure_is_manhattan_distance():
@@ -65,6 +70,43 @@ def test_fare_is_minutes_plus_delta():
     assert fare(graph, 0, 2) == 12.0
     assert fare(graph, 2, 0) == 12.0
     assert travel_seconds(graph, 0, 2) == 7.0 * 60.0
+
+
+def test_travel_seconds_rows_are_bit_identical_to_scalar_conversion(tmp_path):
+    """The float rows route search reads equal float(minutes) * 60.0 bit for
+    bit on a CSV city with fractional edge times, and a run over that city
+    still passes the journal audit, which reads the same rows."""
+    locations = [Location(id=i, lat=float(i // 3), lon=float(i % 3)) for i in range(6)]
+    minutes = [0.1, 0.7, 0.3, 1.1, 0.7, 0.1, 2.3]
+    pairs = [(0, 1), (1, 2), (0, 3), (1, 4), (2, 5), (3, 4), (4, 5)]
+    edges = []
+    for (a, b), m in zip(pairs, minutes):
+        edges += [(a, b, m), (b, a, m)]
+    write_locations(locations, str(tmp_path / "locations.csv"))
+    write_edges(edges, str(tmp_path / "edges.csv"))
+    graph = build_city(
+        load_locations(str(tmp_path / "locations.csv")),
+        load_edges(str(tmp_path / "edges.csv")),
+        delta=5.0, num_neighborhoods=2, seed=0,
+    )
+    assert any(
+        (float(graph.travel_minutes[i, j]) * 60.0) % 1.0 != 0.0
+        for i in range(6) for j in range(6)
+    ), "want legs whose seconds are not whole"
+    for i in range(6):
+        for j in range(6):
+            want = (float(graph.travel_minutes[i, j]) * 60.0).hex()
+            assert type(graph.travel_secs[i][j]) is float
+            assert graph.travel_secs[i][j].hex() == want
+            assert travel_seconds(graph, i, j).hex() == want
+
+    batches = batch_requests(synth_demand(graph, 3.0, 12, 0.5, seed=4))
+    constraints = DelayConstraints()
+    result = run_simulation(
+        graph, batches, init_fleet(graph, 3, 2, seed=4), ObjectiveSpec(name="income"), constraints
+    )
+    assert result.log.serviced_ids
+    assert audit_journal(graph, result.fleet, result.log, constraints) == []
 
 
 def test_kmeans_labels_deterministic_and_complete(grid55):

@@ -279,6 +279,36 @@ def test_scripted_trips_run_matches_library(tmp_path):
     assert sum(incomes.values()) == 38.0
 
 
+def test_trips_csv_run_reports_dropped_rows(tmp_path):
+    """A trip whose pickup and dropoff snap to the same location is dropped
+    at ingest; simulate and every sweep cell say how many in ingest.txt."""
+    with open(tmp_path / "trips.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"])
+        writer.writerows(TRIPS)
+        writer.writerow([0, 0.1, 0, -0.1, 40])  # both ends snap to location 0
+    cfg = write_config(tmp_path / "c.cfg", LINE_CFG)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "ingest.txt") as fh:
+        assert fh.read() == "rows_dropped = 1\n"
+    assert len(read_csv_rows(out / "requests.csv")) == len(TRIPS)
+
+    sweep = tmp_path / "sweep"
+    rc = main(["sweep", "--config", cfg, "--out", str(sweep), "--objective", "income", "--lambda", "0.0,1.0"])
+    assert rc == 0
+    for lam in ("0.0", "1.0"):
+        with open(sweep / f"income-lam{lam}" / "ingest.txt") as fh:
+            assert fh.read() == "rows_dropped = 1\n"
+
+
+def test_synthetic_run_writes_no_ingest_file(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / "ingest.txt").exists()
+
+
 TRAIN_CFG = """
 city.width = 3
 city.height = 3
@@ -598,7 +628,7 @@ GOLDEN_DIGESTS = {
     "run/report.json": "f3d4531114d7fa562025e68cc22a9bc81ad64ced36055cc6e0e5b224f8a3094a",
     "run/requests.csv": "b5fbdd4d17943dfde6b0aa09e1cb6d18070f242a913464bf929cf76bdc01d505",
     "run/shapley.csv": "9ed1cb282f40787e46554c5170b15a8c7b191333adbb74185681215cd9992f38",
-    "run/shapley_meta.txt": "04ae5c3c80ba305eb417969a11c6a9021f9820d9725b0aed8fd859ca4c24ed34",
+    "run/shapley_meta.txt": "c3eaf6ed984109cf409a3d28ede4aff8e6567940c41a5ef1676f096fc28d615b",
     "run/stops.csv": "aa5bfc13285ed790682299a033bc1b4b04ca350aa2d9fdef908d223ed90c3c82",
     "run/value_table.txt": "3fdce94eb9c30cb6b50b377f14d2bde5ee123c928234e4438f58abd811b72f84",
     "train/config.resolved": "448740c7ea820434cce58bd969d334366513311c55e384b0c41589d2143ebb6e",

@@ -1,5 +1,6 @@
 """Route feasibility, action enumeration, and the exact assignment solver."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 import helpers
 from fairpool.demand import RequestBatch, RequestLog, RideRequest
-from fairpool.fleet import advance_fleet, apply_matching
+from fairpool.fleet import DriverState, advance_fleet, apply_matching
 from fairpool.matching import (
     DelayConstraints,
     FeasibleAction,
+    RouteMemo,
     enumerate_feasible,
     route_feasible,
     run_epoch,
@@ -199,6 +201,167 @@ def test_enumerate_matches_exhaustive_subset_scan(data):
     for ids in expected:
         for rid in ids:
             assert ids - {rid} in expected
+
+
+def plan_bits(plan):
+    """A route plan with every arrival as its exact bit pattern."""
+    if plan is None:
+        return None
+    return tuple((s.kind, s.request_id, s.location, s.arrival.hex()) for s in plan.stops)
+
+
+def action_bits(actions):
+    return [(a.driver_id, a.request_ids, plan_bits(a.route)) for a in actions]
+
+
+def driver_state(driver_id=0, loc=0, secs_to_loc=0.0, capacity=2, active=(), onboard=None):
+    return DriverState(
+        driver_id=driver_id,
+        capacity=capacity,
+        loc=loc,
+        secs_to_loc=secs_to_loc,
+        active={r.request_id: r for r in active},
+        onboard=dict(onboard or {}),
+    )
+
+
+def assert_memo_is_exact(graph, first, second):
+    """Enumerate the `first` then the `second` (driver, batch, clock,
+    constraints) call into one shared memo: each answer must equal a memo-free
+    enumeration, bit for bit. Returns the memo."""
+    memo = RouteMemo()
+    for call in (first, second):
+        assert action_bits(enumerate_feasible(graph, *call, memo)) == action_bits(
+            enumerate_feasible(graph, *call)
+        )
+    return memo
+
+
+@st.composite
+def driver_states(draw):
+    """A driver mid-route on a line city with fractional legs: waiting and
+    onboard riders, time left to its next location, capacity 1-4."""
+    minutes = draw(st.lists(st.sampled_from([0.1, 0.5, 0.7, 1.0, 2.0]), min_size=2, max_size=5))
+    graph = helpers.line_city(minutes)
+    n_locs = len(minutes) + 1
+    clock = draw(st.sampled_from([60.0, 120.0, 300.0]))
+
+    def ride(rid, earliest):
+        origin = draw(st.integers(min_value=0, max_value=n_locs - 1))
+        destination = draw(st.sampled_from([x for x in range(n_locs) if x != origin]))
+        t = draw(st.floats(min_value=earliest, max_value=clock))
+        return req(rid, origin, destination, t=t)
+
+    capacity = draw(st.integers(min_value=1, max_value=4))
+    n_onboard = draw(st.integers(min_value=0, max_value=capacity))
+    n_waiting = draw(st.integers(min_value=0, max_value=2))
+    onboard = {}
+    active = []
+    for k in range(n_onboard):
+        rider = ride(100 + k, max(0.0, clock - 240.0))
+        active.append(rider)
+        onboard[rider.request_id] = draw(st.floats(min_value=rider.created_at, max_value=clock))
+    for k in range(n_waiting):
+        active.append(ride(200 + k, max(0.0, clock - 240.0)))
+    driver = driver_state(
+        loc=draw(st.integers(min_value=0, max_value=n_locs - 1)),
+        secs_to_loc=draw(st.sampled_from([0.0, 6.0, 6.7, 42.0])),
+        capacity=capacity,
+        active=active,
+        onboard=onboard,
+    )
+    batch = tuple(ride(i, clock - 60.0) for i in range(draw(st.integers(min_value=1, max_value=4))))
+    return graph, driver, batch, clock
+
+
+@settings(max_examples=80)
+@given(state=driver_states(), data=st.data())
+def test_route_memo_matches_fresh_enumeration(state, data):
+    """A shared memo returns exactly what a fresh enumeration returns: for the
+    state itself, for the same state under another driver id (a hit), and for
+    a state that differs in one key field (a miss)."""
+    graph, driver, batch, clock = state
+    fresh = enumerate_feasible(graph, driver, batch, clock, C)
+    memo = RouteMemo()
+    first = enumerate_feasible(graph, driver, batch, clock, C, memo)
+    twin = dataclasses.replace(driver, driver_id=7)
+    again = enumerate_feasible(graph, twin, batch, clock, C, memo)
+    assert action_bits(first) == action_bits(fresh)
+    assert action_bits(again) == [(7, ids, plan) for _, ids, plan in action_bits(fresh)]
+    if driver.capacity > driver.occupancy:
+        assert (len(memo.entries), memo.hits) == (1, 1)
+
+    # the kernel on float rows matches the numpy-lookup reference
+    seats = driver.capacity - driver.occupancy
+    for size in range(0, min(seats, len(batch)) + 1):
+        for combo in itertools.combinations(batch, size):
+            assert plan_bits(route_feasible(graph, driver, combo, clock, C)) == plan_bits(
+                helpers.route_feasible_reference(graph, driver, combo, clock, C)
+            )
+
+    field = data.draw(st.sampled_from(["secs_to_loc", "pickup", "capacity", "active", "clock", "loc"]))
+    variant, variant_clock = driver, clock
+    if field == "secs_to_loc":
+        variant = dataclasses.replace(driver, secs_to_loc=driver.secs_to_loc + 13.5)
+    elif field == "pickup" and driver.onboard:
+        rid = min(driver.onboard)
+        variant = dataclasses.replace(driver, onboard={**driver.onboard, rid: driver.onboard[rid] - 25.0})
+    elif field == "capacity":
+        variant = dataclasses.replace(driver, capacity=driver.capacity + 1)
+    elif field == "active":
+        extra = req(300, batch[0].origin, batch[0].destination, t=clock - 30.0)
+        variant = dataclasses.replace(driver, active={**driver.active, 300: extra})
+    elif field == "clock":
+        variant_clock = clock + 9.0
+    elif field == "loc":
+        variant = dataclasses.replace(driver, loc=(driver.loc + 1) % graph.num_locations)
+    assert_memo_is_exact(graph, (driver, batch, clock, C), (variant, batch, variant_clock, C))
+
+
+# One base state and, per key field, a state that differs in that field alone
+# and has a different set of actions or arrivals. Line 0-1-2-3 with a 12 s
+# first leg; rider 100 rode from 1 and is headed to 3. Fetching request 0 at
+# location 0 first delays rider 100 by 24 s, inside the 60 s detour cap only
+# when the pickup was recent enough.
+PAIR_GRAPH_MINUTES = [0.2, 1.0, 1.0]
+PAIR_BATCH = (req(0, 0, 1, t=60.0), req(1, 2, 3, t=100.0))
+PAIR_RIDER = req(100, 1, 3, t=60.0)
+
+
+def pair_base(**changes):
+    fields = dict(loc=1, secs_to_loc=0.0, capacity=2, active=(PAIR_RIDER,), onboard={100: 120.0})
+    fields.update(changes)
+    return driver_state(**fields)
+
+
+KEY_FIELD_PAIRS = {
+    "secs_to_loc": dict(driver=pair_base(secs_to_loc=10.0)),
+    "pickup_time": dict(driver=pair_base(onboard={100: 80.0})),
+    "capacity": dict(driver=pair_base(capacity=3)),
+    "active": dict(driver=pair_base(active=(PAIR_RIDER, req(101, 3, 2, t=110.0)))),
+    "onboard": dict(driver=pair_base(onboard={})),
+    "clock": dict(clock=130.0),
+    "loc": dict(driver=pair_base(loc=2)),
+    "batch": dict(batch=PAIR_BATCH[:1]),
+    "constraints": dict(constraints=DelayConstraints(max_detour_delay=20.0)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(KEY_FIELD_PAIRS))
+def test_route_memo_key_separates_states_differing_in_one_field(field):
+    graph = helpers.line_city(PAIR_GRAPH_MINUTES)
+    base = pair_base()
+    pair = KEY_FIELD_PAIRS[field]
+    other = dataclasses.replace(pair.get("driver", base), driver_id=1)
+    batch = pair.get("batch", PAIR_BATCH)
+    clock = pair.get("clock", 120.0)
+    constraints = pair.get("constraints", C)
+    # the pair is only a witness if its answers really differ
+    assert [a[1:] for a in action_bits(enumerate_feasible(graph, base, PAIR_BATCH, 120.0, C))] != [
+        a[1:] for a in action_bits(enumerate_feasible(graph, other, batch, clock, constraints))
+    ]
+    memo = assert_memo_is_exact(graph, (base, PAIR_BATCH, 120.0, C), (other, batch, clock, constraints))
+    assert (len(memo.entries), memo.hits) == (2, 0)
 
 
 def test_solver_single_driver_picks_heavier_action():

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from fairpool.demand import batch_requests, synth_demand
+from fairpool.fleet import init_fleet
+from fairpool.matching import DelayConstraints
+from fairpool.objectives import ObjectiveSpec
 from fairpool.redistribution import (
     EXACT_SHAPLEY_CAP,
     RedistributionParams,
+    ResimulationOracle,
     TableOracle,
     gain_metric,
     load_coalition_table,
@@ -18,6 +23,8 @@ from fairpool.redistribution import (
     shapley_exact,
     shapley_mc,
 )
+from fairpool.simulate import coalition_incomes, train_synthetic
+from fairpool.value import ValueModel
 
 # worked three-driver pooling economy: drivers 1 and 2 are interchangeable,
 # driver 3 brings less and adds nothing once both of the others are present
@@ -295,3 +302,40 @@ def test_table_oracle_missing_coalition(tmp_path):
     oracle, n = load_coalition_table(path)
     with pytest.raises(ValueError, match="missing from table"):
         shapley_exact(oracle, tuple(range(n)))
+
+
+def test_shared_route_memo_oracle_matches_fresh_resimulations(grid55):
+    """One oracle sharing its route memo across all coalitions gives every
+    coalition the incomes of a fresh, memo-free resimulation, bit for bit,
+    with a trained tabular value model in the action weights."""
+    spec = ObjectiveSpec(name="income")
+    constraints = DelayConstraints()
+    model = ValueModel(mode="tabular", gamma=0.9, alpha=0.2, seed=3)
+    train_synthetic(
+        grid55, model, spec, num_drivers=4, capacity=4, rate_per_epoch=4.0,
+        num_epochs=15, hotspot_skew=0.6, episodes=2, seed=3,
+    )
+    assert any(v != 0.0 for v in model.table.values())
+    batches = batch_requests(synth_demand(grid55, 4.0, 15, 0.6, seed=3))
+    template = init_fleet(grid55, num_drivers=4, capacity=4, seed=3)
+    ids = [d.driver_id for d in template.drivers]
+
+    def oracle():
+        return ResimulationOracle(grid55, batches, template, spec, constraints, value_model=model)
+
+    shared = oracle()
+    fresh_values = {frozenset(): 0.0}
+    for mask in range(1, 1 << len(ids)):
+        coalition = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        fresh = coalition_incomes(grid55, batches, template, coalition, spec, constraints, model)
+        got = shared.incomes(coalition)
+        assert {d: x.hex() for d, x in got.items()} == {d: x.hex() for d, x in fresh.items()}
+        fresh_values[coalition] = sum(fresh.values())
+    assert shared.coalitions == 15
+    assert shared.route_memo.hits > 0
+
+    # Monte Carlo visits coalitions in permutation order, so the memo fills
+    # in a different order than above; the estimate must not notice
+    mc_shared = shapley_mc(oracle(), ids, 200, seed=5)
+    mc_table = shapley_mc(TableOracle(fresh_values), ids, 200, seed=5)
+    assert [v.hex() for v in mc_shared.values] == [v.hex() for v in mc_table.values]
