@@ -11,6 +11,7 @@ loops index the rows directly; :func:`travel_seconds` reads the same rows.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +69,8 @@ class CityGraph:
                 f"travel matrix shape {self.travel_minutes.shape} does not match "
                 f"{n} locations"
             )
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if len(self.neighborhoods.labels) != n:

@@ -440,8 +440,10 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         f"seed = {estimate.seed if estimate.seed is not None else ''}",
         f"total_value = {sum(estimate.values)!r}",
         f"total_income = {sum(pi)!r}",
-        *counters,
     ]
+    if estimate.method == "monte_carlo":
+        meta.append(f"std_error_max = {max(estimate.std_errors)!r}")
+    meta.extend(counters)
     _write_text(os.path.join(args.out, "shapley_meta.txt"), "\n".join(meta) + "\n")
     return 0
 

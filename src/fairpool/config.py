@@ -9,6 +9,7 @@ exact experiment.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -114,6 +115,8 @@ def parse_config(text: str, base_dir: str = ".", source: str = "<config>") -> Ru
             raise ConfigError(
                 f"{source}:{lineno}: cannot parse {value!r} as {parser.__name__} for {key}"
             ) from None
+        if parser is float and not math.isfinite(parsed):
+            raise ConfigError(f"{source}:{lineno}: {key} must be a finite number, got {value!r}")
         if field_name in _PATH_FIELDS and not os.path.isabs(str(parsed)):
             parsed = os.path.normpath(os.path.join(base_dir, str(parsed)))
         values[field_name] = parsed

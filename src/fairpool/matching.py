@@ -12,6 +12,17 @@ so dropping a rider from a feasible route never delays the remaining stops,
 which means any feasible subset has all its sub-subsets feasible and sizes
 can be grown level by level.
 
+Before that search, an idle driver (no accepted riders) drops every request
+whose direct pickup already breaks the wait bound. Its only possible first
+stop is a pickup driven straight from where it is, and the filter evaluates
+exactly the expression the route search applies to that stop, so such a
+request's singleton is infeasible and so, by the lattice property, is every
+set that contains it. The filter stops at idle drivers. For a busy driver it
+would have to argue that no detour through other stops reaches a pickup
+sooner than the direct leg, which rests on the triangle inequality holding
+for the float sums along a route; fractional edge times in a CSV city can
+break that by an ulp, and then the filter would drop a feasible set.
+
 Coalition resimulations replay the same demand with subsets of the fleet, so
 one driver meets the same batch in the same state many times over. A
 :class:`RouteMemo` passed to :func:`enumerate_feasible` stores the feasible
@@ -214,8 +225,10 @@ def enumerate_feasible(
 
     The empty action (keep the current route) is always first. Subsets are
     grown level by level and a set is only attempted when every subset one
-    smaller was feasible. With a memo, a driver state already enumerated
-    against this batch and clock gets the stored pairs back under its own id.
+    smaller was feasible; an idle driver skips requests it cannot reach in
+    time (see the module docstring). With a memo, a driver state already
+    enumerated against this batch and clock gets the stored pairs back under
+    its own id.
     """
     actions = [FeasibleAction(driver_id=driver.driver_id, requests=(), route=None)]
     seats_free = driver.capacity - driver.occupancy
@@ -241,6 +254,12 @@ def enumerate_feasible(
             )
             return actions
     ordered = sorted(batch, key=lambda r: r.request_id)
+    if not driver.active:
+        # the route search's own first-pickup test, applied up front
+        now = clock + driver.secs_to_loc
+        row = graph.travel_secs[driver.loc]
+        max_pickup = constraints.max_pickup_delay
+        ordered = [r for r in ordered if not now + row[r.origin] - r.created_at >= max_pickup]
     prev_level: set[frozenset[int]] = {frozenset()}
     for size in range(1, min(seats_free, len(ordered)) + 1):
         level: set[frozenset[int]] = set()

@@ -5,11 +5,23 @@ platform income, and two fairness-regularized variants that subtract a
 lambda-weighted population variance, either of neighborhood service rates
 (serviced / requested, over neighborhoods with demand) or of driver incomes.
 With lambda = 0 both fairness objectives coincide with platform income.
+
+Scoring an epoch calls :func:`delta_objective` once per candidate action, all
+against one unchanged state. The variance before any action is therefore the
+same for every call, and the variance after one depends only on the origin
+labels it services (rider fairness, as a multiset) or on the driver and the
+fare sum it adds (driver fairness). ``ObjectiveState.variances`` remembers
+both per state, so each distinct effect is scored once. The remembered values
+come from the same numpy calls on the same arrays, so every delta keeps its
+bits. The memo is only valid while the state is not mutated: build a fresh
+state with :meth:`ObjectiveState.from_fleet` or :meth:`ObjectiveState.copy`
+(both start with an empty memo) instead of changing one that was scored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +50,8 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.name not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.name!r}, expected one of {OBJECTIVES}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
 
@@ -88,6 +102,8 @@ class ObjectiveState:
     incomes: np.ndarray  # per-driver income, order = driver index in the fleet
     rides: np.ndarray  # per-driver accepted request count (ongoing + finished)
     tallies: NeighborhoodTallies
+    # variance memo of delta_objective; valid only while the state is unchanged
+    variances: dict[object, float] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_fleet(cls, fleet: FleetState, tallies: NeighborhoodTallies) -> "ObjectiveState":
@@ -127,21 +143,37 @@ def delta_objective(
 ) -> float:
     """Objective change if the driver at `driver_index` accepts the given
     requests, scored against the current state. Matches
-    eval_objective(after) - eval_objective(before) up to rounding."""
+    eval_objective(after) - eval_objective(before) up to rounding.
+
+    The fairness variances are memoised in `state.variances`, so the state
+    must not be mutated between calls (see the module docstring)."""
     if spec.name == "requests":
         return float(len(fares))
     added = float(sum(fares))
-    if spec.name == "income":
+    # no fares leave the variance as it was, and lam == 0 scales any finite
+    # variance change to zero: either way the delta is exactly `added`
+    if spec.name == "income" or not fares or spec.lam == 0.0:
         return added
+    variances = state.variances
     if spec.name == "rider_fairness":
-        before = population_variance(state.tallies.service_rates())
-        bumped = state.tallies.copy()
-        for label in origin_labels:
-            bumped.add_serviced(label)
-        after = population_variance(bumped.service_rates())
+        before = variances.get("rider")
+        if before is None:
+            before = variances["rider"] = population_variance(state.tallies.service_rates())
+        key: tuple = ("rider", *sorted(origin_labels))
+        after = variances.get(key)
+        if after is None:
+            bumped = state.tallies.copy()
+            for label in origin_labels:
+                bumped.add_serviced(label)
+            after = variances[key] = population_variance(bumped.service_rates())
         return added - spec.lam * (after - before)
-    before = population_variance(state.incomes)
-    incomes = state.incomes.copy()
-    incomes[driver_index] += added
-    after = population_variance(incomes)
+    before = variances.get("driver")
+    if before is None:
+        before = variances["driver"] = population_variance(state.incomes)
+    key = ("driver", driver_index, added)
+    after = variances.get(key)
+    if after is None:
+        incomes = state.incomes.copy()
+        incomes[driver_index] += added
+        after = variances[key] = population_variance(incomes)
     return added - spec.lam * (after - before)

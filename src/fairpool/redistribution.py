@@ -121,6 +121,9 @@ class ShapleyEstimate:
     method: str  # exact | monte_carlo
     samples: int = 0
     seed: int | None = None
+    # monte_carlo only: per-driver standard error of the value, nan from a
+    # single permutation
+    std_errors: tuple[float, ...] = ()
 
     def by_driver(self) -> dict[int, float]:
         return dict(zip(self.driver_ids, self.values))
@@ -168,6 +171,10 @@ def shapley_mc(
     Each permutation adds drivers one at a time and credits each with its
     marginal contribution to the prefix; coalition values are memoized, so a
     permutation costs at most n oracle calls and repeats cost none.
+
+    Alongside the sums that make the values, each driver's marginal
+    contributions feed a running (Welford) variance; the standard error of a
+    value is the sample standard deviation over sqrt(num_permutations).
     """
     ids = tuple(driver_ids)
     n = len(ids)
@@ -184,18 +191,33 @@ def shapley_mc(
         return memo[mask]
 
     acc = [0.0] * n
-    for _ in range(num_permutations):
-        perm = rng.permutation(n)
+    mean = [0.0] * n
+    sq_dev = [0.0] * n  # sum of squared deviations from the running mean
+    for k in range(1, num_permutations + 1):
         mask = 0
         prev = val(0)
-        for i in perm:
+        for i in rng.permutation(n).tolist():
             mask |= 1 << i
             cur = val(mask)
-            acc[i] += cur - prev
+            gain = cur - prev
+            acc[i] += gain
+            step = gain - mean[i]
+            mean[i] += step / k
+            sq_dev[i] += step * (gain - mean[i])
             prev = cur
     values = tuple(a / num_permutations for a in acc)
+    if num_permutations > 1:
+        scale = (num_permutations - 1) * num_permutations
+        std_errors = tuple(math.sqrt(s / scale) for s in sq_dev)
+    else:
+        std_errors = (math.nan,) * n
     return ShapleyEstimate(
-        driver_ids=ids, values=values, method="monte_carlo", samples=num_permutations, seed=seed
+        driver_ids=ids,
+        values=values,
+        method="monte_carlo",
+        samples=num_permutations,
+        seed=seed,
+        std_errors=std_errors,
     )
 
 

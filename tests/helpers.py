@@ -24,7 +24,8 @@ from fairpool.fleet import (
     advance_fleet,
     apply_matching,
 )
-from fairpool.matching import DelayConstraints, enumerate_feasible
+from fairpool.matching import DelayConstraints, FeasibleAction, enumerate_feasible
+from fairpool.objectives import ObjectiveSpec, ObjectiveState, population_variance
 
 
 def line_city(minutes: list[float], delta: float = 5.0, num_neighborhoods: int = 1,
@@ -171,6 +172,67 @@ def route_feasible_reference(
     if best_plan[0] is None:
         return None
     return RoutePlan(stops=best_plan[0])
+
+
+def enumerate_feasible_reference(
+    graph: CityGraph,
+    driver: DriverState,
+    batch: tuple[RideRequest, ...],
+    clock: float,
+    constraints: DelayConstraints,
+) -> list[FeasibleAction]:
+    """Level-wise subset enumeration with no reach filter and no memo, every
+    route from route_feasible_reference. Same order as enumerate_feasible:
+    the empty action, then each level's sets in request-id order."""
+    actions = [FeasibleAction(driver_id=driver.driver_id, requests=(), route=None)]
+    seats_free = driver.capacity - driver.occupancy
+    if seats_free <= 0 or not batch:
+        return actions
+    ordered = sorted(batch, key=lambda r: r.request_id)
+    prev_level: set[frozenset[int]] = {frozenset()}
+    for size in range(1, min(seats_free, len(ordered)) + 1):
+        level: set[frozenset[int]] = set()
+        for combo in itertools.combinations(ordered, size):
+            ids = frozenset(req.request_id for req in combo)
+            if size > 1 and any(ids - {rid} not in prev_level for rid in ids):
+                continue
+            plan = route_feasible_reference(graph, driver, combo, clock, constraints)
+            if plan is None:
+                continue
+            level.add(ids)
+            actions.append(FeasibleAction(driver_id=driver.driver_id, requests=combo, route=plan))
+        if not level:
+            break
+        prev_level = level
+    return actions
+
+
+def delta_objective_reference(
+    spec: ObjectiveSpec,
+    state: ObjectiveState,
+    driver_index: int,
+    fares: list[float],
+    origin_labels: list[int],
+) -> float:
+    """delta_objective as it was before its variance memo: both variances are
+    recomputed from the state on every call, even for an empty action."""
+    if spec.name == "requests":
+        return float(len(fares))
+    added = float(sum(fares))
+    if spec.name == "income":
+        return added
+    if spec.name == "rider_fairness":
+        before = population_variance(state.tallies.service_rates())
+        bumped = state.tallies.copy()
+        for label in origin_labels:
+            bumped.add_serviced(label)
+        after = population_variance(bumped.service_rates())
+        return added - spec.lam * (after - before)
+    before = population_variance(state.incomes)
+    incomes = state.incomes.copy()
+    incomes[driver_index] += added
+    after = population_variance(incomes)
+    return added - spec.lam * (after - before)
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:

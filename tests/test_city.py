@@ -72,6 +72,12 @@ def test_fare_is_minutes_plus_delta():
     assert travel_seconds(graph, 0, 2) == 7.0 * 60.0
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_non_finite_delta_rejected(delta):
+    with pytest.raises(ValueError, match="finite"):
+        helpers.line_city([1.0], delta=delta)
+
+
 def test_travel_seconds_rows_are_bit_identical_to_scalar_conversion(tmp_path):
     """The float rows route search reads equal float(minutes) * 60.0 bit for
     bit on a CSV city with fractional edge times, and a run over that city

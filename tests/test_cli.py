@@ -16,6 +16,7 @@ import pytest
 
 import helpers
 from fairpool.city import build_city, fare, gen_grid_city, load_edges, load_locations
+from fairpool import config as config_module
 from fairpool.cli import main
 from fairpool.config import load_config
 from fairpool.demand import batch_requests, ingest_trips
@@ -129,6 +130,35 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", "riders = 3\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+
+FLOAT_KEYS = sorted(key for key, (_, parser) in config_module._KEYS.items() if parser is float)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_config_float_exits_2(tmp_path, capsys, key):
+    for value in ("inf", "-inf", "nan", "1e999"):
+        cfg = write_config(tmp_path / "c.cfg", f"{key} = {value}\n")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, value
+        err = capsys.readouterr().err
+        assert f"{key} must be a finite number" in err, value
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_lambda_flag_is_rejected(tmp_path):
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--lambda", "inf"])
+    assert rc == 2
+    out = tmp_path / "sweep"
+    rc = main(
+        ["sweep", "--config", cfg, "--out", str(out), "--objective", "driver_fairness", "--lambda", "0,nan"]
+    )
+    assert rc == 3
+    assert [r["lambda"] for r in read_csv_rows(out / "sweep.csv")] == ["0.0"]
+    failures = read_csv_rows(out / "failures.csv")
+    assert [(f["objective"], f["lambda"]) for f in failures] == [("driver_fairness", "nan")]
+    assert "lambda must be finite" in failures[0]["error"]
 
 
 def test_single_run_rejects_comma_objective(tmp_path):
@@ -407,6 +437,27 @@ def test_shapley_on_coalition_table(tmp_path):
     assert sum(float(r["v"]) for r in rows) == 15.0
 
 
+def test_monte_carlo_shapley_meta_reports_standard_error(tmp_path):
+    table = tmp_path / "table.csv"
+    with open(table, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["coalition_bitmask", "value"])
+        for mask, value in [(0, 0), (1, 10), (2, 10), (4, 5), (3, 15), (5, 15), (6, 15), (7, 15)]:
+            writer.writerow([mask, repr(float(value))])
+
+    def meta(method):
+        out = tmp_path / method
+        argv = ["shapley", str(table), "--out", str(out), "--method", method, "--samples", "400"]
+        assert main(argv) == 0
+        with open(out / "shapley_meta.txt") as fh:
+            return dict(line.split(" = ", 1) for line in fh.read().splitlines())
+
+    sampled = meta("monte_carlo")
+    assert 0.0 < float(sampled["std_error_max"]) < 1.0
+    assert list(sampled)[-1] == "std_error_max"
+    assert "std_error_max" not in meta("exact")
+
+
 def test_shapley_then_redistribute_pipeline(tmp_path):
     """Worked three-driver table end to end: attribute, then pay out at
     r = 0.5 with incomes kept. The deficits exhaust exactly the half of the
@@ -656,6 +707,124 @@ def run_golden_pipeline(root):
 
 def test_pipeline_artifacts_match_pinned_digests(tmp_path):
     assert run_golden_pipeline(tmp_path) == GOLDEN_DIGESTS
+
+
+FAIRNESS_CITY = """
+city.width = 4
+city.height = 4
+city.neighborhoods = 3
+fleet.num_drivers = 4
+fleet.capacity = 2
+demand.rate_per_epoch = 4.0
+demand.num_epochs = 10
+value.mode = tabular
+value.episodes = 1
+seed = 13
+"""
+FAIRNESS_LAMBDAS = ("0.0", "0.05", "1.0", "3000.0")
+
+# sha256 of every artifact of a tabular sweep over both fairness objectives,
+# plus a report rebuilt from each cell. The weights these runs are matched on
+# go through both variance branches of delta_objective and land in
+# total_weight in epochs.jsonl, so these digests pin their float bits.
+FAIRNESS_DIGESTS = {
+    "reread/driver_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
+    "reread/driver_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "reread/driver_fairness-lam0.05/report.csv": "8eb3cf71584a01289d3e319926e70e80599153eb81e9ee41faa57df2da7e575f",
+    "reread/driver_fairness-lam0.05/report.json": "e0aee5f3f8d1d5c7ada63b0fca117b81ffeb68744c977e550c04aa8efcc4cdfb",
+    "reread/driver_fairness-lam1.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
+    "reread/driver_fairness-lam1.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "reread/driver_fairness-lam3000.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
+    "reread/driver_fairness-lam3000.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "reread/rider_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
+    "reread/rider_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "reread/rider_fairness-lam0.05/report.csv": "ab0bdbede104750f725c06ad7b84c1fe4bb626de1fb0d72f48db9c21ed8d00bb",
+    "reread/rider_fairness-lam0.05/report.json": "c51ebefdfc684b656adb90786f13eb391e86da3af614d07d8b94f6d0e12b9be2",
+    "reread/rider_fairness-lam1.0/report.csv": "f4a60c230cec69e1c44ee146ce1929fcf094d4ab39abdd4cf532ce4364105dec",
+    "reread/rider_fairness-lam1.0/report.json": "e6ba3156f17e5d420143f4687c4a9e52dafc4a91febcc40004441da4df484036",
+    "reread/rider_fairness-lam3000.0/report.csv": "42db6970e126b03a3bb409d2be8d3df4139a521a39c9a28f19382c29aeb1f5e7",
+    "reread/rider_fairness-lam3000.0/report.json": "d80f3943a3e3acbefabdb557854b9b91ac8ec310ef1110f45a69acbe5cdf4428",
+    "sweep/driver_fairness-lam0.0/config.resolved": "f036fc723628edd9c94a67e7d3eac5aed0d8dc5cef685484594b53a41a30b94c",
+    "sweep/driver_fairness-lam0.0/epochs.jsonl": "5cd368766caefb095373a892a86c71bb651c9042b3a88c5c2195b186eeb130e3",
+    "sweep/driver_fairness-lam0.0/fleet.jsonl": "928a6349e6ad6463f690a8038de32b8e4c441a429f5868222ca83cb068175cef",
+    "sweep/driver_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
+    "sweep/driver_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "sweep/driver_fairness-lam0.0/requests.csv": "6ae581285922ab2f04d17ea10ade447ffc9046c3891549d03184d06387b21cc9",
+    "sweep/driver_fairness-lam0.0/stops.csv": "4f396a7a2276f304ec84299f461b517e7ac65ce092d381c418dc3e44129e4355",
+    "sweep/driver_fairness-lam0.0/value_table.txt": "c355272a3e4c997ec0eb3b9f5f3ee6c6c9319771672b327845d166255d8ea46e",
+    "sweep/driver_fairness-lam0.05/config.resolved": "4640dddbc4d18393db44b290ae77db4d7e57ac52e5523ef4a610d2ee306bba8b",
+    "sweep/driver_fairness-lam0.05/epochs.jsonl": "ecf2ec00a24e58709546d2c51d277c16bb7d8e61414db0889e6d20120ba13cf1",
+    "sweep/driver_fairness-lam0.05/fleet.jsonl": "b634bdf051fc9eb85af7d04adde684206f95db8e570b56920b08ca9b8273bdc1",
+    "sweep/driver_fairness-lam0.05/report.csv": "8eb3cf71584a01289d3e319926e70e80599153eb81e9ee41faa57df2da7e575f",
+    "sweep/driver_fairness-lam0.05/report.json": "e0aee5f3f8d1d5c7ada63b0fca117b81ffeb68744c977e550c04aa8efcc4cdfb",
+    "sweep/driver_fairness-lam0.05/requests.csv": "779be5f54440719d45d0d2eb81d701660b4f4c6ba2a9245837e108c3d40cb2ed",
+    "sweep/driver_fairness-lam0.05/stops.csv": "bd14c38974c2468c9a7af067de81c25048e4a222a29a4626bab8554de05657e8",
+    "sweep/driver_fairness-lam0.05/value_table.txt": "b823fa9505261fe55bc46e4e754d7964577334dcf46c33a425e33c76559616f3",
+    "sweep/driver_fairness-lam1.0/config.resolved": "27f8668bab6e2cb3aa74db5942f6a6bbb0645b60509e3b294618299a4abcda16",
+    "sweep/driver_fairness-lam1.0/epochs.jsonl": "18223c5f57355cc6151abe1034f2660233718602fa36602d7e15fba1736ff9c6",
+    "sweep/driver_fairness-lam1.0/fleet.jsonl": "5726a98d345d36837add4c8bbbcac5881f6e494f1b4649a7eac1c637f1bc498a",
+    "sweep/driver_fairness-lam1.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
+    "sweep/driver_fairness-lam1.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "sweep/driver_fairness-lam1.0/requests.csv": "2aaf810fea7cdd496f93484c94d987ba7ce61b3f39aaca55e7575dd4c8b4b5c0",
+    "sweep/driver_fairness-lam1.0/stops.csv": "fd4f46a9ba93960f99e4cf22340885483cff5fc08e062d47e3ef03ca0ecc715b",
+    "sweep/driver_fairness-lam1.0/value_table.txt": "390d3cefbb5894abecaddb1095a4cfbec6273d615c8f79a9ae2fa8eb46f72e49",
+    "sweep/driver_fairness-lam3000.0/config.resolved": "91c75326929cea55b384a4dbbf20068045eca76042603f7aa26ed99533d1c5d7",
+    "sweep/driver_fairness-lam3000.0/epochs.jsonl": "18223c5f57355cc6151abe1034f2660233718602fa36602d7e15fba1736ff9c6",
+    "sweep/driver_fairness-lam3000.0/fleet.jsonl": "5726a98d345d36837add4c8bbbcac5881f6e494f1b4649a7eac1c637f1bc498a",
+    "sweep/driver_fairness-lam3000.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
+    "sweep/driver_fairness-lam3000.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "sweep/driver_fairness-lam3000.0/requests.csv": "2aaf810fea7cdd496f93484c94d987ba7ce61b3f39aaca55e7575dd4c8b4b5c0",
+    "sweep/driver_fairness-lam3000.0/stops.csv": "fd4f46a9ba93960f99e4cf22340885483cff5fc08e062d47e3ef03ca0ecc715b",
+    "sweep/driver_fairness-lam3000.0/value_table.txt": "390d3cefbb5894abecaddb1095a4cfbec6273d615c8f79a9ae2fa8eb46f72e49",
+    "sweep/rider_fairness-lam0.0/config.resolved": "37901c1dcd0d2cd5a74b9ec1381b473a20ecd138842f87a7f2e38e7837a4806d",
+    "sweep/rider_fairness-lam0.0/epochs.jsonl": "5cd368766caefb095373a892a86c71bb651c9042b3a88c5c2195b186eeb130e3",
+    "sweep/rider_fairness-lam0.0/fleet.jsonl": "928a6349e6ad6463f690a8038de32b8e4c441a429f5868222ca83cb068175cef",
+    "sweep/rider_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
+    "sweep/rider_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "sweep/rider_fairness-lam0.0/requests.csv": "6ae581285922ab2f04d17ea10ade447ffc9046c3891549d03184d06387b21cc9",
+    "sweep/rider_fairness-lam0.0/stops.csv": "4f396a7a2276f304ec84299f461b517e7ac65ce092d381c418dc3e44129e4355",
+    "sweep/rider_fairness-lam0.0/value_table.txt": "c355272a3e4c997ec0eb3b9f5f3ee6c6c9319771672b327845d166255d8ea46e",
+    "sweep/rider_fairness-lam0.05/config.resolved": "ed039477711fcb1038ab8a602a290333130ceadbd843f697e2b14184dc9ef751",
+    "sweep/rider_fairness-lam0.05/epochs.jsonl": "558ab62084ffce6b703ea38f81d149ca9e9368cfb8db0bcd7a792a28eb95de67",
+    "sweep/rider_fairness-lam0.05/fleet.jsonl": "74dea475870e321fa38f7b2e69eb4d18f6ce98ec42273a2c94a2cc1c9fcf9064",
+    "sweep/rider_fairness-lam0.05/report.csv": "ab0bdbede104750f725c06ad7b84c1fe4bb626de1fb0d72f48db9c21ed8d00bb",
+    "sweep/rider_fairness-lam0.05/report.json": "c51ebefdfc684b656adb90786f13eb391e86da3af614d07d8b94f6d0e12b9be2",
+    "sweep/rider_fairness-lam0.05/requests.csv": "8f5062249ae34502acef0eff70170f4eec021b0e4de8f06d831e16397191f20e",
+    "sweep/rider_fairness-lam0.05/stops.csv": "279359857ce2168ac2b62796a6d204c9f332824c684bb9fb92d66a3d95b71782",
+    "sweep/rider_fairness-lam0.05/value_table.txt": "1307c8a113eba1405a204cb50ba9f5e9dfe31038780f8cda20e4787fe6d0ac92",
+    "sweep/rider_fairness-lam1.0/config.resolved": "5042dea2bbdd557aa16dea5c7318427e9fc13dab912d514cae898312ed68b67c",
+    "sweep/rider_fairness-lam1.0/epochs.jsonl": "441c3e4b8104c6d8e8daed9e1080e12a18814bcbde435d9bb7a9376a839fe9d0",
+    "sweep/rider_fairness-lam1.0/fleet.jsonl": "6bbbe230a14090acdc6a62a6b3221cfd205753768e4a631b2ed2b53ed72b95ae",
+    "sweep/rider_fairness-lam1.0/report.csv": "f4a60c230cec69e1c44ee146ce1929fcf094d4ab39abdd4cf532ce4364105dec",
+    "sweep/rider_fairness-lam1.0/report.json": "e6ba3156f17e5d420143f4687c4a9e52dafc4a91febcc40004441da4df484036",
+    "sweep/rider_fairness-lam1.0/requests.csv": "56ed3bd79dae26343651307d2e5ebe4f56836f9b28c52399a5c341308ae7eb7e",
+    "sweep/rider_fairness-lam1.0/stops.csv": "bdf3a225ccefd963b7b32d8c1d130108c7cf00c58cdfed94cbd5b72ac5c38f81",
+    "sweep/rider_fairness-lam1.0/value_table.txt": "75648d251b72637f8b5d5b07c46cf6e2724a92090db6df7dd5198e3b6260694d",
+    "sweep/rider_fairness-lam3000.0/config.resolved": "bafaf149bd1e4d2f146083c12b9f932ad7fa1024083eb84785c3614b5c03fc32",
+    "sweep/rider_fairness-lam3000.0/epochs.jsonl": "85fb6f82f7e751f7df7327a360a1efff1fa359ee34652919f8b8dec06d6598a8",
+    "sweep/rider_fairness-lam3000.0/fleet.jsonl": "52d037fa0182b4cae4f7fe1015ba94df5419f78736d399e7fb7ef5df1b21e047",
+    "sweep/rider_fairness-lam3000.0/report.csv": "42db6970e126b03a3bb409d2be8d3df4139a521a39c9a28f19382c29aeb1f5e7",
+    "sweep/rider_fairness-lam3000.0/report.json": "d80f3943a3e3acbefabdb557854b9b91ac8ec310ef1110f45a69acbe5cdf4428",
+    "sweep/rider_fairness-lam3000.0/requests.csv": "2347556ec86dac5984e071033dc7af42d5a383c898f4a3167948bf7ca3e6619f",
+    "sweep/rider_fairness-lam3000.0/stops.csv": "0ca8a4edb29cb57783358614bf35f77335d786670558312582f0cf24a204b1ae",
+    "sweep/rider_fairness-lam3000.0/value_table.txt": "4a82efefcf0b2d1e141d4480d60fab520ef7f61ee3aeb6c43ced479a99ffa70b",
+    "sweep/sweep.csv": "66692bb45777a13cea035c011bbeb59b63881f6f3f511339ce1e342606ea56ce",
+}
+
+
+def test_fairness_sweep_artifacts_match_pinned_digests(tmp_path):
+    cfg = write_config(tmp_path / "fair.cfg", FAIRNESS_CITY)
+    sweep = tmp_path / "sweep"
+    argv = ["sweep", "--config", cfg, "--out", str(sweep)]
+    argv += ["--objective", "rider_fairness,driver_fairness", "--lambda", ",".join(FAIRNESS_LAMBDAS)]
+    assert main(argv) == 0
+    for objective in ("rider_fairness", "driver_fairness"):
+        for lam in FAIRNESS_LAMBDAS:
+            cell = f"{objective}-lam{lam}"
+            assert main(["report", str(sweep / cell), "--out", str(tmp_path / "reread" / cell)]) == 0
+    digests = dir_digests(tmp_path)
+    del digests["fair.cfg"]
+    assert digests == FAIRNESS_DIGESTS
 
 
 def test_benchmark_layer_hooks_resolve():

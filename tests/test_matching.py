@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -238,10 +239,11 @@ def assert_memo_is_exact(graph, first, second):
 
 
 @st.composite
-def driver_states(draw):
-    """A driver mid-route on a line city with fractional legs: waiting and
-    onboard riders, time left to its next location, capacity 1-4."""
-    minutes = draw(st.lists(st.sampled_from([0.1, 0.5, 0.7, 1.0, 2.0]), min_size=2, max_size=5))
+def driver_states(draw, legs=(0.1, 0.5, 0.7, 1.0, 2.0)):
+    """A driver mid-route on a line city with legs drawn from `legs` (by
+    default fractional ones too): waiting and onboard riders, time left to
+    its next location, capacity 1-4."""
+    minutes = draw(st.lists(st.sampled_from(legs), min_size=2, max_size=5))
     graph = helpers.line_city(minutes)
     n_locs = len(minutes) + 1
     clock = draw(st.sampled_from([60.0, 120.0, 300.0]))
@@ -316,6 +318,62 @@ def test_route_memo_matches_fresh_enumeration(state, data):
     elif field == "loc":
         variant = dataclasses.replace(driver, loc=(driver.loc + 1) % graph.num_locations)
     assert_memo_is_exact(graph, (driver, batch, clock, C), (variant, batch, variant_clock, C))
+
+
+@settings(max_examples=120)
+@given(
+    state=st.one_of(driver_states(), driver_states(legs=(1.0, 2.0, 3.0))),
+    idle=st.booleans(),
+)
+def test_enumerate_matches_filter_free_reference(state, idle):
+    """The idle-driver reach filter changes no answer: busy and idle drivers
+    on fractional and integer line cities get exactly the actions of a
+    filter-free enumeration on the reference route search."""
+    graph, driver, batch, clock = state
+    if idle:
+        driver = dataclasses.replace(driver, active={}, onboard={})
+    assert action_bits(enumerate_feasible(graph, driver, batch, clock, C)) == action_bits(
+        helpers.enumerate_feasible_reference(graph, driver, batch, clock, C)
+    )
+
+
+def test_idle_reach_filter_boundary_is_the_route_search_test(monkeypatch):
+    """Request 0's direct pickup delay is exactly the bound, so the route
+    search rejects it and the filter must keep it from being searched at all;
+    request 1's is one ulp below the bound and must survive. A busy driver
+    gets no filter."""
+    graph = helpers.line_city([1.0, 1.0])
+    clock = 300.0  # the pickup at location 1 is reached at 360 s
+    bound = C.max_pickup_delay
+    at_bound = req(0, 1, 2, t=clock + 60.0 - bound)
+    below = req(1, 1, 2, t=clock + 60.0 - math.nextafter(bound, 0.0))
+    assert clock + 60.0 - at_bound.created_at == bound
+    assert clock + 60.0 - below.created_at == math.nextafter(bound, 0.0)
+    batch = (at_bound, below)
+
+    searched = []
+
+    def spy(graph, driver, combo, clock, constraints):
+        searched.append(tuple(r.request_id for r in combo))
+        return route_feasible(graph, driver, combo, clock, constraints)
+
+    monkeypatch.setattr("fairpool.matching.route_feasible", spy)
+    idle = driver_state(loc=0)
+    actions = enumerate_feasible(graph, idle, batch, clock, C)
+    assert action_bits(actions) == action_bits(
+        helpers.enumerate_feasible_reference(graph, idle, batch, clock, C)
+    )
+    assert [a.request_ids for a in actions] == [(), (1,)]
+    assert searched == [(1,)]
+
+    searched.clear()
+    # a rider waiting at location 0 makes the driver busy
+    busy = driver_state(loc=0, capacity=3, active=(req(100, 0, 2, t=clock),))
+    actions = enumerate_feasible(graph, busy, batch, clock, C)
+    assert action_bits(actions) == action_bits(
+        helpers.enumerate_feasible_reference(graph, busy, batch, clock, C)
+    )
+    assert searched[:2] == [(0,), (1,)]
 
 
 # One base state and, per key field, a state that differs in that field alone

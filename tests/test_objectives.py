@@ -42,6 +42,12 @@ def test_objective_spec_validation():
     assert set(OBJECTIVES) == {"requests", "income", "rider_fairness", "driver_fairness"}
 
 
+@pytest.mark.parametrize("lam", [float("inf"), float("nan"), float("-inf")])
+def test_objective_spec_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="finite"):
+        ObjectiveSpec(name="driver_fairness", lam=lam)
+
+
 def test_population_variance_edges():
     assert population_variance(np.array([])) == 0.0
     assert population_variance(np.array([3.0])) == 0.0
@@ -189,3 +195,54 @@ def test_delta_additive_for_linear_objectives_across_drivers():
     after.incomes[1] += 2.5
     joint = eval_objective(spec, after) - eval_objective(spec, state)
     assert joint == sum(parts)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_delta_memo_matches_reference_over_call_sequences(data):
+    """One state scored many times in a row, as run_epoch does, gives each
+    call exactly the reference's answer on a fresh copy. Fares come from a
+    small set so equal fare sums recur under different drivers, repeats
+    reverse the label order, and a commit step moves to a mutated copy the
+    way the next epoch does."""
+    n_drivers = data.draw(st.integers(min_value=2, max_value=5))
+    incomes = [data.draw(st.sampled_from([0.0, 3.5, 8.0, 12.25, 20.0])) for _ in range(n_drivers)]
+    n_nbhd = data.draw(st.integers(min_value=1, max_value=4))
+    k = [data.draw(st.integers(min_value=4, max_value=12)) for _ in range(n_nbhd)]
+    h = [data.draw(st.integers(min_value=0, max_value=2)) for _ in range(n_nbhd)]
+    state = state_of(incomes, h=h, k=k)
+
+    scored = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        step = data.draw(st.sampled_from(["score", "score", "repeat", "commit"]))
+        if step == "commit" and scored:
+            _, _, driver_index, fares, labels = scored[-1]
+            state = state.copy()
+            state.incomes[driver_index] += float(sum(fares))
+            for label in labels:
+                state.tallies.add_serviced(label)
+            continue
+        if step == "repeat" and scored:
+            kind, lam, _, fares, labels = data.draw(st.sampled_from(scored))
+            fares, labels = fares[::-1], labels[::-1]
+        else:
+            kind = data.draw(st.sampled_from(["rider_fairness", "driver_fairness"]))
+            lam = data.draw(st.sampled_from([0.0, 0.5, 3000.0]))
+            count = data.draw(st.integers(min_value=0, max_value=2))
+            fares = [data.draw(st.sampled_from([4.0, 7.5, 12.0])) for _ in range(count)]
+            labels = [data.draw(st.integers(min_value=1, max_value=n_nbhd)) for _ in range(count)]
+        driver_index = data.draw(st.integers(min_value=0, max_value=n_drivers - 1))
+        scored.append((kind, lam, driver_index, fares, labels))
+        spec = ObjectiveSpec(name=kind, lam=lam)
+        got = delta_objective(spec, state, driver_index, fares, labels)
+        want = helpers.delta_objective_reference(spec, state.copy(), driver_index, fares, labels)
+        assert got == want
+        assert got.hex() == want.hex()
+
+
+def test_objective_states_start_with_an_empty_variance_memo():
+    state = state_of([10.0, 5.0], h=[1], k=[3])
+    delta_objective(ObjectiveSpec(name="driver_fairness", lam=1.0), state, 1, [5.0], [1])
+    delta_objective(ObjectiveSpec(name="rider_fairness", lam=1.0), state, 1, [5.0], [1])
+    assert state.variances
+    assert state.copy().variances == {}

@@ -1,5 +1,8 @@
 """Shapley attribution and the risk-blended payout scheme."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +134,38 @@ def test_mc_approaches_exact_on_worked_example():
     # every permutation's marginals telescope, so efficiency holds exactly
     # up to accumulation rounding even at tiny sample counts
     assert sum(estimate.values) == pytest.approx(15.0, abs=1e-9)
+
+
+def test_mc_standard_error_is_zero_on_an_additive_game():
+    # every marginal contribution is the driver's own integer value, so the
+    # Welford sums see one repeated number and stay exactly zero
+    base = {0: 3.0, 1: 7.0, 2: 11.0, 3: 2.0}
+    table = {
+        frozenset(c): sum(base[d] for d in c)
+        for size in range(5)
+        for c in itertools.combinations(base, size)
+    }
+    estimate = shapley_mc(TableOracle(table), tuple(base), 300, seed=4)
+    assert estimate.values == tuple(base.values())
+    assert estimate.std_errors == (0.0, 0.0, 0.0, 0.0)
+    assert shapley_exact(TableOracle(table), tuple(base)).std_errors == ()
+
+
+def test_mc_standard_error_falls_with_the_square_root_of_samples():
+    rng = np.random.default_rng(11)  # the first game of criterion 02
+    n = int(rng.integers(5, 9))
+    oracle = TableOracle(helpers.random_game(rng, n))
+    ids = tuple(range(n))
+    exact = shapley_exact(oracle, ids)
+    coarse = shapley_mc(oracle, ids, 200, seed=0)
+    fine = shapley_mc(oracle, ids, 3200, seed=0)
+    # 16x the permutations: about a quarter of the standard error
+    for a, b in zip(coarse.std_errors, fine.std_errors):
+        assert 3.0 < a / b < 5.5
+    for value, want, err in zip(fine.values, exact.values, fine.std_errors):
+        assert abs(value - want) < 4.0 * err
+    single = shapley_mc(oracle, ids, 1, seed=0)
+    assert all(math.isnan(err) for err in single.std_errors)
 
 
 def test_redistribute_hand_case():
