@@ -6,16 +6,26 @@ The simulation clock runs in seconds, so a graph also keeps the closure in
 seconds as plain Python float rows, ``graph.travel_secs[origin][destination]``,
 built once; each entry is bit-identical to ``float(minutes) * 60.0``. Hot
 loops index the rows directly; :func:`travel_seconds` reads the same rows.
+
+The closure is exact to the bit. Each entry is the minimum, over all paths,
+of the path's edge times summed left to right from the origin. Dijkstra
+relaxes only ``dist[v] = dist[u] + w``, which extends such a sum by one edge,
+and round-to-nearest addition is monotone (``a <= b`` implies
+``fl(a + w) <= fl(b + w)``) and never decreases with ``w >= 0``. So a settled
+``dist[u]`` is the smallest fold of any path to ``u``, and its extension is
+the smallest fold of any path through ``u`` to ``v``: every correct Dijkstra
+returns the same bits. Floyd-Warshall, or any min-plus matrix form, adds
+``d[i][k] + d[k][j]`` in another association and can differ in the last bit.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 __all__ = [
     "Location",
@@ -28,6 +38,7 @@ __all__ = [
     "grid_components",
     "gen_grid_city",
     "build_city",
+    "city_neighborhoods",
     "load_locations",
     "load_edges",
     "write_locations",
@@ -87,26 +98,45 @@ def build_travel_closure(num_locations: int, edges: list[tuple[int, int, float]]
     """All-pairs shortest travel times (minutes) from a sparse edge list.
 
     Edges are directed; pass both directions for a symmetric network. Raises if
-    any weight is negative or some ordered pair stays unreachable.
+    any weight is non-finite or negative, names an unknown location, or some
+    ordered pair stays unreachable. One Dijkstra search per source; each entry
+    is the exact minimum, over all paths, of the path's left-to-right sum.
     """
     if num_locations < 1:
         raise ValueError("need at least one location")
-    dense = np.full((num_locations, num_locations), np.inf)
-    np.fill_diagonal(dense, 0.0)
+    # cheapest parallel edge per ordered pair; self-loops never shorten a path
+    adjacency: list[dict[int, float]] = [{} for _ in range(num_locations)]
     for src, dst, minutes in edges:
+        if not math.isfinite(minutes):
+            raise ValueError(f"edge ({src}, {dst}) has non-finite travel time {minutes}")
         if minutes < 0:
             raise ValueError(f"edge ({src}, {dst}) has negative travel time {minutes}")
         if not (0 <= src < num_locations and 0 <= dst < num_locations):
             raise ValueError(f"edge ({src}, {dst}) references an unknown location")
-        dense[src, dst] = min(dense[src, dst], float(minutes))
-    if num_locations == 1:
-        return np.zeros((1, 1))
-    graph = csgraph_from_dense(dense, null_value=np.inf)
-    closure = shortest_path(graph, method="D", directed=True)
-    if not np.all(np.isfinite(closure)):
-        i, j = np.argwhere(~np.isfinite(closure))[0]
-        raise ValueError(f"graph is not strongly connected: no path from {i} to {j}")
-    return closure
+        if src != dst and minutes < adjacency[src].get(dst, math.inf):
+            adjacency[src][dst] = float(minutes)
+    neighbors = [list(out.items()) for out in adjacency]
+    push, pop = heapq.heappush, heapq.heappop
+    rows = []
+    for source in range(num_locations):
+        dist = [math.inf] * num_locations
+        dist[source] = 0.0
+        heap = [(0.0, source)]
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue  # stale entry: u was settled at a smaller time
+            for v, w in neighbors[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    push(heap, (nd, v))
+        if math.inf in dist:
+            raise ValueError(
+                f"graph is not strongly connected: no path from {source} to {dist.index(math.inf)}"
+            )
+        rows.append(dist)
+    return np.array(rows, dtype=np.float64)
 
 
 def fare(graph: CityGraph, origin: int, destination: int) -> float:
@@ -172,6 +202,18 @@ def kmeans_neighborhoods(locations: list[Location], num_neighborhoods: int, seed
     return NeighborhoodMap(labels=labels, num_neighborhoods=h)
 
 
+def _sorted_locations(locations: list[Location]) -> list[Location]:
+    """Locations ordered by id, after checking the ids are 0..n-1 and every
+    coordinate is finite."""
+    ids = sorted(loc.id for loc in locations)
+    if ids != list(range(len(locations))):
+        raise ValueError("location ids must be dense and unique, 0..n-1")
+    for loc in locations:
+        if not (np.isfinite(loc.lat) and np.isfinite(loc.lon)):
+            raise ValueError(f"location {loc.id} has non-finite coordinates")
+    return sorted(locations, key=lambda loc: loc.id)
+
+
 def build_city(
     locations: list[Location],
     edges: list[tuple[int, int, float]],
@@ -180,16 +222,16 @@ def build_city(
     seed: int,
 ) -> CityGraph:
     """Assemble a CityGraph: validate ids, compute the closure, cluster neighborhoods."""
-    ids = sorted(loc.id for loc in locations)
-    if ids != list(range(len(locations))):
-        raise ValueError("location ids must be dense and unique, 0..n-1")
-    for loc in locations:
-        if not (np.isfinite(loc.lat) and np.isfinite(loc.lon)):
-            raise ValueError(f"location {loc.id} has non-finite coordinates")
-    by_id = sorted(locations, key=lambda loc: loc.id)
+    by_id = _sorted_locations(locations)
     closure = build_travel_closure(len(locations), edges)
     nbhd = kmeans_neighborhoods(by_id, num_neighborhoods, seed)
     return CityGraph(locations=by_id, travel_minutes=closure, delta=delta, neighborhoods=nbhd)
+
+
+def city_neighborhoods(locations: list[Location], num_neighborhoods: int, seed: int) -> NeighborhoodMap:
+    """The neighborhood map `build_city` gives these locations, without
+    building the travel closure."""
+    return kmeans_neighborhoods(_sorted_locations(locations), num_neighborhoods, seed)
 
 
 def grid_components(
@@ -256,9 +298,12 @@ def load_edges(path: str) -> list[tuple[int, int, float]]:
             raise ValueError(f"{path}: expected header src,dst,minutes, got {reader.fieldnames}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                out.append((int(row["src"]), int(row["dst"]), float(row["minutes"])))
+                edge = (int(row["src"]), int(row["dst"]), float(row["minutes"]))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed edge row: {exc}") from exc
+            if not math.isfinite(edge[2]):
+                raise ValueError(f"{path}:{lineno}: non-finite minutes {edge[2]}")
+            out.append(edge)
     return out
 
 
@@ -278,10 +323,10 @@ def write_edges(edges: list[tuple[int, int, float]], path: str) -> None:
             writer.writerow([src, dst, repr(float(minutes))])
 
 
-def write_neighborhoods(graph: CityGraph, path: str) -> None:
+def write_neighborhoods(neighborhoods: NeighborhoodMap, path: str) -> None:
     """Export the location -> neighborhood assignment as `location_id,neighborhood`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["location_id", "neighborhood"])
-        for loc in graph.locations:
-            writer.writerow([loc.id, graph.neighborhoods.label(loc.id)])
+        for location_id, label in enumerate(neighborhoods.labels):
+            writer.writerow([location_id, label])

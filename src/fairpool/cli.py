@@ -16,12 +16,14 @@ import json
 import os
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .city import (
     CityGraph,
+    Location,
     build_city,
-    gen_grid_city,
+    city_neighborhoods,
     grid_components,
     load_edges,
     load_locations,
@@ -53,18 +55,15 @@ from .value import ValueModel, load_value_model, save_value_model
 BOUND_TOLERANCE = 1e-9
 
 
-def build_graph(config: RunConfig) -> CityGraph:
+def _city_components(config: RunConfig) -> tuple[list[Location], list[tuple[int, int, float]]]:
+    """Locations and raw edges of the configured city, before the closure."""
     if config.city_kind == "grid":
-        return gen_grid_city(
-            config.city_width,
-            config.city_height,
-            config.city_edge_minutes,
-            config.delta,
-            config.num_neighborhoods,
-            config.seed,
-        )
-    locations = load_locations(config.city_locations)
-    edges = load_edges(config.city_edges)
+        return grid_components(config.city_width, config.city_height, config.city_edge_minutes)
+    return load_locations(config.city_locations), load_edges(config.city_edges)
+
+
+def build_graph(config: RunConfig) -> CityGraph:
+    locations, edges = _city_components(config)
     return build_city(locations, edges, config.delta, config.num_neighborhoods, config.seed)
 
 
@@ -126,9 +125,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 class RunInputs(NamedTuple):
-    """Everything one simulated day needs."""
+    """Everything one simulated day needs besides its graph."""
 
-    graph: CityGraph
     batches: list[RequestBatch]
     spec: ObjectiveSpec
     constraints: DelayConstraints
@@ -136,15 +134,19 @@ class RunInputs(NamedTuple):
     rows_dropped: int | None  # trip-CSV rows dropped at ingest; None if synthetic
 
 
-def build_run(config: RunConfig) -> RunInputs:
-    """Graph, demand batches, objective, service guarantees and the seeded
-    fleet of one configuration."""
-    graph = build_graph(config)
-    batches, dropped = build_batches(config, graph)
+def _spec_and_constraints(config: RunConfig) -> tuple[ObjectiveSpec, DelayConstraints]:
     spec = ObjectiveSpec(config.objective, config.lam)
     constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
+    return spec, constraints
+
+
+def build_run(config: RunConfig, graph: CityGraph) -> RunInputs:
+    """Demand batches, objective, service guarantees and the seeded fleet of
+    one configuration on its graph (`build_graph(config)`)."""
+    batches, dropped = build_batches(config, graph)
+    spec, constraints = _spec_and_constraints(config)
     fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
-    return RunInputs(graph, batches, spec, constraints, fleet, dropped)
+    return RunInputs(batches, spec, constraints, fleet, dropped)
 
 
 def _train_tabular(
@@ -176,13 +178,13 @@ def _train_tabular(
     return model, errors
 
 
-def run_one(config: RunConfig, out_dir: str):
-    """Simulate one configuration and write the full artifact set. A run that
-    breaks a service guarantee raises before any result artifact is written.
-    Demand read from a trips CSV also gets `ingest.txt` with the count of rows
-    dropped at ingest."""
+def run_one(config: RunConfig, out_dir: str, graph: CityGraph):
+    """Simulate one configuration on its graph and write the full artifact
+    set. A run that breaks a service guarantee raises before any result
+    artifact is written. Demand read from a trips CSV also gets `ingest.txt`
+    with the count of rows dropped at ingest."""
     os.makedirs(out_dir, exist_ok=True)
-    graph, batches, spec, constraints, fleet, rows_dropped = build_run(config)
+    batches, spec, constraints, fleet, rows_dropped = build_run(config, graph)
     model = None
     if config.value_mode == "tabular":
         model, _ = _train_tabular(config, graph, spec, constraints)
@@ -251,20 +253,18 @@ def cmd_gen_city(args: argparse.Namespace) -> int:
     if config.city_kind != "grid":
         raise ConfigError("gen-city synthesizes grid cities; city.kind must be grid")
     os.makedirs(args.out, exist_ok=True)
-    locations, edges = grid_components(
-        config.city_width, config.city_height, config.city_edge_minutes
-    )
-    graph = build_graph(config)
+    locations, edges = _city_components(config)
+    neighborhoods = city_neighborhoods(locations, config.num_neighborhoods, config.seed)
     write_locations(locations, os.path.join(args.out, "locations.csv"))
     write_edges(edges, os.path.join(args.out, "edges.csv"))
-    write_neighborhoods(graph, os.path.join(args.out, "neighborhoods.csv"))
+    write_neighborhoods(neighborhoods, os.path.join(args.out, "neighborhoods.csv"))
     _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    run_one(config, args.out)
+    run_one(config, args.out, build_graph(config))
     return 0
 
 
@@ -282,6 +282,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
     lambdas = _parse_grid(args.lam, "lambda") if args.lam else [config.lam]
+    # cells differ only in objective and lambda, so they share one city
+    graph = build_graph(config)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     failures = []
@@ -290,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cell = replace(config, objective=objective, lam=lam)
             cell_dir = os.path.join(args.out, f"{objective}-lam{lam!r}")
             try:
-                _, report = run_one(cell, cell_dir)
+                _, report = run_one(cell, cell_dir, graph)
             except Exception as exc:  # keep sweeping, record the failure
                 failures.append((objective, lam, str(exc)))
                 continue
@@ -341,8 +343,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("training requires value.mode = tabular")
     if config.demand_kind != "synthetic":
         raise ConfigError("training requires synthetic demand")
-    run = build_run(config)
-    model, errors = _train_tabular(config, run.graph, run.spec, run.constraints)
+    spec, constraints = _spec_and_constraints(config)
+    model, errors = _train_tabular(config, build_graph(config), spec, constraints)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
     save_value_model(model, os.path.join(args.out, "value_table.txt"))
@@ -375,7 +377,8 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     """Shapley estimate, full-fleet incomes, and the resimulation counters
     for shapley_meta.txt."""
     config = load_config(os.path.join(run_dir, "config.resolved"))
-    graph, batches, spec, constraints, template, _ = build_run(config)
+    graph = build_graph(config)
+    batches, spec, constraints, template, _ = build_run(config, graph)
     model = None
     table_path = os.path.join(run_dir, "value_table.txt")
     if os.path.exists(table_path):
@@ -517,7 +520,8 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = args.source
     config = load_config(os.path.join(run_dir, "config.resolved"))
-    graph = build_graph(config)
+    locations, _ = _city_components(config)
+    neighborhoods = city_neighborhoods(locations, config.num_neighborhoods, config.seed)
     log = RequestLog()
     with open(os.path.join(run_dir, "requests.csv"), newline="") as fh:
         reader = csv.DictReader(fh)
@@ -537,7 +541,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         for line in fh:
             row = json.loads(line)
             incomes[int(row["driver_id"])] = float(row["income"])  # last snapshot wins
-    report = metrics_from_parts(incomes, log, graph)
+    # the metrics read only the neighborhood map, so no travel closure is built
+    report = metrics_from_parts(incomes, log, SimpleNamespace(neighborhoods=neighborhoods))
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)
     write_report(report, os.path.join(out_dir, "report.json"), "structured")

@@ -8,6 +8,7 @@ later batch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,7 +82,8 @@ def ingest_trips(path: str, graph: CityGraph) -> IngestResult:
     """Read trip rows, snap endpoints to locations, and emit a t-sorted stream.
 
     Rows whose pickup and dropoff snap to the same location are dropped and
-    tallied. Malformed rows raise with their line number.
+    tallied. Malformed rows, non-finite values and negative times raise with
+    their line number.
     """
     coords = np.array([(loc.lat, loc.lon) for loc in graph.locations], dtype=float)
     header = ["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"]
@@ -93,13 +95,17 @@ def ingest_trips(path: str, graph: CityGraph) -> IngestResult:
             raise ValueError(f"{path}: expected header {','.join(header)}, got {reader.fieldnames}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                t = float(row["epoch_seconds"])
-                g = _snap(float(row["pickup_lat"]), float(row["pickup_lon"]), coords)
-                e = _snap(float(row["dropoff_lat"]), float(row["dropoff_lon"]), coords)
+                values = [float(row[name]) for name in header]
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed trip row: {exc}") from exc
+            for name, value in zip(header, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite {name} {value}")
+            pickup_lat, pickup_lon, dropoff_lat, dropoff_lon, t = values
             if t < 0:
                 raise ValueError(f"{path}:{lineno}: negative epoch_seconds")
+            g = _snap(pickup_lat, pickup_lon, coords)
+            e = _snap(dropoff_lat, dropoff_lon, coords)
             if g == e:
                 dropped += 1
                 continue

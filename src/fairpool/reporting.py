@@ -54,7 +54,8 @@ class MetricsReport:
 def metrics_from_parts(
     incomes: dict[int, float], log: RequestLog, graph: CityGraph
 ) -> MetricsReport:
-    """Metrics from the raw parts; lets reports be rebuilt from artifacts."""
+    """Metrics from the raw parts; lets reports be rebuilt from artifacts.
+    Of the graph only `graph.neighborhoods` is read."""
     tallies = NeighborhoodTallies.from_log(log, graph)
     rates = {
         j: float(tallies.serviced[j]) / float(tallies.requested[j])

@@ -1,8 +1,9 @@
 """Shared scenario builders and independent oracles for the test suite.
 
 Everything here is deliberately naive: brute force over full cross products,
-textbook Floyd-Warshall, deep-copied simulation branching. The point is to
-check the optimized implementations against code too simple to be wrong.
+textbook Floyd-Warshall, every simple path of a graph, deep-copied simulation
+branching. The point is to check the optimized implementations against code
+too simple to be wrong.
 """
 
 from __future__ import annotations
@@ -245,6 +246,24 @@ def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
             for j in range(n):
                 if dist[i, k] + dist[k, j] < dist[i, j]:
                     dist[i, j] = dist[i, k] + dist[k, j]
+    return dist
+
+
+def travel_closure_reference(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+    """All-pairs minimum, over every simple path, of the path's edge times
+    summed left to right from the origin; inf where no path exists. Each
+    parallel edge is a path of its own, and self-loops are edges like any
+    other (a simple path never takes one)."""
+    dist = np.full((n, n), np.inf)
+    for source in range(n):
+
+        def walk(loc: int, total: float, seen: frozenset[int]) -> None:
+            dist[source, loc] = min(dist[source, loc], total)
+            for src, dst, w in edges:
+                if src == loc and dst not in seen:
+                    walk(dst, total + float(w), seen | {dst})
+
+        walk(source, 0.0, frozenset([source]))
     return dist
 
 

@@ -1,5 +1,7 @@
 """City graph construction, shortest-path closure, fares, clustering, CSV io."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,64 @@ def test_negative_edge_rejected():
 def test_edge_to_unknown_location_rejected():
     with pytest.raises(ValueError):
         build_travel_closure(2, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+
+
+CLOSURE_WEIGHTS = [0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_closure_is_the_smallest_left_fold_over_simple_paths(data):
+    """Bit for bit, on graphs with parallel edges and self-loops, and on a
+    graph that is not strongly connected the error names the first
+    unreachable pair in row-major order."""
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    node = st.integers(min_value=0, max_value=n - 1)
+    weight = st.sampled_from(CLOSURE_WEIGHTS)
+    edges = []
+    if data.draw(st.booleans()):  # a ring makes most draws strongly connected
+        edges += [(i, (i + 1) % n, data.draw(weight)) for i in range(n)]
+    edges += data.draw(st.lists(st.tuples(node, node, weight), max_size=20))
+    want = helpers.travel_closure_reference(n, edges)
+    unreachable = np.argwhere(np.isinf(want))
+    if len(unreachable):
+        i, j = unreachable[0]
+        message = f"graph is not strongly connected: no path from {i} to {j}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_travel_closure(n, edges)
+        return
+    closure = build_travel_closure(n, edges)
+    assert closure.dtype == np.float64
+    assert np.array_equal(closure.view(np.uint64), want.view(np.uint64))
+
+
+LINE3 = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (0, [], "need at least one location"),
+        (2, [(0, 1, -1.0), (1, 0, 1.0)], "edge (0, 1) has negative travel time -1.0"),
+        (2, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)], "edge (1, 2) references an unknown location"),
+        (3, [(0, 1, 1.0), (1, 0, 1.0)], "graph is not strongly connected: no path from 0 to 2"),
+        (3, LINE3 + [(0, 2, float("nan"))], "edge (0, 2) has non-finite travel time nan"),
+        (3, LINE3 + [(0, 2, float("inf"))], "edge (0, 2) has non-finite travel time inf"),
+        (3, LINE3 + [(2, 0, float("-inf"))], "edge (2, 0) has non-finite travel time -inf"),
+    ],
+)
+def test_closure_error_messages(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_travel_closure(n, edges)
+
+
+def test_one_location_closure_is_zero():
+    for edges in ([], [(0, 0, 2.5)]):
+        closure = build_travel_closure(1, edges)
+        assert closure.dtype == np.float64
+        assert closure.tolist() == [[0.0]]
+    graph = build_city([Location(id=0, lat=0.0, lon=0.0)], [], delta=5.0, num_neighborhoods=1, seed=0)
+    assert graph.travel_secs == [[0.0]]
 
 
 def test_fare_is_minutes_plus_delta():
@@ -160,6 +220,14 @@ def test_load_edges_reports_line_number(tmp_path):
     p = tmp_path / "edges.csv"
     p.write_text("src,dst,minutes\n0,1,1.0\n1,zero,1.0\n")
     with pytest.raises(ValueError, match=":3:"):
+        load_edges(p)
+
+
+@pytest.mark.parametrize("minutes", ["nan", "inf", "-inf"])
+def test_load_edges_rejects_non_finite_minutes(tmp_path, minutes):
+    p = tmp_path / "edges.csv"
+    p.write_text(f"src,dst,minutes\n0,1,1.0\n1,0,{minutes}\n")
+    with pytest.raises(ValueError, match=f"edges.csv:3: non-finite minutes {minutes}$"):
         load_edges(p)
 
 

@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -857,3 +858,72 @@ def test_report_rebuild_is_byte_identical(tmp_path):
         assert fh.read() == want_json
     with open(rebuilt / "report.csv", "rb") as fh:
         assert fh.read() == want_csv
+
+
+def write_csv_city(root):
+    """The gen-city CSVs of a 3x3 grid and a config that reads them."""
+    cfg = write_config(root / "g.cfg", "city.width = 3\ncity.height = 3\ncity.neighborhoods = 2\n")
+    assert main(["gen-city", "--config", cfg, "--out", str(root / "city")]) == 0
+    return SMALL_CITY + "city.kind = csv\ncity.locations = city/locations.csv\ncity.edges = city/edges.csv\n"
+
+
+@pytest.mark.parametrize("city", ["grid", "csv"])
+def test_report_rebuild_needs_no_travel_closure(tmp_path, monkeypatch, city):
+    text = SMALL_CITY if city == "grid" else write_csv_city(tmp_path)
+    cfg = write_config(tmp_path / "c.cfg", text)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+
+    def no_closure(*args):
+        raise AssertionError("report built a travel closure")
+
+    monkeypatch.setattr("fairpool.city.build_travel_closure", no_closure)
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", str(run_dir), "--out", str(rebuilt)]) == 0
+    for name in ("report.json", "report.csv"):
+        with open(run_dir / name, "rb") as want, open(rebuilt / name, "rb") as got:
+            assert got.read() == want.read(), name
+
+
+def test_gen_city_needs_no_travel_closure(tmp_path, monkeypatch):
+    want, got = tmp_path / "want", tmp_path / "got"
+    want.mkdir()
+    got.mkdir()
+    write_csv_city(want)
+
+    def no_closure(*args):
+        raise AssertionError("gen-city built a travel closure")
+
+    monkeypatch.setattr("fairpool.city.build_travel_closure", no_closure)
+    write_csv_city(got)
+    for name in ("locations.csv", "edges.csv", "neighborhoods.csv"):
+        with open(want / "city" / name, "rb") as a, open(got / "city" / name, "rb") as b:
+            assert b.read() == a.read(), name
+
+
+@pytest.mark.parametrize("minutes", ["nan", "inf"])
+def test_non_finite_csv_edge_exits_3(tmp_path, capsys, minutes):
+    """A nan edge was once read as a missing one: the run routed around it
+    and exited 0."""
+    text = write_csv_city(tmp_path)
+    edges = tmp_path / "city" / "edges.csv"
+    lines = edges.read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + minutes
+    edges.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    assert f"edges.csv:2: non-finite minutes {minutes}" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import fairpool.cli, sys; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -133,6 +133,24 @@ def test_ingest_rejects_negative_time(tmp_path, grid55):
         ingest_trips(path, grid55)
 
 
+TRIP_COLUMNS = ["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", TRIP_COLUMNS)
+def test_ingest_rejects_non_finite_values(tmp_path, grid55, column, value):
+    """A non-finite time once failed without a line number, and a non-finite
+    coordinate silently snapped to location 0."""
+    row = dict(zip(TRIP_COLUMNS, ["0.0", "0.0", "4.0", "4.0", "5.0"]))
+    row[column] = value
+    path = tmp_path / "trips.csv"
+    path.write_text(
+        ",".join(TRIP_COLUMNS) + "\n" "4.0,4.0,0.0,0.0,1.0\n" + ",".join(row.values()) + "\n"
+    )
+    with pytest.raises(ValueError, match=f"trips.csv:3: non-finite {column} {value}$"):
+        ingest_trips(path, grid55)
+
+
 def test_ingest_sorts_by_time(tmp_path, grid55):
     path = tmp_path / "trips.csv"
     path.write_text(
