@@ -222,6 +222,8 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph):
                 "objective": epoch.objective_value,
                 "num_actions": epoch.num_actions,
                 "solver_nodes": epoch.solver_nodes,
+                "route_calls": epoch.route_calls,
+                "route_nodes": epoch.route_nodes,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     with open(os.path.join(out_dir, "fleet.jsonl"), "w") as fh:

@@ -169,8 +169,10 @@ def _validate(config: RunConfig, source: str) -> None:
         fail("fleet.capacity", "capacity must be positive")
     if config.epoch_len_seconds <= 0:
         fail("epoch.length_seconds", "epoch length must be positive")
-    if config.max_pickup_delay <= 0 or config.max_detour_delay <= 0:
+    if config.max_pickup_delay <= 0:
         fail("constraints.max_pickup_delay", "delay bounds must be positive")
+    if config.max_detour_delay <= 0:
+        fail("constraints.max_detour_delay", "delay bounds must be positive")
     if config.objective not in OBJECTIVES:
         fail("objective.kind", f"expected one of {OBJECTIVES}, got {config.objective!r}")
     if config.lam < 0:

@@ -12,16 +12,21 @@ so dropping a rider from a feasible route never delays the remaining stops,
 which means any feasible subset has all its sub-subsets feasible and sizes
 can be grown level by level.
 
-Before that search, an idle driver (no accepted riders) drops every request
-whose direct pickup already breaks the wait bound. Its only possible first
-stop is a pickup driven straight from where it is, and the filter evaluates
-exactly the expression the route search applies to that stop, so such a
-request's singleton is infeasible and so, by the lattice property, is every
-set that contains it. The filter stops at idle drivers. For a busy driver it
-would have to argue that no detour through other stops reaches a pickup
-sooner than the direct leg, which rests on the triangle inequality holding
-for the float sums along a route; fractional edge times in a CSV city can
-break that by an ulp, and then the filter would drop a feasible set.
+Before that search, every driver drops the requests whose singleton would
+die at the route search's first step. It lists its own possible first stops:
+each pickup or dropoff of a rider it has already accepted that passes every
+search test not involving a new request (a free seat, the stop's own wait or
+detour bound, and direct reachability of its other riders). A request is
+dropped when its direct pickup already breaks the wait bound and, from every
+one of those stops, it fails the reachability test too. These are the
+expressions the search itself evaluates at depth one, so with that request
+every first stop is rejected before the search goes deeper: its singleton is
+infeasible, and by the lattice property so is every set that contains it,
+which level-wise growth would never try. Nothing rests on the triangle
+inequality, which the float sums of a CSV city with fractional edge times can
+break by an ulp, so the filter needs no rounding margin and its output is
+bit-identical to an unfiltered enumeration. For an idle driver the stop list
+is empty and the filter is the direct-pickup test alone.
 
 Coalition resimulations replay the same demand with subsets of the fleet, so
 one driver meets the same batch in the same state many times over. A
@@ -62,6 +67,7 @@ __all__ = [
     "DelayConstraints",
     "FeasibleAction",
     "RouteMemo",
+    "RouteStats",
     "AssignmentSolution",
     "EpochResult",
     "route_feasible",
@@ -107,12 +113,26 @@ class RouteMemo:
     hits: int = 0
 
 
+@dataclass
+class RouteStats:
+    """Route-search work: searches run and DFS nodes entered (roots
+    included)."""
+
+    calls: int = 0
+    nodes: int = 0
+
+
+# a rider's state during route search
+_WAITING, _ONBOARD, _DONE = 0, 1, 2
+
+
 def route_feasible(
     graph: CityGraph,
     driver: DriverState,
     new_requests: tuple[RideRequest, ...],
     clock: float,
     constraints: DelayConstraints,
+    stats: RouteStats | None = None,
 ) -> RoutePlan | None:
     """Best stop ordering serving the driver's unfinished riders plus the new
     ones, or None when no ordering meets the guarantees.
@@ -122,95 +142,191 @@ def route_feasible(
     silently degrade an earlier promise. Among feasible orderings the one with
     the least total delay wins, ties broken by the stop key sequence, which
     pins the plan down deterministically.
+
+    A depth-first search over stop orders. Rider i (in request-id order) is
+    waiting, onboard or done; at each node its one open stop (pickup or
+    dropoff) is tried in index order, which is the order of the stop keys
+    (request id, 0 for pickup / 1 for dropoff), and a stop is entered only if
+    its own bound holds, its delay does not push the running sum past the best
+    plan, and every open stop is still directly reachable in time. Stop keys
+    are kept as 2 * i + kind, which compares like the (request id, kind) pair,
+    and only the winning plan's stops are built, replaying its keys with the
+    same arrival sums the search took. `stats` counts the search and its
+    nodes.
     """
     requests: dict[int, RideRequest] = dict(driver.active)
     for req in new_requests:
         requests[req.request_id] = req
+    if stats is not None:
+        stats.calls += 1
     if not requests:
         return RoutePlan(stops=())
 
-    picked: dict[int, float] = dict(driver.onboard)
-    onboard = set(driver.onboard)
-    pending = set(requests) - onboard
-    capacity = driver.capacity
+    secs = graph.travel_secs
     max_pickup = constraints.max_pickup_delay
     max_detour = constraints.max_detour_delay
-    secs = graph.travel_secs
+    capacity = driver.capacity
+    picked_at = driver.onboard
+    ids = sorted(requests)
+    n = len(ids)
+    origin: list[int] = []
+    dest: list[int] = []
+    created: list[float] = []
+    direct: list[float] = []
+    picked: list[float] = []
+    status: list[int] = []  # _WAITING, _ONBOARD or _DONE
+    for rid in ids:
+        req = requests[rid]
+        origin.append(req.origin)
+        dest.append(req.destination)
+        created.append(req.created_at)
+        direct.append(secs[req.origin][req.destination])
+        if rid in picked_at:
+            picked.append(picked_at[rid])
+            status.append(_ONBOARD)
+        else:
+            picked.append(0.0)
+            status.append(_WAITING)
+    riders = range(n)
 
-    best_delay = [float("inf")]
-    best_keys: list[tuple[tuple[int, int], ...] | None] = [None]
-    best_plan: list[tuple[Stop, ...] | None] = [None]
+    best_delay = float("inf")
+    best_keys: list[int] | None = None
+    keys: list[int] = []
+    nodes = 0
 
-    seq: list[Stop] = []
-    keys: list[tuple[int, int]] = []
-
-    def reachable(loc: int, now: float) -> bool:
+    def reachable(row: list[float], now: float) -> bool:
         # admissible lower bounds: direct travel can only underestimate arrival
-        row = secs[loc]
-        for rid in pending:
-            req = requests[rid]
-            if now + row[req.origin] - req.created_at >= max_pickup:
-                return False
-        for rid in onboard:
-            req = requests[rid]
-            direct = secs[req.origin][req.destination]
-            if now + row[req.destination] - (picked[rid] + direct) >= max_detour:
-                return False
+        for j in riders:
+            state = status[j]
+            if state == _WAITING:
+                if now + row[origin[j]] - created[j] >= max_pickup:
+                    return False
+            elif state == _ONBOARD:
+                if now + row[dest[j]] - (picked[j] + direct[j]) >= max_detour:
+                    return False
         return True
 
-    def dfs(loc: int, now: float, delay_sum: float) -> None:
-        if not onboard and not pending:
-            key_seq = tuple(keys)
-            if delay_sum < best_delay[0] or (
-                delay_sum == best_delay[0]
-                and (best_keys[0] is None or key_seq < best_keys[0])
+    def dfs(loc: int, now: float, delay_sum: float, in_car: int, left: int) -> None:
+        nonlocal best_delay, best_keys, nodes
+        nodes += 1
+        if not left:
+            if delay_sum < best_delay or (
+                delay_sum == best_delay and (best_keys is None or keys < best_keys)
             ):
-                best_delay[0] = delay_sum
-                best_keys[0] = key_seq
-                best_plan[0] = tuple(seq)
+                best_delay = delay_sum
+                best_keys = keys[:]
             return
-        options = sorted([(rid, 0) for rid in pending] + [(rid, 1) for rid in onboard])
         row = secs[loc]
-        for rid, kind_rank in options:
-            req = requests[rid]
-            if kind_rank == 0:
-                if len(onboard) >= capacity:
+        for i in riders:
+            state = status[i]
+            if state == _WAITING:
+                if in_car >= capacity:
                     continue
-                arrival = now + row[req.origin]
-                delay = arrival - req.created_at
-                if delay >= max_pickup or delay_sum + delay > best_delay[0]:
+                stop = origin[i]
+                arrival = now + row[stop]
+                delay = arrival - created[i]
+                if delay >= max_pickup or delay_sum + delay > best_delay:
                     continue
-                picked[rid] = arrival
-                pending.discard(rid)
-                onboard.add(rid)
-                if reachable(req.origin, arrival):
-                    seq.append(Stop(PICKUP, rid, req.origin, arrival))
-                    keys.append((rid, 0))
-                    dfs(req.origin, arrival, delay_sum + delay)
-                    seq.pop()
+                picked[i] = arrival
+                status[i] = _ONBOARD
+                if reachable(secs[stop], arrival):
+                    keys.append(2 * i)
+                    dfs(stop, arrival, delay_sum + delay, in_car + 1, left)
                     keys.pop()
-                onboard.discard(rid)
-                pending.add(rid)
-                del picked[rid]
-            else:
-                arrival = now + row[req.destination]
-                direct = secs[req.origin][req.destination]
-                delay = arrival - (picked[rid] + direct)
-                if delay >= max_detour or delay_sum + delay > best_delay[0]:
+                status[i] = _WAITING
+            elif state == _ONBOARD:
+                stop = dest[i]
+                arrival = now + row[stop]
+                delay = arrival - (picked[i] + direct[i])
+                if delay >= max_detour or delay_sum + delay > best_delay:
                     continue
-                onboard.discard(rid)
-                if reachable(req.destination, arrival):
-                    seq.append(Stop(DROPOFF, rid, req.destination, arrival))
-                    keys.append((rid, 1))
-                    dfs(req.destination, arrival, delay_sum + delay)
-                    seq.pop()
+                status[i] = _DONE
+                if reachable(secs[stop], arrival):
+                    keys.append(2 * i + 1)
+                    dfs(stop, arrival, delay_sum + delay, in_car - 1, left - 1)
                     keys.pop()
-                onboard.add(rid)
+                status[i] = _ONBOARD
 
-    dfs(driver.loc, clock + driver.secs_to_loc, 0.0)
-    if best_plan[0] is None:
+    dfs(driver.loc, clock + driver.secs_to_loc, 0.0, len(picked_at), n)
+    if stats is not None:
+        stats.nodes += nodes
+    if best_keys is None:
         return None
-    return RoutePlan(stops=best_plan[0])
+    # replay the winning keys with the search's own arrival sums
+    plan = []
+    loc, now = driver.loc, clock + driver.secs_to_loc
+    for key in best_keys:
+        i = key >> 1
+        stop = dest[i] if key & 1 else origin[i]
+        now = now + secs[loc][stop]
+        plan.append(Stop(DROPOFF if key & 1 else PICKUP, ids[i], stop, now))
+        loc = stop
+    return RoutePlan(stops=tuple(plan))
+
+
+def _first_step_survivors(
+    graph: CityGraph,
+    driver: DriverState,
+    batch: tuple[RideRequest, ...],
+    clock: float,
+    constraints: DelayConstraints,
+) -> list[RideRequest]:
+    """The batch in request-id order, less every request whose singleton
+    route search rejects at its first step (see the module docstring).
+
+    The driver's own first stops are the pickups and dropoffs of its riders
+    that pass each search test not involving a new request: seats, the
+    stop's own wait or detour bound, and reachability of its other riders. A
+    request goes when its direct pickup breaks the wait bound and it is out
+    of reach from every such stop. Every test is route_feasible's own
+    expression at depth one."""
+    secs = graph.travel_secs
+    max_pickup = constraints.max_pickup_delay
+    max_detour = constraints.max_detour_delay
+    active = driver.active
+    onboard = driver.onboard
+    now = clock + driver.secs_to_loc
+    row = secs[driver.loc]
+    stops = []
+    for rid, req in active.items():
+        if rid in onboard:
+            loc = req.destination
+            arrival = now + row[loc]
+            if arrival - (onboard[rid] + secs[req.origin][loc]) >= max_detour:
+                continue
+            riding = {oid: at for oid, at in onboard.items() if oid != rid}
+        else:
+            if len(onboard) >= driver.capacity:
+                continue
+            loc = req.origin
+            arrival = now + row[loc]
+            if arrival - req.created_at >= max_pickup:
+                continue
+            riding = {**onboard, rid: arrival}
+        here = secs[loc]
+        if any(
+            arrival + here[other.origin] - other.created_at >= max_pickup
+            for oid, other in active.items()
+            if oid != rid and oid not in onboard
+        ) or any(
+            arrival + here[active[oid].destination]
+            - (at + secs[active[oid].origin][active[oid].destination])
+            >= max_detour
+            for oid, at in riding.items()
+        ):
+            continue
+        stops.append((loc, arrival))
+
+    survivors = []
+    for r in sorted(batch, key=lambda r: r.request_id):
+        if now + row[r.origin] - r.created_at >= max_pickup:
+            for loc, arrival in stops:
+                if not arrival + secs[loc][r.origin] - r.created_at >= max_pickup:
+                    break
+            else:
+                continue  # out of reach from every first stop
+        survivors.append(r)
+    return survivors
 
 
 def enumerate_feasible(
@@ -220,15 +336,17 @@ def enumerate_feasible(
     clock: float,
     constraints: DelayConstraints,
     memo: RouteMemo | None = None,
+    stats: RouteStats | None = None,
 ) -> list[FeasibleAction]:
     """All request subsets the driver can take, each with its best route.
 
     The empty action (keep the current route) is always first. Subsets are
     grown level by level and a set is only attempted when every subset one
-    smaller was feasible; an idle driver skips requests it cannot reach in
-    time (see the module docstring). With a memo, a driver state already
-    enumerated against this batch and clock gets the stored pairs back under
-    its own id.
+    smaller was feasible; requests whose singleton would fail the route
+    search's first step are dropped up front (see the module docstring).
+    With a memo, a driver state already enumerated against this batch and
+    clock gets the stored pairs back under its own id. `stats` counts the
+    route searches run.
     """
     actions = [FeasibleAction(driver_id=driver.driver_id, requests=(), route=None)]
     seats_free = driver.capacity - driver.occupancy
@@ -253,13 +371,7 @@ def enumerate_feasible(
                 for combo, plan in stored
             )
             return actions
-    ordered = sorted(batch, key=lambda r: r.request_id)
-    if not driver.active:
-        # the route search's own first-pickup test, applied up front
-        now = clock + driver.secs_to_loc
-        row = graph.travel_secs[driver.loc]
-        max_pickup = constraints.max_pickup_delay
-        ordered = [r for r in ordered if not now + row[r.origin] - r.created_at >= max_pickup]
+    ordered = _first_step_survivors(graph, driver, batch, clock, constraints)
     prev_level: set[frozenset[int]] = {frozenset()}
     for size in range(1, min(seats_free, len(ordered)) + 1):
         level: set[frozenset[int]] = set()
@@ -267,7 +379,7 @@ def enumerate_feasible(
             ids = frozenset(req.request_id for req in combo)
             if size > 1 and any(ids - {rid} not in prev_level for rid in ids):
                 continue
-            plan = route_feasible(graph, driver, combo, clock, constraints)
+            plan = route_feasible(graph, driver, combo, clock, constraints, stats)
             if plan is None:
                 continue
             level.add(ids)
@@ -410,6 +522,8 @@ class EpochResult:
     objective_value: float
     num_actions: int
     solver_nodes: int
+    route_calls: int  # route searches run
+    route_nodes: int  # route-search DFS nodes entered
 
 
 def run_epoch(
@@ -434,9 +548,10 @@ def run_epoch(
     ids: list[list[tuple[int, ...]]] = []
     deltas: list[list[float]] = []
     pre_keys: dict[int, StateKey] = {}
+    route_stats = RouteStats()
     for di, driver in enumerate(fleet.drivers):
         actions = enumerate_feasible(
-            graph, driver, batch.requests, fleet.clock, constraints, route_memo
+            graph, driver, batch.requests, fleet.clock, constraints, route_memo, route_stats
         )
         pre_keys[driver.driver_id] = state_key(graph, driver, fleet.clock)
         row_w: list[float] = []
@@ -489,4 +604,6 @@ def run_epoch(
         objective_value=after,
         num_actions=sum(len(a) for a in per_driver),
         solver_nodes=solution.nodes,
+        route_calls=route_stats.calls,
+        route_nodes=route_stats.nodes,
     )

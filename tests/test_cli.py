@@ -195,6 +195,33 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     with open(a / "epochs.jsonl") as fh:
         records = [json.loads(line) for line in fh]
     assert records and all(r["solver_nodes"] >= 1 for r in records)
+    # every route search enters at least its root node
+    assert all(r["route_nodes"] >= r["route_calls"] >= 0 for r in records)
+    assert sum(r["route_calls"] for r in records) >= 1
+
+
+BUSY_CITY = """
+city.width = 5
+city.height = 5
+city.neighborhoods = 2
+fleet.num_drivers = 6
+demand.rate_per_epoch = 5.0
+demand.num_epochs = 10
+seed = 2
+"""
+
+
+def test_busy_fleet_route_search_count_is_pinned(tmp_path):
+    """The first-step reach filter drops a busy driver's requests that its
+    route search would reject at the first stop. Without it (the filter for
+    idle drivers only) this day runs 438 route searches; with it, 258."""
+    cfg = write_config(tmp_path / "busy.cfg", BUSY_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "epochs.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    calls = sum(r["route_calls"] for r in records)
+    assert calls < 438
+    assert (calls, sum(r["route_nodes"] for r in records)) == (258, 1398)
 
 
 def test_resolved_config_echo_reproduces_run(tmp_path):
@@ -674,7 +701,7 @@ GOLDEN_DIGESTS = {
     "reread/report.csv": "583ed5e27f98d626e5f32b71c448f4b15e74f5af21d081c895f9a2df184e7a2c",
     "reread/report.json": "f3d4531114d7fa562025e68cc22a9bc81ad64ced36055cc6e0e5b224f8a3094a",
     "run/config.resolved": "448740c7ea820434cce58bd969d334366513311c55e384b0c41589d2143ebb6e",
-    "run/epochs.jsonl": "cb7f16d72d6324c960499b55aaf5e33b4b0d199ad06b8e18225a9958401c9342",
+    "run/epochs.jsonl": "290c10b5906da257e6ae514744609bb95c62b1bdc2089c10d63f5c91eecd1893",
     "run/fleet.jsonl": "3cc8be6eddc39dd72db59aee2254b94bb86bdc8c5acabc2c9fbfe5f05fed8a55",
     "run/report.csv": "583ed5e27f98d626e5f32b71c448f4b15e74f5af21d081c895f9a2df184e7a2c",
     "run/report.json": "f3d4531114d7fa562025e68cc22a9bc81ad64ced36055cc6e0e5b224f8a3094a",
@@ -746,7 +773,7 @@ FAIRNESS_DIGESTS = {
     "reread/rider_fairness-lam3000.0/report.csv": "42db6970e126b03a3bb409d2be8d3df4139a521a39c9a28f19382c29aeb1f5e7",
     "reread/rider_fairness-lam3000.0/report.json": "d80f3943a3e3acbefabdb557854b9b91ac8ec310ef1110f45a69acbe5cdf4428",
     "sweep/driver_fairness-lam0.0/config.resolved": "f036fc723628edd9c94a67e7d3eac5aed0d8dc5cef685484594b53a41a30b94c",
-    "sweep/driver_fairness-lam0.0/epochs.jsonl": "5cd368766caefb095373a892a86c71bb651c9042b3a88c5c2195b186eeb130e3",
+    "sweep/driver_fairness-lam0.0/epochs.jsonl": "27f7b06842a711e33086cad935b1a50ebccaf57ca3bee6355591ff4efe801df3",
     "sweep/driver_fairness-lam0.0/fleet.jsonl": "928a6349e6ad6463f690a8038de32b8e4c441a429f5868222ca83cb068175cef",
     "sweep/driver_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
     "sweep/driver_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
@@ -754,7 +781,7 @@ FAIRNESS_DIGESTS = {
     "sweep/driver_fairness-lam0.0/stops.csv": "4f396a7a2276f304ec84299f461b517e7ac65ce092d381c418dc3e44129e4355",
     "sweep/driver_fairness-lam0.0/value_table.txt": "c355272a3e4c997ec0eb3b9f5f3ee6c6c9319771672b327845d166255d8ea46e",
     "sweep/driver_fairness-lam0.05/config.resolved": "4640dddbc4d18393db44b290ae77db4d7e57ac52e5523ef4a610d2ee306bba8b",
-    "sweep/driver_fairness-lam0.05/epochs.jsonl": "ecf2ec00a24e58709546d2c51d277c16bb7d8e61414db0889e6d20120ba13cf1",
+    "sweep/driver_fairness-lam0.05/epochs.jsonl": "63189ed82d9a636347973b688dcd2ece45115e45ca5a155252353421c753e9a8",
     "sweep/driver_fairness-lam0.05/fleet.jsonl": "b634bdf051fc9eb85af7d04adde684206f95db8e570b56920b08ca9b8273bdc1",
     "sweep/driver_fairness-lam0.05/report.csv": "8eb3cf71584a01289d3e319926e70e80599153eb81e9ee41faa57df2da7e575f",
     "sweep/driver_fairness-lam0.05/report.json": "e0aee5f3f8d1d5c7ada63b0fca117b81ffeb68744c977e550c04aa8efcc4cdfb",
@@ -762,7 +789,7 @@ FAIRNESS_DIGESTS = {
     "sweep/driver_fairness-lam0.05/stops.csv": "bd14c38974c2468c9a7af067de81c25048e4a222a29a4626bab8554de05657e8",
     "sweep/driver_fairness-lam0.05/value_table.txt": "b823fa9505261fe55bc46e4e754d7964577334dcf46c33a425e33c76559616f3",
     "sweep/driver_fairness-lam1.0/config.resolved": "27f8668bab6e2cb3aa74db5942f6a6bbb0645b60509e3b294618299a4abcda16",
-    "sweep/driver_fairness-lam1.0/epochs.jsonl": "18223c5f57355cc6151abe1034f2660233718602fa36602d7e15fba1736ff9c6",
+    "sweep/driver_fairness-lam1.0/epochs.jsonl": "2a32907d74b4cdf2d6bac95c76658b64447d5c4e78b1b4a08b007f43094bd20c",
     "sweep/driver_fairness-lam1.0/fleet.jsonl": "5726a98d345d36837add4c8bbbcac5881f6e494f1b4649a7eac1c637f1bc498a",
     "sweep/driver_fairness-lam1.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
     "sweep/driver_fairness-lam1.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
@@ -770,7 +797,7 @@ FAIRNESS_DIGESTS = {
     "sweep/driver_fairness-lam1.0/stops.csv": "fd4f46a9ba93960f99e4cf22340885483cff5fc08e062d47e3ef03ca0ecc715b",
     "sweep/driver_fairness-lam1.0/value_table.txt": "390d3cefbb5894abecaddb1095a4cfbec6273d615c8f79a9ae2fa8eb46f72e49",
     "sweep/driver_fairness-lam3000.0/config.resolved": "91c75326929cea55b384a4dbbf20068045eca76042603f7aa26ed99533d1c5d7",
-    "sweep/driver_fairness-lam3000.0/epochs.jsonl": "18223c5f57355cc6151abe1034f2660233718602fa36602d7e15fba1736ff9c6",
+    "sweep/driver_fairness-lam3000.0/epochs.jsonl": "2a32907d74b4cdf2d6bac95c76658b64447d5c4e78b1b4a08b007f43094bd20c",
     "sweep/driver_fairness-lam3000.0/fleet.jsonl": "5726a98d345d36837add4c8bbbcac5881f6e494f1b4649a7eac1c637f1bc498a",
     "sweep/driver_fairness-lam3000.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
     "sweep/driver_fairness-lam3000.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
@@ -778,7 +805,7 @@ FAIRNESS_DIGESTS = {
     "sweep/driver_fairness-lam3000.0/stops.csv": "fd4f46a9ba93960f99e4cf22340885483cff5fc08e062d47e3ef03ca0ecc715b",
     "sweep/driver_fairness-lam3000.0/value_table.txt": "390d3cefbb5894abecaddb1095a4cfbec6273d615c8f79a9ae2fa8eb46f72e49",
     "sweep/rider_fairness-lam0.0/config.resolved": "37901c1dcd0d2cd5a74b9ec1381b473a20ecd138842f87a7f2e38e7837a4806d",
-    "sweep/rider_fairness-lam0.0/epochs.jsonl": "5cd368766caefb095373a892a86c71bb651c9042b3a88c5c2195b186eeb130e3",
+    "sweep/rider_fairness-lam0.0/epochs.jsonl": "27f7b06842a711e33086cad935b1a50ebccaf57ca3bee6355591ff4efe801df3",
     "sweep/rider_fairness-lam0.0/fleet.jsonl": "928a6349e6ad6463f690a8038de32b8e4c441a429f5868222ca83cb068175cef",
     "sweep/rider_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
     "sweep/rider_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
@@ -786,7 +813,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam0.0/stops.csv": "4f396a7a2276f304ec84299f461b517e7ac65ce092d381c418dc3e44129e4355",
     "sweep/rider_fairness-lam0.0/value_table.txt": "c355272a3e4c997ec0eb3b9f5f3ee6c6c9319771672b327845d166255d8ea46e",
     "sweep/rider_fairness-lam0.05/config.resolved": "ed039477711fcb1038ab8a602a290333130ceadbd843f697e2b14184dc9ef751",
-    "sweep/rider_fairness-lam0.05/epochs.jsonl": "558ab62084ffce6b703ea38f81d149ca9e9368cfb8db0bcd7a792a28eb95de67",
+    "sweep/rider_fairness-lam0.05/epochs.jsonl": "564df5d561da493ca1ac7bd0a9992e00a383fbf24690051a66fcd4aab3782027",
     "sweep/rider_fairness-lam0.05/fleet.jsonl": "74dea475870e321fa38f7b2e69eb4d18f6ce98ec42273a2c94a2cc1c9fcf9064",
     "sweep/rider_fairness-lam0.05/report.csv": "ab0bdbede104750f725c06ad7b84c1fe4bb626de1fb0d72f48db9c21ed8d00bb",
     "sweep/rider_fairness-lam0.05/report.json": "c51ebefdfc684b656adb90786f13eb391e86da3af614d07d8b94f6d0e12b9be2",
@@ -794,7 +821,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam0.05/stops.csv": "279359857ce2168ac2b62796a6d204c9f332824c684bb9fb92d66a3d95b71782",
     "sweep/rider_fairness-lam0.05/value_table.txt": "1307c8a113eba1405a204cb50ba9f5e9dfe31038780f8cda20e4787fe6d0ac92",
     "sweep/rider_fairness-lam1.0/config.resolved": "5042dea2bbdd557aa16dea5c7318427e9fc13dab912d514cae898312ed68b67c",
-    "sweep/rider_fairness-lam1.0/epochs.jsonl": "441c3e4b8104c6d8e8daed9e1080e12a18814bcbde435d9bb7a9376a839fe9d0",
+    "sweep/rider_fairness-lam1.0/epochs.jsonl": "f8503e5e680fd3c6928b545c5eff97968119593481697fe027dca52acbfb1fde",
     "sweep/rider_fairness-lam1.0/fleet.jsonl": "6bbbe230a14090acdc6a62a6b3221cfd205753768e4a631b2ed2b53ed72b95ae",
     "sweep/rider_fairness-lam1.0/report.csv": "f4a60c230cec69e1c44ee146ce1929fcf094d4ab39abdd4cf532ce4364105dec",
     "sweep/rider_fairness-lam1.0/report.json": "e6ba3156f17e5d420143f4687c4a9e52dafc4a91febcc40004441da4df484036",
@@ -802,7 +829,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam1.0/stops.csv": "bdf3a225ccefd963b7b32d8c1d130108c7cf00c58cdfed94cbd5b72ac5c38f81",
     "sweep/rider_fairness-lam1.0/value_table.txt": "75648d251b72637f8b5d5b07c46cf6e2724a92090db6df7dd5198e3b6260694d",
     "sweep/rider_fairness-lam3000.0/config.resolved": "bafaf149bd1e4d2f146083c12b9f932ad7fa1024083eb84785c3614b5c03fc32",
-    "sweep/rider_fairness-lam3000.0/epochs.jsonl": "85fb6f82f7e751f7df7327a360a1efff1fa359ee34652919f8b8dec06d6598a8",
+    "sweep/rider_fairness-lam3000.0/epochs.jsonl": "f79b8e980b3ce920f7e993f1f6fb490679d3fb6a677aff70b962563bcefe0e2f",
     "sweep/rider_fairness-lam3000.0/fleet.jsonl": "52d037fa0182b4cae4f7fe1015ba94df5419f78736d399e7fb7ef5df1b21e047",
     "sweep/rider_fairness-lam3000.0/report.csv": "42db6970e126b03a3bb409d2be8d3df4139a521a39c9a28f19382c29aeb1f5e7",
     "sweep/rider_fairness-lam3000.0/report.json": "d80f3943a3e3acbefabdb557854b9b91ac8ec310ef1110f45a69acbe5cdf4428",

@@ -88,6 +88,13 @@ def test_validation_failures_name_the_key():
         parse_config("demand.kind = csv\n")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("key", ["constraints.max_pickup_delay", "constraints.max_detour_delay"])
+def test_nonpositive_delay_bound_names_its_own_key(key, value):
+    with pytest.raises(ConfigError, match=f": {key}: delay bounds must be positive$"):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_relative_paths_resolve_against_config_dir(tmp_path):
     config_dir = tmp_path / "runs"
     config_dir.mkdir()

@@ -326,7 +326,7 @@ def test_route_memo_matches_fresh_enumeration(state, data):
     idle=st.booleans(),
 )
 def test_enumerate_matches_filter_free_reference(state, idle):
-    """The idle-driver reach filter changes no answer: busy and idle drivers
+    """The first-step reach filter changes no answer: busy and idle drivers
     on fractional and integer line cities get exactly the actions of a
     filter-free enumeration on the reference route search."""
     graph, driver, batch, clock = state
@@ -337,11 +337,22 @@ def test_enumerate_matches_filter_free_reference(state, idle):
     )
 
 
+def search_spy(monkeypatch):
+    """Record the request ids of every route search enumerate_feasible runs."""
+    searched = []
+
+    def spy(graph, driver, combo, *rest):
+        searched.append(tuple(r.request_id for r in combo))
+        return route_feasible(graph, driver, combo, *rest)
+
+    monkeypatch.setattr("fairpool.matching.route_feasible", spy)
+    return searched
+
+
 def test_idle_reach_filter_boundary_is_the_route_search_test(monkeypatch):
     """Request 0's direct pickup delay is exactly the bound, so the route
     search rejects it and the filter must keep it from being searched at all;
-    request 1's is one ulp below the bound and must survive. A busy driver
-    gets no filter."""
+    request 1's is one ulp below the bound and must survive."""
     graph = helpers.line_city([1.0, 1.0])
     clock = 300.0  # the pickup at location 1 is reached at 360 s
     bound = C.max_pickup_delay
@@ -351,13 +362,7 @@ def test_idle_reach_filter_boundary_is_the_route_search_test(monkeypatch):
     assert clock + 60.0 - below.created_at == math.nextafter(bound, 0.0)
     batch = (at_bound, below)
 
-    searched = []
-
-    def spy(graph, driver, combo, clock, constraints):
-        searched.append(tuple(r.request_id for r in combo))
-        return route_feasible(graph, driver, combo, clock, constraints)
-
-    monkeypatch.setattr("fairpool.matching.route_feasible", spy)
+    searched = search_spy(monkeypatch)
     idle = driver_state(loc=0)
     actions = enumerate_feasible(graph, idle, batch, clock, C)
     assert action_bits(actions) == action_bits(
@@ -366,14 +371,132 @@ def test_idle_reach_filter_boundary_is_the_route_search_test(monkeypatch):
     assert [a.request_ids for a in actions] == [(), (1,)]
     assert searched == [(1,)]
 
-    searched.clear()
-    # a rider waiting at location 0 makes the driver busy
-    busy = driver_state(loc=0, capacity=3, active=(req(100, 0, 2, t=clock),))
-    actions = enumerate_feasible(graph, busy, batch, clock, C)
+
+def test_first_step_filter_boundary_is_the_route_search_test(monkeypatch):
+    """A busy driver's first stops count as well as its direct leg.
+
+    Line 0-1-2 with 66 s and 78 s legs; the driver is at 0 at t = 60 and its
+    one rider waits at 1, so its only first stop of its own is that pickup at
+    126 s. The travel closure gives 0 -> 2 as 144.00000000000003 s, an ulp
+    above 66 + 78, so location 2 is reached an ulp sooner through the stop
+    than directly. Request 0 waits at 1 and is exactly at the wait bound both
+    directly and from the stop: the search dies at its first step, so it is
+    never searched. Request 1 waits at 2 and is over the bound directly but
+    one ulp below it from the stop: it must be searched, and it is feasible.
+    """
+    graph = helpers.line_city([1.1, 1.3])
+    secs = graph.travel_secs
+    clock = 60.0
+    constraints = DelayConstraints(max_pickup_delay=100.0)
+    bound = constraints.max_pickup_delay
+    stop_arrival = clock + secs[0][1]
+    assert (stop_arrival, secs[1][2], secs[0][2]) == (126.0, 78.0, 144.00000000000003)
+    at_bound = req(0, 1, 2, t=stop_arrival - bound)
+    below = req(1, 2, 1, t=104.00000000000001)
+    assert clock + secs[0][1] - at_bound.created_at == bound
+    assert stop_arrival + secs[1][1] - at_bound.created_at == bound
+    assert clock + secs[0][2] - below.created_at > bound
+    assert stop_arrival + secs[1][2] - below.created_at == math.nextafter(bound, 0.0)
+    batch = (at_bound, below)
+
+    searched = search_spy(monkeypatch)
+    busy = driver_state(loc=0, capacity=3, active=(req(100, 1, 2, t=clock),))
+    actions = enumerate_feasible(graph, busy, batch, clock, constraints)
     assert action_bits(actions) == action_bits(
-        helpers.enumerate_feasible_reference(graph, busy, batch, clock, C)
+        helpers.enumerate_feasible_reference(graph, busy, batch, clock, constraints)
     )
-    assert searched[:2] == [(0,), (1,)]
+    assert [a.request_ids for a in actions] == [(), (1,)]
+    assert searched == [(1,)]
+
+
+def stop_keys(plan):
+    return [(s.request_id, 0 if s.kind == "pickup" else 1) for s in plan.stops]
+
+
+# States on integer-leg line cities (60 s legs) where stops share a location
+# and an arrival, so several stop orders have the same total delay and only
+# the (request id, kind) key sequence decides: (driver, new requests, clock,
+# the winning key sequence).
+TIE_CASES = {
+    # two riders with one origin, one destination and one creation time,
+    # passed out of id order
+    "twin_requests": (
+        driver_state(loc=0, capacity=2),
+        (req(5, 1, 2, t=60.0), req(2, 1, 2, t=60.0)),
+        60.0,
+        [(2, 0), (5, 0), (2, 1), (5, 1)],
+    ),
+    # an accepted rider waits where the new ones do; its id falls between theirs
+    "waiting_rider_between": (
+        driver_state(loc=0, capacity=4, active=(req(3, 1, 2, t=30.0),)),
+        (req(5, 1, 2, t=60.0), req(2, 1, 2, t=50.0)),
+        60.0,
+        [(2, 0), (3, 0), (5, 0), (2, 1), (3, 1), (5, 1)],
+    ),
+    # dropping rider 4 and picking up rider 1 at location 1 commute; the
+    # pickup's smaller id goes first
+    "pickup_before_dropoff": (
+        driver_state(loc=0, capacity=2, active=(req(4, 0, 1, t=30.0),), onboard={4: 60.0}),
+        (req(1, 1, 2, t=60.0),),
+        60.0,
+        [(1, 0), (4, 1), (1, 1)],
+    ),
+    # the same commuting pair with the ids swapped: the dropoff goes first
+    "dropoff_before_pickup": (
+        driver_state(loc=0, capacity=2, active=(req(2, 0, 1, t=30.0),), onboard={2: 60.0}),
+        (req(3, 1, 2, t=60.0),),
+        60.0,
+        [(2, 1), (3, 0), (3, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIE_CASES))
+def test_route_search_breaks_delay_ties_by_stop_keys(case):
+    """On a tie plateau the smallest (request id, kind) key sequence wins, as
+    in the reference search; the kernel keeps keys in its own form, and only
+    ties exercise that form."""
+    driver, new_requests, clock, expected = TIE_CASES[case]
+    graph = helpers.line_city([1.0, 1.0, 1.0])
+    plan = route_feasible(graph, driver, new_requests, clock, C)
+    assert plan_bits(plan) == plan_bits(
+        helpers.route_feasible_reference(graph, driver, new_requests, clock, C)
+    )
+    assert stop_keys(plan) == expected
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_route_search_matches_reference_on_tie_plateaus(data):
+    """Integer legs, two busy locations and whole-minute creation times give
+    many stop orders of equal total delay: every subset's plan must equal the
+    reference search's, bit for bit."""
+    minutes = data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=2, max_size=4))
+    graph = helpers.line_city(minutes)
+    n_locs = len(minutes) + 1
+    hubs = data.draw(st.lists(st.integers(0, n_locs - 1), min_size=2, max_size=2, unique=True))
+    clock = 120.0
+    minute = st.sampled_from([0.0, 60.0, 120.0])
+
+    def ride(rid):
+        origin, destination = data.draw(st.permutations(hubs))
+        return req(rid, origin, destination, t=data.draw(minute))
+
+    capacity = data.draw(st.integers(min_value=1, max_value=4))
+    onboard_ids = data.draw(st.lists(st.sampled_from([7, 8]), max_size=capacity, unique=True))
+    waiting_ids = data.draw(st.lists(st.sampled_from([1, 4, 6]), max_size=2, unique=True))
+    active = [ride(rid) for rid in onboard_ids + waiting_ids]
+    onboard = {rid: data.draw(st.sampled_from([60.0, 120.0])) for rid in onboard_ids}
+    driver = driver_state(
+        loc=data.draw(st.sampled_from(hubs)), capacity=capacity, active=active, onboard=onboard
+    )
+    new_ids = data.draw(st.lists(st.sampled_from([0, 2, 3, 5]), min_size=1, max_size=3, unique=True))
+    batch = tuple(ride(rid) for rid in new_ids)
+    for size in range(1, len(batch) + 1):
+        for combo in itertools.combinations(batch, size):
+            assert plan_bits(route_feasible(graph, driver, combo, clock, C)) == plan_bits(
+                helpers.route_feasible_reference(graph, driver, combo, clock, C)
+            )
 
 
 # One base state and, per key field, a state that differs in that field alone
