@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -35,7 +36,7 @@ from .config import ConfigError, RunConfig, dump_config, load_config, parse_conf
 from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
 from .fleet import FleetState, init_fleet
 from .matching import DelayConstraints
-from .objectives import OBJECTIVES, ObjectiveSpec
+from .objectives import OBJECTIVES, ObjectiveSpec, scored_as
 from .redistribution import (
     EXACT_SHAPLEY_CAP,
     RedistributionParams,
@@ -140,20 +141,48 @@ def _spec_and_constraints(config: RunConfig) -> tuple[ObjectiveSpec, DelayConstr
     return spec, constraints
 
 
-def build_run(config: RunConfig, graph: CityGraph) -> RunInputs:
+class SharedDemand:
+    """The demand of one configuration on its graph, each stream built on
+    first use and kept: the run's batches (`build_batches`) and each training
+    episode's stream. Configurations that differ only in objective and lambda
+    draw the same demand, so a sweep's cells share one."""
+
+    def __init__(self, config: RunConfig, graph: CityGraph) -> None:
+        self.config = config
+        self.graph = graph
+        self.training: dict[tuple, list[RequestBatch]] = {}  # train_synthetic's streams
+        self._batches: tuple[list[RequestBatch], int | None] | None = None
+
+    def batches(self) -> tuple[list[RequestBatch], int | None]:
+        if self._batches is None:
+            self._batches = build_batches(self.config, self.graph)
+        return self._batches
+
+    def streams(self) -> int:
+        """Demand streams built so far."""
+        return (self._batches is not None) + len(self.training)
+
+
+def build_run(config: RunConfig, graph: CityGraph, demand: SharedDemand | None = None) -> RunInputs:
     """Demand batches, objective, service guarantees and the seeded fleet of
-    one configuration on its graph (`build_graph(config)`)."""
-    batches, dropped = build_batches(config, graph)
+    one configuration on its graph (`build_graph(config)`), with the batches
+    taken from `demand` when it is given."""
+    batches, dropped = (demand or SharedDemand(config, graph)).batches()
     spec, constraints = _spec_and_constraints(config)
     fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
     return RunInputs(batches, spec, constraints, fleet, dropped)
 
 
 def _train_tabular(
-    config: RunConfig, graph: CityGraph, spec: ObjectiveSpec, constraints: DelayConstraints
+    config: RunConfig,
+    graph: CityGraph,
+    spec: ObjectiveSpec,
+    constraints: DelayConstraints,
+    streams: dict[tuple, list[RequestBatch]] | None = None,
 ) -> tuple[ValueModel, list[float]]:
     """Tabular value model trained for value.episodes synthetic episodes, and
-    the absolute TD error of each episode."""
+    the absolute TD error of each episode. `streams` is handed to
+    train_synthetic."""
     model = ValueModel(
         mode="tabular", gamma=config.gamma, alpha=config.value_alpha, seed=config.seed
     )
@@ -174,21 +203,32 @@ def _train_tabular(
         config.seed,
         constraints,
         config.epoch_len_seconds,
+        streams,
     )
     return model, errors
 
 
-def run_one(config: RunConfig, out_dir: str, graph: CityGraph):
+def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDemand | None = None):
     """Simulate one configuration on its graph and write the full artifact
-    set. A run that breaks a service guarantee raises before any result
-    artifact is written. Demand read from a trips CSV also gets `ingest.txt`
-    with the count of rows dropped at ingest."""
+    set; returns the result, its report and the artifact names written. A
+    run that breaks a service guarantee raises before any result artifact is
+    written. Demand read from a trips CSV also gets `ingest.txt` with the
+    count of rows dropped at ingest. Runs that share `demand` build each of
+    its streams once."""
+    written: list[str] = []
+
+    def artifact(name: str) -> str:
+        written.append(name)
+        return os.path.join(out_dir, name)
+
     os.makedirs(out_dir, exist_ok=True)
-    batches, spec, constraints, fleet, rows_dropped = build_run(config, graph)
+    batches, spec, constraints, fleet, rows_dropped = build_run(config, graph, demand)
     model = None
     if config.value_mode == "tabular":
-        model, _ = _train_tabular(config, graph, spec, constraints)
-        save_value_model(model, os.path.join(out_dir, "value_table.txt"))
+        # a lone run draws each training stream once anyway: keep none
+        streams = None if demand is None else demand.training
+        model, _ = _train_tabular(config, graph, spec, constraints, streams)
+        save_value_model(model, artifact("value_table.txt"))
     result = run_simulation(
         graph,
         batches,
@@ -204,10 +244,10 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph):
             f"journal audit found {len(violations)} violation(s), first: {violations[0]}"
         )
 
-    _write_text(os.path.join(out_dir, "config.resolved"), dump_config(config))
+    _write_text(artifact("config.resolved"), dump_config(config))
     if rows_dropped is not None:
-        _write_text(os.path.join(out_dir, "ingest.txt"), f"rows_dropped = {rows_dropped}\n")
-    with open(os.path.join(out_dir, "epochs.jsonl"), "w") as fh:
+        _write_text(artifact("ingest.txt"), f"rows_dropped = {rows_dropped}\n")
+    with open(artifact("epochs.jsonl"), "w") as fh:
         for epoch in result.epochs:
             record = {
                 "epoch": epoch.epoch_index,
@@ -226,10 +266,10 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph):
                 "route_nodes": epoch.route_nodes,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "fleet.jsonl"), "w") as fh:
+    with open(artifact("fleet.jsonl"), "w") as fh:
         for row in result.snapshots:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "requests.csv"), "w", newline="") as fh:
+    with open(artifact("requests.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["request_id", "origin", "destination", "created_at", "serviced", "driver"])
         for req in result.log.all_requests:
@@ -238,16 +278,16 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph):
             writer.writerow(
                 [req.request_id, req.origin, req.destination, repr(req.created_at), int(serviced), driver]
             )
-    with open(os.path.join(out_dir, "stops.csv"), "w", newline="") as fh:
+    with open(artifact("stops.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["driver_id", "kind", "request_id", "location", "arrival"])
         for driver_id, stop in result.fleet.journal:
             writer.writerow([driver_id, stop.kind, stop.request_id, stop.location, repr(stop.arrival)])
 
     report = fairness_metrics(result.fleet, result.log, graph)
-    write_report(report, os.path.join(out_dir, "report.json"), "structured")
-    write_report(report, os.path.join(out_dir, "report.csv"), "tabular")
-    return result, report
+    write_report(report, artifact("report.json"), "structured")
+    write_report(report, artifact("report.csv"), "tabular")
+    return result, report, written
 
 
 def cmd_gen_city(args: argparse.Namespace) -> int:
@@ -277,6 +317,26 @@ def _parse_grid(text: str, what: str) -> list[float]:
         raise ConfigError(f"cannot parse {what} grid {text!r}") from None
 
 
+def _scoring_class(objective: str, lam: float) -> ObjectiveSpec | None:
+    """The spec a sweep cell scores as, or None for a cell that ObjectiveSpec
+    rejects (run_one then fails it, as it would any invalid cell)."""
+    try:
+        return scored_as(ObjectiveSpec(objective, lam))
+    except ValueError:
+        return None
+
+
+def _copy_run(src_dir: str, artifacts: list[str], config: RunConfig, out_dir: str) -> None:
+    """Give out_dir the artifacts run_one wrote to src_dir, with config's own
+    config.resolved."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name in artifacts:
+        if name == "config.resolved":
+            _write_text(os.path.join(out_dir, name), dump_config(config))
+        elif out_dir != src_dir:
+            shutil.copyfile(os.path.join(src_dir, name), os.path.join(out_dir, name))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args, grids=True)
     objectives = args.objective.split(",") if args.objective else list(OBJECTIVES)
@@ -284,17 +344,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
     lambdas = _parse_grid(args.lam, "lambda") if args.lam else [config.lam]
-    # cells differ only in objective and lambda, so they share one city
+    # cells differ only in objective and lambda, so they share one city and
+    # one demand, and cells that score alike (see scored_as) are one run
     graph = build_graph(config)
+    demand = SharedDemand(config, graph)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     failures = []
+    simulated = {}  # scoring class -> (cell dir, artifact names, report) of its first run
+    runs = 0
     for objective in objectives:
         for lam in lambdas:
             cell = replace(config, objective=objective, lam=lam)
             cell_dir = os.path.join(args.out, f"{objective}-lam{lam!r}")
+            scoring = _scoring_class(objective, lam)
             try:
-                _, report = run_one(cell, cell_dir, graph)
+                if scoring in simulated:
+                    first_dir, artifacts, report = simulated[scoring]
+                    _copy_run(first_dir, artifacts, cell, cell_dir)
+                else:
+                    # a failed run is not kept: its failure may lie in its
+                    # directory, so the next cell of its class runs again
+                    runs += 1
+                    _, report, artifacts = run_one(cell, cell_dir, graph, demand)
+                    if scoring is not None:
+                        simulated[scoring] = (cell_dir, artifacts, report)
             except Exception as exc:  # keep sweeping, record the failure
                 failures.append((objective, lam, str(exc)))
                 continue
@@ -329,6 +403,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ]
         )
         writer.writerows(rows)
+    meta = [
+        f"cells = {len(objectives) * len(lambdas)}",
+        f"cells_simulated = {runs}",
+        f"demand_streams = {demand.streams()}",
+    ]
+    _write_text(os.path.join(args.out, "sweep_meta.txt"), "\n".join(meta) + "\n")
     if failures:
         with open(os.path.join(args.out, "failures.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)

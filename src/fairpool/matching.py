@@ -248,6 +248,7 @@ def route_feasible(
                 status[i] = _ONBOARD
 
     dfs(driver.loc, clock + driver.secs_to_loc, 0.0, len(picked_at), n)
+    del dfs  # it names itself through its closure cell: break the cycle
     if stats is not None:
         stats.nodes += nodes
     if best_keys is None:
@@ -478,6 +479,7 @@ def solve_assignment(
             search_value(i + 1, used | masks[i][j], acc + weights[i][j])
 
     search_value(0, 0, 0.0)
+    del search_value  # both searches name themselves: break each cycle
     optimum = best[0]
     for level in memo:
         level.clear()
@@ -505,6 +507,7 @@ def solve_assignment(
         return None
 
     chosen = search_argmax(0, 0, 0.0)
+    del search_argmax
     if chosen is None:
         raise RuntimeError("assignment search failed to reproduce its own optimum")
     return AssignmentSolution(total_weight=optimum, chosen=chosen, nodes=nodes[0])

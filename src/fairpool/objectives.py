@@ -4,7 +4,9 @@ Four interchangeable scores for an assignment state: requests served,
 platform income, and two fairness-regularized variants that subtract a
 lambda-weighted population variance, either of neighborhood service rates
 (serviced / requested, over neighborhoods with demand) or of driver incomes.
-With lambda = 0 both fairness objectives coincide with platform income.
+With lambda = 0 both fairness objectives coincide with platform income, bit
+for bit: :func:`scored_as` names the spec every valid spec scores as, so a
+sweep simulates each distinct scoring behaviour once.
 
 Scoring an epoch calls :func:`delta_objective` once per candidate action, all
 against one unchanged state. The variance before any action is therefore the
@@ -36,6 +38,7 @@ __all__ = [
     "ObjectiveSpec",
     "NeighborhoodTallies",
     "ObjectiveState",
+    "scored_as",
     "population_variance",
     "eval_objective",
     "delta_objective",
@@ -54,6 +57,22 @@ class ObjectiveSpec:
             raise ValueError(f"lambda must be finite, got {self.lam!r}")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
+
+
+def scored_as(spec: ObjectiveSpec) -> ObjectiveSpec:
+    """The spec that scores every state and action exactly as `spec` does.
+
+    `requests` and `income` ignore lambda, and a fairness objective with
+    lambda == 0 (-0.0 too) is `income`: both scoring functions return the
+    income term before they read a variance. Specs with the same answer give
+    the same deltas and values bit for bit, so two runs whose specs have the
+    same answer are the same run.
+    """
+    if spec.name in ("requests", "income"):
+        return ObjectiveSpec(spec.name)
+    if spec.lam == 0.0:
+        return ObjectiveSpec("income")
+    return spec
 
 
 @dataclass
@@ -127,7 +146,7 @@ def eval_objective(spec: ObjectiveSpec, state: ObjectiveState) -> float:
     if spec.name == "requests":
         return float(state.rides.sum())
     total = float(state.incomes.sum())
-    if spec.name == "income":
+    if spec.name == "income" or spec.lam == 0.0:
         return total
     if spec.name == "rider_fairness":
         return total - spec.lam * population_variance(state.tallies.service_rates())

@@ -153,23 +153,31 @@ def train_synthetic(
     seed: int,
     constraints: DelayConstraints = DelayConstraints(),
     epoch_len_seconds: float = 60.0,
+    streams: dict[tuple, list[RequestBatch]] | None = None,
 ) -> list[float]:
     """Train on freshly drawn demand each episode, one fixed fleet placement.
 
     Episode k draws its own demand stream from a seed derived from (seed, k),
-    so a rerun with the same arguments reproduces the exact table.
+    so a rerun with the same arguments reproduces the exact table. `streams`
+    keeps each episode's batches under the arguments that draw them: calls
+    on the same graph that share one dict draw each stream once.
     """
     errors: list[float] = []
     for episode in range(episodes):
-        stream = synth_demand(
-            graph,
-            rate_per_epoch,
-            num_epochs,
-            hotspot_skew,
-            seed=subseed(seed, f"train-ep{episode}"),
-            epoch_len_seconds=epoch_len_seconds,
-        )
-        batches = batch_requests(stream, epoch_len_seconds)
+        key = (rate_per_epoch, num_epochs, hotspot_skew, seed, episode, epoch_len_seconds)
+        batches = None if streams is None else streams.get(key)
+        if batches is None:
+            stream = synth_demand(
+                graph,
+                rate_per_epoch,
+                num_epochs,
+                hotspot_skew,
+                seed=subseed(seed, f"train-ep{episode}"),
+                epoch_len_seconds=epoch_len_seconds,
+            )
+            batches = batch_requests(stream, epoch_len_seconds)
+            if streams is not None:
+                streams[key] = batches
         errors.extend(
             train_value_model(
                 graph,

@@ -5,6 +5,7 @@ back the artifact files and checks them against the library or against hand
 arithmetic. The reproducibility tests compare whole directories byte for byte.
 """
 
+import collections
 import csv
 import hashlib
 import importlib.util
@@ -17,13 +18,14 @@ import pytest
 
 import helpers
 from fairpool.city import build_city, fare, gen_grid_city, load_edges, load_locations
+from fairpool import cli
 from fairpool import config as config_module
 from fairpool.cli import main
 from fairpool.config import load_config
 from fairpool.demand import batch_requests, ingest_trips
 from fairpool.fleet import init_fleet
 from fairpool.matching import DelayConstraints
-from fairpool.objectives import ObjectiveSpec
+from fairpool.objectives import OBJECTIVES, ObjectiveSpec
 from fairpool.simulate import run_simulation
 from fairpool.value import load_value_model
 
@@ -152,14 +154,17 @@ def test_non_finite_lambda_flag_is_rejected(tmp_path):
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--lambda", "inf"])
     assert rc == 2
     out = tmp_path / "sweep"
-    rc = main(
-        ["sweep", "--config", cfg, "--out", str(out), "--objective", "driver_fairness", "--lambda", "0,nan"]
-    )
+    argv = ["sweep", "--config", cfg, "--out", str(out)]
+    rc = main(argv + ["--objective", "income,driver_fairness", "--lambda", "0,nan"])
     assert rc == 3
-    assert [r["lambda"] for r in read_csv_rows(out / "sweep.csv")] == ["0.0"]
+    assert [r["lambda"] for r in read_csv_rows(out / "sweep.csv")] == ["0.0", "0.0"]
     failures = read_csv_rows(out / "failures.csv")
-    assert [(f["objective"], f["lambda"]) for f in failures] == [("driver_fairness", "nan")]
+    assert [(f["objective"], f["lambda"]) for f in failures] == [
+        ("income", "nan"),
+        ("driver_fairness", "nan"),
+    ]
     assert "lambda must be finite" in failures[0]["error"]
+    assert failures[1]["error"] == failures[0]["error"]
 
 
 def test_single_run_rejects_comma_objective(tmp_path):
@@ -659,6 +664,76 @@ def test_sweep_failure_manifest(tmp_path):
     assert "missing.csv" in failures[0]["error"]
 
 
+TABULAR_CITY = SMALL_CITY + "value.mode = tabular\nvalue.episodes = 2\n"
+
+
+def simulate_cell(cfg, out, objective, lam):
+    argv = ["simulate", "--config", cfg, "--out", str(out)]
+    return main(argv + ["--objective", objective, "--lambda", lam])
+
+
+def test_sweep_simulates_each_scoring_class_once(tmp_path, monkeypatch):
+    """All four objectives x lambda {0, 0.5} are four scoring classes:
+    requests, income (with both fairness objectives at lambda 0) and each
+    fairness objective at 0.5. Each class is trained and simulated once, the
+    run's demand is built once, and every cell still equals, file for file,
+    `simulate` on that cell's config."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("run_one", "train_synthetic", "build_batches"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cfg = write_config(tmp_path / "c.cfg", TABULAR_CITY)
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(sweep), "--lambda", "0,0.5"]) == 0
+    assert calls == {"run_one": 4, "train_synthetic": 4, "build_batches": 1}
+    meta = (sweep / "sweep_meta.txt").read_text()
+    assert meta == "cells = 8\ncells_simulated = 4\ndemand_streams = 3\n"
+
+    cells = [f"{objective}-lam{lam}" for objective in OBJECTIVES for lam in ("0.0", "0.5")]
+    assert sorted(p.name for p in sweep.iterdir() if p.is_dir()) == sorted(cells)
+    for cell in cells:
+        objective, lam = cell.split("-lam")
+        assert simulate_cell(cfg, tmp_path / "sim" / cell, objective, lam) == 0
+        assert dir_digests(sweep / cell) == dir_digests(tmp_path / "sim" / cell), cell
+
+
+def test_sweep_fails_every_cell_of_a_failing_class(tmp_path, monkeypatch):
+    """A class whose run fails fails each of its cells with the same error,
+    in grid order, and each cell keeps what a failing `simulate` of its
+    config leaves behind (here the trained value table)."""
+    monkeypatch.setattr(
+        "fairpool.cli.audit_journal", lambda *args: ["request 0 picked up twice"]
+    )
+    cfg = write_config(tmp_path / "c.cfg", TABULAR_CITY)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", cfg, "--out", str(out)]
+    assert main(argv + ["--objective", "income,driver_fairness", "--lambda", "0,1"]) == 3
+    assert read_csv_rows(out / "sweep.csv") == []
+    failures = read_csv_rows(out / "failures.csv")
+    cells = [(f["objective"], f["lambda"]) for f in failures]
+    assert cells == [
+        ("income", "0.0"),
+        ("income", "1.0"),
+        ("driver_fairness", "0.0"),
+        ("driver_fairness", "1.0"),
+    ]
+    assert {f["error"] for f in failures} == {
+        "journal audit found 1 violation(s), first: request 0 picked up twice"
+    }
+    for objective, lam in cells:
+        cell = f"{objective}-lam{lam}"
+        assert simulate_cell(cfg, tmp_path / "sim" / cell, objective, lam) == 3
+        assert dir_digests(out / cell) == dir_digests(tmp_path / "sim" / cell), cell
+        assert list(dir_digests(out / cell)) == ["value_table.txt"]
+
+
 def test_simulate_exits_3_when_the_journal_audit_fails(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         "fairpool.cli.audit_journal", lambda *args: ["request 0 picked up twice"]
@@ -837,6 +912,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam3000.0/stops.csv": "0ca8a4edb29cb57783358614bf35f77335d786670558312582f0cf24a204b1ae",
     "sweep/rider_fairness-lam3000.0/value_table.txt": "4a82efefcf0b2d1e141d4480d60fab520ef7f61ee3aeb6c43ced479a99ffa70b",
     "sweep/sweep.csv": "66692bb45777a13cea035c011bbeb59b63881f6f3f511339ce1e342606ea56ce",
+    "sweep/sweep_meta.txt": "67617cb9410bc776a1cca8af6365fc322e075afaa521e0d19501eed6406e6fe9",
 }
 
 

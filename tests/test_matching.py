@@ -1,6 +1,7 @@
 """Route feasibility, action enumeration, and the exact assignment solver."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -683,6 +684,26 @@ def test_solver_contended_epoch_is_pinned():
     assert solution.total_weight == 123.0
     assert solution.chosen == (0, 0, 0, 0, 0, 0, 0, 8, 0, 2, 0, 2, 3, 0, 4, 0, 5, 3, 0, 1)
     assert solution.nodes < 30_000
+
+
+def test_route_search_and_solve_leave_no_reference_cycles():
+    """Each search's state is freed by reference counting alone. A recursive
+    inner function that reaches itself through its closure cell would leave
+    a cycle per call for the cyclic collector."""
+    graph = helpers.line_city([1.0, 1.0, 1.0])
+    driver = helpers.place_fleet(graph, [0]).drivers[0]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert route_feasible(graph, driver, (req(0, 1, 3), req(1, 2, 3)), 0.0, C) is not None
+        assert gc.collect() == 0
+        solution = solve_assignment([[0.0, 1.0], [0.0, 2.0]], [[(), (0,)], [(), (0,)]])
+        assert solution.chosen == (0, 1)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def fresh_epoch_inputs(graph):

@@ -1,5 +1,7 @@
 """Objective evaluation, per-action deltas, and the fairness penalties."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from fairpool.objectives import (
     delta_objective,
     eval_objective,
     population_variance,
+    scored_as,
 )
 
 
@@ -246,3 +249,50 @@ def test_objective_states_start_with_an_empty_variance_memo():
     delta_objective(ObjectiveSpec(name="rider_fairness", lam=1.0), state, 1, [5.0], [1])
     assert state.variances
     assert state.copy().variances == {}
+
+
+def test_scored_as_names_the_scoring_class():
+    for lam in (0.0, -0.0, 0.5, 3000.0):
+        assert scored_as(ObjectiveSpec("requests", lam)) == ObjectiveSpec("requests")
+        assert scored_as(ObjectiveSpec("income", lam)) == ObjectiveSpec("income")
+    for name in ("rider_fairness", "driver_fairness"):
+        assert scored_as(ObjectiveSpec(name, 0.0)) == ObjectiveSpec("income")
+        assert scored_as(ObjectiveSpec(name, -0.0)) == ObjectiveSpec("income")
+        assert scored_as(ObjectiveSpec(name, 0.5)) == ObjectiveSpec(name, 0.5)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_scored_as_scores_bit_for_bit_like_the_spec(data):
+    """A spec and its scoring class give every state the same value and every
+    action the same delta, to the bit: requests and income at any lambda,
+    and a fairness objective at lambda 0.0 or -0.0, over any finite incomes
+    (negative zero and variances that overflow included)."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    n_drivers = data.draw(st.integers(min_value=1, max_value=5))
+    incomes = [data.draw(finite) for _ in range(n_drivers)]
+    rides = [data.draw(st.integers(min_value=0, max_value=9)) for _ in range(n_drivers)]
+    n_nbhd = data.draw(st.integers(min_value=1, max_value=4))
+    k = [data.draw(st.integers(min_value=0, max_value=12)) for _ in range(n_nbhd)]
+    h = [data.draw(st.integers(min_value=0, max_value=kj)) for kj in k]
+    state = state_of(incomes, rides=rides, h=h, k=k)
+    driver_index = data.draw(st.integers(min_value=0, max_value=n_drivers - 1))
+    count = data.draw(st.integers(min_value=0, max_value=3))
+    fares = [data.draw(finite) for _ in range(count)]
+    labels = [data.draw(st.integers(min_value=1, max_value=n_nbhd)) for _ in range(count)]
+
+    name = data.draw(st.sampled_from(OBJECTIVES))
+    lams = [st.just(0.0), st.just(-0.0)]
+    if name in ("requests", "income"):
+        lams.append(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    spec = ObjectiveSpec(name, data.draw(st.one_of(*lams)))
+    scoring = scored_as(spec)
+    with np.errstate(over="ignore"):  # huge incomes overflow their sum to inf
+        assert bits(eval_objective(spec, state)) == bits(eval_objective(scoring, state))
+        got = delta_objective(spec, state, driver_index, fares, labels)
+        want = delta_objective(scoring, state.copy(), driver_index, fares, labels)
+    assert bits(got) == bits(want)
