@@ -36,7 +36,7 @@ from .config import ConfigError, RunConfig, dump_config, load_config, parse_conf
 from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
 from .fleet import FleetState, init_fleet
 from .matching import DelayConstraints
-from .objectives import OBJECTIVES, ObjectiveSpec, scored_as
+from .objectives import OBJECTIVES, ObjectiveSpec, left_sum, scored_as
 from .redistribution import (
     EXACT_SHAPLEY_CAP,
     RedistributionParams,
@@ -491,7 +491,14 @@ def _run_shapley(oracle, driver_ids, args: argparse.Namespace, seed: int) -> Sha
     if method == "auto":
         method = "exact" if len(driver_ids) <= EXACT_SHAPLEY_CAP else "monte_carlo"
     if method == "exact":
+        if len(driver_ids) > EXACT_SHAPLEY_CAP:
+            raise ConfigError(
+                f"--method exact takes at most {EXACT_SHAPLEY_CAP} drivers, got "
+                f"{len(driver_ids)}; use --method monte_carlo"
+            )
         return shapley_exact(oracle, driver_ids)
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     return shapley_mc(oracle, driver_ids, args.samples, seed)
 
 
@@ -523,8 +530,8 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         f"method = {estimate.method}",
         f"samples = {estimate.samples}",
         f"seed = {estimate.seed if estimate.seed is not None else ''}",
-        f"total_value = {sum(estimate.values)!r}",
-        f"total_income = {sum(pi)!r}",
+        f"total_value = {left_sum(estimate.values)!r}",
+        f"total_income = {left_sum(pi)!r}",
     ]
     if estimate.method == "monte_carlo":
         meta.append(f"std_error_max = {max(estimate.std_errors)!r}")
@@ -567,6 +574,9 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
         source = os.path.join(source, "shapley.csv")
     driver_ids, pi, v = _read_shapley_csv(source)
     grid = _parse_grid(args.r, "r") if args.r else [i / 10 for i in range(11)]
+    for r in grid:
+        if not 0.0 <= r <= 1.0:
+            raise ConfigError(f"--r: risk parameter {r!r} must lie in [0, 1]")
     os.makedirs(args.out, exist_ok=True)
     detail_rows = []
     summary_rows = []
@@ -586,7 +596,7 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
             g = ""
             spread = ""
         summary_rows.append(
-            (repr(r), mode, repr(sum(pi)), repr(sum(v)), repr(sum(q)), g, spread)
+            (repr(r), mode, repr(left_sum(pi)), repr(left_sum(v)), repr(left_sum(q)), g, spread)
         )
     with open(os.path.join(args.out, "redistribution.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -60,7 +60,14 @@ from .fleet import (
     Stop,
     apply_matching,
 )
-from .objectives import NeighborhoodTallies, ObjectiveSpec, ObjectiveState, delta_objective, eval_objective
+from .objectives import (
+    NeighborhoodTallies,
+    ObjectiveSpec,
+    ObjectiveState,
+    delta_objective,
+    eval_objective,
+    left_sum,
+)
 from .value import StateKey, ValueModel, state_key
 
 __all__ = [
@@ -453,7 +460,7 @@ def solve_assignment(
     # so at mathematical ties they can round a hair below an achievable total;
     # prune with slack so the true optimum always survives, and keep leaf
     # comparisons exact.
-    slack = 1e-9 * (1.0 + sum(max(abs(w) for w in per) for per in weights))
+    slack = 1e-9 * (1.0 + left_sum(max(abs(w) for w in per) for per in weights))
 
     by_weight = [sorted(range(len(w)), key=lambda j: -w[j]) for w in weights]
     best = [float("-inf")]

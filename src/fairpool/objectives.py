@@ -8,24 +8,37 @@ With lambda = 0 both fairness objectives coincide with platform income, bit
 for bit: :func:`scored_as` names the spec every valid spec scores as, so a
 sweep simulates each distinct scoring behaviour once.
 
+Scores are plain Python floats. :func:`pairwise_sum` and
+:func:`population_variance` return exactly the bits of numpy's
+``np.add.reduce`` and ``np.var`` on a float64 array, because they add in
+numpy's pairwise order (Higham 1993): fewer than 8 values fold left to right
+from 0.0; 8 to 128 values go into eight accumulators, one per position mod
+8, which combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail of
+fewer than 8 is added in order; longer runs split at half the length rounded
+down to a multiple of 8 and recurse. The total is 0.0 plus that sum, so a
+run of -0.0 sums to +0.0 as numpy's does. The variance is
+pairwise((x-m)*(x-m))/n with m = pairwise(values)/n. Sums that are not a
+numpy figure go through :func:`left_sum`, a fold left to right from 0.0, so
+no result depends on the Python version's built-in ``sum`` (compensated
+since 3.12).
+
 Scoring an epoch calls :func:`delta_objective` once per candidate action, all
 against one unchanged state. The variance before any action is therefore the
 same for every call, and the variance after one depends only on the origin
 labels it services (rider fairness, as a multiset) or on the driver and the
 fare sum it adds (driver fairness). ``ObjectiveState.variances`` remembers
-both per state, so each distinct effect is scored once. The remembered values
-come from the same numpy calls on the same arrays, so every delta keeps its
-bits. The memo is only valid while the state is not mutated: build a fresh
-state with :meth:`ObjectiveState.from_fleet` or :meth:`ObjectiveState.copy`
-(both start with an empty memo) instead of changing one that was scored.
+both per state, so each distinct effect is scored once; a remembered value is
+the one the kernel would compute again, so every delta keeps its bits. The
+memo is only valid while the state is not mutated: build a fresh state with
+:meth:`ObjectiveState.from_fleet` or :meth:`ObjectiveState.copy` (both start
+with an empty memo) instead of changing one that was scored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .city import CityGraph
 from .demand import RequestLog
@@ -39,6 +52,8 @@ __all__ = [
     "NeighborhoodTallies",
     "ObjectiveState",
     "scored_as",
+    "left_sum",
+    "pairwise_sum",
     "population_variance",
     "eval_objective",
     "delta_objective",
@@ -79,15 +94,12 @@ def scored_as(spec: ObjectiveSpec) -> ObjectiveSpec:
 class NeighborhoodTallies:
     """Per-neighborhood request and service counts, indexed by label (1-based)."""
 
-    requested: np.ndarray
-    serviced: np.ndarray
+    requested: list[int]
+    serviced: list[int]
 
     @classmethod
     def empty(cls, num_neighborhoods: int) -> "NeighborhoodTallies":
-        return cls(
-            requested=np.zeros(num_neighborhoods + 1, dtype=np.int64),
-            serviced=np.zeros(num_neighborhoods + 1, dtype=np.int64),
-        )
+        return cls(requested=[0] * (num_neighborhoods + 1), serviced=[0] * (num_neighborhoods + 1))
 
     @classmethod
     def from_log(cls, log: RequestLog, graph: CityGraph) -> "NeighborhoodTallies":
@@ -108,18 +120,17 @@ class NeighborhoodTallies:
     def copy(self) -> "NeighborhoodTallies":
         return NeighborhoodTallies(self.requested.copy(), self.serviced.copy())
 
-    def service_rates(self) -> np.ndarray:
+    def service_rates(self) -> list[float]:
         """h_j / k_j over neighborhoods with at least one request."""
-        mask = self.requested[1:] > 0
-        return self.serviced[1:][mask] / self.requested[1:][mask]
+        return [h / k for h, k in zip(self.serviced[1:], self.requested[1:]) if k > 0]
 
 
 @dataclass
 class ObjectiveState:
     """The quantities an objective reads, detached from full fleet state."""
 
-    incomes: np.ndarray  # per-driver income, order = driver index in the fleet
-    rides: np.ndarray  # per-driver accepted request count (ongoing + finished)
+    incomes: list[float]  # per-driver income, order = driver index in the fleet
+    rides: list[int]  # per-driver accepted request count (ongoing + finished)
     tallies: NeighborhoodTallies
     # variance memo of delta_objective; valid only while the state is unchanged
     variances: dict[object, float] = field(default_factory=dict, repr=False, compare=False)
@@ -127,25 +138,69 @@ class ObjectiveState:
     @classmethod
     def from_fleet(cls, fleet: FleetState, tallies: NeighborhoodTallies) -> "ObjectiveState":
         return cls(
-            incomes=np.array([d.income for d in fleet.drivers], dtype=float),
-            rides=np.array([d.rides_count for d in fleet.drivers], dtype=np.int64),
+            incomes=[d.income for d in fleet.drivers],
+            rides=[d.rides_count for d in fleet.drivers],
             tallies=tallies,
         )
 
     def copy(self) -> "ObjectiveState":
-        return ObjectiveState(self.incomes.copy(), self.rides.copy(), self.tallies.copy())
+        return ObjectiveState(list(self.incomes), list(self.rides), self.tallies.copy())
 
 
-def population_variance(values: np.ndarray) -> float:
-    if len(values) == 0:
+def left_sum(values: Iterable[float]) -> float:
+    """Sum left to right from 0.0, one rounding per term: the bits Python's
+    built-in sum gave floats before 3.12."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _pairwise(values: Sequence[float]) -> float:
+    n = len(values)
+    if n < 8:
+        return left_sum(values)
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(tail, n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values[:half]) + _pairwise(values[half:])
+
+
+def pairwise_sum(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of the values as a float64 array, bit for bit (the
+    order is in the module docstring)."""
+    return 0.0 + _pairwise(values)
+
+
+def population_variance(values: Sequence[float]) -> float:
+    """``np.var`` of the values as a float64 array, bit for bit; 0.0 when
+    there are none."""
+    n = len(values)
+    if n == 0:
         return 0.0
-    return float(np.var(values))
+    mean = pairwise_sum(values) / n
+    return pairwise_sum([(x - mean) * (x - mean) for x in values]) / n
 
 
 def eval_objective(spec: ObjectiveSpec, state: ObjectiveState) -> float:
     if spec.name == "requests":
-        return float(state.rides.sum())
-    total = float(state.incomes.sum())
+        return left_sum(state.rides)
+    total = pairwise_sum(state.incomes)
     if spec.name == "income" or spec.lam == 0.0:
         return total
     if spec.name == "rider_fairness":
@@ -168,7 +223,7 @@ def delta_objective(
     must not be mutated between calls (see the module docstring)."""
     if spec.name == "requests":
         return float(len(fares))
-    added = float(sum(fares))
+    added = left_sum(fares)
     # no fares leave the variance as it was, and lam == 0 scales any finite
     # variance change to zero: either way the delta is exactly `added`
     if spec.name == "income" or not fares or spec.lam == 0.0:
@@ -192,7 +247,7 @@ def delta_objective(
     key = ("driver", driver_index, added)
     after = variances.get(key)
     if after is None:
-        incomes = state.incomes.copy()
+        incomes = list(state.incomes)
         incomes[driver_index] += added
         after = variances[key] = population_variance(incomes)
     return added - spec.lam * (after - before)

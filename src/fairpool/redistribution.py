@@ -20,7 +20,7 @@ from .city import CityGraph
 from .demand import RequestBatch
 from .fleet import FleetState
 from .matching import DelayConstraints, RouteMemo
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, left_sum
 from .seeds import substream
 from .simulate import coalition_incomes
 from .value import ValueModel
@@ -111,7 +111,7 @@ class ResimulationOracle:
         return sum(1 for coalition in self._memo if coalition)
 
     def value(self, coalition: frozenset[int]) -> float:
-        return sum(self.incomes(coalition).values())
+        return left_sum(self.incomes(coalition).values())
 
 
 @dataclass(frozen=True)
@@ -252,12 +252,12 @@ def redistribute(
     r = params.r
     base = v if params.mode == "as_printed" else pi
     deficits = [max(0.0, v_i - r * p_i) for p_i, v_i in zip(pi, v)]
-    d = sum(deficits)
+    d = left_sum(deficits)
     if d == 0.0:
         return [r * b for b in base]
     # one scalar pool rate keeps the endpoint identities exact: at r=1 the
     # rate is 0, and at r=0 with matching totals it is exactly 1
-    rate = (1.0 - r) * sum(base) / d
+    rate = (1.0 - r) * left_sum(base) / d
     return [r * b + df * rate for b, df in zip(base, deficits)]
 
 
@@ -279,7 +279,7 @@ def gain_metric(
 
 def mean_gain(pi: Sequence[float], v: Sequence[float], params: RedistributionParams) -> float:
     gains = [gain_metric(pi, v, params, i) for i in range(len(v))]
-    return sum(gains) / len(gains)
+    return left_sum(gains) / len(gains)
 
 
 def minimum_wage_bound(v_i: float, r: float) -> float:

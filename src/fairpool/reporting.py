@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .city import CityGraph
 from .demand import RequestLog
 from .fleet import FleetState
-from .objectives import NeighborhoodTallies, population_variance
+from .objectives import NeighborhoodTallies, left_sum, pairwise_sum, population_variance
 
 REPORT_VERSION = 1
 REPORT_FORMATS = ("structured", "tabular")
@@ -58,24 +56,24 @@ def metrics_from_parts(
     Of the graph only `graph.neighborhoods` is read."""
     tallies = NeighborhoodTallies.from_log(log, graph)
     rates = {
-        j: float(tallies.serviced[j]) / float(tallies.requested[j])
+        j: tallies.serviced[j] / tallies.requested[j]
         for j in range(1, graph.neighborhoods.num_neighborhoods + 1)
         if tallies.requested[j] > 0
     }
     total_requests = len(log.all_requests)
     total_serviced = len(log.serviced_ids)
-    income_values = np.array(list(incomes.values()), dtype=float)
-    rate_values = np.array(list(rates.values()), dtype=float)
+    income_values = list(incomes.values())
+    rate_values = list(rates.values())
     return MetricsReport(
         total_requests=total_requests,
         total_serviced=total_serviced,
-        total_income=float(income_values.sum()),
+        total_income=pairwise_sum(income_values),
         overall_success_rate=(total_serviced / total_requests) if total_requests else None,
         neighborhood_rates=rates,
-        min_success_rate=float(rate_values.min()) if rates else None,
+        min_success_rate=min(rate_values) if rates else None,
         success_rate_var=population_variance(rate_values) if rates else None,
         incomes=incomes,
-        income_min=float(income_values.min()),
+        income_min=min(income_values),
         income_var=population_variance(income_values),
     )
 
@@ -87,9 +85,10 @@ def fairness_metrics(fleet: FleetState, log: RequestLog, graph: CityGraph) -> Me
 def income_value_spread(q, v) -> float:
     """Population standard deviation of the payout-to-value ratios q_i/v_i.
 
-    Summed left to right in plain Python: the `std_q_over_v` column of
-    redistribution_summary.csv is this value, and numpy's pairwise sums round
-    differently."""
+    Both sums fold left to right from 0.0 (`left_sum`), unlike the pairwise
+    order of the report's variances: the `std_q_over_v` column of
+    redistribution_summary.csv is this value, and its bits were fixed in that
+    order."""
     if len(q) != len(v):
         raise ValueError(f"payout and value vectors differ in length: {len(q)} vs {len(v)}")
     zero = [i for i, v_i in enumerate(v) if v_i == 0]
@@ -98,8 +97,8 @@ def income_value_spread(q, v) -> float:
     if len(v) == 0:
         return 0.0
     ratios = [q_i / v_i for q_i, v_i in zip(q, v)]
-    mean = sum(ratios) / len(ratios)
-    return (sum((x - mean) ** 2 for x in ratios) / len(ratios)) ** 0.5
+    mean = left_sum(ratios) / len(ratios)
+    return (left_sum((x - mean) ** 2 for x in ratios) / len(ratios)) ** 0.5
 
 
 def _tabular_rows(report: MetricsReport) -> list[tuple[str, str, str]]:

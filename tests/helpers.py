@@ -9,6 +9,7 @@ too simple to be wrong.
 from __future__ import annotations
 
 import copy
+import csv
 import itertools
 
 import numpy as np
@@ -26,7 +27,7 @@ from fairpool.fleet import (
     apply_matching,
 )
 from fairpool.matching import DelayConstraints, FeasibleAction, enumerate_feasible
-from fairpool.objectives import ObjectiveSpec, ObjectiveState, population_variance
+from fairpool.objectives import ObjectiveSpec, ObjectiveState
 
 
 def line_city(minutes: list[float], delta: float = 5.0, num_neighborhoods: int = 1,
@@ -208,6 +209,20 @@ def enumerate_feasible_reference(
     return actions
 
 
+def sum_reference(values) -> float:
+    """numpy's float64 sum, the bits fairpool.objectives.pairwise_sum must
+    reproduce."""
+    return float(np.add.reduce(np.array(values, dtype=np.float64)))
+
+
+def variance_reference(values) -> float:
+    """numpy's population variance (0.0 for no values), the bits
+    fairpool.objectives.population_variance must reproduce."""
+    if len(values) == 0:
+        return 0.0
+    return float(np.var(np.array(values, dtype=np.float64)))
+
+
 def delta_objective_reference(
     spec: ObjectiveSpec,
     state: ObjectiveState,
@@ -215,24 +230,27 @@ def delta_objective_reference(
     fares: list[float],
     origin_labels: list[int],
 ) -> float:
-    """delta_objective as it was before its variance memo: both variances are
-    recomputed from the state on every call, even for an empty action."""
+    """delta_objective as it was before its variance memo, on numpy's
+    variance: both variances are recomputed from the state on every call,
+    even for an empty action. The fares are added left to right from 0.0."""
     if spec.name == "requests":
         return float(len(fares))
-    added = float(sum(fares))
+    added = 0.0
+    for f in fares:
+        added += f
     if spec.name == "income":
         return added
     if spec.name == "rider_fairness":
-        before = population_variance(state.tallies.service_rates())
+        before = variance_reference(state.tallies.service_rates())
         bumped = state.tallies.copy()
         for label in origin_labels:
             bumped.add_serviced(label)
-        after = population_variance(bumped.service_rates())
+        after = variance_reference(bumped.service_rates())
         return added - spec.lam * (after - before)
-    before = population_variance(state.incomes)
-    incomes = state.incomes.copy()
+    before = variance_reference(state.incomes)
+    incomes = list(state.incomes)
     incomes[driver_index] += added
-    after = population_variance(incomes)
+    after = variance_reference(incomes)
     return added - spec.lam * (after - before)
 
 
@@ -372,6 +390,17 @@ def random_game(rng: np.random.Generator, n: int) -> dict[frozenset[int], float]
             value += float(synergy[a, b])
         table[frozenset(members)] = value
     return table
+
+
+def write_additive_table(path, n: int, value: float = 1.0) -> str:
+    """coalition_bitmask,value CSV of the n-driver game where each driver
+    adds `value`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["coalition_bitmask", "value"])
+        for mask in range(1 << n):
+            writer.writerow([mask, repr(value * bin(mask).count("1"))])
+    return str(path)
 
 
 def balanced_instance(

@@ -181,6 +181,41 @@ def test_missing_shapley_source_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("r", ["1.5", "nan"])
+def test_redistribute_rejects_risk_outside_unit_interval_as_config_error(tmp_path, capsys, r):
+    src = write_config(tmp_path / "shapley.csv", "driver_id,pi,v\n0,5.0,4.0\n1,3.0,4.0\n")
+    out = tmp_path / "o"
+    assert main(["redistribute", src, "--out", str(out), "--r", f"0.5,{r}"]) == 2
+    assert "--r" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_shapley_rejects_non_positive_samples_as_config_error(tmp_path, capsys, samples):
+    table = helpers.write_additive_table(tmp_path / "table.csv", 3)
+    out = tmp_path / "o"
+    argv = ["shapley", table, "--out", str(out), "--method", "monte_carlo", "--samples", samples]
+    assert main(argv) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_shapley_past_the_cap_is_a_config_error_naming_the_flag(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        "city.width = 3\ncity.height = 3\ncity.neighborhoods = 2\nfleet.num_drivers = 13\n"
+        "demand.rate_per_epoch = 1.0\ndemand.num_epochs = 2\nseed = 4\n",
+    )
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    out = tmp_path / "shap"
+    assert main(["shapley", str(run_dir), "--out", str(out), "--method", "exact"]) == 2
+    err = capsys.readouterr().err
+    assert "--method exact" in err and "--method monte_carlo" in err
+    assert "shapley_mc" not in err
+    assert not out.exists()
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -930,6 +965,55 @@ def test_fairness_sweep_artifacts_match_pinned_digests(tmp_path):
     del digests["fair.cfg"]
     assert digests == FAIRNESS_DIGESTS
 
+
+
+WIDE_CITY = """
+city.width = 5
+city.height = 5
+city.neighborhoods = 9
+fleet.num_drivers = 11
+fleet.capacity = 2
+demand.rate_per_epoch = 8.0
+demand.num_epochs = 12
+value.mode = tabular
+value.episodes = 1
+seed = 11
+"""
+
+# sha256 of every artifact of a tabular fairness sweep whose variances run
+# over 11 driver incomes and up to 9 neighborhood rates, so the variance
+# kernel's eight-accumulator block and its tail both reach total_weight in
+# epochs.jsonl. Summing those variances left to right instead changes both
+# epochs.jsonl digests.
+WIDE_DIGESTS = {
+    "sweep/driver_fairness-lam1.0/config.resolved": "24ebec0ffe8d791700e561b416466d047a607985ac4b134706de9ad00504416c",
+    "sweep/driver_fairness-lam1.0/epochs.jsonl": "ebc7d518cac88d245c1eb6226428f4ed52e473926e03795cdb73be734e244adf",
+    "sweep/driver_fairness-lam1.0/fleet.jsonl": "62f54902b42865ce27e6a74dcc46be12f4f750ea9eb078eec92a2ebd79cefa8f",
+    "sweep/driver_fairness-lam1.0/report.csv": "4e1a396558495e0606f1442e76e081fde74e8a4c40200a7558bebbc90e276936",
+    "sweep/driver_fairness-lam1.0/report.json": "04f283e9efe85fa004d3406eb800b4099e017ee64cb33c9540b8c7ce23dd7ae4",
+    "sweep/driver_fairness-lam1.0/requests.csv": "87786a778e6c9a29c4e631e99bb257a39cf298ab708139389a16e9751744556b",
+    "sweep/driver_fairness-lam1.0/stops.csv": "145516b0520b2f23e556038782b201aa6714f9822fad1cde50ee61b83e622121",
+    "sweep/driver_fairness-lam1.0/value_table.txt": "508fc3ab69f69a34a472b466a069d29cb08d9c307e7887928421ed565ec60007",
+    "sweep/rider_fairness-lam1.0/config.resolved": "6f00e4882bf6937fa8b393e276ddac2356d79cc344f01a7e2a4c71e6b2619c67",
+    "sweep/rider_fairness-lam1.0/epochs.jsonl": "57262068a9fe9b407c1c88c7eeb205a7b198705260c49a06f0784c854b2d5604",
+    "sweep/rider_fairness-lam1.0/fleet.jsonl": "4ede7fd9ba052ed8ec1c81e2009257ddabd6c01e34a3583ed8b6c5c15bdf3d19",
+    "sweep/rider_fairness-lam1.0/report.csv": "b99f5d7da2d73ab944dfccc01b6e366b02aa6e5cfa2972fe6bb07d32d603689b",
+    "sweep/rider_fairness-lam1.0/report.json": "044a3709452c9b8056dedf301a41b8813ade2326b10336cb23098660d9627390",
+    "sweep/rider_fairness-lam1.0/requests.csv": "e5fa2ba0b7797ee0292d1004ea4031cc6e8ea007bf96c8a9e701da3c4330a193",
+    "sweep/rider_fairness-lam1.0/stops.csv": "8319b0ef8bfda7a28966b5105d157e1c679f5c55bfd0bf101e1245d88e31bdcd",
+    "sweep/rider_fairness-lam1.0/value_table.txt": "a4de2f314437ab02166af9a52b6ef3dc2c507434df41f0777908bd0b087d884e",
+    "sweep/sweep.csv": "c180862a34ea5c483be937298e4acebc05e2a107464898e1354dee69491d93fd",
+    "sweep/sweep_meta.txt": "6f65c660a32d924c21d700fb147be3b0a3fd7d20163a75d91cdffa1e219833e2",
+}
+
+
+def test_wide_fairness_sweep_artifacts_match_pinned_digests(tmp_path):
+    cfg = write_config(tmp_path / "wide.cfg", WIDE_CITY)
+    argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]
+    assert main(argv + ["--objective", "driver_fairness,rider_fairness", "--lambda", "1.0"]) == 0
+    digests = dir_digests(tmp_path)
+    del digests["wide.cfg"]
+    assert digests == WIDE_DIGESTS
 
 def test_benchmark_layer_hooks_resolve():
     # perfbench/worker.py wraps each LAYERS entry where its caller looks it

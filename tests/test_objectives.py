@@ -1,5 +1,6 @@
 """Objective evaluation, per-action deltas, and the fairness penalties."""
 
+import math
 import struct
 
 import numpy as np
@@ -16,15 +17,16 @@ from fairpool.objectives import (
     ObjectiveState,
     delta_objective,
     eval_objective,
+    pairwise_sum,
     population_variance,
     scored_as,
 )
 
 
 def state_of(incomes, rides=None, h=None, k=None):
-    incomes = np.array(incomes, dtype=float)
+    incomes = [float(x) for x in incomes]
     if rides is None:
-        rides = np.zeros(len(incomes), dtype=np.int64)
+        rides = [0] * len(incomes)
     n = len(k) if k is not None else 1
     tallies = NeighborhoodTallies.empty(n)
     if k is not None:
@@ -32,9 +34,7 @@ def state_of(incomes, rides=None, h=None, k=None):
             tallies.requested[j] = kj
         for j, hj in enumerate(h, start=1):
             tallies.serviced[j] = hj
-    return ObjectiveState(
-        incomes=incomes, rides=np.array(rides, dtype=np.int64), tallies=tallies
-    )
+    return ObjectiveState(incomes=incomes, rides=list(rides), tallies=tallies)
 
 
 def test_objective_spec_validation():
@@ -57,6 +57,55 @@ def test_population_variance_edges():
     assert population_variance(np.array([10.0, 5.0])) == 6.25
 
 
+SPECIAL_FLOATS = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e308, -1e308, 5e-324, -5e-324]
+
+
+def float_bits(x):
+    # which NaN an operation on two NaNs returns follows the machine code's
+    # operand order, not the summation order, and no artifact shows it
+    return "nan" if math.isnan(x) else bits(x)
+
+
+def kernel_bits_match_numpy(values):
+    with np.errstate(all="ignore"):
+        want_sum = helpers.sum_reference(values)
+        want_var = helpers.variance_reference(values)
+    assert float_bits(pairwise_sum(values)) == float_bits(want_sum)
+    assert float_bits(population_variance(values)) == float_bits(want_var)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_pairwise_kernel_matches_numpy_bit_for_bit(data):
+    """pairwise_sum and population_variance give np.add.reduce's and np.var's
+    bits at every length up to 300: the left fold below 8 values, the eight
+    accumulators and their tail up to 128, and the split above."""
+    n = data.draw(st.integers(min_value=0, max_value=300))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)).tolist()
+    special = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=6)) if n else 0):
+        values[data.draw(st.integers(min_value=0, max_value=n - 1))] = data.draw(special)
+    kernel_bits_match_numpy(values)
+
+
+def test_pairwise_kernel_matches_numpy_at_block_boundaries():
+    """Lengths on either side of the kernel's 8 and 128 thresholds and of
+    numpy's 8,192-element buffer, then the longest with every special value."""
+    rng = np.random.default_rng(9)
+    values = (rng.standard_normal(10_007) * 10.0 ** rng.integers(-8, 8, size=10_007)).tolist()
+    for n in (7, 8, 9, 127, 128, 129, 256, 257, 8_191, 8_192, 8_193, 10_007):
+        kernel_bits_match_numpy(values[:n])
+    for i, special in enumerate(SPECIAL_FLOATS):
+        values[1_000 * i + 3] = special
+    kernel_bits_match_numpy(values)
+
+
+def test_pairwise_sum_of_negative_zeros_is_positive_zero():
+    for n in (1, 7, 8, 9, 200):
+        assert float_bits(pairwise_sum([-0.0] * n)) == float_bits(0.0)
+
+
 def test_tallies_from_log_counts_by_origin_neighborhood():
     graph = helpers.line_city([1.0], num_neighborhoods=1)
     log = RequestLog()
@@ -69,14 +118,14 @@ def test_tallies_from_log_counts_by_origin_neighborhood():
     tallies = NeighborhoodTallies.from_log(log, graph)
     assert tallies.requested[1] == 3
     assert tallies.serviced[1] == 1
-    assert tallies.service_rates().tolist() == [1.0 / 3.0]
+    assert tallies.service_rates() == [1.0 / 3.0]
 
 
 def test_service_rates_skip_neighborhoods_without_demand():
     tallies = NeighborhoodTallies.empty(3)
     tallies.requested[2] = 4
     tallies.serviced[2] = 1
-    assert tallies.service_rates().tolist() == [0.25]
+    assert tallies.service_rates() == [0.25]
 
 
 def test_eval_requests_counts_accepted_rides():
