@@ -85,7 +85,7 @@ def main() -> None:
 
     ratios = np.array(v) / max(sum(v), 1e-12)
     print(f"attribution shares: {np.array2string(ratios, precision=3)}")
-    print(f"coalitions resimulated: {len(oracle._memo)}")
+    print(f"coalitions resimulated: {oracle.coalitions}")
 
 
 if __name__ == "__main__":

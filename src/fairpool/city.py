@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import read_rows
+
 __all__ = [
     "Location",
     "NeighborhoodMap",
@@ -276,35 +278,14 @@ def gen_grid_city(
 
 def load_locations(path: str) -> list[Location]:
     """Read a `id,lat,lon` CSV into Location records."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["id", "lat", "lon"]:
-            raise ValueError(f"{path}: expected header id,lat,lon, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                out.append(Location(id=int(row["id"]), lat=float(row["lat"]), lon=float(row["lon"])))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed location row: {exc}") from exc
-    return out
+    columns = (("id", int), ("lat", float), ("lon", float))
+    return [Location(id=i, lat=lat, lon=lon) for _, (i, lat, lon) in read_rows(path, columns)]
 
 
 def load_edges(path: str) -> list[tuple[int, int, float]]:
     """Read a `src,dst,minutes` CSV into an edge list."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["src", "dst", "minutes"]:
-            raise ValueError(f"{path}: expected header src,dst,minutes, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                edge = (int(row["src"]), int(row["dst"]), float(row["minutes"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed edge row: {exc}") from exc
-            if not math.isfinite(edge[2]):
-                raise ValueError(f"{path}:{lineno}: non-finite minutes {edge[2]}")
-            out.append(edge)
-    return out
+    columns = (("src", int), ("dst", int), ("minutes", float))
+    return [(src, dst, minutes) for _, (src, dst, minutes) in read_rows(path, columns)]
 
 
 def write_locations(locations: list[Location], path: str) -> None:

@@ -33,6 +33,7 @@ from .city import (
     write_neighborhoods,
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
+from .csvio import read_rows
 from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
 from .fleet import FleetState, init_fleet
 from .matching import DelayConstraints
@@ -183,9 +184,7 @@ def _train_tabular(
     """Tabular value model trained for value.episodes synthetic episodes, and
     the absolute TD error of each episode. `streams` is handed to
     train_synthetic."""
-    model = ValueModel(
-        mode="tabular", gamma=config.gamma, alpha=config.value_alpha, seed=config.seed
-    )
+    model = ValueModel(gamma=config.gamma, alpha=config.value_alpha, seed=config.seed)
     if config.train_episodes == 0:
         return model, []
     if config.demand_kind != "synthetic":
@@ -439,20 +438,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_pi_csv(path: str) -> dict[int, float]:
-    incomes: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header][:2] != ["driver_id", "pi"]:
-            raise ConfigError(f"{path}: expected header driver_id,pi")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                incomes[int(row[0])] = float(row[1])
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}:{lineno}: malformed income row {row!r}") from None
-    return incomes
+    rows = read_rows(path, (("driver_id", int), ("pi", float)))
+    return {driver_id: pi for _, (driver_id, pi) in rows}
 
 
 def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
@@ -514,7 +501,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
             by_driver = _read_pi_csv(args.pi)
             missing = [d for d in driver_ids if d not in by_driver]
             if missing:
-                raise ConfigError(f"{args.pi}: missing incomes for drivers {missing}")
+                raise ValueError(f"{args.pi}: missing incomes for drivers {missing}")
             pi = [by_driver[d] for d in driver_ids]
         else:
             # a coalition table fixes total income but not its split; default
@@ -541,25 +528,11 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 
 
 def _read_shapley_csv(path: str) -> tuple[list[int], list[float], list[float]]:
-    driver_ids: list[int] = []
-    pi: list[float] = []
-    v: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header][:3] != ["driver_id", "pi", "v"]:
-            raise ConfigError(f"{path}: expected header driver_id,pi,v")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                driver_ids.append(int(row[0]))
-                pi.append(float(row[1]))
-                v.append(float(row[2]))
-            except (ValueError, IndexError):
-                raise ConfigError(f"{path}:{lineno}: malformed row {row!r}") from None
-    if not driver_ids:
-        raise ConfigError(f"{path}: no drivers found")
+    columns = (("driver_id", int), ("pi", float), ("v", float))
+    rows = [values for _, values in read_rows(path, columns)]
+    if not rows:
+        raise ValueError(f"{path}: no drivers found")
+    driver_ids, pi, v = (list(column) for column in zip(*rows))
     return driver_ids, pi, v
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, fields
 
 from .objectives import OBJECTIVES
 from .redistribution import PAYOUT_MODES
-from .value import MODES as VALUE_MODES
+
+VALUE_MODES = ("zero", "tabular")
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "dump_config"]
 

@@ -8,12 +8,12 @@ later batch.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .city import CityGraph
+from .csvio import read_rows
 from .seeds import substream
 
 __all__ = [
@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 EPOCH_SECONDS = 60.0
+TRIP_HEADER = ("pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds")
+TRIP_COLUMNS = tuple((name, float) for name in TRIP_HEADER)
 
 
 @dataclass(frozen=True)
@@ -82,34 +84,22 @@ def ingest_trips(path: str, graph: CityGraph) -> IngestResult:
     """Read trip rows, snap endpoints to locations, and emit a t-sorted stream.
 
     Rows whose pickup and dropoff snap to the same location are dropped and
-    tallied. Malformed rows, non-finite values and negative times raise with
-    their line number.
+    tallied. Rows that break the input-CSV rules (see csvio) and negative
+    times raise with their line number.
     """
     coords = np.array([(loc.lat, loc.lon) for loc in graph.locations], dtype=float)
-    header = ["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"]
     raw: list[tuple[float, int, int]] = []
     dropped = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}, got {reader.fieldnames}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                values = [float(row[name]) for name in header]
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed trip row: {exc}") from exc
-            for name, value in zip(header, values):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{lineno}: non-finite {name} {value}")
-            pickup_lat, pickup_lon, dropoff_lat, dropoff_lon, t = values
-            if t < 0:
-                raise ValueError(f"{path}:{lineno}: negative epoch_seconds")
-            g = _snap(pickup_lat, pickup_lon, coords)
-            e = _snap(dropoff_lat, dropoff_lon, coords)
-            if g == e:
-                dropped += 1
-                continue
-            raw.append((t, g, e))
+    for line, values in read_rows(path, TRIP_COLUMNS):
+        pickup_lat, pickup_lon, dropoff_lat, dropoff_lon, t = values
+        if t < 0:
+            raise ValueError(f"{path}:{line}: negative epoch_seconds")
+        g = _snap(pickup_lat, pickup_lon, coords)
+        e = _snap(dropoff_lat, dropoff_lon, coords)
+        if g == e:
+            dropped += 1
+            continue
+        raw.append((t, g, e))
     raw.sort(key=lambda item: item[0])
     requests = [
         RideRequest(request_id=i, origin=g, destination=e, created_at=t)
@@ -195,7 +185,7 @@ def write_trips(requests: list[RideRequest], graph: CityGraph, path: str) -> Non
     """Export a stream in the trip-CSV format so runs can be replayed from file."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"])
+        writer.writerow(TRIP_HEADER)
         for req in requests:
             g = graph.locations[req.origin]
             e = graph.locations[req.destination]

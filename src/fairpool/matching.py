@@ -30,9 +30,9 @@ is empty and the filter is the direct-pickup test alone.
 
 Coalition resimulations replay the same demand with subsets of the fleet, so
 one driver meets the same batch in the same state many times over. A
-:class:`RouteMemo` passed to :func:`enumerate_feasible` stores the feasible
-(requests, route) pairs under everything route search reads and hands them
-back on a repeat, which makes the repeat exact by construction.
+:class:`RouteMemo` passed to :func:`enumerate_feasible` stores the enumerated
+action tuple under everything route search reads and hands it back on a
+repeat, which makes the repeat exact by construction.
 
 The assignment solve is a two-pass branch and bound over drivers in index
 order. Besides the per-driver-maxima bound it prunes by state dominance: two
@@ -94,7 +94,6 @@ class DelayConstraints:
 
 @dataclass(frozen=True)
 class FeasibleAction:
-    driver_id: int
     requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
     route: RoutePlan | None  # None only for the empty action
 
@@ -103,9 +102,13 @@ class FeasibleAction:
         return tuple(req.request_id for req in self.requests)
 
 
+# the empty action alone; every enumeration starts with this one shared action
+_ONLY_EMPTY = (FeasibleAction(requests=(), route=None),)
+
+
 @dataclass
 class RouteMemo:
-    """Feasible (requests, route) pairs of earlier enumerations on one graph.
+    """The action tuples of earlier enumerations on one graph.
 
     The key is everything route search reads: the driver's loc, secs_to_loc,
     capacity, active requests, onboard riders with their pickup times, the
@@ -114,9 +117,7 @@ class RouteMemo:
     serve a single graph.
     """
 
-    entries: dict[tuple, tuple[tuple[tuple[RideRequest, ...], RoutePlan], ...]] = field(
-        default_factory=dict
-    )
+    entries: dict[tuple, tuple[FeasibleAction, ...]] = field(default_factory=dict)
     hits: int = 0
 
 
@@ -345,7 +346,7 @@ def enumerate_feasible(
     constraints: DelayConstraints,
     memo: RouteMemo | None = None,
     stats: RouteStats | None = None,
-) -> list[FeasibleAction]:
+) -> tuple[FeasibleAction, ...]:
     """All request subsets the driver can take, each with its best route.
 
     The empty action (keep the current route) is always first. Subsets are
@@ -353,13 +354,12 @@ def enumerate_feasible(
     smaller was feasible; requests whose singleton would fail the route
     search's first step are dropped up front (see the module docstring).
     With a memo, a driver state already enumerated against this batch and
-    clock gets the stored pairs back under its own id. `stats` counts the
-    route searches run.
+    clock gets the stored tuple back as is. `stats` counts the route searches
+    run.
     """
-    actions = [FeasibleAction(driver_id=driver.driver_id, requests=(), route=None)]
     seats_free = driver.capacity - driver.occupancy
     if seats_free <= 0 or not batch:
-        return actions
+        return _ONLY_EMPTY
     if memo is not None:
         key = (
             driver.loc,
@@ -374,11 +374,8 @@ def enumerate_feasible(
         stored = memo.entries.get(key)
         if stored is not None:
             memo.hits += 1
-            actions.extend(
-                FeasibleAction(driver_id=driver.driver_id, requests=combo, route=plan)
-                for combo, plan in stored
-            )
-            return actions
+            return stored
+    actions = list(_ONLY_EMPTY)
     ordered = _first_step_survivors(graph, driver, batch, clock, constraints)
     prev_level: set[frozenset[int]] = {frozenset()}
     for size in range(1, min(seats_free, len(ordered)) + 1):
@@ -391,15 +388,14 @@ def enumerate_feasible(
             if plan is None:
                 continue
             level.add(ids)
-            actions.append(
-                FeasibleAction(driver_id=driver.driver_id, requests=combo, route=plan)
-            )
+            actions.append(FeasibleAction(requests=combo, route=plan))
         if not level:
             break
         prev_level = level
+    result = tuple(actions)
     if memo is not None:
-        memo.entries[key] = tuple((action.requests, action.route) for action in actions[1:])
-    return actions
+        memo.entries[key] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -553,7 +549,7 @@ def run_epoch(
         tallies.add_requested(graph.neighborhoods.label(req.origin))
     state = ObjectiveState.from_fleet(fleet, tallies)
 
-    per_driver: list[list[FeasibleAction]] = []
+    per_driver: list[tuple[FeasibleAction, ...]] = []
     weights: list[list[float]] = []
     ids: list[list[tuple[int, ...]]] = []
     deltas: list[list[float]] = []

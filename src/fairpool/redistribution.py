@@ -11,12 +11,12 @@ with high attributed value are topped up.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .city import CityGraph
+from .csvio import read_rows
 from .demand import RequestBatch
 from .fleet import FleetState
 from .matching import DelayConstraints, RouteMemo
@@ -294,28 +294,16 @@ def load_coalition_table(path: str) -> tuple[TableOracle, int]:
     count inferred from the widest bitmask. Driver ids are bit positions."""
     values: dict[frozenset[int], float] = {}
     n = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["coalition_bitmask", "value"]:
-            raise ValueError(f"{path}: expected header coalition_bitmask,value")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                mask = int(row[0])
-                val = float(row[1])
-            except (ValueError, IndexError):
-                raise ValueError(f"{path}:{lineno}: malformed coalition row {row!r}") from None
-            if mask < 0:
-                raise ValueError(f"{path}:{lineno}: bitmask must be nonnegative")
-            coalition = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-            if coalition in values:
-                raise ValueError(f"{path}:{lineno}: duplicate coalition {mask}")
-            if not coalition and val != 0.0:
-                raise ValueError(f"{path}:{lineno}: the empty coalition must have value 0")
-            values[coalition] = val
-            n = max(n, mask.bit_length())
+    for line, (mask, val) in read_rows(path, (("coalition_bitmask", int), ("value", float))):
+        if mask < 0:
+            raise ValueError(f"{path}:{line}: bitmask must be nonnegative")
+        coalition = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+        if coalition in values:
+            raise ValueError(f"{path}:{line}: duplicate coalition {mask}")
+        if not coalition and val != 0.0:
+            raise ValueError(f"{path}:{line}: the empty coalition must have value 0")
+        values[coalition] = val
+        n = max(n, mask.bit_length())
     if n == 0:
         raise ValueError(f"{path}: no coalitions found")
     return TableOracle(values), n

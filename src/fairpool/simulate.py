@@ -109,8 +109,6 @@ def train_value_model(
     with the episode end treated as terminal. Returns the summed absolute TD
     error per episode, which should shrink as the table settles.
     """
-    if model.mode != "tabular":
-        raise ValueError("training requires a tabular value model")
     errors: list[float] = []
     for _ in range(episodes):
         prev: EpochResult | None = None

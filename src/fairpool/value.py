@@ -1,10 +1,10 @@
 """Tabular state-value model for non-myopic dispatch.
 
 A driver's state is collapsed to (neighborhood of the committed route end,
-riders onboard, 900-second time bucket). In `tabular` mode the table maps
-that key to an estimated discounted future objective gain, trained by
-one-step TD updates over simulated episodes. `zero` mode scores every state
-0, which makes dispatch purely myopic; that is the default.
+riders onboard, 900-second time bucket). The table maps that key to an
+estimated discounted future objective gain, trained by one-step TD updates
+over simulated episodes; a key not in the table scores 0. Myopic dispatch
+runs with no value model at all.
 """
 
 from __future__ import annotations
@@ -15,11 +15,9 @@ from .city import CityGraph
 from .fleet import DriverState
 
 BUCKET_SECONDS = 900.0
-MODES = ("zero", "tabular")
 
 __all__ = [
     "BUCKET_SECONDS",
-    "MODES",
     "StateKey",
     "ValueModel",
     "state_key",
@@ -46,23 +44,18 @@ def state_key(
 
 @dataclass
 class ValueModel:
-    mode: str = "zero"
     gamma: float = 0.9
     alpha: float = 0.1
     seed: int = 0
     table: dict[StateKey, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown value model mode {self.mode!r}, expected one of {MODES}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
 
     def estimate(self, key: StateKey) -> float:
-        if self.mode == "zero":
-            return 0.0
         return self.table.get(key, 0.0)
 
 
@@ -71,8 +64,6 @@ def td_update(
 ) -> float:
     """One-step bootstrapped update; next_key None marks a terminal state.
     Returns the TD error."""
-    if model.mode == "zero":
-        raise ValueError("zero value model is not trainable")
     bootstrap = 0.0 if next_key is None else model.estimate(next_key)
     error = reward + model.gamma * bootstrap - model.estimate(key)
     updated = model.estimate(key) + model.alpha * error
@@ -85,7 +76,7 @@ def td_update(
 def save_value_model(model: ValueModel, path: str) -> None:
     """Plain-text table, one key per line, restored bit-exactly by the loader."""
     lines = [
-        f"# value-table mode={model.mode} gamma={model.gamma!r} "
+        f"# value-table mode=tabular gamma={model.gamma!r} "
         f"alpha={model.alpha!r} seed={model.seed}\n"
     ]
     for key in sorted(model.table):
@@ -101,8 +92,9 @@ def load_value_model(path: str) -> ValueModel:
         if not header.startswith("# value-table "):
             raise ValueError(f"{path}: not a value-table file")
         params = dict(part.split("=", 1) for part in header.split()[2:])
+        if params.get("mode") != "tabular":
+            raise ValueError(f"{path}: expected mode=tabular, got mode={params.get('mode')}")
         model = ValueModel(
-            mode=params["mode"],
             gamma=float(params["gamma"]),
             alpha=float(params["alpha"]),
             seed=int(params["seed"]),

@@ -186,7 +186,7 @@ def enumerate_feasible_reference(
     """Level-wise subset enumeration with no reach filter and no memo, every
     route from route_feasible_reference. Same order as enumerate_feasible:
     the empty action, then each level's sets in request-id order."""
-    actions = [FeasibleAction(driver_id=driver.driver_id, requests=(), route=None)]
+    actions = [FeasibleAction(requests=(), route=None)]
     seats_free = driver.capacity - driver.occupancy
     if seats_free <= 0 or not batch:
         return actions
@@ -202,7 +202,7 @@ def enumerate_feasible_reference(
             if plan is None:
                 continue
             level.add(ids)
-            actions.append(FeasibleAction(driver_id=driver.driver_id, requests=combo, route=plan))
+            actions.append(FeasibleAction(requests=combo, route=plan))
         if not level:
             break
         prev_level = level

@@ -430,7 +430,7 @@ def test_criterion_13_learned_dispatch_beats_myopic():
     requests appear, matching the exhaustive full-horizon optimum that the
     myopic dispatcher misses."""
     # part 1: the chain A <-> B with rewards 1 and 2, gamma 0.9
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=0.1, seed=0)
+    model = ValueModel(gamma=0.9, alpha=0.1, seed=0)
     key_a, key_b = (1, 0, 0), (2, 0, 0)
     for _ in range(2500):
         td_update(model, key_a, 1.0, key_b)
@@ -478,7 +478,7 @@ def test_criterion_13_learned_dispatch_beats_myopic():
                 request_id=j, origin=origin, destination=destination, created_at=240.0 * j + 10.0
             )
         )
-    trained = ValueModel(mode="tabular", gamma=0.9, alpha=0.1, seed=0)
+    trained = ValueModel(gamma=0.9, alpha=0.1, seed=0)
     train_value_model(
         graph, batch_requests(train_stream), fleet, spec, trained, constraints, episodes=300
     )

@@ -426,7 +426,6 @@ def test_train_writes_model_and_error_curve(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
 
     model = load_value_model(str(out / "value_table.txt"))
-    assert model.mode == "tabular"
     assert len(model.table) > 0
 
     rows = read_csv_rows(out / "training_errors.csv")
@@ -1100,6 +1099,36 @@ def test_non_finite_csv_edge_exits_3(tmp_path, capsys, minutes):
     cfg = write_config(tmp_path / "c.cfg", text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
     assert f"edges.csv:2: non-finite minutes {minutes}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["pi", "v"])
+def test_redistribute_rejects_non_finite_input_with_exit_3(tmp_path, capsys, column, value):
+    """A nan or inf in pi or v once gave nan payouts and exit 0."""
+    row = {"pi": "3.0", "v": "4.0", column: value}
+    text = f"driver_id,pi,v\n0,5.0,4.0\n1,{row['pi']},{row['v']}\n"
+    src = write_config(tmp_path / "shapley.csv", text)
+    out = tmp_path / "o"
+    assert main(["redistribute", src, "--out", str(out)]) == 3
+    assert f"{src}:3: non-finite {column} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_rejects_non_finite_coalition_value_with_exit_3(tmp_path, capsys):
+    table = write_config(tmp_path / "table.csv", "coalition_bitmask,value\n0,0.0\n1,nan\n")
+    out = tmp_path / "o"
+    assert main(["shapley", table, "--out", str(out)]) == 3
+    assert f"{table}:3: non-finite value nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_rejects_non_finite_pi_with_exit_3(tmp_path, capsys):
+    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
+    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n1,inf\n")
+    out = tmp_path / "o"
+    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
+    assert f"{pi}:3: non-finite pi inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -27,7 +27,7 @@ from fairpool.matching import DelayConstraints, FeasibleAction, route_feasible
 def single_request_action(graph, driver, request, clock=0.0):
     plan = route_feasible(graph, driver, (request,), clock, DelayConstraints())
     assert plan is not None
-    return FeasibleAction(driver_id=driver.driver_id, requests=(request,), route=plan)
+    return FeasibleAction(requests=(request,), route=plan)
 
 
 def test_init_fleet_deterministic():
@@ -72,10 +72,7 @@ def test_apply_matching_empty_assignment_is_identity():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0, 1])
     before = copy.deepcopy(fleet)
-    empty = {
-        d.driver_id: FeasibleAction(driver_id=d.driver_id, requests=(), route=None)
-        for d in fleet.drivers
-    }
+    empty = {d.driver_id: FeasibleAction(requests=(), route=None) for d in fleet.drivers}
     apply_matching(fleet, empty, graph)
     assert fleet == before
 
@@ -107,7 +104,7 @@ def test_apply_matching_requires_route_for_nonempty_action():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0])
     request = RideRequest(request_id=0, origin=0, destination=1, created_at=0.0)
-    bogus = FeasibleAction(driver_id=0, requests=(request,), route=None)
+    bogus = FeasibleAction(requests=(request,), route=None)
     with pytest.raises(ValueError, match="without a route"):
         apply_matching(fleet, {0: bogus}, graph)
 

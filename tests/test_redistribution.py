@@ -345,7 +345,7 @@ def test_shared_route_memo_oracle_matches_fresh_resimulations(grid55):
     with a trained tabular value model in the action weights."""
     spec = ObjectiveSpec(name="income")
     constraints = DelayConstraints()
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=0.2, seed=3)
+    model = ValueModel(gamma=0.9, alpha=0.2, seed=3)
     train_synthetic(
         grid55, model, spec, num_drivers=4, capacity=4, rate_per_epoch=4.0,
         num_epochs=15, hotspot_skew=0.6, episodes=2, seed=3,

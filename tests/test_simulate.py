@@ -16,7 +16,6 @@ from fairpool.simulate import (
     run_simulation,
     subset_fleet,
     train_synthetic,
-    train_value_model,
 )
 from fairpool.value import ValueModel
 
@@ -146,7 +145,7 @@ def test_zero_model_run_is_exactly_myopic(grid55):
     )
     zeroed = run_simulation(
         grid55, batches, init_fleet(grid55, 4, 4, seed=4), spec,
-        value_model=ValueModel(mode="zero"),
+        value_model=ValueModel(),  # untrained: every state is worth 0
     )
     assert plain.log.serviced_ids == zeroed.log.serviced_ids
     assert plain.incomes() == zeroed.incomes()
@@ -188,23 +187,15 @@ def test_subcoalition_run_is_consistent(grid55):
     assert solo == coalition_incomes(grid55, batches, template, [1], spec)
 
 
-def test_training_requires_tabular_model(grid55):
-    with pytest.raises(ValueError, match="tabular"):
-        train_value_model(
-            grid55, [], lambda: init_fleet(grid55, 2, 4, seed=0),
-            ObjectiveSpec(name="income"), ValueModel(mode="zero"),
-        )
-
-
 def test_training_is_deterministic(grid55):
     spec = ObjectiveSpec(name="income")
     kwargs = dict(
         spec=spec, num_drivers=3, capacity=4, rate_per_epoch=2.0,
         num_epochs=10, hotspot_skew=0.6, episodes=3, seed=13,
     )
-    model_a = ValueModel(mode="tabular", gamma=0.9, alpha=0.2)
+    model_a = ValueModel(gamma=0.9, alpha=0.2)
     errors_a = train_synthetic(grid55, model_a, **kwargs)
-    model_b = ValueModel(mode="tabular", gamma=0.9, alpha=0.2)
+    model_b = ValueModel(gamma=0.9, alpha=0.2)
     errors_b = train_synthetic(grid55, model_b, **kwargs)
     assert model_a.table == model_b.table
     assert errors_a == errors_b
@@ -212,7 +203,7 @@ def test_training_is_deterministic(grid55):
 
 
 def test_zero_episodes_leave_model_untouched(grid55):
-    model = ValueModel(mode="tabular")
+    model = ValueModel()
     errors = train_synthetic(
         grid55, model, ObjectiveSpec(name="income"),
         num_drivers=2, capacity=4, rate_per_epoch=2.0, num_epochs=5,

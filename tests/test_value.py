@@ -27,20 +27,8 @@ def test_state_key_components():
     assert state_key(graph, driver, 0.0, route_end=1) == (2, 1, 0)
 
 
-def test_zero_mode_estimates_zero_everywhere():
-    model = ValueModel(mode="zero")
-    assert model.estimate((1, 0, 0)) == 0.0
-    assert model.estimate((2, 3, 1)) == 0.0
-
-
-def test_zero_mode_is_not_trainable():
-    model = ValueModel(mode="zero")
-    with pytest.raises(ValueError, match="not trainable"):
-        td_update(model, (1, 0, 0), 1.0, None)
-
-
 def test_tabular_estimates_sum_over_keys():
-    model = ValueModel(mode="tabular")
+    model = ValueModel()
     model.table[(1, 0, 0)] = 2.0
     model.table[(2, 0, 0)] = 5.0
     assert model.estimate((1, 0, 0)) == 2.0
@@ -49,7 +37,7 @@ def test_tabular_estimates_sum_over_keys():
 
 
 def test_td_update_formula():
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=0.5)
+    model = ValueModel(gamma=0.9, alpha=0.5)
     error = td_update(model, (1, 0, 0), 1.0, (2, 0, 0))
     # empty table: error is reward + gamma*0 - 0, update moves half of it
     assert error == 1.0
@@ -57,13 +45,13 @@ def test_td_update_formula():
 
 
 def test_td_update_terminal_bootstraps_zero():
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=1.0)
+    model = ValueModel(gamma=0.9, alpha=1.0)
     td_update(model, (1, 0, 0), 4.0, None)
     assert model.table[(1, 0, 0)] == 4.0
 
 
 def test_td_update_fixed_point_is_stable():
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=0.3)
+    model = ValueModel(gamma=0.9, alpha=0.3)
     model.table[(1, 0, 0)] = 0.9
     model.table[(2, 0, 0)] = 1.0
     error = td_update(model, (1, 0, 0), 0.0, (2, 0, 0))
@@ -80,7 +68,7 @@ def test_td_update_fixed_point_is_stable():
 )
 def test_td_update_shrinks_the_error(value_pre, value_post, reward, alpha):
     """For alpha <= 0.5 an update never increases the transition's TD error."""
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=alpha)
+    model = ValueModel(gamma=0.9, alpha=alpha)
     pre, post = (1, 0, 0), (2, 0, 0)
     model.table[pre] = value_pre
     model.table[post] = value_post
@@ -94,7 +82,7 @@ def test_td_update_shrinks_the_error(value_pre, value_post, reward, alpha):
 
 
 def test_two_state_chain_converges_to_discounted_returns():
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=0.1)
+    model = ValueModel(gamma=0.9, alpha=0.1)
     a, b = (1, 0, 0), (2, 0, 0)
     for _ in range(2500):
         td_update(model, a, 1.0, b)
@@ -105,29 +93,27 @@ def test_two_state_chain_converges_to_discounted_returns():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError, match="unknown value model mode"):
-        ValueModel(mode="neural")
     with pytest.raises(ValueError, match="gamma"):
-        ValueModel(mode="tabular", gamma=1.0)
+        ValueModel(gamma=1.0)
     with pytest.raises(ValueError, match="alpha"):
-        ValueModel(mode="tabular", alpha=0.0)
+        ValueModel(alpha=0.0)
 
 
 def test_td_update_rejects_non_finite():
-    model = ValueModel(mode="tabular", alpha=1.0)
+    model = ValueModel(alpha=1.0)
     with pytest.raises(ValueError, match="not finite"):
         td_update(model, (1, 0, 0), float("inf"), None)
 
 
 def test_save_load_round_trip_is_bit_exact(tmp_path):
-    model = ValueModel(mode="tabular", gamma=0.9, alpha=0.1, seed=42)
+    model = ValueModel(gamma=0.9, alpha=0.1, seed=42)
     model.table[(1, 0, 0)] = 1.0 / 3.0
     model.table[(2, 3, 17)] = -0.1234567890123456789
     model.table[(4, 1, 2)] = 7.0
     path = tmp_path / "values.txt"
     save_value_model(model, path)
     loaded = load_value_model(path)
-    assert loaded.mode == model.mode
+    assert path.read_text().startswith("# value-table mode=tabular ")
     assert loaded.gamma == model.gamma
     assert loaded.alpha == model.alpha
     assert loaded.seed == model.seed
@@ -135,7 +121,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
 
 
 def test_save_is_deterministic(tmp_path):
-    model = ValueModel(mode="tabular")
+    model = ValueModel()
     model.table[(2, 0, 1)] = 0.25
     model.table[(1, 0, 0)] = 0.5
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -151,8 +137,18 @@ def test_load_rejects_foreign_files(tmp_path):
         load_value_model(path)
 
 
+@pytest.mark.parametrize("mode", ["zero", "neural", None])
+def test_load_rejects_any_mode_but_tabular(tmp_path, mode):
+    path = tmp_path / "values.txt"
+    save_value_model(ValueModel(), path)
+    text = path.read_text().replace("mode=tabular ", "" if mode is None else f"mode={mode} ")
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"values.txt: expected mode=tabular, got mode={mode}$"):
+        load_value_model(path)
+
+
 def test_load_reports_malformed_row(tmp_path):
-    model = ValueModel(mode="tabular")
+    model = ValueModel()
     model.table[(1, 0, 0)] = 1.0
     path = tmp_path / "values.txt"
     save_value_model(model, path)
@@ -163,7 +159,7 @@ def test_load_reports_malformed_row(tmp_path):
 
 
 def test_load_rejects_non_finite_value(tmp_path):
-    model = ValueModel(mode="tabular")
+    model = ValueModel()
     model.table[(1, 0, 0)] = 1.0
     path = tmp_path / "values.txt"
     save_value_model(model, path)
