@@ -13,8 +13,6 @@ Usage:
 
 import argparse
 
-import numpy as np
-
 from fairpool.city import gen_grid_city
 from fairpool.demand import batch_requests, synth_demand
 from fairpool.fleet import init_fleet
@@ -83,8 +81,8 @@ def main() -> None:
             )
         print()
 
-    ratios = np.array(v) / max(sum(v), 1e-12)
-    print(f"attribution shares: {np.array2string(ratios, precision=3)}")
+    total = max(sum(v), 1e-12)
+    print("attribution shares: " + " ".join(f"{x / total:.3f}" for x in v))
     print(f"coalitions resimulated: {oracle.coalitions}")
 
 

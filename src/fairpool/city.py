@@ -1,11 +1,12 @@
 """City model: locations, travel-time closure, trip pricing, and neighborhoods.
 
 Travel times are stored as the all-pairs shortest-path closure (in minutes, as
-edge files give them), so the duration of any leg is a single matrix lookup.
-The simulation clock runs in seconds, so a graph also keeps the closure in
-seconds as plain Python float rows, ``graph.travel_secs[origin][destination]``,
-built once; each entry is bit-identical to ``float(minutes) * 60.0``. Hot
-loops index the rows directly; :func:`travel_seconds` reads the same rows.
+edge files give them), as plain Python float rows
+``graph.travel_minutes[origin][destination]``, so the duration of any leg is
+a single lookup. The simulation clock runs in seconds, so a graph also keeps
+the closure in seconds, ``graph.travel_secs[origin][destination]``, built
+once; each entry is ``minutes * 60.0``. Hot loops index the rows directly;
+:func:`travel_seconds` reads the same rows.
 
 The closure is exact to the bit. Each entry is the minimum, over all paths,
 of the path's edge times summed left to right from the origin. Dijkstra
@@ -25,9 +26,8 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .csvio import read_rows
+from .seeds import Generator
 
 __all__ = [
     "Location",
@@ -69,34 +69,37 @@ class NeighborhoodMap:
 
 @dataclass
 class CityGraph:
+    """A city: locations by id, the travel-time closure in minutes as float
+    rows (``travel_minutes[origin][destination]``), the flat fare component
+    and the neighborhood map. ``travel_secs`` holds the same closure in
+    seconds, derived once."""
+
     locations: list[Location]
-    travel_minutes: np.ndarray  # closure, shape (|L|, |L|)
+    travel_minutes: list[list[float]]  # closure rows, |L| x |L|
     delta: float  # flat fare component, currency units
     neighborhoods: NeighborhoodMap
     travel_secs: list[list[float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.locations)
-        if self.travel_minutes.shape != (n, n):
-            raise ValueError(
-                f"travel matrix shape {self.travel_minutes.shape} does not match "
-                f"{n} locations"
-            )
+        if len(self.travel_minutes) != n or any(len(row) != n for row in self.travel_minutes):
+            raise ValueError(f"travel matrix is not {n} x {n}, one row and column per location")
         if not math.isfinite(self.delta):
             raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if len(self.neighborhoods.labels) != n:
             raise ValueError("neighborhood map does not cover all locations")
-        # float64 times 60.0 rounds exactly as float(m) * 60.0 does
-        self.travel_secs = (np.asarray(self.travel_minutes, dtype=np.float64) * 60.0).tolist()
+        self.travel_secs = [[m * 60.0 for m in row] for row in self.travel_minutes]
 
     @property
     def num_locations(self) -> int:
         return len(self.locations)
 
 
-def build_travel_closure(num_locations: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+def build_travel_closure(
+    num_locations: int, edges: list[tuple[int, int, float]]
+) -> list[list[float]]:
     """All-pairs shortest travel times (minutes) from a sparse edge list.
 
     Edges are directed; pass both directions for a symmetric network. Raises if
@@ -138,29 +141,49 @@ def build_travel_closure(num_locations: int, edges: list[tuple[int, int, float]]
                 f"graph is not strongly connected: no path from {source} to {dist.index(math.inf)}"
             )
         rows.append(dist)
-    return np.array(rows, dtype=np.float64)
+    return rows
 
 
 def fare(graph: CityGraph, origin: int, destination: int) -> float:
     """Price of a trip: travel minutes plus the flat component delta."""
-    return float(graph.travel_minutes[origin, destination]) + graph.delta
+    return graph.travel_minutes[origin][destination] + graph.delta
 
 
 def travel_seconds(graph: CityGraph, origin: int, destination: int) -> float:
     return graph.travel_secs[origin][destination]
 
 
-def _farthest_point_seeds(coords: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Pick k seed indices: a random first point, then farthest-point traversal."""
-    n = len(coords)
-    first = int(rng.integers(n))
+def _sq_dists(coords: list[tuple[float, float]], x: float, y: float) -> list[float]:
+    """Squared distance of every point to (x, y)."""
+    return [(px - x) * (px - x) + (py - y) * (py - y) for px, py in coords]
+
+
+def _first_max(values: list[float]) -> int:
+    return values.index(max(values))
+
+
+def _farthest_point_seeds(coords: list[tuple[float, float]], k: int, rng: Generator) -> list[list[float]]:
+    """Pick k seed centroids: a random first point, then farthest-point
+    traversal (ties to the lowest index)."""
+    first = rng.integers(len(coords))
     chosen = [first]
-    min_d2 = np.sum((coords - coords[first]) ** 2, axis=1)
+    min_d2 = _sq_dists(coords, *coords[first])
     while len(chosen) < k:
-        nxt = int(np.argmax(min_d2))  # argmax takes the lowest index on ties
+        nxt = _first_max(min_d2)
         chosen.append(nxt)
-        min_d2 = np.minimum(min_d2, np.sum((coords - coords[nxt]) ** 2, axis=1))
-    return coords[chosen].copy()
+        min_d2 = [min(a, b) for a, b in zip(min_d2, _sq_dists(coords, *coords[nxt]))]
+    return [list(coords[i]) for i in chosen]
+
+
+def _centroid(members: list[tuple[float, float]]) -> list[float]:
+    """Mean of the points, each coordinate summed left to right from 0.0
+    and divided by the count: the bits of numpy's ``mean(axis=0)`` over the
+    rows of an (m, 2) array, which adds row by row rather than pairwise."""
+    sx = sy = 0.0
+    for x, y in members:
+        sx += x
+        sy += y
+    return [sx / len(members), sy / len(members)]
 
 
 def kmeans_neighborhoods(locations: list[Location], num_neighborhoods: int, seed: int) -> NeighborhoodMap:
@@ -177,30 +200,35 @@ def kmeans_neighborhoods(locations: list[Location], num_neighborhoods: int, seed
         raise ValueError("neighborhood count must be positive")
     if h > n:
         raise ValueError(f"cannot split {n} locations into {h} neighborhoods")
-    coords = np.array([(loc.lat, loc.lon) for loc in locations], dtype=float)
-    rng = np.random.default_rng(seed)
-    centroids = _farthest_point_seeds(coords, h, rng)
+    coords = [(loc.lat, loc.lon) for loc in locations]
+    centroids = _farthest_point_seeds(coords, h, Generator(seed))
 
-    assign = np.full(n, -1, dtype=int)
+    assign: list[int] = []
     for _ in range(100):
-        d2 = np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        new_assign = np.argmin(d2, axis=1)
-        if np.array_equal(new_assign, assign):
+        new_assign = []
+        for x, y in coords:
+            d2 = _sq_dists(centroids, x, y)
+            new_assign.append(d2.index(min(d2)))
+        if new_assign == assign:
             break
         assign = new_assign
         for k in range(h):
-            members = coords[assign == k]
-            if len(members) > 0:
-                centroids[k] = members.mean(axis=0)
+            members = [point for point, label in zip(coords, assign) if label == k]
+            if members:
+                centroids[k] = _centroid(members)
             else:
                 # relocate an empty cluster to the point farthest from its centroid
-                dist_own = np.sum((coords - centroids[assign]) ** 2, axis=1)
-                centroids[k] = coords[int(np.argmax(dist_own))]
+                dist_own = [
+                    (x - centroids[a][0]) * (x - centroids[a][0])
+                    + (y - centroids[a][1]) * (y - centroids[a][1])
+                    for (x, y), a in zip(coords, assign)
+                ]
+                centroids[k] = list(coords[_first_max(dist_own)])
 
     # renumber clusters 1..H by centroid geography so labels are report-stable
     order = sorted(range(h), key=lambda k: (centroids[k][0], centroids[k][1]))
     relabel = {old: new + 1 for new, old in enumerate(order)}
-    labels = tuple(relabel[int(a)] for a in assign)
+    labels = tuple(relabel[a] for a in assign)
     return NeighborhoodMap(labels=labels, num_neighborhoods=h)
 
 
@@ -211,7 +239,7 @@ def _sorted_locations(locations: list[Location]) -> list[Location]:
     if ids != list(range(len(locations))):
         raise ValueError("location ids must be dense and unique, 0..n-1")
     for loc in locations:
-        if not (np.isfinite(loc.lat) and np.isfinite(loc.lon)):
+        if not (math.isfinite(loc.lat) and math.isfinite(loc.lon)):
             raise ValueError(f"location {loc.id} has non-finite coordinates")
     return sorted(locations, key=lambda loc: loc.id)
 

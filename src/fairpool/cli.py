@@ -438,8 +438,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_pi_csv(path: str) -> dict[int, float]:
-    rows = read_rows(path, (("driver_id", int), ("pi", float)))
-    return {driver_id: pi for _, (driver_id, pi) in rows}
+    by_driver: dict[int, float] = {}
+    for line, (driver_id, pi) in read_rows(path, (("driver_id", int), ("pi", float))):
+        if driver_id in by_driver:
+            raise ValueError(f"{path}:{line}: duplicate driver_id {driver_id}")
+        by_driver[driver_id] = pi
+    return by_driver
 
 
 def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
@@ -462,7 +466,8 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
         epoch_len_seconds=config.epoch_len_seconds,
     )
     driver_ids = [d.driver_id for d in template.drivers]
-    estimate = _run_shapley(oracle, driver_ids, args, seed=config.seed)
+    seed = config.seed if args.seed is None else args.seed
+    estimate = _run_shapley(oracle, driver_ids, args, seed=seed)
     incomes = oracle.incomes(frozenset(driver_ids))
     pi = [incomes.get(d, 0.0) for d in driver_ids]
     counters = [
@@ -529,7 +534,17 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 
 def _read_shapley_csv(path: str) -> tuple[list[int], list[float], list[float]]:
     columns = (("driver_id", int), ("pi", float), ("v", float))
-    rows = [values for _, values in read_rows(path, columns)]
+    rows = []
+    seen: set[int] = set()
+    for line, values in read_rows(path, columns):
+        driver_id = values[0]
+        if driver_id in seen:
+            raise ValueError(f"{path}:{line}: duplicate driver_id {driver_id}")
+        seen.add(driver_id)
+        for (name, _), x in zip(columns[1:], values[1:]):
+            if x < 0:
+                raise ValueError(f"{path}:{line}: negative {name} {x!r} for driver {driver_id}")
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no drivers found")
     driver_ids, pi, v = (list(column) for column in zip(*rows))
@@ -652,7 +667,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shapley", help="attribute income to drivers by Shapley value")
     p.add_argument("source", help="run directory, or coalition_bitmask,value CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="seed for Monte Carlo sampling")
+    p.add_argument(
+        "--seed", type=int,
+        help="seed for Monte Carlo sampling (default: the run's config seed, or 0 for a table)",
+    )
     p.add_argument("--method", choices=["auto", "exact", "monte_carlo"], default="auto")
     p.add_argument("--samples", type=int, default=50_000, help="Monte Carlo permutations")
     p.add_argument("--pi", help="driver_id,pi CSV with true incomes (table input only)")

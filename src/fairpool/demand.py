@@ -8,9 +8,8 @@ later batch.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .city import CityGraph
 from .csvio import read_rows
@@ -74,10 +73,14 @@ class IngestResult:
     dropped: int  # rows discarded because origin == destination after snapping
 
 
-def _snap(lat: float, lon: float, coords: np.ndarray) -> int:
+def _snap(lat: float, lon: float, coords: list[tuple[float, float]]) -> int:
     """Nearest location by squared distance; ties go to the lower id."""
-    d2 = (coords[:, 0] - lat) ** 2 + (coords[:, 1] - lon) ** 2
-    return int(np.argmin(d2))
+    best, best_d2 = 0, math.inf
+    for i, (x, y) in enumerate(coords):
+        d2 = (x - lat) * (x - lat) + (y - lon) * (y - lon)
+        if d2 < best_d2:
+            best, best_d2 = i, d2
+    return best
 
 
 def ingest_trips(path: str, graph: CityGraph) -> IngestResult:
@@ -87,7 +90,7 @@ def ingest_trips(path: str, graph: CityGraph) -> IngestResult:
     tallied. Rows that break the input-CSV rules (see csvio) and negative
     times raise with their line number.
     """
-    coords = np.array([(loc.lat, loc.lon) for loc in graph.locations], dtype=float)
+    coords = [(loc.lat, loc.lon) for loc in graph.locations]
     raw: list[tuple[float, int, int]] = []
     dropped = 0
     for line, values in read_rows(path, TRIP_COLUMNS):
@@ -153,20 +156,20 @@ def synth_demand(
         return []  # no origin/destination pair exists
     rng = substream(seed, "demand")
     labels = graph.neighborhoods.labels
-    hot_label = int(rng.integers(1, graph.neighborhoods.num_neighborhoods + 1))
+    hot_label = rng.integers(1, graph.neighborhoods.num_neighborhoods + 1)
     hot_locations = [i for i in range(n) if labels[i] == hot_label]
 
     requests: list[RideRequest] = []
     next_id = 0
     for epoch in range(num_epochs):
-        count = int(rng.poisson(rate_per_epoch))
-        times = np.sort(rng.uniform(0.0, epoch_len_seconds, size=count))
+        count = rng.poisson(rate_per_epoch)
+        times = sorted(rng.uniform(0.0, epoch_len_seconds, size=count))
         for t_off in times:
             if rng.uniform() < hotspot_skew:
-                origin = int(hot_locations[rng.integers(len(hot_locations))])
+                origin = hot_locations[rng.integers(len(hot_locations))]
             else:
-                origin = int(rng.integers(n))
-            dest = int(rng.integers(n - 1))
+                origin = rng.integers(n)
+            dest = rng.integers(n - 1)
             if dest >= origin:
                 dest += 1
             requests.append(
@@ -174,7 +177,7 @@ def synth_demand(
                     request_id=next_id,
                     origin=origin,
                     destination=dest,
-                    created_at=float(epoch * epoch_len_seconds + t_off),
+                    created_at=epoch * epoch_len_seconds + t_off,
                 )
             )
             next_id += 1

@@ -90,7 +90,7 @@ def init_fleet(graph: CityGraph, num_drivers: int, capacity: int, seed: int) -> 
     rng = substream(seed, "fleet")
     positions = rng.integers(graph.num_locations, size=num_drivers)
     drivers = [
-        DriverState(driver_id=i, capacity=capacity, loc=int(positions[i]))
+        DriverState(driver_id=i, capacity=capacity, loc=positions[i])
         for i in range(num_drivers)
     ]
     return FleetState(drivers=drivers, clock=0.0)

@@ -196,7 +196,7 @@ def shapley_mc(
     for k in range(1, num_permutations + 1):
         mask = 0
         prev = val(0)
-        for i in rng.permutation(n).tolist():
+        for i in rng.permutation(n):
             mask |= 1 << i
             cur = val(mask)
             gain = cur - prev

@@ -75,7 +75,7 @@ def driver_income(graph: CityGraph, driver: DriverState) -> float:
 
 
 def _numpy_seconds(graph: CityGraph, origin: int, destination: int) -> float:
-    return float(graph.travel_minutes[origin, destination]) * 60.0
+    return float(graph.travel_minutes[origin][destination]) * 60.0
 
 
 def route_feasible_reference(
@@ -85,9 +85,9 @@ def route_feasible_reference(
     clock: float,
     constraints: DelayConstraints,
 ) -> RoutePlan | None:
-    """The route search as it was before travel times were kept as float
-    rows: every leg is read from the minutes matrix as a numpy scalar and
-    converted on the spot. Same DFS, same pruning, same tie-break, so the
+    """The route search as it was before travel times were kept in seconds:
+    every leg is read from the minutes closure and converted to seconds on
+    the spot. Same DFS, same pruning, same tie-break, so the
     kernel in fairpool.matching must return the identical plan."""
     requests: dict[int, RideRequest] = dict(driver.active)
     for req in new_requests:
@@ -283,6 +283,38 @@ def travel_closure_reference(n: int, edges: list[tuple[int, int, float]]) -> np.
 
         walk(source, 0.0, frozenset([source]))
     return dist
+
+
+def kmeans_labels_reference(points: list[tuple[float, float]], k: int, seed: int) -> tuple[int, ...]:
+    """Neighborhood labels of fairpool.city.kmeans_neighborhoods as it was
+    on numpy arrays and numpy's generator: farthest-point seeding, Lloyd
+    iterations, labels renumbered by centroid (lat, lon)."""
+    coords = np.array(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(len(coords)))]
+    min_d2 = np.sum((coords - coords[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < k:
+        nxt = int(np.argmax(min_d2))
+        chosen.append(nxt)
+        min_d2 = np.minimum(min_d2, np.sum((coords - coords[nxt]) ** 2, axis=1))
+    centroids = coords[chosen].copy()
+    assign = np.full(len(coords), -1, dtype=int)
+    for _ in range(100):
+        d2 = np.sum((coords[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = coords[assign == j]
+            if len(members) > 0:
+                centroids[j] = members.mean(axis=0)
+            else:
+                dist_own = np.sum((coords - centroids[assign]) ** 2, axis=1)
+                centroids[j] = coords[int(np.argmax(dist_own))]
+    order = sorted(range(k), key=lambda j: (centroids[j][0], centroids[j][1]))
+    relabel = {old: new + 1 for new, old in enumerate(order)}
+    return tuple(relabel[int(a)] for a in assign)
 
 
 def brute_force_assignment(

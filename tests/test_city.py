@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 from fairpool.city import (
     Location,
+    _centroid,
     build_city,
     build_travel_closure,
     fare,
@@ -35,7 +36,7 @@ def test_grid_closure_is_manhattan_distance():
     for a in locations:
         for b in locations:
             manhattan = abs(a.lat - b.lat) + abs(a.lon - b.lon)
-            assert closure[a.id, b.id] == 2.0 * manhattan
+            assert closure[a.id][b.id] == 2.0 * manhattan
 
 
 def test_closure_matches_floyd_warshall_on_random_digraph():
@@ -92,8 +93,9 @@ def test_closure_is_the_smallest_left_fold_over_simple_paths(data):
             build_travel_closure(n, edges)
         return
     closure = build_travel_closure(n, edges)
-    assert closure.dtype == np.float64
-    assert np.array_equal(closure.view(np.uint64), want.view(np.uint64))
+    assert all(type(x) is float for row in closure for x in row)
+    got = np.array(closure, dtype=np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 LINE3 = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]
@@ -119,8 +121,8 @@ def test_closure_error_messages(n, edges, message):
 def test_one_location_closure_is_zero():
     for edges in ([], [(0, 0, 2.5)]):
         closure = build_travel_closure(1, edges)
-        assert closure.dtype == np.float64
-        assert closure.tolist() == [[0.0]]
+        assert closure == [[0.0]]
+        assert type(closure[0][0]) is float
     graph = build_city([Location(id=0, lat=0.0, lon=0.0)], [], delta=5.0, num_neighborhoods=1, seed=0)
     assert graph.travel_secs == [[0.0]]
 
@@ -156,12 +158,12 @@ def test_travel_seconds_rows_are_bit_identical_to_scalar_conversion(tmp_path):
         delta=5.0, num_neighborhoods=2, seed=0,
     )
     assert any(
-        (float(graph.travel_minutes[i, j]) * 60.0) % 1.0 != 0.0
+        (float(graph.travel_minutes[i][j]) * 60.0) % 1.0 != 0.0
         for i in range(6) for j in range(6)
     ), "want legs whose seconds are not whole"
     for i in range(6):
         for j in range(6):
-            want = (float(graph.travel_minutes[i, j]) * 60.0).hex()
+            want = (float(graph.travel_minutes[i][j]) * 60.0).hex()
             assert type(graph.travel_secs[i][j]) is float
             assert graph.travel_secs[i][j].hex() == want
             assert travel_seconds(graph, i, j).hex() == want
@@ -191,6 +193,37 @@ def test_kmeans_splits_separated_line_clusters():
         nbhd = kmeans_neighborhoods(locations, 2, seed=seed)
         # labels are renumbered by centroid position, so the split is stable
         assert nbhd.labels == (1, 2, 2)
+
+
+coordinate = st.one_of(
+    st.integers(-3, 3).map(float),  # repeated points: ties and empty clusters
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kmeans_labels_match_the_numpy_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=60))
+    points = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+    k = data.draw(st.integers(min_value=1, max_value=min(n, 8)))
+    seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
+    locations = [Location(id=i, lat=lat, lon=lon) for i, (lat, lon) in enumerate(points)]
+    got = kmeans_neighborhoods(locations, k, seed).labels
+    assert got == helpers.kmeans_labels_reference(points, k, seed)
+
+
+wide = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(points=st.lists(st.tuples(wide, wide), min_size=1, max_size=300))
+def test_centroid_is_numpys_mean_over_rows_bit_for_bit(points):
+    """numpy's mean(axis=0) over an (m, 2) array adds row by row, not in the
+    pairwise order of a contiguous reduction; past eight rows the two differ."""
+    with np.errstate(all="ignore"):
+        want = np.array(points, dtype=np.float64).mean(axis=0).tolist()
+    assert [x.hex() for x in _centroid(points)] == [x.hex() for x in want]
 
 
 def test_build_city_rejects_bad_ids():
@@ -247,7 +280,7 @@ def test_closure_triangle_inequality(w, h, data):
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
-    assert closure[i, k] <= closure[i, j] + closure[j, k]
+    assert closure[i][k] <= closure[i][j] + closure[j][k]
 
 
 def test_gen_grid_city_end_to_end():

@@ -1131,13 +1131,75 @@ def test_shapley_rejects_non_finite_pi_with_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_redistribute_rejects_duplicate_driver_id_with_exit_3(tmp_path, capsys):
+    """Two rows for driver 0 once paid driver 0 twice."""
+    src = write_config(tmp_path / "shapley.csv", "driver_id,pi,v\n0,1.0,1.0\n\n0,3.0,2.0\n")
+    out = tmp_path / "o"
+    assert main(["redistribute", src, "--out", str(out)]) == 3
+    assert f"{src}:4: duplicate driver_id 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_pi_rejects_duplicate_driver_id_with_exit_3(tmp_path, capsys):
+    """A second income row for driver 0 was once kept without a word."""
+    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
+    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n1,2.0\n0,3.0\n")
+    out = tmp_path / "o"
+    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
+    assert f"{pi}:4: duplicate driver_id 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column", ["pi", "v"])
+def test_redistribute_locates_negative_input_with_exit_3(tmp_path, capsys, column):
+    row = {"pi": "3.0", "v": "4.0", column: "-1.0"}
+    text = f"driver_id,pi,v\n1,5.0,4.0\n0,{row['pi']},{row['v']}\n"
+    src = write_config(tmp_path / "shapley.csv", text)
+    out = tmp_path / "o"
+    assert main(["redistribute", src, "--out", str(out)]) == 3
+    assert f"{src}:3: negative {column} -1.0 for driver 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_run_dir_honours_seed_flag(tmp_path):
+    """Monte Carlo on a run directory samples with --seed when given and
+    with the run's config seed otherwise, and shapley_meta.txt records the
+    seed used."""
+    cfg = write_config(
+        tmp_path / "c.cfg",
+        "city.width = 3\ncity.height = 3\ncity.neighborhoods = 2\n"
+        "fleet.num_drivers = 3\ndemand.rate_per_epoch = 1.5\ndemand.num_epochs = 8\nseed = 4\n",
+    )
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+
+    def shapley(*flags):
+        out = tmp_path / ("shap" + "".join(flags))
+        argv = ["shapley", str(run_dir), "--out", str(out), "--method", "monte_carlo"]
+        assert main(argv + ["--samples", "2", *flags]) == 0
+        with open(out / "shapley_meta.txt") as fh:
+            meta = dict(line.split(" = ", 1) for line in fh.read().splitlines())
+        with open(out / "shapley.csv", "rb") as fh:
+            return meta["seed"], fh.read()
+
+    default_seed, default_bytes = shapley()
+    assert default_seed == "4"
+    assert shapley("--seed", "4") == (default_seed, default_bytes)
+    flag_seed, flag_bytes = shapley("--seed", "1")
+    assert flag_seed == "1"
+    assert flag_bytes != default_bytes
+
+
 def test_cli_import_loads_no_scipy():
+    """`import fairpool.cli` loads neither numpy nor scipy: the package has no
+    runtime dependency."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     code = (
         "import fairpool.cli, sys; "
-        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        "loaded = [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]; "
+        "assert not loaded, loaded"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

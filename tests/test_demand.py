@@ -163,6 +163,18 @@ def test_ingest_sorts_by_time(tmp_path, grid55):
     assert [r.request_id for r in result.requests] == [0, 1]
 
 
+def test_ingest_snaps_a_tie_to_the_lowest_location_id(tmp_path, grid55):
+    """(0.5, 0.5) is as near to locations 0, 1, 5 and 6, and (3.5, 2.0) to
+    17 and 22, of the 5x5 grid (id = row * 5 + col, lat = row, lon = col)."""
+    path = tmp_path / "trips.csv"
+    path.write_text(
+        "pickup_lat,pickup_lon,dropoff_lat,dropoff_lon,epoch_seconds\n"
+        "0.5,0.5,3.5,2.0,1.0\n"
+    )
+    [request] = ingest_trips(path, grid55).requests
+    assert (request.origin, request.destination) == (0, 17)
+
+
 def test_request_validation():
     with pytest.raises(ValueError, match="origin equals destination"):
         RideRequest(request_id=0, origin=3, destination=3, created_at=0.0)

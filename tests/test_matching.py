@@ -77,7 +77,7 @@ def test_detour_bound_is_strict_when_pooling():
     plan = route_feasible(under_cap, fleet.drivers[0], pair, 0.0, C)
     assert plan is not None
     arrivals = {(s.kind, s.request_id): s.arrival for s in plan.stops}
-    direct_b = under_cap.travel_minutes[1, 3] * 60.0
+    direct_b = under_cap.travel_minutes[1][3] * 60.0
     detour_b = arrivals[("dropoff", 1)] - (arrivals[("pickup", 1)] + direct_b)
     assert detour_b == 48.0
 
@@ -295,7 +295,7 @@ def test_route_memo_matches_fresh_enumeration(state, data):
     if driver.capacity > driver.occupancy:
         assert (len(memo.entries), memo.hits) == (1, 1)
 
-    # the kernel on float rows matches the numpy-lookup reference
+    # the kernel on seconds rows matches the minutes-lookup reference
     seats = driver.capacity - driver.occupancy
     for size in range(0, min(seats, len(batch)) + 1):
         for combo in itertools.combinations(batch, size):
@@ -758,7 +758,7 @@ def test_run_epoch_income_matches_myopic_brute_force():
         for action in actions:
             total = 0.0
             for r in action.requests:
-                total += graph.travel_minutes[r.origin, r.destination] + graph.delta
+                total += graph.travel_minutes[r.origin][r.destination] + graph.delta
             row_w.append(total)
             row_ids.append(action.request_ids)
         weights.append(row_w)
