@@ -192,7 +192,8 @@ def kmeans_neighborhoods(locations: list[Location], num_neighborhoods: int, seed
     Deterministic for a fixed seed: farthest-point seeding from a seeded first
     point, ties broken by lowest index, and final labels renumbered 1..H by
     ascending centroid latitude then longitude. Stops when no label changes or
-    after 100 iterations.
+    after 100 iterations. Raises if a neighborhood ends with no location,
+    which coincident locations can cause.
     """
     n = len(locations)
     h = num_neighborhoods
@@ -224,6 +225,11 @@ def kmeans_neighborhoods(locations: list[Location], num_neighborhoods: int, seed
                     for (x, y), a in zip(coords, assign)
                 ]
                 centroids[k] = list(coords[_first_max(dist_own)])
+    if len(set(assign)) < h:
+        raise ValueError(
+            f"k-means left a neighborhood empty: {h} neighborhoods over {n} locations "
+            f"with {len(set(coords))} distinct coordinates"
+        )
 
     # renumber clusters 1..H by centroid geography so labels are report-stable
     order = sorted(range(h), key=lambda k: (centroids[k][0], centroids[k][1]))

@@ -51,7 +51,8 @@ from .redistribution import (
     shapley_mc,
 )
 from .reporting import fairness_metrics, income_value_spread, metrics_from_parts, write_report
-from .simulate import audit_journal, run_simulation, train_synthetic
+from .seeds import subseed
+from .simulate import audit_journal, run_simulation, train_value_model
 from .value import ValueModel, load_value_model, save_value_model
 
 BOUND_TOLERANCE = 1e-9
@@ -69,42 +70,26 @@ def build_graph(config: RunConfig) -> CityGraph:
     return build_city(locations, edges, config.delta, config.num_neighborhoods, config.seed)
 
 
+def _synthetic_batches(config: RunConfig, graph: CityGraph, seed: int) -> list[RequestBatch]:
+    """Batches of the configured synthetic demand, drawn from `seed`."""
+    stream = synth_demand(
+        graph,
+        config.demand_rate_per_epoch,
+        config.demand_num_epochs,
+        config.demand_hotspot_skew,
+        seed,
+        epoch_len_seconds=config.epoch_len_seconds,
+    )
+    return batch_requests(stream, config.epoch_len_seconds)
+
+
 def build_batches(config: RunConfig, graph: CityGraph) -> tuple[list[RequestBatch], int | None]:
     """Demand batches, and the trip-CSV rows dropped at ingest (None for
     synthetic demand, which drops nothing)."""
-    dropped = None
     if config.demand_kind == "synthetic":
-        stream = synth_demand(
-            graph,
-            config.demand_rate_per_epoch,
-            config.demand_num_epochs,
-            config.demand_hotspot_skew,
-            config.seed,
-            epoch_len_seconds=config.epoch_len_seconds,
-        )
-    else:
-        ingest = ingest_trips(config.demand_trips, graph)
-        stream, dropped = ingest.requests, ingest.dropped
-    return batch_requests(stream, config.epoch_len_seconds), dropped
-
-
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "objective", None) is not None:
-        if "," in args.objective:
-            raise ConfigError("this command takes a single --objective")
-        changes["objective"] = args.objective
-    if getattr(args, "lam", None) is not None:
-        if "," in args.lam:
-            raise ConfigError("this command takes a single --lambda")
-        changes["lam"] = float(args.lam)
-    if not changes:
-        return config
-    config = replace(config, **changes)
-    # round-trip through the parser to rerun validation on the merged config
-    return parse_config(dump_config(config))
+        return _synthetic_batches(config, graph, config.seed), None
+    ingest = ingest_trips(config.demand_trips, graph)
+    return batch_requests(ingest.requests, config.epoch_len_seconds), ingest.dropped
 
 
 def _load_config(args: argparse.Namespace, grids: bool = False) -> RunConfig:
@@ -114,11 +99,24 @@ def _load_config(args: argparse.Namespace, grids: bool = False) -> RunConfig:
         config = load_config(args.config)
     else:
         config = parse_config("")
-    if grids:
-        if getattr(args, "seed", None) is not None:
-            config = parse_config(dump_config(replace(config, seed=args.seed)))
+    changes = {}
+    if getattr(args, "seed", None) is not None:
+        changes["seed"] = args.seed
+    if not grids and getattr(args, "objective", None) is not None:
+        if "," in args.objective:
+            raise ConfigError("this command takes a single --objective")
+        changes["objective"] = args.objective
+    if not grids and getattr(args, "lam", None) is not None:
+        if "," in args.lam:
+            raise ConfigError("this command takes a single --lambda")
+        try:
+            changes["lam"] = float(args.lam)
+        except ValueError:
+            raise ConfigError(f"cannot parse --lambda {args.lam!r}") from None
+    if not changes:
         return config
-    return _apply_overrides(config, args)
+    # round-trip through the parser to rerun validation on the merged config
+    return parse_config(dump_config(replace(config, **changes)))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -143,25 +141,33 @@ def _spec_and_constraints(config: RunConfig) -> tuple[ObjectiveSpec, DelayConstr
 
 
 class SharedDemand:
-    """The demand of one configuration on its graph, each stream built on
-    first use and kept: the run's batches (`build_batches`) and each training
-    episode's stream. Configurations that differ only in objective and lambda
-    draw the same demand, so a sweep's cells share one."""
+    """Every demand stream of one configuration on its graph, each drawn on
+    first use and kept: the run's batches (`build_batches`) and the batches
+    of each training episode. Configurations that differ only in objective
+    and lambda draw the same demand, so a sweep's cells share one."""
 
     def __init__(self, config: RunConfig, graph: CityGraph) -> None:
         self.config = config
         self.graph = graph
-        self.training: dict[tuple, list[RequestBatch]] = {}  # train_synthetic's streams
         self._batches: tuple[list[RequestBatch], int | None] | None = None
+        self._episodes: dict[int, list[RequestBatch]] = {}
 
     def batches(self) -> tuple[list[RequestBatch], int | None]:
         if self._batches is None:
             self._batches = build_batches(self.config, self.graph)
         return self._batches
 
+    def episode(self, k: int) -> list[RequestBatch]:
+        """Training episode k: synthetic demand from its own seed, derived
+        from (config seed, k)."""
+        if k not in self._episodes:
+            seed = subseed(self.config.seed, f"train-ep{k}")
+            self._episodes[k] = _synthetic_batches(self.config, self.graph, seed)
+        return self._episodes[k]
+
     def streams(self) -> int:
         """Demand streams built so far."""
-        return (self._batches is not None) + len(self.training)
+        return (self._batches is not None) + len(self._episodes)
 
 
 def build_run(config: RunConfig, graph: CityGraph, demand: SharedDemand | None = None) -> RunInputs:
@@ -174,35 +180,26 @@ def build_run(config: RunConfig, graph: CityGraph, demand: SharedDemand | None =
     return RunInputs(batches, spec, constraints, fleet, dropped)
 
 
-def _train_tabular(
+def train_synthetic(
     config: RunConfig,
     graph: CityGraph,
     spec: ObjectiveSpec,
     constraints: DelayConstraints,
-    streams: dict[tuple, list[RequestBatch]] | None = None,
+    demand: SharedDemand,
 ) -> tuple[ValueModel, list[float]]:
-    """Tabular value model trained for value.episodes synthetic episodes, and
-    the absolute TD error of each episode. `streams` is handed to
-    train_synthetic."""
+    """Tabular value model trained on value.episodes synthetic episodes from
+    `demand`, each on the seeded fleet placement, and the absolute TD error
+    of each episode. Episodes are drawn as training reaches them."""
     model = ValueModel(gamma=config.gamma, alpha=config.value_alpha, seed=config.seed)
-    if config.train_episodes == 0:
-        return model, []
-    if config.demand_kind != "synthetic":
+    if config.train_episodes and config.demand_kind != "synthetic":
         raise ConfigError("training requires synthetic demand (value.episodes > 0)")
-    errors = train_synthetic(
+    errors = train_value_model(
         graph,
-        model,
+        (demand.episode(k) for k in range(config.train_episodes)),
+        lambda: init_fleet(graph, config.num_drivers, config.capacity, config.seed),
         spec,
-        config.num_drivers,
-        config.capacity,
-        config.demand_rate_per_epoch,
-        config.demand_num_epochs,
-        config.demand_hotspot_skew,
-        config.train_episodes,
-        config.seed,
+        model,
         constraints,
-        config.epoch_len_seconds,
-        streams,
     )
     return model, errors
 
@@ -214,6 +211,7 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDem
     written. Demand read from a trips CSV also gets `ingest.txt` with the
     count of rows dropped at ingest. Runs that share `demand` build each of
     its streams once."""
+    demand = demand or SharedDemand(config, graph)
     written: list[str] = []
 
     def artifact(name: str) -> str:
@@ -224,19 +222,9 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDem
     batches, spec, constraints, fleet, rows_dropped = build_run(config, graph, demand)
     model = None
     if config.value_mode == "tabular":
-        # a lone run draws each training stream once anyway: keep none
-        streams = None if demand is None else demand.training
-        model, _ = _train_tabular(config, graph, spec, constraints, streams)
+        model, _ = train_synthetic(config, graph, spec, constraints, demand)
         save_value_model(model, artifact("value_table.txt"))
-    result = run_simulation(
-        graph,
-        batches,
-        fleet,
-        spec,
-        constraints,
-        value_model=model,
-        epoch_len_seconds=config.epoch_len_seconds,
-    )
+    result = run_simulation(graph, batches, fleet, spec, constraints, value_model=model)
     violations = audit_journal(graph, result.fleet, result.log, constraints)
     if violations:
         raise RuntimeError(
@@ -342,7 +330,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for objective in objectives:
         if objective not in OBJECTIVES:
             raise ConfigError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
-    lambdas = _parse_grid(args.lam, "lambda") if args.lam else [config.lam]
+    lambdas = _parse_grid(args.lam, "--lambda") if args.lam else [config.lam]
     # cells differ only in objective and lambda, so they share one city and
     # one demand, and cells that score alike (see scored_as) are one run
     graph = build_graph(config)
@@ -425,7 +413,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.demand_kind != "synthetic":
         raise ConfigError("training requires synthetic demand")
     spec, constraints = _spec_and_constraints(config)
-    model, errors = _train_tabular(config, build_graph(config), spec, constraints)
+    graph = build_graph(config)
+    model, errors = train_synthetic(config, graph, spec, constraints, SharedDemand(config, graph))
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
     save_value_model(model, os.path.join(args.out, "value_table.txt"))
@@ -442,6 +431,8 @@ def _read_pi_csv(path: str) -> dict[int, float]:
     for line, (driver_id, pi) in read_rows(path, (("driver_id", int), ("pi", float))):
         if driver_id in by_driver:
             raise ValueError(f"{path}:{line}: duplicate driver_id {driver_id}")
+        if pi < 0:
+            raise ValueError(f"{path}:{line}: negative pi {pi!r} for driver {driver_id}")
         by_driver[driver_id] = pi
     return by_driver
 
@@ -456,15 +447,7 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     table_path = os.path.join(run_dir, "value_table.txt")
     if os.path.exists(table_path):
         model = load_value_model(table_path)
-    oracle = ResimulationOracle(
-        graph,
-        batches,
-        template,
-        spec,
-        constraints,
-        value_model=model,
-        epoch_len_seconds=config.epoch_len_seconds,
-    )
+    oracle = ResimulationOracle(graph, batches, template, spec, constraints, value_model=model)
     driver_ids = [d.driver_id for d in template.drivers]
     seed = config.seed if args.seed is None else args.seed
     estimate = _run_shapley(oracle, driver_ids, args, seed=seed)
@@ -561,7 +544,7 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
             mode = load_config(resolved).payout_mode
         source = os.path.join(source, "shapley.csv")
     driver_ids, pi, v = _read_shapley_csv(source)
-    grid = _parse_grid(args.r, "r") if args.r else [i / 10 for i in range(11)]
+    grid = _parse_grid(args.r, "--r") if args.r else [i / 10 for i in range(11)]
     for r in grid:
         if not 0.0 <= r <= 1.0:
             raise ConfigError(f"--r: risk parameter {r!r} must lie in [0, 1]")

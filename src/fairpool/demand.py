@@ -1,8 +1,10 @@
 """Request streams: trip-CSV ingestion, synthetic demand, and per-minute batching.
 
-A request that is not matched in its own batch is permanently rejected; it
-still counts toward per-neighborhood demand totals, but never re-enters a
-later batch.
+Batching cuts a stream into epochs and stamps each batch with its window
+end, the clock at which the episode loop dispatches it, so the epoch length
+is read only where streams are drawn and cut. A request that is not matched
+in its own batch is permanently rejected; it still counts toward
+per-neighborhood demand totals, but never re-enters a later batch.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class RideRequest:
 class RequestBatch:
     epoch_index: int
     requests: tuple[RideRequest, ...]
+    window_end: float  # dispatch clock: the end of the epoch's window
 
 
 @dataclass
@@ -114,7 +117,8 @@ def ingest_trips(path: str, graph: CityGraph) -> IngestResult:
 def batch_requests(
     stream: list[RideRequest], epoch_len_seconds: float = EPOCH_SECONDS
 ) -> list[RequestBatch]:
-    """Partition a t-sorted stream into half-open windows [k*len, (k+1)*len).
+    """Partition a t-sorted stream into half-open windows [k*len, (k+1)*len),
+    batch k to be dispatched at its window end (k+1)*len.
 
     Empty epochs up to the last request are emitted as empty batches; an empty
     stream yields no batches.
@@ -129,7 +133,8 @@ def batch_requests(
     for req in stream:
         buckets[int(req.created_at // epoch_len_seconds)].append(req)
     return [
-        RequestBatch(epoch_index=k, requests=tuple(reqs)) for k, reqs in enumerate(buckets)
+        RequestBatch(epoch_index=k, requests=tuple(reqs), window_end=(k + 1) * epoch_len_seconds)
+        for k, reqs in enumerate(buckets)
     ]
 
 

@@ -17,7 +17,6 @@ from .seeds import substream
 
 __all__ = [
     "Stop",
-    "RoutePlan",
     "DriverState",
     "FleetState",
     "init_fleet",
@@ -38,13 +37,6 @@ class Stop:
     arrival: float  # absolute seconds on the simulation clock
 
 
-@dataclass(frozen=True)
-class RoutePlan:
-    """Validated stop sequence."""
-
-    stops: tuple[Stop, ...]
-
-
 @dataclass
 class DriverState:
     driver_id: int
@@ -54,7 +46,7 @@ class DriverState:
     active: dict[int, RideRequest] = field(default_factory=dict)  # p_i
     onboard: dict[int, float] = field(default_factory=dict)  # request_id -> pickup time
     completed: dict[int, RideRequest] = field(default_factory=dict)  # s_i
-    route: RoutePlan | None = None
+    route: tuple[Stop, ...] = ()  # committed stops; () when idle
     income: float = 0.0
 
     @property
@@ -67,9 +59,7 @@ class DriverState:
 
     def route_end(self) -> int:
         """Location where the driver will be free: last stop, or here if idle."""
-        if self.route is not None and self.route.stops:
-            return self.route.stops[-1].location
-        return self.loc
+        return self.route[-1].location if self.route else self.loc
 
 
 @dataclass
@@ -100,7 +90,7 @@ def apply_matching(fleet: FleetState, assignments: dict, graph: CityGraph) -> No
     """Commit chosen actions: extend p_i, accrue fares, install the new routes.
 
     `assignments` maps driver_id to an action carrying `requests` (tuple of
-    RideRequest) and `route` (RoutePlan, or None for the empty action). Raises
+    RideRequest) and `route` (tuple of Stop, () for the empty action). Raises
     if any request is assigned twice or was already being serviced.
     """
     taken: set[int] = set()
@@ -123,13 +113,13 @@ def apply_matching(fleet: FleetState, assignments: dict, graph: CityGraph) -> No
         if not action.requests:
             continue
         driver = by_id[driver_id]
-        if action.route is None or not action.route.stops:
+        if not action.route:
             raise ValueError(f"driver {driver_id}: non-empty action without a route plan")
         for req in action.requests:
             driver.active[req.request_id] = req
             driver.income += fare(graph, req.origin, req.destination)
         driver.route = action.route
-        first = action.route.stops[0]
+        first = action.route[0]
         driver.loc = first.location
         driver.secs_to_loc = first.arrival - fleet.clock
 
@@ -140,9 +130,9 @@ def advance_fleet(fleet: FleetState, dt_seconds: float) -> None:
         raise ValueError("dt must be positive")
     new_clock = fleet.clock + dt_seconds
     for driver in fleet.drivers:
-        if driver.route is None:
+        stops = driver.route
+        if not stops:
             continue
-        stops = list(driver.route.stops)
         idx = 0
         while idx < len(stops) and stops[idx].arrival <= new_clock:
             stop = stops[idx]
@@ -168,12 +158,11 @@ def advance_fleet(fleet: FleetState, dt_seconds: float) -> None:
         if idx == len(stops):
             driver.loc = stops[-1].location
             driver.secs_to_loc = 0.0
-            driver.route = None
+            driver.route = ()
         else:
-            remaining = tuple(stops[idx:])
-            driver.route = RoutePlan(stops=remaining)
-            driver.loc = remaining[0].location
-            driver.secs_to_loc = remaining[0].arrival - new_clock
+            driver.route = stops[idx:]
+            driver.loc = stops[idx].location
+            driver.secs_to_loc = stops[idx].arrival - new_clock
     fleet.clock = new_clock
 
 

@@ -56,7 +56,6 @@ from .fleet import (
     PICKUP,
     DriverState,
     FleetState,
-    RoutePlan,
     Stop,
     apply_matching,
 )
@@ -95,7 +94,7 @@ class DelayConstraints:
 @dataclass(frozen=True)
 class FeasibleAction:
     requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
-    route: RoutePlan | None  # None only for the empty action
+    route: tuple[Stop, ...]  # () only for the empty action
 
     @property
     def request_ids(self) -> tuple[int, ...]:
@@ -103,7 +102,7 @@ class FeasibleAction:
 
 
 # the empty action alone; every enumeration starts with this one shared action
-_ONLY_EMPTY = (FeasibleAction(requests=(), route=None),)
+_ONLY_EMPTY = (FeasibleAction(requests=(), route=()),)
 
 
 @dataclass
@@ -141,9 +140,10 @@ def route_feasible(
     clock: float,
     constraints: DelayConstraints,
     stats: RouteStats | None = None,
-) -> RoutePlan | None:
+) -> tuple[Stop, ...] | None:
     """Best stop ordering serving the driver's unfinished riders plus the new
-    ones, or None when no ordering meets the guarantees.
+    ones, as a tuple of stops (() when there is no rider at all), or None
+    when no ordering meets the guarantees.
 
     Riders already in the car only need a dropoff; accepted-but-waiting riders
     keep their original creation time, so taking on more work can never
@@ -168,7 +168,7 @@ def route_feasible(
     if stats is not None:
         stats.calls += 1
     if not requests:
-        return RoutePlan(stops=())
+        return ()
 
     secs = graph.travel_secs
     max_pickup = constraints.max_pickup_delay
@@ -270,7 +270,7 @@ def route_feasible(
         now = now + secs[loc][stop]
         plan.append(Stop(DROPOFF if key & 1 else PICKUP, ids[i], stop, now))
         loc = stop
-    return RoutePlan(stops=tuple(plan))
+    return tuple(plan)
 
 
 def _first_step_survivors(
@@ -569,10 +569,7 @@ def run_epoch(
             delta = delta_objective(spec, state, di, fares, labels)
             weight = delta
             if value_model is not None:
-                if action.route is not None and action.route.stops:
-                    end = action.route.stops[-1].location
-                else:
-                    end = driver.route_end()
+                end = action.route[-1].location if action.route else driver.route_end()
                 weight += value_model.gamma * value_model.estimate(
                     state_key(graph, driver, fleet.clock, route_end=end)
                 )

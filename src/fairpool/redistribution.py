@@ -83,7 +83,6 @@ class ResimulationOracle:
     spec: ObjectiveSpec
     constraints: DelayConstraints = DelayConstraints()
     value_model: ValueModel | None = None
-    epoch_len_seconds: float = 60.0
     _memo: dict[frozenset[int], dict[int, float]] = field(default_factory=dict)
     route_memo: RouteMemo = field(default_factory=RouteMemo, init=False, repr=False)
 
@@ -100,7 +99,6 @@ class ResimulationOracle:
                     self.spec,
                     self.constraints,
                     value_model=self.value_model,
-                    epoch_len_seconds=self.epoch_len_seconds,
                     route_memo=self.route_memo,
                 )
         return self._memo[coalition]

@@ -1,9 +1,11 @@
 """Episode loop: advance the fleet, match each batch, drain open routes.
 
-Batch k covers requests created in [k*epoch_len, (k+1)*epoch_len) and is
-matched when the clock reaches the window end. After the last batch the fleet
-runs until every committed stop has executed, so completed runs leave no rider
-mid-trip and the executed-stop journal is complete for auditing.
+Each batch is matched when the clock reaches its window end, the dispatch
+time `batch_requests` stamped on it. After the last batch the fleet runs
+until every committed stop has executed, so completed runs leave no rider
+mid-trip and the executed-stop journal is complete for auditing. Training
+plays the same loop once per episode's batches, with a TD update after
+every epoch.
 """
 
 from __future__ import annotations
@@ -12,18 +14,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .city import CityGraph, travel_seconds
-from .demand import RequestBatch, RequestLog, batch_requests, synth_demand
-from .fleet import DriverState, FleetState, advance_fleet, init_fleet, snapshot_rows
+from .demand import RequestBatch, RequestLog
+from .fleet import DriverState, FleetState, advance_fleet, snapshot_rows
 from .matching import DelayConstraints, EpochResult, RouteMemo, run_epoch
 from .objectives import NeighborhoodTallies, ObjectiveSpec
-from .seeds import subseed
 from .value import ValueModel, td_update
 
 __all__ = [
     "SimResult",
     "run_simulation",
     "train_value_model",
-    "train_synthetic",
     "subset_fleet",
     "coalition_incomes",
     "audit_journal",
@@ -49,7 +49,6 @@ def run_simulation(
     spec: ObjectiveSpec,
     constraints: DelayConstraints = DelayConstraints(),
     value_model: ValueModel | None = None,
-    epoch_len_seconds: float = 60.0,
     on_epoch: Callable[[EpochResult], None] | None = None,
     route_memo: RouteMemo | None = None,
 ) -> SimResult:
@@ -65,9 +64,8 @@ def run_simulation(
     epochs: list[EpochResult] = []
     snapshots: list[dict] = []
     for batch in batches:
-        window_end = (batch.epoch_index + 1) * epoch_len_seconds
-        if window_end > fleet.clock:
-            advance_fleet(fleet, window_end - fleet.clock)
+        if batch.window_end > fleet.clock:
+            advance_fleet(fleet, batch.window_end - fleet.clock)
         result = run_epoch(
             graph,
             fleet,
@@ -85,8 +83,8 @@ def run_simulation(
         snapshots.extend(snapshot_rows(fleet, batch.epoch_index))
     horizon = fleet.clock
     for driver in fleet.drivers:
-        if driver.route is not None and driver.route.stops:
-            horizon = max(horizon, driver.route.stops[-1].arrival)
+        if driver.route:
+            horizon = max(horizon, driver.route[-1].arrival)
     if horizon > fleet.clock:
         advance_fleet(fleet, horizon - fleet.clock)
     return SimResult(epochs=epochs, fleet=fleet, log=log, tallies=tallies, snapshots=snapshots)
@@ -94,23 +92,23 @@ def run_simulation(
 
 def train_value_model(
     graph: CityGraph,
-    batches: list[RequestBatch],
+    episodes: Iterable[list[RequestBatch]],
     fleet_factory: Callable[[], FleetState],
     spec: ObjectiveSpec,
     model: ValueModel,
     constraints: DelayConstraints = DelayConstraints(),
-    episodes: int = 1,
-    epoch_len_seconds: float = 60.0,
 ) -> list[float]:
-    """On-policy one-step TD over repeated episodes of the same demand.
+    """On-policy one-step TD, one episode per batch list in `episodes`, each
+    on a fresh fleet from `fleet_factory`.
 
     Each epoch's reward is the myopic objective gain of the action the driver
     was assigned; the next decision point's state key provides the bootstrap,
     with the episode end treated as terminal. Returns the summed absolute TD
-    error per episode, which should shrink as the table settles.
+    error per episode, which should shrink as the table settles. `episodes`
+    is consumed lazily, so its streams can be drawn one at a time.
     """
     errors: list[float] = []
-    for _ in range(episodes):
+    for batches in episodes:
         prev: EpochResult | None = None
         total_error = 0.0
 
@@ -128,66 +126,12 @@ def train_value_model(
             spec,
             constraints,
             value_model=model,
-            epoch_len_seconds=epoch_len_seconds,
             on_epoch=update,
         )
         if prev is not None:
             for d, key in prev.pre_keys.items():
                 total_error += abs(td_update(model, key, prev.deltas[d], None))
         errors.append(total_error)
-    return errors
-
-
-def train_synthetic(
-    graph: CityGraph,
-    model: ValueModel,
-    spec: ObjectiveSpec,
-    num_drivers: int,
-    capacity: int,
-    rate_per_epoch: float,
-    num_epochs: int,
-    hotspot_skew: float,
-    episodes: int,
-    seed: int,
-    constraints: DelayConstraints = DelayConstraints(),
-    epoch_len_seconds: float = 60.0,
-    streams: dict[tuple, list[RequestBatch]] | None = None,
-) -> list[float]:
-    """Train on freshly drawn demand each episode, one fixed fleet placement.
-
-    Episode k draws its own demand stream from a seed derived from (seed, k),
-    so a rerun with the same arguments reproduces the exact table. `streams`
-    keeps each episode's batches under the arguments that draw them: calls
-    on the same graph that share one dict draw each stream once.
-    """
-    errors: list[float] = []
-    for episode in range(episodes):
-        key = (rate_per_epoch, num_epochs, hotspot_skew, seed, episode, epoch_len_seconds)
-        batches = None if streams is None else streams.get(key)
-        if batches is None:
-            stream = synth_demand(
-                graph,
-                rate_per_epoch,
-                num_epochs,
-                hotspot_skew,
-                seed=subseed(seed, f"train-ep{episode}"),
-                epoch_len_seconds=epoch_len_seconds,
-            )
-            batches = batch_requests(stream, epoch_len_seconds)
-            if streams is not None:
-                streams[key] = batches
-        errors.extend(
-            train_value_model(
-                graph,
-                batches,
-                lambda: init_fleet(graph, num_drivers, capacity, seed),
-                spec,
-                model,
-                constraints,
-                episodes=1,
-                epoch_len_seconds=epoch_len_seconds,
-            )
-        )
     return errors
 
 
@@ -217,7 +161,6 @@ def coalition_incomes(
     spec: ObjectiveSpec,
     constraints: DelayConstraints = DelayConstraints(),
     value_model: ValueModel | None = None,
-    epoch_len_seconds: float = 60.0,
     route_memo: RouteMemo | None = None,
 ) -> dict[int, float]:
     """Incomes each coalition member earns when only the coalition operates.
@@ -233,7 +176,6 @@ def coalition_incomes(
         spec,
         constraints,
         value_model=value_model,
-        epoch_len_seconds=epoch_len_seconds,
         route_memo=route_memo,
     )
     return result.incomes()

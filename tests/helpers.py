@@ -11,23 +11,26 @@ from __future__ import annotations
 import copy
 import csv
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
+from fairpool import cli
 from fairpool.city import CityGraph, Location, build_city, fare
+from fairpool.config import parse_config
 from fairpool.demand import RequestBatch, RideRequest
 from fairpool.fleet import (
     DROPOFF,
     PICKUP,
     DriverState,
     FleetState,
-    RoutePlan,
     Stop,
     advance_fleet,
     apply_matching,
 )
 from fairpool.matching import DelayConstraints, FeasibleAction, enumerate_feasible
 from fairpool.objectives import ObjectiveSpec, ObjectiveState
+from fairpool.value import ValueModel
 
 
 def line_city(minutes: list[float], delta: float = 5.0, num_neighborhoods: int = 1,
@@ -84,7 +87,7 @@ def route_feasible_reference(
     new_requests: tuple[RideRequest, ...],
     clock: float,
     constraints: DelayConstraints,
-) -> RoutePlan | None:
+) -> tuple[Stop, ...] | None:
     """The route search as it was before travel times were kept in seconds:
     every leg is read from the minutes closure and converted to seconds on
     the spot. Same DFS, same pruning, same tie-break, so the
@@ -93,7 +96,7 @@ def route_feasible_reference(
     for req in new_requests:
         requests[req.request_id] = req
     if not requests:
-        return RoutePlan(stops=())
+        return ()
 
     picked: dict[int, float] = dict(driver.onboard)
     onboard = set(driver.onboard)
@@ -173,7 +176,7 @@ def route_feasible_reference(
     dfs(driver.loc, clock + driver.secs_to_loc, 0.0)
     if best_plan[0] is None:
         return None
-    return RoutePlan(stops=best_plan[0])
+    return best_plan[0]
 
 
 def enumerate_feasible_reference(
@@ -186,7 +189,7 @@ def enumerate_feasible_reference(
     """Level-wise subset enumeration with no reach filter and no memo, every
     route from route_feasible_reference. Same order as enumerate_feasible:
     the empty action, then each level's sets in request-id order."""
-    actions = [FeasibleAction(requests=(), route=None)]
+    actions = [FeasibleAction(requests=(), route=())]
     seats_free = driver.capacity - driver.occupancy
     if seats_free <= 0 or not batch:
         return actions
@@ -353,12 +356,22 @@ def brute_force_assignment(
     return best_total, best_choice
 
 
+def train_synthetic(
+    graph: CityGraph, spec: ObjectiveSpec, **fields
+) -> tuple[ValueModel, list[float]]:
+    """`cli.train_synthetic` on `graph` with the default config updated by
+    `fields` (RunConfig field names), each episode drawn by a fresh
+    SharedDemand: the trained model and each episode's absolute TD error."""
+    config = replace(parse_config(""), **fields)
+    demand = cli.SharedDemand(config, graph)
+    return cli.train_synthetic(config, graph, spec, DelayConstraints(), demand)
+
+
 def exhaustive_episode_incomes(
     graph: CityGraph,
     batches: list[RequestBatch],
     fleet: FleetState,
     constraints: DelayConstraints = DelayConstraints(),
-    epoch_len_seconds: float = 60.0,
 ) -> list[tuple[tuple[tuple[int, ...], ...], float]]:
     """Every reachable sequence of per-epoch actions with its final income.
 
@@ -393,9 +406,8 @@ def exhaustive_episode_incomes(
             outcomes.append((trail, sum(d.income for d in state.drivers)))
             return
         batch = batches[k]
-        window_end = (batch.epoch_index + 1) * epoch_len_seconds
-        if window_end > state.clock:
-            advance_fleet(state, window_end - state.clock)
+        if batch.window_end > state.clock:
+            advance_fleet(state, batch.window_end - state.clock)
         for assignment in joint_assignments(state, batch):
             branch = copy.deepcopy(state)
             apply_matching(branch, assignment, graph)

@@ -479,9 +479,7 @@ def test_criterion_13_learned_dispatch_beats_myopic():
             )
         )
     trained = ValueModel(gamma=0.9, alpha=0.1, seed=0)
-    train_value_model(
-        graph, batch_requests(train_stream), fleet, spec, trained, constraints, episodes=300
-    )
+    train_value_model(graph, [batch_requests(train_stream)] * 300, fleet, spec, trained, constraints)
     assert trained.estimate((2, 0, 0)) > trained.estimate((1, 0, 0)) == 0.0
 
     run = run_simulation(graph, batches, fleet(), spec, constraints, value_model=trained)

@@ -195,6 +195,18 @@ def test_kmeans_splits_separated_line_clusters():
         assert nbhd.labels == (1, 2, 2)
 
 
+def test_kmeans_rejects_an_empty_neighborhood():
+    """Two coincident pairs cannot fill three neighborhoods. The empty label
+    once reached synth_demand, which failed on it at some seeds and drew
+    demand around it at the others."""
+    locations = [Location(id=i, lat=lat, lon=0.0) for i, lat in enumerate((0.0, 0.0, 1.0, 1.0))]
+    for seed in range(6):
+        with pytest.raises(
+            ValueError, match="3 neighborhoods over 4 locations with 2 distinct coordinates"
+        ):
+            kmeans_neighborhoods(locations, 3, seed=seed)
+
+
 coordinate = st.one_of(
     st.integers(-3, 3).map(float),  # repeated points: ties and empty clusters
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
@@ -209,8 +221,12 @@ def test_kmeans_labels_match_the_numpy_reference(data):
     k = data.draw(st.integers(min_value=1, max_value=min(n, 8)))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
     locations = [Location(id=i, lat=lat, lon=lon) for i, (lat, lon) in enumerate(points)]
-    got = kmeans_neighborhoods(locations, k, seed).labels
-    assert got == helpers.kmeans_labels_reference(points, k, seed)
+    want = helpers.kmeans_labels_reference(points, k, seed)
+    if len(set(want)) < k:  # the reference left a cluster empty
+        with pytest.raises(ValueError, match="left a neighborhood empty"):
+            kmeans_neighborhoods(locations, k, seed)
+    else:
+        assert kmeans_neighborhoods(locations, k, seed).labels == want
 
 
 wide = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)

@@ -17,7 +17,16 @@ import sys
 import pytest
 
 import helpers
-from fairpool.city import build_city, fare, gen_grid_city, load_edges, load_locations
+from fairpool.city import (
+    Location,
+    build_city,
+    fare,
+    gen_grid_city,
+    load_edges,
+    load_locations,
+    write_edges,
+    write_locations,
+)
 from fairpool import cli
 from fairpool import config as config_module
 from fairpool.cli import main
@@ -165,6 +174,17 @@ def test_non_finite_lambda_flag_is_rejected(tmp_path):
     ]
     assert "lambda must be finite" in failures[0]["error"]
     assert failures[1]["error"] == failures[0]["error"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "sweep"])
+def test_unparsable_lambda_flag_is_a_config_error(tmp_path, capsys, command):
+    """simulate and train once exited 3 with float()'s own message."""
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--lambda", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "cannot parse --lambda" in err and "'abc'" in err
+    assert not out.exists()
 
 
 def test_single_run_rejects_comma_objective(tmp_path):
@@ -1087,6 +1107,25 @@ def test_gen_city_needs_no_travel_closure(tmp_path, monkeypatch):
             assert b.read() == a.read(), name
 
 
+def test_city_with_an_empty_neighborhood_exits_3(tmp_path, capsys):
+    """Two coincident pairs of locations cannot fill three neighborhoods."""
+    city = tmp_path / "city"
+    city.mkdir()
+    write_locations(
+        [Location(id=i, lat=lat, lon=0.0) for i, lat in enumerate((0.0, 0.0, 1.0, 1.0))],
+        str(city / "locations.csv"),
+    )
+    write_edges(
+        [(a, b, 1.0) for a in range(4) for b in range(4) if a != b], str(city / "edges.csv")
+    )
+    text = SMALL_CITY.replace("city.neighborhoods = 2", "city.neighborhoods = 3")
+    text += "city.kind = csv\ncity.locations = city/locations.csv\ncity.edges = city/edges.csv\n"
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "3 neighborhoods over 4 locations with 2 distinct coordinates" in err
+
+
 @pytest.mark.parametrize("minutes", ["nan", "inf"])
 def test_non_finite_csv_edge_exits_3(tmp_path, capsys, minutes):
     """A nan edge was once read as a missing one: the run routed around it
@@ -1147,6 +1186,17 @@ def test_shapley_pi_rejects_duplicate_driver_id_with_exit_3(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
     assert f"{pi}:4: duplicate driver_id 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_pi_rejects_negative_income_with_exit_3(tmp_path, capsys):
+    """A negative income was once written to shapley.csv, which redistribute
+    then refused."""
+    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
+    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n1,2.0\n0,-1.0\n")
+    out = tmp_path / "o"
+    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
+    assert f"{pi}:3: negative pi -1.0 for driver 0" in capsys.readouterr().err
     assert not out.exists()
 
 

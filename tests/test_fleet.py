@@ -14,7 +14,6 @@ from fairpool.fleet import (
     PICKUP,
     DriverState,
     FleetState,
-    RoutePlan,
     Stop,
     advance_fleet,
     apply_matching,
@@ -64,7 +63,7 @@ def test_apply_matching_accrues_fare_and_installs_route():
     assert driver.income == 6.0  # one minute of travel plus the flag drop
     assert set(driver.active) == {0}
     assert driver.route is action.route
-    assert driver.loc == action.route.stops[0].location
+    assert driver.loc == action.route[0].location
     assert driver.secs_to_loc == 60.0
 
 
@@ -72,7 +71,7 @@ def test_apply_matching_empty_assignment_is_identity():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0, 1])
     before = copy.deepcopy(fleet)
-    empty = {d.driver_id: FeasibleAction(requests=(), route=None) for d in fleet.drivers}
+    empty = {d.driver_id: FeasibleAction(requests=(), route=()) for d in fleet.drivers}
     apply_matching(fleet, empty, graph)
     assert fleet == before
 
@@ -104,7 +103,7 @@ def test_apply_matching_requires_route_for_nonempty_action():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0])
     request = RideRequest(request_id=0, origin=0, destination=1, created_at=0.0)
-    bogus = FeasibleAction(requests=(request,), route=None)
+    bogus = FeasibleAction(requests=(request,), route=())
     with pytest.raises(ValueError, match="without a route"):
         apply_matching(fleet, {0: bogus}, graph)
 
@@ -127,7 +126,7 @@ def test_advance_executes_stop_lifecycle():
     assert driver.onboard == {}
     assert driver.active == {}
     assert set(driver.completed) == {0}
-    assert driver.route is None
+    assert driver.route == ()
     assert driver.loc == 1
     # completing the ride moves it between ledgers but earns nothing new
     assert driver.income == income_at_accept
@@ -148,13 +147,11 @@ def test_advance_detects_capacity_breach():
     r0 = RideRequest(request_id=0, origin=0, destination=2, created_at=0.0)
     r1 = RideRequest(request_id=1, origin=1, destination=2, created_at=0.0)
     driver.active = {0: r0, 1: r1}
-    driver.route = RoutePlan(
-        stops=(
-            Stop(PICKUP, 0, 0, 0.0),
-            Stop(PICKUP, 1, 1, 60.0),
-            Stop(DROPOFF, 0, 2, 120.0),
-            Stop(DROPOFF, 1, 2, 120.0),
-        ),
+    driver.route = (
+        Stop(PICKUP, 0, 0, 0.0),
+        Stop(PICKUP, 1, 1, 60.0),
+        Stop(DROPOFF, 0, 2, 120.0),
+        Stop(DROPOFF, 1, 2, 120.0),
     )
     with pytest.raises(RuntimeError, match="capacity"):
         advance_fleet(fleet, 200.0)
@@ -166,7 +163,7 @@ def test_advance_detects_dropoff_before_pickup():
     driver = fleet.drivers[0]
     r0 = RideRequest(request_id=0, origin=0, destination=1, created_at=0.0)
     driver.active = {0: r0}
-    driver.route = RoutePlan(stops=(Stop(DROPOFF, 0, 1, 60.0),))
+    driver.route = (Stop(DROPOFF, 0, 1, 60.0),)
     with pytest.raises(RuntimeError, match="dropoff before pickup"):
         advance_fleet(fleet, 100.0)
 
@@ -179,8 +176,8 @@ def test_partial_advance_keeps_absolute_arrivals():
     apply_matching(fleet, {0: single_request_action(graph, driver, request)}, graph)
     advance_fleet(fleet, 90.0)  # past the pickup at t=60, mid-leg to the dropoff
     assert set(driver.onboard) == {0}
-    assert driver.route is not None
-    assert driver.route.stops[0].arrival == 180.0
+    assert driver.route
+    assert driver.route[0].arrival == 180.0
     assert driver.loc == 3
     assert driver.secs_to_loc == 90.0
 

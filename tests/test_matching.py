@@ -38,7 +38,7 @@ def test_route_feasible_empty_task_set_is_idle_plan():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0])
     plan = route_feasible(graph, fleet.drivers[0], (), 0.0, C)
-    assert plan == type(plan)(stops=())
+    assert plan == ()
 
 
 def test_route_feasible_single_request_schedule():
@@ -46,7 +46,7 @@ def test_route_feasible_single_request_schedule():
     fleet = helpers.place_fleet(graph, [0])
     plan = route_feasible(graph, fleet.drivers[0], (req(0, 1, 3),), 0.0, C)
     assert plan is not None
-    kinds = [(s.kind, s.request_id, s.location, s.arrival) for s in plan.stops]
+    kinds = [(s.kind, s.request_id, s.location, s.arrival) for s in plan]
     assert kinds == [("pickup", 0, 1, 60.0), ("dropoff", 0, 3, 180.0)]
 
 
@@ -59,7 +59,7 @@ def test_pickup_delay_bound_is_strict():
     fleet = helpers.place_fleet(fast, [0])
     plan = route_feasible(fast, fleet.drivers[0], (req(0, 1, 2),), 0.0, C)
     assert plan is not None
-    assert plan.stops[0].arrival == 294.0
+    assert plan[0].arrival == 294.0
 
 
 def test_detour_bound_is_strict_when_pooling():
@@ -76,7 +76,7 @@ def test_detour_bound_is_strict_when_pooling():
     fleet = helpers.place_fleet(under_cap, [1], capacity=2)
     plan = route_feasible(under_cap, fleet.drivers[0], pair, 0.0, C)
     assert plan is not None
-    arrivals = {(s.kind, s.request_id): s.arrival for s in plan.stops}
+    arrivals = {(s.kind, s.request_id): s.arrival for s in plan}
     direct_b = under_cap.travel_minutes[1][3] * 60.0
     detour_b = arrivals[("dropoff", 1)] - (arrivals[("pickup", 1)] + direct_b)
     assert detour_b == 48.0
@@ -104,7 +104,7 @@ def test_new_work_cannot_break_existing_promises():
     rider_after = req(11, 4, 3, t=115.0)
     plan = route_feasible(graph, driver, (rider_after,), fleet.clock, C)
     assert plan is not None
-    arrivals = {(s.kind, s.request_id): s.arrival for s in plan.stops}
+    arrivals = {(s.kind, s.request_id): s.arrival for s in plan}
     assert arrivals[("pickup", 9)] == 240.0
     assert arrivals[("dropoff", 9)] == 300.0
     # a pickup behind the driver cannot be reached without breaking a promise:
@@ -122,7 +122,7 @@ def test_enumerate_empty_batch_keeps_current_plan():
     actions = enumerate_feasible(graph, fleet.drivers[0], (), 0.0, C)
     assert len(actions) == 1
     assert actions[0].requests == ()
-    assert actions[0].route is None
+    assert actions[0].route == ()
 
 
 def test_enumerate_full_car_only_empty_action():
@@ -209,7 +209,7 @@ def plan_bits(plan):
     """A route plan with every arrival as its exact bit pattern."""
     if plan is None:
         return None
-    return tuple((s.kind, s.request_id, s.location, s.arrival.hex()) for s in plan.stops)
+    return tuple((s.kind, s.request_id, s.location, s.arrival.hex()) for s in plan)
 
 
 def action_bits(actions):
@@ -412,7 +412,7 @@ def test_first_step_filter_boundary_is_the_route_search_test(monkeypatch):
 
 
 def stop_keys(plan):
-    return [(s.request_id, 0 if s.kind == "pickup" else 1) for s in plan.stops]
+    return [(s.request_id, 0 if s.kind == "pickup" else 1) for s in plan]
 
 
 # States on integer-leg line cities (60 s legs) where stops share a location
@@ -717,7 +717,7 @@ def test_run_epoch_empty_batch_is_a_no_op():
     log, tallies = fresh_epoch_inputs(graph)
     advance_fleet(fleet, 60.0)
     result = run_epoch(
-        graph, fleet, RequestBatch(epoch_index=0, requests=()), log, tallies,
+        graph, fleet, RequestBatch(epoch_index=0, requests=(), window_end=60.0), log, tallies,
         ObjectiveSpec(name="income"), C,
     )
     assert all(a.requests == () for a in result.assignments.values())
@@ -734,6 +734,7 @@ def test_run_epoch_requests_objective_maximizes_serviced_count():
     batch = RequestBatch(
         epoch_index=0,
         requests=(req(0, 0, 1, 5.0), req(1, 0, 1, 6.0), req(2, 0, 6, 7.0)),
+        window_end=60.0,
     )
     log, tallies = fresh_epoch_inputs(graph)
     result = run_epoch(graph, fleet, batch, log, tallies, ObjectiveSpec(name="requests"), C)
@@ -748,6 +749,7 @@ def test_run_epoch_income_matches_myopic_brute_force():
     batch = RequestBatch(
         epoch_index=0,
         requests=(req(0, 0, 1, 5.0), req(1, 3, 2, 12.0), req(2, 1, 3, 30.0)),
+        window_end=60.0,
     )
     weights = []
     ids = []
@@ -781,7 +783,7 @@ def test_run_epoch_weight_includes_discounted_continuation():
     model.table[key_stay] = 2.0
     model.table[key_move] = 10.0
 
-    batch = RequestBatch(epoch_index=0, requests=(req(0, 0, 1, 5.0),))
+    batch = RequestBatch(epoch_index=0, requests=(req(0, 0, 1, 5.0),), window_end=60.0)
     log, tallies = fresh_epoch_inputs(graph)
     result = run_epoch(
         graph, fleet, batch, log, tallies, ObjectiveSpec(name="income"), C,
@@ -797,7 +799,9 @@ def test_run_epoch_counts_demand_before_matching():
     fleet = helpers.place_fleet(graph, [0])
     advance_fleet(fleet, 60.0)
     log, tallies = fresh_epoch_inputs(graph)
-    batch = RequestBatch(epoch_index=0, requests=(req(0, 0, 1, 5.0), req(1, 1, 0, 6.0)))
+    batch = RequestBatch(
+        epoch_index=0, requests=(req(0, 0, 1, 5.0), req(1, 1, 0, 6.0)), window_end=60.0
+    )
     run_epoch(graph, fleet, batch, log, tallies, ObjectiveSpec(name="income"), C)
     assert tallies.requested[1] == 2
     assert tallies.serviced[1] == len(log.serviced_ids)

@@ -113,7 +113,7 @@ def test_tallies_from_log_counts_by_origin_neighborhood():
         RideRequest(request_id=i, origin=0, destination=1, created_at=float(i))
         for i in range(3)
     )
-    log.add_batch(RequestBatch(epoch_index=0, requests=reqs))
+    log.add_batch(RequestBatch(epoch_index=0, requests=reqs, window_end=60.0))
     log.mark_serviced(1, driver_id=0)
     tallies = NeighborhoodTallies.from_log(log, graph)
     assert tallies.requested[1] == 3

@@ -26,8 +26,7 @@ from fairpool.redistribution import (
     shapley_exact,
     shapley_mc,
 )
-from fairpool.simulate import coalition_incomes, train_synthetic
-from fairpool.value import ValueModel
+from fairpool.simulate import coalition_incomes
 
 # worked three-driver pooling economy: drivers 1 and 2 are interchangeable,
 # driver 3 brings less and adds nothing once both of the others are present
@@ -345,10 +344,10 @@ def test_shared_route_memo_oracle_matches_fresh_resimulations(grid55):
     with a trained tabular value model in the action weights."""
     spec = ObjectiveSpec(name="income")
     constraints = DelayConstraints()
-    model = ValueModel(gamma=0.9, alpha=0.2, seed=3)
-    train_synthetic(
-        grid55, model, spec, num_drivers=4, capacity=4, rate_per_epoch=4.0,
-        num_epochs=15, hotspot_skew=0.6, episodes=2, seed=3,
+    model, _ = helpers.train_synthetic(
+        grid55, spec, num_drivers=4, capacity=4, demand_rate_per_epoch=4.0,
+        demand_num_epochs=15, demand_hotspot_skew=0.6, train_episodes=2, seed=3,
+        gamma=0.9, value_alpha=0.2,
     )
     assert any(v != 0.0 for v in model.table.values())
     batches = batch_requests(synth_demand(grid55, 4.0, 15, 0.6, seed=3))

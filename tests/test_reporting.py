@@ -34,7 +34,7 @@ def make_log(graph, per_neighborhood):
             if i < h:
                 serviced.append(rid)
             rid += 1
-    log.add_batch(RequestBatch(epoch_index=0, requests=tuple(reqs)))
+    log.add_batch(RequestBatch(epoch_index=0, requests=tuple(reqs), window_end=60.0))
     for r in serviced:
         log.mark_serviced(r, driver_id=0)
     return log

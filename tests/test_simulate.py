@@ -10,13 +10,7 @@ from fairpool.demand import batch_requests, synth_demand
 from fairpool.fleet import Stop, init_fleet
 from fairpool.matching import DelayConstraints
 from fairpool.objectives import ObjectiveSpec
-from fairpool.simulate import (
-    audit_journal,
-    coalition_incomes,
-    run_simulation,
-    subset_fleet,
-    train_synthetic,
-)
+from fairpool.simulate import audit_journal, coalition_incomes, run_simulation, subset_fleet
 from fairpool.value import ValueModel
 
 C = DelayConstraints()
@@ -37,11 +31,22 @@ def test_epochs_are_matched_at_window_end(grid55):
         assert epoch.clock == (epoch.epoch_index + 1) * 60.0
 
 
+def test_batches_cut_at_30s_dispatch_at_their_window_end(grid55):
+    stream = synth_demand(grid55, 3.0, 25, 0.5, seed=2, epoch_len_seconds=30.0)
+    batches = batch_requests(stream, 30.0)
+    assert [b.window_end for b in batches] == [(b.epoch_index + 1) * 30.0 for b in batches]
+    fleet = init_fleet(grid55, num_drivers=4, capacity=4, seed=2)
+    result = run_simulation(grid55, batches, fleet, ObjectiveSpec(name="income"))
+    assert [e.epoch_index for e in result.epochs] == list(range(25))
+    for epoch in result.epochs:
+        assert epoch.clock == (epoch.epoch_index + 1) * 30.0
+
+
 def test_drain_leaves_no_open_work(grid55):
     _, result = small_run(grid55)
     assert result.log.serviced_ids, "expected some service at this demand rate"
     for driver in result.fleet.drivers:
-        assert driver.route is None
+        assert driver.route == ()
         assert driver.onboard == {}
         assert driver.active == {}
 
@@ -189,25 +194,22 @@ def test_subcoalition_run_is_consistent(grid55):
 
 def test_training_is_deterministic(grid55):
     spec = ObjectiveSpec(name="income")
-    kwargs = dict(
-        spec=spec, num_drivers=3, capacity=4, rate_per_epoch=2.0,
-        num_epochs=10, hotspot_skew=0.6, episodes=3, seed=13,
+    fields = dict(
+        num_drivers=3, capacity=4, demand_rate_per_epoch=2.0, demand_num_epochs=10,
+        demand_hotspot_skew=0.6, train_episodes=3, seed=13, gamma=0.9, value_alpha=0.2,
     )
-    model_a = ValueModel(gamma=0.9, alpha=0.2)
-    errors_a = train_synthetic(grid55, model_a, **kwargs)
-    model_b = ValueModel(gamma=0.9, alpha=0.2)
-    errors_b = train_synthetic(grid55, model_b, **kwargs)
+    model_a, errors_a = helpers.train_synthetic(grid55, spec, **fields)
+    model_b, errors_b = helpers.train_synthetic(grid55, spec, **fields)
     assert model_a.table == model_b.table
     assert errors_a == errors_b
     assert model_a.table, "training should have touched some states"
 
 
 def test_zero_episodes_leave_model_untouched(grid55):
-    model = ValueModel()
-    errors = train_synthetic(
-        grid55, model, ObjectiveSpec(name="income"),
-        num_drivers=2, capacity=4, rate_per_epoch=2.0, num_epochs=5,
-        hotspot_skew=0.5, episodes=0, seed=1,
+    model, errors = helpers.train_synthetic(
+        grid55, ObjectiveSpec(name="income"),
+        num_drivers=2, capacity=4, demand_rate_per_epoch=2.0, demand_num_epochs=5,
+        demand_hotspot_skew=0.5, train_episodes=0, seed=1,
     )
     assert errors == []
     assert model.table == {}
