@@ -21,12 +21,11 @@ returns the same bits. Floyd-Warshall, or any min-plus matrix form, adds
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass, field
 
-from .csvio import read_rows
+from .csvio import read_rows, write_rows
 from .seeds import Generator
 
 __all__ = [
@@ -323,25 +322,14 @@ def load_edges(path: str) -> list[tuple[int, int, float]]:
 
 
 def write_locations(locations: list[Location], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "lat", "lon"])
-        for loc in locations:
-            writer.writerow([loc.id, repr(loc.lat), repr(loc.lon)])
+    rows = ((loc.id, repr(loc.lat), repr(loc.lon)) for loc in locations)
+    write_rows(path, ["id", "lat", "lon"], rows)
 
 
 def write_edges(edges: list[tuple[int, int, float]], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "minutes"])
-        for src, dst, minutes in edges:
-            writer.writerow([src, dst, repr(float(minutes))])
+    write_rows(path, ["src", "dst", "minutes"], ((s, d, repr(float(m))) for s, d, m in edges))
 
 
 def write_neighborhoods(neighborhoods: NeighborhoodMap, path: str) -> None:
     """Export the location -> neighborhood assignment as `location_id,neighborhood`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["location_id", "neighborhood"])
-        for location_id, label in enumerate(neighborhoods.labels):
-            writer.writerow([location_id, label])
+    write_rows(path, ["location_id", "neighborhood"], enumerate(neighborhoods.labels))

@@ -11,14 +11,12 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .city import (
     CityGraph,
@@ -33,10 +31,10 @@ from .city import (
     write_neighborhoods,
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
-from .csvio import read_rows
+from .csvio import read_rows, write_rows
 from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
-from .fleet import FleetState, init_fleet
-from .matching import DelayConstraints
+from .fleet import FleetState, init_fleet, snapshot_rows
+from .matching import DelayConstraints, EpochResult
 from .objectives import OBJECTIVES, ObjectiveSpec, left_sum, scored_as
 from .redistribution import (
     EXACT_SHAPLEY_CAP,
@@ -50,7 +48,7 @@ from .redistribution import (
     shapley_exact,
     shapley_mc,
 )
-from .reporting import fairness_metrics, income_value_spread, metrics_from_parts, write_report
+from .reporting import fairness_metrics, income_value_spread, metrics_from_parts, write_reports
 from .seeds import subseed
 from .simulate import audit_journal, run_simulation, train_value_model
 from .value import ValueModel, load_value_model, save_value_model
@@ -124,6 +122,13 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each of `lines` followed by a newline."""
+    with open(path, "w") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 class RunInputs(NamedTuple):
     """Everything one simulated day needs besides its graph."""
 
@@ -191,8 +196,6 @@ def train_synthetic(
     `demand`, each on the seeded fleet placement, and the absolute TD error
     of each episode. Episodes are drawn as training reaches them."""
     model = ValueModel(gamma=config.gamma, alpha=config.value_alpha, seed=config.seed)
-    if config.train_episodes and config.demand_kind != "synthetic":
-        raise ConfigError("training requires synthetic demand (value.episodes > 0)")
     errors = train_value_model(
         graph,
         (demand.episode(k) for k in range(config.train_episodes)),
@@ -202,6 +205,13 @@ def train_synthetic(
         constraints,
     )
     return model, errors
+
+
+# requests.csv, as run_one writes it and report reads it back
+REQUEST_COLUMNS = (
+    ("request_id", int), ("origin", int), ("destination", int),
+    ("created_at", float), ("serviced", int), ("driver", str),
+)
 
 
 def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDemand | None = None):
@@ -224,7 +234,14 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDem
     if config.value_mode == "tabular":
         model, _ = train_synthetic(config, graph, spec, constraints, demand)
         save_value_model(model, artifact("value_table.txt"))
-    result = run_simulation(graph, batches, fleet, spec, constraints, value_model=model)
+    snapshots: list[dict] = []  # fleet.jsonl: every driver after each epoch's commit
+
+    def snapshot(epoch: EpochResult) -> None:
+        snapshots.extend(snapshot_rows(fleet, epoch.epoch_index))
+
+    result = run_simulation(
+        graph, batches, fleet, spec, constraints, value_model=model, on_epoch=snapshot
+    )
     violations = audit_journal(graph, result.fleet, result.log, constraints)
     if violations:
         raise RuntimeError(
@@ -233,47 +250,43 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDem
 
     _write_text(artifact("config.resolved"), dump_config(config))
     if rows_dropped is not None:
-        _write_text(artifact("ingest.txt"), f"rows_dropped = {rows_dropped}\n")
-    with open(artifact("epochs.jsonl"), "w") as fh:
-        for epoch in result.epochs:
-            record = {
-                "epoch": epoch.epoch_index,
-                "clock": epoch.clock,
-                "batch_size": epoch.batch_size,
-                "assignments": {
-                    str(d): list(action.request_ids)
-                    for d, action in sorted(epoch.assignments.items())
-                    if action.requests
-                },
-                "total_weight": epoch.total_weight,
-                "objective": epoch.objective_value,
-                "num_actions": epoch.num_actions,
-                "solver_nodes": epoch.solver_nodes,
-                "route_calls": epoch.route_calls,
-                "route_nodes": epoch.route_nodes,
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(artifact("fleet.jsonl"), "w") as fh:
-        for row in result.snapshots:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    with open(artifact("requests.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["request_id", "origin", "destination", "created_at", "serviced", "driver"])
-        for req in result.log.all_requests:
-            serviced = req.request_id in result.log.serviced_ids
-            driver = result.log.assigned_driver.get(req.request_id, "")
-            writer.writerow(
-                [req.request_id, req.origin, req.destination, repr(req.created_at), int(serviced), driver]
-            )
-    with open(artifact("stops.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["driver_id", "kind", "request_id", "location", "arrival"])
-        for driver_id, stop in result.fleet.journal:
-            writer.writerow([driver_id, stop.kind, stop.request_id, stop.location, repr(stop.arrival)])
+        _write_lines(artifact("ingest.txt"), [f"rows_dropped = {rows_dropped}"])
+    epoch_records = (
+        {
+            "epoch": epoch.epoch_index,
+            "clock": epoch.clock,
+            "batch_size": epoch.batch_size,
+            "assignments": {
+                str(d): list(action.request_ids)
+                for d, action in sorted(epoch.assignments.items())
+                if action.requests
+            },
+            "total_weight": epoch.total_weight,
+            "objective": epoch.objective_value,
+            "num_actions": epoch.num_actions,
+            "solver_nodes": epoch.solver_nodes,
+            "route_calls": epoch.route_calls,
+            "route_nodes": epoch.route_nodes,
+        }
+        for epoch in result.epochs
+    )
+    for name, records in (("epochs.jsonl", epoch_records), ("fleet.jsonl", snapshots)):
+        _write_lines(artifact(name), (json.dumps(r, sort_keys=True) for r in records))
+    log = result.log
+    requests = (
+        (r.request_id, r.origin, r.destination, repr(r.created_at),
+         int(r.request_id in log.serviced_ids), log.assigned_driver.get(r.request_id, ""))
+        for r in log.all_requests
+    )
+    write_rows(artifact("requests.csv"), [name for name, _ in REQUEST_COLUMNS], requests)
+    journal = result.fleet.journal
+    stops = ((d, s.kind, s.request_id, s.location, repr(s.arrival)) for d, s in journal)
+    header = ["driver_id", "kind", "request_id", "location", "arrival"]
+    write_rows(artifact("stops.csv"), header, stops)
 
-    report = fairness_metrics(result.fleet, result.log, graph)
-    write_report(report, artifact("report.json"), "structured")
-    write_report(report, artifact("report.csv"), "tabular")
+    report = fairness_metrics(result.fleet, log, graph)
+    write_reports(report, out_dir)
+    written += ["report.json", "report.csv"]
     return result, report, written
 
 
@@ -357,51 +370,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     if scoring is not None:
                         simulated[scoring] = (cell_dir, artifacts, report)
             except Exception as exc:  # keep sweeping, record the failure
-                failures.append((objective, lam, str(exc)))
+                failures.append((objective, repr(lam), str(exc)))
                 continue
+            rates = (report.overall_success_rate, report.success_rate_var, report.min_success_rate)
             rows.append(
-                (
-                    objective,
-                    repr(lam),
-                    report.total_requests,
-                    report.total_serviced,
-                    "" if report.overall_success_rate is None else repr(report.overall_success_rate),
-                    "" if report.success_rate_var is None else repr(report.success_rate_var),
-                    "" if report.min_success_rate is None else repr(report.min_success_rate),
-                    repr(report.total_income),
-                    repr(report.income_var),
-                    repr(report.income_min),
-                )
+                (objective, repr(lam), report.total_requests, report.total_serviced)
+                + tuple("" if rate is None else repr(rate) for rate in rates)
+                + (repr(report.total_income), repr(report.income_var), repr(report.income_min))
             )
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "objective",
-                "lambda",
-                "total_requests",
-                "total_serviced",
-                "success_rate",
-                "success_rate_var",
-                "min_success_rate",
-                "total_income",
-                "income_var",
-                "income_min",
-            ]
-        )
-        writer.writerows(rows)
+    header = [
+        "objective", "lambda", "total_requests", "total_serviced", "success_rate",
+        "success_rate_var", "min_success_rate", "total_income", "income_var", "income_min",
+    ]
+    write_rows(os.path.join(args.out, "sweep.csv"), header, rows)
     meta = [
         f"cells = {len(objectives) * len(lambdas)}",
         f"cells_simulated = {runs}",
         f"demand_streams = {demand.streams()}",
     ]
-    _write_text(os.path.join(args.out, "sweep_meta.txt"), "\n".join(meta) + "\n")
+    _write_lines(os.path.join(args.out, "sweep_meta.txt"), meta)
     if failures:
-        with open(os.path.join(args.out, "failures.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["objective", "lambda", "error"])
-            for objective, lam, error in failures:
-                writer.writerow([objective, repr(lam), error])
+        write_rows(os.path.join(args.out, "failures.csv"), ["objective", "lambda", "error"], failures)
         return 3
     return 0
 
@@ -418,11 +407,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
     save_value_model(model, os.path.join(args.out, "value_table.txt"))
-    with open(os.path.join(args.out, "training_errors.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "abs_td_error"])
-        for episode, error in enumerate(errors):
-            writer.writerow([episode, repr(error)])
+    rows = ((episode, repr(error)) for episode, error in enumerate(errors))
+    write_rows(os.path.join(args.out, "training_errors.csv"), ["episode", "abs_td_error"], rows)
     return 0
 
 
@@ -496,11 +482,8 @@ def cmd_shapley(args: argparse.Namespace) -> int:
             # the per-driver incomes to the attributed values
             pi = list(estimate.values)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "shapley.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["driver_id", "pi", "v"])
-        for driver_id, p, v in zip(estimate.driver_ids, pi, estimate.values):
-            writer.writerow([driver_id, repr(p), repr(v)])
+    rows = ((d, repr(p), repr(v)) for d, p, v in zip(estimate.driver_ids, pi, estimate.values))
+    write_rows(os.path.join(args.out, "shapley.csv"), ["driver_id", "pi", "v"], rows)
     meta = [
         f"method = {estimate.method}",
         f"samples = {estimate.samples}",
@@ -511,7 +494,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     if estimate.method == "monte_carlo":
         meta.append(f"std_error_max = {max(estimate.std_errors)!r}")
     meta.extend(counters)
-    _write_text(os.path.join(args.out, "shapley_meta.txt"), "\n".join(meta) + "\n")
+    _write_lines(os.path.join(args.out, "shapley_meta.txt"), meta)
     return 0
 
 
@@ -569,14 +552,10 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
         summary_rows.append(
             (repr(r), mode, repr(left_sum(pi)), repr(left_sum(v)), repr(left_sum(q)), g, spread)
         )
-    with open(os.path.join(args.out, "redistribution.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "driver_id", "pi", "v", "q", "bound", "bound_ok"])
-        writer.writerows(detail_rows)
-    with open(os.path.join(args.out, "redistribution_summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "mode", "sum_pi", "sum_v", "sum_q", "g", "std_q_over_v"])
-        writer.writerows(summary_rows)
+    detail_header = ["r", "driver_id", "pi", "v", "q", "bound", "bound_ok"]
+    write_rows(os.path.join(args.out, "redistribution.csv"), detail_header, detail_rows)
+    summary_header = ["r", "mode", "sum_pi", "sum_v", "sum_q", "g", "std_q_over_v"]
+    write_rows(os.path.join(args.out, "redistribution_summary.csv"), summary_header, summary_rows)
     return 0
 
 
@@ -586,30 +565,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     locations, _ = _city_components(config)
     neighborhoods = city_neighborhoods(locations, config.num_neighborhoods, config.seed)
     log = RequestLog()
-    with open(os.path.join(run_dir, "requests.csv"), newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            req = RideRequest(
-                request_id=int(row["request_id"]),
-                origin=int(row["origin"]),
-                destination=int(row["destination"]),
-                created_at=float(row["created_at"]),
-            )
-            log.all_requests.append(req)
-            if row["serviced"] == "1":
-                log.mark_serviced(req.request_id, int(row["driver"]))
+    requests_csv = os.path.join(run_dir, "requests.csv")
+    for line, row in read_rows(requests_csv, REQUEST_COLUMNS):
+        request_id, origin, destination, created_at, serviced, driver = row
+        try:
+            log.all_requests.append(RideRequest(request_id, origin, destination, created_at))
+            if serviced == 1:  # a serviced request names its integer driver
+                log.mark_serviced(request_id, int(driver))
+        except ValueError:
+            raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}") from None
     # every configured driver exists, even one that never had a snapshot row
     incomes = {d: 0.0 for d in range(config.num_drivers)}
-    with open(os.path.join(run_dir, "fleet.jsonl")) as fh:
-        for line in fh:
-            row = json.loads(line)
-            incomes[int(row["driver_id"])] = float(row["income"])  # last snapshot wins
-    # the metrics read only the neighborhood map, so no travel closure is built
-    report = metrics_from_parts(incomes, log, SimpleNamespace(neighborhoods=neighborhoods))
+    fleet_jsonl = os.path.join(run_dir, "fleet.jsonl")
+    with open(fleet_jsonl) as fh:
+        for line, text in enumerate(fh, start=1):
+            try:
+                row = json.loads(text)
+                incomes[int(row["driver_id"])] = float(row["income"])  # last snapshot wins
+            except (ValueError, KeyError, TypeError):
+                raise ValueError(f"{fleet_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
+    report = metrics_from_parts(incomes, log, neighborhoods)
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)
-    write_report(report, os.path.join(out_dir, "report.json"), "structured")
-    write_report(report, os.path.join(out_dir, "report.csv"), "tabular")
+    write_reports(report, out_dir)
     return 0
 
 

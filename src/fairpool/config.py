@@ -188,6 +188,8 @@ def _validate(config: RunConfig, source: str) -> None:
         fail("value.episodes", "episode count must be nonnegative")
     if config.train_episodes > 0 and config.value_mode != "tabular":
         fail("value.episodes", "training episodes require value.mode = tabular")
+    if config.train_episodes > 0 and config.demand_kind != "synthetic":
+        fail("value.episodes", "training episodes require synthetic demand")
     if config.payout_mode not in PAYOUT_MODES:
         fail("payout.mode", f"expected one of {PAYOUT_MODES}, got {config.payout_mode!r}")
 

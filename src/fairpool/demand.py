@@ -9,12 +9,11 @@ per-neighborhood demand totals, but never re-enters a later batch.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 from .city import CityGraph
-from .csvio import read_rows
+from .csvio import read_rows, write_rows
 from .seeds import substream
 
 __all__ = [
@@ -191,10 +190,7 @@ def synth_demand(
 
 def write_trips(requests: list[RideRequest], graph: CityGraph, path: str) -> None:
     """Export a stream in the trip-CSV format so runs can be replayed from file."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIP_HEADER)
-        for req in requests:
-            g = graph.locations[req.origin]
-            e = graph.locations[req.destination]
-            writer.writerow([repr(g.lat), repr(g.lon), repr(e.lat), repr(e.lon), repr(req.created_at)])
+    loc = graph.locations
+    ends = ((loc[r.origin], loc[r.destination], r.created_at) for r in requests)
+    rows = ((repr(g.lat), repr(g.lon), repr(e.lat), repr(e.lon), repr(t)) for g, e, t in ends)
+    write_rows(path, TRIP_HEADER, rows)

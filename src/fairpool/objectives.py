@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .city import CityGraph
+from .city import NeighborhoodMap
 from .demand import RequestLog
 from .fleet import FleetState
 
@@ -102,10 +102,10 @@ class NeighborhoodTallies:
         return cls(requested=[0] * (num_neighborhoods + 1), serviced=[0] * (num_neighborhoods + 1))
 
     @classmethod
-    def from_log(cls, log: RequestLog, graph: CityGraph) -> "NeighborhoodTallies":
-        tallies = cls.empty(graph.neighborhoods.num_neighborhoods)
+    def from_log(cls, log: RequestLog, neighborhoods: NeighborhoodMap) -> "NeighborhoodTallies":
+        tallies = cls.empty(neighborhoods.num_neighborhoods)
         for req in log.all_requests:
-            label = graph.neighborhoods.label(req.origin)
+            label = neighborhoods.label(req.origin)
             tallies.requested[label] += 1
             if req.request_id in log.serviced_ids:
                 tallies.serviced[label] += 1

@@ -127,15 +127,14 @@ class ShapleyEstimate:
         return dict(zip(self.driver_ids, self.values))
 
 
-def shapley_exact(
-    oracle: CoalitionOracle, driver_ids: Sequence[int], cap: int = EXACT_SHAPLEY_CAP
-) -> ShapleyEstimate:
-    """Exact Shapley values by full coalition enumeration (2^n evaluations)."""
+def shapley_exact(oracle: CoalitionOracle, driver_ids: Sequence[int]) -> ShapleyEstimate:
+    """Exact Shapley values by full coalition enumeration (2^n evaluations),
+    for at most EXACT_SHAPLEY_CAP drivers."""
     ids = tuple(driver_ids)
     n = len(ids)
     if n == 0:
         raise ValueError("need at least one driver")
-    if n > cap:
+    if n > EXACT_SHAPLEY_CAP:
         raise ValueError(
             f"{n} drivers need 2^{n} coalition evaluations; use shapley_mc instead"
         )

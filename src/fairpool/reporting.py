@@ -4,31 +4,31 @@ Collects the per-run quantities worth comparing across dispatch objectives:
 how many requests were served, how income spread out over drivers, and how
 service rates spread out over neighborhoods. Neighborhoods that saw no
 requests are reported as absent rather than as rate 0, so minima are not
-artificially dragged down. Reports serialize deterministically, byte for
-byte, in either a structured JSON document or a flat metric,scope,value CSV.
+artificially dragged down. Every report is written deterministically, byte
+for byte, twice: as the structured `report.json` and as the flat
+`metric,scope,value` lines of `report.csv`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
-from .city import CityGraph
+from .city import CityGraph, NeighborhoodMap
 from .demand import RequestLog
 from .fleet import FleetState
 from .objectives import NeighborhoodTallies, left_sum, pairwise_sum, population_variance
 
 REPORT_VERSION = 1
-REPORT_FORMATS = ("structured", "tabular")
 
 __all__ = [
     "REPORT_VERSION",
-    "REPORT_FORMATS",
     "MetricsReport",
     "metrics_from_parts",
     "fairness_metrics",
     "income_value_spread",
-    "write_report",
+    "write_reports",
     "read_report",
 ]
 
@@ -50,14 +50,14 @@ class MetricsReport:
 
 
 def metrics_from_parts(
-    incomes: dict[int, float], log: RequestLog, graph: CityGraph
+    incomes: dict[int, float], log: RequestLog, neighborhoods: NeighborhoodMap
 ) -> MetricsReport:
-    """Metrics from the raw parts; lets reports be rebuilt from artifacts.
-    Of the graph only `graph.neighborhoods` is read."""
-    tallies = NeighborhoodTallies.from_log(log, graph)
+    """Metrics from the raw parts; lets reports be rebuilt from artifacts
+    without a travel closure."""
+    tallies = NeighborhoodTallies.from_log(log, neighborhoods)
     rates = {
         j: tallies.serviced[j] / tallies.requested[j]
-        for j in range(1, graph.neighborhoods.num_neighborhoods + 1)
+        for j in range(1, neighborhoods.num_neighborhoods + 1)
         if tallies.requested[j] > 0
     }
     total_requests = len(log.all_requests)
@@ -79,7 +79,8 @@ def metrics_from_parts(
 
 
 def fairness_metrics(fleet: FleetState, log: RequestLog, graph: CityGraph) -> MetricsReport:
-    return metrics_from_parts({d.driver_id: d.income for d in fleet.drivers}, log, graph)
+    incomes = {d.driver_id: d.income for d in fleet.drivers}
+    return metrics_from_parts(incomes, log, graph.neighborhoods)
 
 
 def income_value_spread(q, v) -> float:
@@ -127,25 +128,17 @@ def _tabular_rows(report: MetricsReport) -> list[tuple[str, str, str]]:
     return rows
 
 
-def write_report(report: MetricsReport, path: str, format: str = "structured") -> None:
-    if format not in REPORT_FORMATS:
-        raise ValueError(f"unknown report format {format!r}, expected one of {REPORT_FORMATS}")
-    try:
-        if format == "structured":
-            payload = asdict(report)
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        else:
-            lines = ["metric,scope,value"]
-            lines.extend(",".join(row) for row in _tabular_rows(report))
-            text = "\n".join(lines) + "\n"
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+def write_reports(report: MetricsReport, out_dir: str) -> None:
+    """Write `report.json` and `report.csv` into `out_dir`."""
+    lines = ["metric,scope,value"] + [",".join(row) for row in _tabular_rows(report)]
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        fh.write(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
+    with open(os.path.join(out_dir, "report.csv"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_report(path: str) -> MetricsReport:
-    """Parse a structured report back; inverse of write_report('structured')."""
+    """Parse a `report.json` back; inverse of `write_reports`."""
     try:
         with open(path) as fh:
             payload = json.load(fh)

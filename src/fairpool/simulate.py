@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .city import CityGraph, travel_seconds
 from .demand import RequestBatch, RequestLog
-from .fleet import DriverState, FleetState, advance_fleet, snapshot_rows
+from .fleet import DriverState, FleetState, advance_fleet
 from .matching import DelayConstraints, EpochResult, RouteMemo, run_epoch
 from .objectives import NeighborhoodTallies, ObjectiveSpec
 from .value import ValueModel, td_update
@@ -36,7 +36,6 @@ class SimResult:
     fleet: FleetState
     log: RequestLog
     tallies: NeighborhoodTallies
-    snapshots: list[dict]
 
     def incomes(self) -> dict[int, float]:
         return {d.driver_id: d.income for d in self.fleet.drivers}
@@ -55,14 +54,15 @@ def run_simulation(
     """Play the day: match every batch, then drain the fleet.
 
     `on_epoch` sees each epoch's result right after it is committed, before
-    the fleet moves on. `route_memo` is handed to every epoch's route
-    enumeration; pass one only when it is shared with other runs on the same
-    graph, since a single run seldom repeats a driver state.
+    the fleet moves on; the loop itself keeps no per-epoch fleet records, so
+    a caller that wants them (such as `fleet.jsonl`) takes them there.
+    `route_memo` is handed to every epoch's route enumeration; pass one only
+    when it is shared with other runs on the same graph, since a single run
+    seldom repeats a driver state.
     """
     log = RequestLog()
     tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
     epochs: list[EpochResult] = []
-    snapshots: list[dict] = []
     for batch in batches:
         if batch.window_end > fleet.clock:
             advance_fleet(fleet, batch.window_end - fleet.clock)
@@ -80,14 +80,13 @@ def run_simulation(
         if on_epoch is not None:
             on_epoch(result)
         epochs.append(result)
-        snapshots.extend(snapshot_rows(fleet, batch.epoch_index))
     horizon = fleet.clock
     for driver in fleet.drivers:
         if driver.route:
             horizon = max(horizon, driver.route[-1].arrival)
     if horizon > fleet.clock:
         advance_fleet(fleet, horizon - fleet.clock)
-    return SimResult(epochs=epochs, fleet=fleet, log=log, tallies=tallies, snapshots=snapshots)
+    return SimResult(epochs=epochs, fleet=fleet, log=log, tallies=tallies)
 
 
 def train_value_model(

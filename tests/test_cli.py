@@ -420,6 +420,17 @@ def test_trips_csv_run_reports_dropped_rows(tmp_path):
             assert fh.read() == "rows_dropped = 1\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "train", "sweep"])
+def test_training_on_csv_demand_is_a_config_error(tmp_path, capsys, command):
+    """Caught with the config, so a sweep writes no cell before failing."""
+    write_trips(tmp_path / "trips.csv")
+    cfg = write_config(tmp_path / "c.cfg", LINE_CFG + "value.mode = tabular\nvalue.episodes = 2\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "value.episodes: training episodes require synthetic demand" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synthetic_run_writes_no_ingest_file(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
     out = tmp_path / "run"
@@ -1064,6 +1075,51 @@ def test_report_rebuild_is_byte_identical(tmp_path):
         assert fh.read() == want_json
     with open(rebuilt / "report.csv", "rb") as fh:
         assert fh.read() == want_csv
+
+
+def rename_driver_header(lines):
+    lines[0] = lines[0].replace(",driver\r\n", ",driver_id\r\n")
+    return 1
+
+
+def letter_request_id(lines):
+    lines[1] = "x" + lines[1][lines[1].index(",") :]
+    return 2
+
+
+def serviced_row_without_driver(lines):
+    i = next(i for i, line in enumerate(lines) if i and line.split(",")[4] == "1")
+    lines[i] = lines[i][: lines[i].rindex(",") + 1] + "\r\n"
+    return i + 1
+
+
+def garbage_fleet_line(lines):
+    lines.append("garbage\n")
+    return len(lines)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [
+        ("requests.csv", rename_driver_header),
+        ("requests.csv", letter_request_id),
+        ("requests.csv", serviced_row_without_driver),
+        ("fleet.jsonl", garbage_fleet_line),
+    ],
+    ids=lambda case: getattr(case, "__name__", case),
+)
+def test_report_names_the_file_and_line_of_a_bad_artifact(tmp_path, capsys, name, corrupt):
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    path = run_dir / name
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    line = corrupt(lines)
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines)
+    assert main(["report", str(run_dir), "--out", str(tmp_path / "rebuilt")]) == 3
+    assert f"error: {path}:{line}: " in capsys.readouterr().err
 
 
 def write_csv_city(root):

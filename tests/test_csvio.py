@@ -1,7 +1,8 @@
-"""Every input CSV goes through one reader with one rule set.
+"""Every CSV goes through one reader with one rule set, and out through one
+writer.
 
-One table test feeds the same bad files to all six readers; an AST test keeps
-new hand-rolled CSV parsing out of the package.
+One table test feeds the same bad files to all six readers; AST tests keep
+new hand-rolled CSV parsing and writing out of the package.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 import fairpool
 from fairpool.city import gen_grid_city, load_edges, load_locations
 from fairpool.cli import _read_pi_csv, _read_shapley_csv
+from fairpool.csvio import read_rows, write_rows
 from fairpool.demand import ingest_trips
 from fairpool.redistribution import load_coalition_table
 
@@ -84,9 +86,8 @@ def test_every_reader_strips_header_cells_and_skips_blank_lines(tmp_path, name):
     assert reader(str(padded)) == reader(str(clean))
 
 
-# (module file, enclosing function) allowed to call csv.reader or csv.DictReader:
-# the shared reader, and `report` re-reading the requests.csv its run wrote
-CSV_READER_CALLERS = {("csvio.py", "read_rows"), ("cli.py", "cmd_report")}
+# (module file, enclosing function) allowed to call csv.reader or csv.DictReader
+CSV_READER_CALLERS = {("csvio.py", "read_rows")}
 
 
 def csv_reader_calls(tree):
@@ -114,3 +115,35 @@ def test_input_csvs_are_parsed_only_by_the_shared_reader():
                 tree = ast.parse(fh.read())
             found |= {(name, owner, call) for owner, call in csv_reader_calls(tree)}
     assert sorted(call for call in found if call[:2] not in CSV_READER_CALLERS) == []
+
+
+def test_write_rows_round_trips_through_read_rows_with_crlf_line_ends(tmp_path):
+    path = str(tmp_path / "out.csv")
+    write_rows(path, ["id", "x", "name"], [(0, repr(0.1), "a,b"), (12, repr(-1e-300), "")])
+    with open(path, "rb") as fh:
+        assert fh.read() == b'id,x,name\r\n0,0.1,"a,b"\r\n12,-1e-300,\r\n'
+    columns = (("id", int), ("x", float), ("name", str))
+    assert list(read_rows(path, columns)) == [(2, [0, 0.1, "a,b"]), (3, [12, -1e-300, ""])]
+
+
+def test_only_csvio_imports_csv_or_writes_with_it():
+    package = os.path.dirname(fairpool.__file__)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {(name, "import csv") for alias in node.names if alias.name == "csv"}
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.add((name, "from csv import"))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "writer"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "csv"
+            ):
+                found.add((name, "csv.writer"))
+    assert sorted(found) == [("csvio.py", "csv.writer"), ("csvio.py", "import csv")]

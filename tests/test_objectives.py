@@ -115,7 +115,7 @@ def test_tallies_from_log_counts_by_origin_neighborhood():
     )
     log.add_batch(RequestBatch(epoch_index=0, requests=reqs, window_end=60.0))
     log.mark_serviced(1, driver_id=0)
-    tallies = NeighborhoodTallies.from_log(log, graph)
+    tallies = NeighborhoodTallies.from_log(log, graph.neighborhoods)
     assert tallies.requested[1] == 3
     assert tallies.serviced[1] == 1
     assert tallies.service_rates() == [1.0 / 3.0]

@@ -12,7 +12,7 @@ from fairpool.reporting import (
     income_value_spread,
     metrics_from_parts,
     read_report,
-    write_report,
+    write_reports,
 )
 
 import numpy as np
@@ -44,7 +44,7 @@ def test_metrics_hand_rates():
     # two one-location neighborhoods: rates 0.2 and 0.4
     graph = helpers.line_city([9.0], num_neighborhoods=2)
     log = make_log(graph, {0: (5, 1), 1: (5, 2)})
-    report = metrics_from_parts({0: 30.0}, log, graph)
+    report = metrics_from_parts({0: 30.0}, log, graph.neighborhoods)
     assert report.total_requests == 10
     assert report.total_serviced == 3
     assert report.overall_success_rate == 0.3
@@ -56,7 +56,7 @@ def test_metrics_hand_rates():
 def test_metrics_all_serviced():
     graph = helpers.line_city([9.0], num_neighborhoods=2)
     log = make_log(graph, {0: (2, 2), 1: (3, 3)})
-    report = metrics_from_parts({0: 10.0, 1: 4.0}, log, graph)
+    report = metrics_from_parts({0: 10.0, 1: 4.0}, log, graph.neighborhoods)
     assert report.overall_success_rate == 1.0
     assert report.min_success_rate == 1.0
     assert report.success_rate_var == 0.0
@@ -65,14 +65,14 @@ def test_metrics_all_serviced():
 def test_metrics_equal_incomes_have_zero_variance():
     graph = helpers.line_city([9.0])
     log = make_log(graph, {0: (1, 1)})
-    report = metrics_from_parts({0: 12.0, 1: 12.0, 2: 12.0}, log, graph)
+    report = metrics_from_parts({0: 12.0, 1: 12.0, 2: 12.0}, log, graph.neighborhoods)
     assert report.income_var == 0.0
     assert report.income_min == 12.0
 
 
 def test_metrics_no_requests():
     graph = helpers.line_city([9.0], num_neighborhoods=2)
-    report = metrics_from_parts({0: 0.0}, RequestLog(), graph)
+    report = metrics_from_parts({0: 0.0}, RequestLog(), graph.neighborhoods)
     assert report.total_requests == 0
     assert report.overall_success_rate is None
     assert report.neighborhood_rates == {}
@@ -83,7 +83,7 @@ def test_metrics_no_requests():
 def test_neighborhoods_without_demand_are_absent_not_zero():
     graph = helpers.line_city([9.0], num_neighborhoods=2)
     log = make_log(graph, {0: (4, 1)})  # all demand in neighborhood 1
-    report = metrics_from_parts({0: 6.0}, log, graph)
+    report = metrics_from_parts({0: 6.0}, log, graph.neighborhoods)
     assert set(report.neighborhood_rates) == {1}
     assert report.min_success_rate == 0.25
 
@@ -95,7 +95,7 @@ def test_total_income_agrees_with_income_objective(grid55):
     stream = synth_demand(grid55, rate_per_epoch=2.0, num_epochs=12, hotspot_skew=0.5, seed=3)
     fleet = init_fleet(grid55, 3, 4, seed=3)
     result = run_simulation(grid55, batch_requests(stream), fleet, ObjectiveSpec(name="income"))
-    report = metrics_from_parts(result.incomes(), result.log, grid55)
+    report = metrics_from_parts(result.incomes(), result.log, grid55.neighborhoods)
     objective_value = eval_objective(
         ObjectiveSpec(name="income"),
         ObjectiveState.from_fleet(result.fleet, result.tallies),
@@ -141,43 +141,35 @@ def sample_report():
 
 def test_structured_report_round_trip(tmp_path):
     report = sample_report()
-    path = tmp_path / "report.json"
-    write_report(report, path)
-    assert read_report(path) == report
+    write_reports(report, tmp_path)
+    assert read_report(tmp_path / "report.json") == report
 
 
 def test_report_writes_are_byte_deterministic(tmp_path):
     report = sample_report()
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(report, a)
-    write_report(report, b)
-    assert a.read_bytes() == b.read_bytes()
-    ta, tb = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_report(report, ta, format="tabular")
-    write_report(report, tb, format="tabular")
-    assert ta.read_bytes() == tb.read_bytes()
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    write_reports(report, a)
+    write_reports(report, b)
+    for name in ("report.json", "report.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_tabular_report_shape(tmp_path):
     report = sample_report()
-    path = tmp_path / "report.csv"
-    write_report(report, path, format="tabular")
-    lines = path.read_text().splitlines()
+    write_reports(report, tmp_path)
+    lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "metric,scope,value"
     metrics = {line.split(",")[0] for line in lines[1:]}
     assert "total_income" in metrics
     assert "neighborhood_rate" in metrics or "success_rate" in metrics
 
 
-def test_write_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="unknown report format"):
-        write_report(sample_report(), tmp_path / "x", format="yaml")
-
-
 def test_read_report_rejects_other_versions(tmp_path):
     report = sample_report()
+    write_reports(report, tmp_path)
     path = tmp_path / "report.json"
-    write_report(report, path)
     text = path.read_text().replace(
         f'"report_version": {REPORT_VERSION}', '"report_version": 999'
     )
@@ -188,8 +180,6 @@ def test_read_report_rejects_other_versions(tmp_path):
 
 def test_report_with_none_rates_round_trips(tmp_path):
     graph = helpers.line_city([9.0])
-    report = metrics_from_parts({0: 0.0}, RequestLog(), graph)
-    path = tmp_path / "empty.json"
-    write_report(report, path)
-    assert read_report(path) == report
-    write_report(report, tmp_path / "empty.csv", format="tabular")
+    report = metrics_from_parts({0: 0.0}, RequestLog(), graph.neighborhoods)
+    write_reports(report, tmp_path)
+    assert read_report(tmp_path / "report.json") == report
