@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
 from dataclasses import replace
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .city import (
     CityGraph,
@@ -33,7 +34,7 @@ from .city import (
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
 from .csvio import read_rows, write_rows
 from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
-from .fleet import FleetState, init_fleet, snapshot_rows
+from .fleet import init_fleet, snapshot_rows
 from .matching import DelayConstraints, EpochResult
 from .objectives import OBJECTIVES, ObjectiveSpec, left_sum, scored_as
 from .redistribution import (
@@ -90,9 +91,26 @@ def build_batches(config: RunConfig, graph: CityGraph) -> tuple[list[RequestBatc
     return batch_requests(ingest.requests, config.epoch_len_seconds), ingest.dropped
 
 
-def _load_config(args: argparse.Namespace, grids: bool = False) -> RunConfig:
-    """Config from --config (or all defaults), with flag overrides applied.
-    Grid commands interpret --objective/--lambda as axes, not overrides."""
+def _override(config: RunConfig, **changes) -> RunConfig:
+    """`config` with `changes` from the command line, checked as a config
+    file is: the merged config round-trips through the parser."""
+    return parse_config(dump_config(replace(config, **changes)), source="command line")
+
+
+def _parse_grid(text: str, flag: str) -> list[float]:
+    """The finite numbers of a comma-separated flag value."""
+    try:
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"cannot parse {flag} {text!r}") from None
+    if not all(math.isfinite(value) for value in values):
+        raise ConfigError(f"{flag} must be finite, got {text!r}")
+    return values
+
+
+def _load_config(args: argparse.Namespace) -> RunConfig:
+    """Config from --config (or all defaults), with the --seed, --objective
+    and --lambda overrides a command has."""
     if getattr(args, "config", None):
         config = load_config(args.config)
     else:
@@ -100,21 +118,16 @@ def _load_config(args: argparse.Namespace, grids: bool = False) -> RunConfig:
     changes = {}
     if getattr(args, "seed", None) is not None:
         changes["seed"] = args.seed
-    if not grids and getattr(args, "objective", None) is not None:
+    if getattr(args, "objective", None) is not None:
         if "," in args.objective:
             raise ConfigError("this command takes a single --objective")
         changes["objective"] = args.objective
-    if not grids and getattr(args, "lam", None) is not None:
-        if "," in args.lam:
+    if getattr(args, "lam", None) is not None:
+        lams = _parse_grid(args.lam, "--lambda")
+        if "," in args.lam or len(lams) != 1:
             raise ConfigError("this command takes a single --lambda")
-        try:
-            changes["lam"] = float(args.lam)
-        except ValueError:
-            raise ConfigError(f"cannot parse --lambda {args.lam!r}") from None
-    if not changes:
-        return config
-    # round-trip through the parser to rerun validation on the merged config
-    return parse_config(dump_config(replace(config, **changes)))
+        changes["lam"] = lams[0]
+    return _override(config, **changes) if changes else config
 
 
 def _write_text(path: str, text: str) -> None:
@@ -127,16 +140,6 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
     with open(path, "w") as fh:
         for line in lines:
             fh.write(line + "\n")
-
-
-class RunInputs(NamedTuple):
-    """Everything one simulated day needs besides its graph."""
-
-    batches: list[RequestBatch]
-    spec: ObjectiveSpec
-    constraints: DelayConstraints
-    fleet: FleetState
-    rows_dropped: int | None  # trip-CSV rows dropped at ingest; None if synthetic
 
 
 def _spec_and_constraints(config: RunConfig) -> tuple[ObjectiveSpec, DelayConstraints]:
@@ -175,14 +178,15 @@ class SharedDemand:
         return (self._batches is not None) + len(self._episodes)
 
 
-def build_run(config: RunConfig, graph: CityGraph, demand: SharedDemand | None = None) -> RunInputs:
-    """Demand batches, objective, service guarantees and the seeded fleet of
-    one configuration on its graph (`build_graph(config)`), with the batches
+def build_run(config: RunConfig, graph: CityGraph, demand: SharedDemand | None = None):
+    """Demand batches, objective, service guarantees, the seeded fleet and
+    the trip-CSV rows dropped at ingest (None if synthetic) of one
+    configuration on its graph (`build_graph(config)`), with the batches
     taken from `demand` when it is given."""
     batches, dropped = (demand or SharedDemand(config, graph)).batches()
     spec, constraints = _spec_and_constraints(config)
     fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
-    return RunInputs(batches, spec, constraints, fleet, dropped)
+    return batches, spec, constraints, fleet, dropped
 
 
 def train_synthetic(
@@ -310,22 +314,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(text: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"cannot parse {what} grid {text!r}") from None
-
-
-def _scoring_class(objective: str, lam: float) -> ObjectiveSpec | None:
-    """The spec a sweep cell scores as, or None for a cell that ObjectiveSpec
-    rejects (run_one then fails it, as it would any invalid cell)."""
-    try:
-        return scored_as(ObjectiveSpec(objective, lam))
-    except ValueError:
-        return None
-
-
 def _copy_run(src_dir: str, artifacts: list[str], config: RunConfig, out_dir: str) -> None:
     """Give out_dir the artifacts run_one wrote to src_dir, with config's own
     config.resolved."""
@@ -338,12 +326,10 @@ def _copy_run(src_dir: str, artifacts: list[str], config: RunConfig, out_dir: st
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args, grids=True)
-    objectives = args.objective.split(",") if args.objective else list(OBJECTIVES)
-    for objective in objectives:
-        if objective not in OBJECTIVES:
-            raise ConfigError(f"unknown objective {objective!r}, expected one of {OBJECTIVES}")
-    lambdas = _parse_grid(args.lam, "--lambda") if args.lam else [config.lam]
+    config = _load_config(args)
+    objectives = args.objectives.split(",") if args.objectives else list(OBJECTIVES)
+    lambdas = _parse_grid(args.lambdas, "--lambda") if args.lambdas else [config.lam]
+    cells = [_override(config, objective=o, lam=lam) for o in objectives for lam in lambdas]
     # cells differ only in objective and lambda, so they share one city and
     # one demand, and cells that score alike (see scored_as) are one run
     graph = build_graph(config)
@@ -353,38 +339,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     failures = []
     simulated = {}  # scoring class -> (cell dir, artifact names, report) of its first run
     runs = 0
-    for objective in objectives:
-        for lam in lambdas:
-            cell = replace(config, objective=objective, lam=lam)
-            cell_dir = os.path.join(args.out, f"{objective}-lam{lam!r}")
-            scoring = _scoring_class(objective, lam)
-            try:
-                if scoring in simulated:
-                    first_dir, artifacts, report = simulated[scoring]
-                    _copy_run(first_dir, artifacts, cell, cell_dir)
-                else:
-                    # a failed run is not kept: its failure may lie in its
-                    # directory, so the next cell of its class runs again
-                    runs += 1
-                    _, report, artifacts = run_one(cell, cell_dir, graph, demand)
-                    if scoring is not None:
-                        simulated[scoring] = (cell_dir, artifacts, report)
-            except Exception as exc:  # keep sweeping, record the failure
-                failures.append((objective, repr(lam), str(exc)))
-                continue
-            rates = (report.overall_success_rate, report.success_rate_var, report.min_success_rate)
-            rows.append(
-                (objective, repr(lam), report.total_requests, report.total_serviced)
-                + tuple("" if rate is None else repr(rate) for rate in rates)
-                + (repr(report.total_income), repr(report.income_var), repr(report.income_min))
-            )
+    for cell in cells:
+        cell_dir = os.path.join(args.out, f"{cell.objective}-lam{cell.lam!r}")
+        scoring = scored_as(ObjectiveSpec(cell.objective, cell.lam))
+        try:
+            if scoring in simulated:
+                first_dir, artifacts, report = simulated[scoring]
+                _copy_run(first_dir, artifacts, cell, cell_dir)
+            else:
+                # a failed run is not kept: its failure may lie in its
+                # directory, so the next cell of its class runs again
+                runs += 1
+                _, report, artifacts = run_one(cell, cell_dir, graph, demand)
+                simulated[scoring] = (cell_dir, artifacts, report)
+        except Exception as exc:  # keep sweeping, record the failure
+            failures.append((cell.objective, repr(cell.lam), str(exc)))
+            continue
+        rates = (report.overall_success_rate, report.success_rate_var, report.min_success_rate)
+        rows.append(
+            (cell.objective, repr(cell.lam), report.total_requests, report.total_serviced)
+            + tuple("" if rate is None else repr(rate) for rate in rates)
+            + (repr(report.total_income), repr(report.income_var), repr(report.income_min))
+        )
     header = [
         "objective", "lambda", "total_requests", "total_serviced", "success_rate",
         "success_rate_var", "min_success_rate", "total_income", "income_var", "income_min",
     ]
     write_rows(os.path.join(args.out, "sweep.csv"), header, rows)
     meta = [
-        f"cells = {len(objectives) * len(lambdas)}",
+        f"cells = {len(cells)}",
         f"cells_simulated = {runs}",
         f"demand_streams = {demand.streams()}",
     ]
@@ -412,15 +395,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_pi_csv(path: str) -> dict[int, float]:
-    by_driver: dict[int, float] = {}
-    for line, (driver_id, pi) in read_rows(path, (("driver_id", int), ("pi", float))):
-        if driver_id in by_driver:
+def _read_driver_rows(path: str, names: tuple[str, ...]) -> list[list]:
+    """The rows of a `driver_id,<names>` CSV: one row per driver, every
+    named column a non-negative float."""
+    rows: dict[int, list] = {}
+    for line, row in read_rows(path, (("driver_id", int),) + tuple((n, float) for n in names)):
+        driver_id = row[0]
+        if driver_id in rows:
             raise ValueError(f"{path}:{line}: duplicate driver_id {driver_id}")
-        if pi < 0:
-            raise ValueError(f"{path}:{line}: negative pi {pi!r} for driver {driver_id}")
-        by_driver[driver_id] = pi
-    return by_driver
+        for name, x in zip(names, row[1:]):
+            if x < 0:
+                raise ValueError(f"{path}:{line}: negative {name} {x!r} for driver {driver_id}")
+        rows[driver_id] = row
+    return list(rows.values())
 
 
 def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
@@ -472,7 +459,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         driver_ids = list(range(n))
         estimate = _run_shapley(oracle, driver_ids, args, seed=args.seed or 0)
         if args.pi:
-            by_driver = _read_pi_csv(args.pi)
+            by_driver = dict(_read_driver_rows(args.pi, ("pi",)))
             missing = [d for d in driver_ids if d not in by_driver]
             if missing:
                 raise ValueError(f"{args.pi}: missing incomes for drivers {missing}")
@@ -498,25 +485,6 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_shapley_csv(path: str) -> tuple[list[int], list[float], list[float]]:
-    columns = (("driver_id", int), ("pi", float), ("v", float))
-    rows = []
-    seen: set[int] = set()
-    for line, values in read_rows(path, columns):
-        driver_id = values[0]
-        if driver_id in seen:
-            raise ValueError(f"{path}:{line}: duplicate driver_id {driver_id}")
-        seen.add(driver_id)
-        for (name, _), x in zip(columns[1:], values[1:]):
-            if x < 0:
-                raise ValueError(f"{path}:{line}: negative {name} {x!r} for driver {driver_id}")
-        rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no drivers found")
-    driver_ids, pi, v = (list(column) for column in zip(*rows))
-    return driver_ids, pi, v
-
-
 def cmd_redistribute(args: argparse.Namespace) -> int:
     source = args.source
     mode = args.mode or "as_printed"
@@ -526,7 +494,10 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
         if args.mode is None and os.path.exists(resolved):
             mode = load_config(resolved).payout_mode
         source = os.path.join(source, "shapley.csv")
-    driver_ids, pi, v = _read_shapley_csv(source)
+    rows = _read_driver_rows(source, ("pi", "v"))
+    if not rows:
+        raise ValueError(f"{source}: no drivers found")
+    driver_ids, pi, v = (list(column) for column in zip(*rows))
     grid = _parse_grid(args.r, "--r") if args.r else [i / 10 for i in range(11)]
     for r in grid:
         if not 0.0 <= r <= 1.0:
@@ -565,23 +536,36 @@ def cmd_report(args: argparse.Namespace) -> int:
     locations, _ = _city_components(config)
     neighborhoods = city_neighborhoods(locations, config.num_neighborhoods, config.seed)
     log = RequestLog()
+    places = range(len(locations))
+    drivers = {str(d): d for d in range(config.num_drivers)}  # as run_one writes them
+    seen: set[int] = set()
     requests_csv = os.path.join(run_dir, "requests.csv")
     for line, row in read_rows(requests_csv, REQUEST_COLUMNS):
         request_id, origin, destination, created_at, serviced, driver = row
+        if request_id in seen:
+            raise ValueError(f"{requests_csv}:{line}: duplicate request_id {request_id}")
+        seen.add(request_id)
         try:
+            # a request between two locations of the city; a serviced one
+            # names a configured driver, an unserviced one names none
+            if origin not in places or destination not in places or (
+                (serviced, driver) != (0, "") and (serviced != 1 or driver not in drivers)
+            ):
+                raise ValueError
             log.all_requests.append(RideRequest(request_id, origin, destination, created_at))
-            if serviced == 1:  # a serviced request names its integer driver
-                log.mark_serviced(request_id, int(driver))
+            if serviced:
+                log.mark_serviced(request_id, drivers[driver])
         except ValueError:
             raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}") from None
     # every configured driver exists, even one that never had a snapshot row
-    incomes = {d: 0.0 for d in range(config.num_drivers)}
+    incomes = {d: 0.0 for d in drivers.values()}
     fleet_jsonl = os.path.join(run_dir, "fleet.jsonl")
     with open(fleet_jsonl) as fh:
         for line, text in enumerate(fh, start=1):
             try:
                 row = json.loads(text)
-                incomes[int(row["driver_id"])] = float(row["income"])  # last snapshot wins
+                # last snapshot wins; a driver the config lacks is malformed
+                incomes[drivers[str(row["driver_id"])]] = float(row["income"])
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{fleet_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
     report = metrics_from_parts(incomes, log, neighborhoods)
@@ -615,8 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an objective x lambda grid on one demand stream")
     common(p)
-    p.add_argument("--objective", help="comma-separated objectives (default: all four)")
-    p.add_argument("--lambda", dest="lam", help="comma-separated lambda grid")
+    p.add_argument(
+        "--objective", dest="objectives", help="comma-separated objectives (default: all four)"
+    )
+    p.add_argument("--lambda", dest="lambdas", help="comma-separated lambda grid")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("train", help="train a tabular value model and save its table")

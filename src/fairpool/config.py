@@ -1,17 +1,20 @@
 """Run configuration: a flat, diff-friendly key = value text format.
 
 One `key = value` statement per line, dotted key names, full-line comments
-with `#`, no sections and no nesting. load_config applies defaults and
-validates; dump_config emits every resolved key in sorted order, so the echo
-written next to run artifacts reloads to an identical config and reruns the
-exact experiment.
+with `#`, no sections and no nesting. RunConfig is the one table of keys:
+each field names its dotted key, and its annotation parses the value (int,
+float, or str for the rest). load_config applies defaults and validates;
+dump_config emits every resolved key in sorted order, so the echo written
+next to run artifacts reloads to an identical config and reruns the exact
+experiment. Command-line overrides go through the same parse and checks.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 from .objectives import OBJECTIVES
 from .redistribution import PAYOUT_MODES
@@ -25,72 +28,53 @@ class ConfigError(Exception):
     pass
 
 
+def _key(name: str, default: object):
+    """A RunConfig field read and written as the dotted config key `name`."""
+    return field(default=default, metadata={"key": name})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
+    seed: int = _key("seed", 0)
     # city: a synthetic grid, or location/edge CSV files
-    city_kind: str = "grid"
-    city_width: int = 5
-    city_height: int = 5
-    city_edge_minutes: float = 1.0
-    city_locations: str | None = None
-    city_edges: str | None = None
-    num_neighborhoods: int = 10
-    delta: float = 5.0
+    city_kind: str = _key("city.kind", "grid")
+    city_width: int = _key("city.width", 5)
+    city_height: int = _key("city.height", 5)
+    city_edge_minutes: float = _key("city.edge_minutes", 1.0)
+    city_locations: str | None = _key("city.locations", None)
+    city_edges: str | None = _key("city.edges", None)
+    num_neighborhoods: int = _key("city.neighborhoods", 10)
+    delta: float = _key("fare.delta", 5.0)
     # demand: a seeded synthetic stream, or a trip CSV
-    demand_kind: str = "synthetic"
-    demand_rate_per_epoch: float = 4.0
-    demand_num_epochs: int = 50
-    demand_hotspot_skew: float = 0.6
-    demand_trips: str | None = None
+    demand_kind: str = _key("demand.kind", "synthetic")
+    demand_rate_per_epoch: float = _key("demand.rate_per_epoch", 4.0)
+    demand_num_epochs: int = _key("demand.num_epochs", 50)
+    demand_hotspot_skew: float = _key("demand.hotspot_skew", 0.6)
+    demand_trips: str | None = _key("demand.trips", None)
     # fleet and matching
-    num_drivers: int = 5
-    capacity: int = 4
-    epoch_len_seconds: float = 60.0
-    max_pickup_delay: float = 300.0
-    max_detour_delay: float = 60.0
-    objective: str = "income"
-    lam: float = 0.0
-    gamma: float = 0.9
+    num_drivers: int = _key("fleet.num_drivers", 5)
+    capacity: int = _key("fleet.capacity", 4)
+    epoch_len_seconds: float = _key("epoch.length_seconds", 60.0)
+    max_pickup_delay: float = _key("constraints.max_pickup_delay", 300.0)
+    max_detour_delay: float = _key("constraints.max_detour_delay", 60.0)
+    objective: str = _key("objective.kind", "income")
+    lam: float = _key("objective.lambda", 0.0)
+    gamma: float = _key("objective.gamma", 0.9)
     # value model
-    value_mode: str = "zero"
-    value_alpha: float = 0.1
-    train_episodes: int = 0
+    value_mode: str = _key("value.mode", "zero")
+    value_alpha: float = _key("value.alpha", 0.1)
+    train_episodes: int = _key("value.episodes", 0)
     # redistribution defaults used by the payout commands
-    payout_mode: str = "as_printed"
+    payout_mode: str = _key("payout.mode", "as_printed")
 
 
-# dotted config key -> (dataclass field, value parser)
+# dotted config key -> (dataclass field, value parser); the parser is the
+# field's annotation for int and float fields, str for the rest
+_HINTS = get_type_hints(RunConfig)
 _KEYS: dict[str, tuple[str, type]] = {
-    "seed": ("seed", int),
-    "city.kind": ("city_kind", str),
-    "city.width": ("city_width", int),
-    "city.height": ("city_height", int),
-    "city.edge_minutes": ("city_edge_minutes", float),
-    "city.locations": ("city_locations", str),
-    "city.edges": ("city_edges", str),
-    "city.neighborhoods": ("num_neighborhoods", int),
-    "fare.delta": ("delta", float),
-    "demand.kind": ("demand_kind", str),
-    "demand.rate_per_epoch": ("demand_rate_per_epoch", float),
-    "demand.num_epochs": ("demand_num_epochs", int),
-    "demand.hotspot_skew": ("demand_hotspot_skew", float),
-    "demand.trips": ("demand_trips", str),
-    "fleet.num_drivers": ("num_drivers", int),
-    "fleet.capacity": ("capacity", int),
-    "epoch.length_seconds": ("epoch_len_seconds", float),
-    "constraints.max_pickup_delay": ("max_pickup_delay", float),
-    "constraints.max_detour_delay": ("max_detour_delay", float),
-    "objective.kind": ("objective", str),
-    "objective.lambda": ("lam", float),
-    "objective.gamma": ("gamma", float),
-    "value.mode": ("value_mode", str),
-    "value.alpha": ("value_alpha", float),
-    "value.episodes": ("train_episodes", int),
-    "payout.mode": ("payout_mode", str),
+    f.metadata["key"]: (f.name, _HINTS[f.name] if _HINTS[f.name] in (int, float) else str)
+    for f in fields(RunConfig)
 }
-
-_FIELD_TO_KEY = {field: key for key, (field, _) in _KEYS.items()}
 _PATH_FIELDS = ("city_locations", "city_edges", "demand_trips")
 
 
@@ -139,6 +123,8 @@ def _validate(config: RunConfig, source: str) -> None:
     def fail(key: str, message: str) -> None:
         raise ConfigError(f"{source}: {key}: {message}")
 
+    if config.seed < 0:
+        fail("seed", f"seed must be a non-negative integer, got {config.seed}")
     if config.city_kind not in ("grid", "csv"):
         fail("city.kind", f"expected grid or csv, got {config.city_kind!r}")
     if config.city_kind == "grid":
@@ -202,7 +188,7 @@ def dump_config(config: RunConfig) -> str:
         value = getattr(config, f.name)
         if value is None:
             continue
-        key = _FIELD_TO_KEY[f.name]
+        key = f.metadata["key"]
         rendered = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{key} = {rendered}")
     return "\n".join(sorted(lines)) + "\n"

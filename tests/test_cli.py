@@ -165,15 +165,56 @@ def test_non_finite_lambda_flag_is_rejected(tmp_path):
     out = tmp_path / "sweep"
     argv = ["sweep", "--config", cfg, "--out", str(out)]
     rc = main(argv + ["--objective", "income,driver_fairness", "--lambda", "0,nan"])
-    assert rc == 3
-    assert [r["lambda"] for r in read_csv_rows(out / "sweep.csv")] == ["0.0", "0.0"]
-    failures = read_csv_rows(out / "failures.csv")
-    assert [(f["objective"], f["lambda"]) for f in failures] == [
-        ("income", "nan"),
-        ("driver_fairness", "nan"),
-    ]
-    assert "lambda must be finite" in failures[0]["error"]
-    assert failures[1]["error"] == failures[0]["error"]
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, lam", [("simulate", "nan"), ("train", "inf"), ("sweep", "0,-inf")]
+)
+def test_non_finite_lambda_flag_names_the_flag(tmp_path, capsys, command, lam):
+    """These once named line 18 of an internal config dump (simulate, train)
+    or failed each cell at run time (sweep)."""
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--lambda", lam]) == 2
+    assert f"error: --lambda must be finite, got {lam!r}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, key",
+    [
+        ("simulate", ["--lambda", "-1"], "objective.lambda"),
+        ("simulate", ["--objective", "profit"], "objective.kind"),
+        ("sweep", ["--lambda", "0,-1"], "objective.lambda"),
+        ("sweep", ["--objective", "income,profit"], "objective.kind"),
+    ],
+)
+def test_override_errors_name_the_command_line(tmp_path, capsys, command, flags, key):
+    """Flag values are checked as config values are, before any output: a
+    bad sweep grid once failed its cells at run time with exit 3."""
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
+    assert f"error: command line: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    """A negative run seed once exited 3 from the generator, naming neither
+    the key nor its source. shapley's --seed is hashed and takes any int."""
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "neg.cfg", SMALL_CITY.replace("seed = 5", "seed = -3"))
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {cfg}: seed: " in capsys.readouterr().err
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert "error: command line: seed: " in capsys.readouterr().err
+    assert not out.exists()
+    table = helpers.write_additive_table(tmp_path / "table.csv", 3)
+    argv = ["shapley", table, "--out", str(out), "--method", "monte_carlo", "--samples", "4"]
+    assert main(argv + ["--seed", "-1"]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "sweep"])
@@ -1098,6 +1139,46 @@ def garbage_fleet_line(lines):
     return len(lines)
 
 
+def set_request_cell(lines, serviced, column, value):
+    """Set one cell of the first requests.csv row with that `serviced` flag;
+    returns its line."""
+    i = next(i for i, line in enumerate(lines) if i and line.split(",")[4] == serviced)
+    cells = lines[i].rstrip("\r\n").split(",")
+    cells[column] = value
+    lines[i] = ",".join(cells) + "\r\n"
+    return i + 1
+
+
+def origin_999(lines):
+    return set_request_cell(lines, "1", 1, "999")
+
+
+def origin_minus_1(lines):
+    return set_request_cell(lines, "0", 1, "-1")
+
+
+def serviced_2(lines):
+    return set_request_cell(lines, "1", 4, "2")
+
+
+def unserviced_row_naming_a_driver(lines):
+    return set_request_cell(lines, "0", 5, "1")
+
+
+def serviced_row_with_driver_9(lines):
+    return set_request_cell(lines, "1", 5, "9")
+
+
+def duplicated_request_row(lines):
+    lines.append(lines[1])
+    return len(lines)
+
+
+def fleet_row_for_driver_7(lines):
+    lines.append('{"driver_id": 7, "epoch": 0, "income": 5.0}\n')
+    return len(lines)
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
@@ -1105,6 +1186,13 @@ def garbage_fleet_line(lines):
         ("requests.csv", letter_request_id),
         ("requests.csv", serviced_row_without_driver),
         ("fleet.jsonl", garbage_fleet_line),
+        ("requests.csv", origin_999),
+        ("requests.csv", origin_minus_1),
+        ("requests.csv", serviced_2),
+        ("requests.csv", duplicated_request_row),
+        ("requests.csv", unserviced_row_naming_a_driver),
+        ("requests.csv", serviced_row_with_driver_9),
+        ("fleet.jsonl", fleet_row_for_driver_7),
     ],
     ids=lambda case: getattr(case, "__name__", case),
 )

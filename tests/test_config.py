@@ -1,8 +1,22 @@
 """Flat key = value run configuration: parsing, validation, echo identity."""
 
+import os
+from dataclasses import fields
+from typing import get_type_hints
+
 import pytest
 
-from fairpool.config import ConfigError, RunConfig, dump_config, load_config, parse_config
+from fairpool.config import (
+    _KEYS,
+    _PATH_FIELDS,
+    ConfigError,
+    RunConfig,
+    dump_config,
+    load_config,
+    parse_config,
+)
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def test_defaults():
@@ -117,3 +131,28 @@ def test_load_config_missing_file():
 def test_float_roundtrip_is_exact():
     config = RunConfig(lam=0.1 + 0.2)  # a value repr must carry exactly
     assert parse_config(dump_config(config)).lam == config.lam
+
+
+def test_every_default_has_its_annotated_type():
+    """A key's parser is its field's annotation, so a float field with an
+    int default would dump a value its own parser reads differently."""
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        if f.name in _PATH_FIELDS:
+            assert f.default is None
+        else:
+            assert type(f.default) is hints[f.name], f.name
+
+
+def test_readme_config_block_lists_every_key_with_its_default():
+    with open(README) as fh:
+        block = fh.read().split("## Config format", 1)[1].split("```\n")[1]
+    listed = {}
+    for line in block.splitlines():
+        setting = line.split("#")[0].strip()
+        if setting:
+            key, value = setting.split(" = ")
+            listed[key] = value
+    assert sorted(listed) == sorted(_KEYS)
+    defaults = dict(line.split(" = ") for line in dump_config(RunConfig()).splitlines())
+    assert {key: listed[key] for key in defaults} == defaults  # paths have no default

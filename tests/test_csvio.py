@@ -13,7 +13,7 @@ import pytest
 
 import fairpool
 from fairpool.city import gen_grid_city, load_edges, load_locations
-from fairpool.cli import _read_pi_csv, _read_shapley_csv
+from fairpool.cli import _read_driver_rows
 from fairpool.csvio import read_rows, write_rows
 from fairpool.demand import ingest_trips
 from fairpool.redistribution import load_coalition_table
@@ -31,8 +31,10 @@ READERS = {
         ("pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"),
     ),
     "coalitions": (load_coalition_table, "coalition_bitmask,value", "1,1.0", ("value",)),
-    "pi": (_read_pi_csv, "driver_id,pi", "0,1.0", ("pi",)),
-    "shapley": (_read_shapley_csv, "driver_id,pi,v", "0,1.0,1.0", ("pi", "v")),
+    "pi": (lambda path: _read_driver_rows(path, ("pi",)), "driver_id,pi", "0,1.0", ("pi",)),
+    "shapley": (
+        lambda path: _read_driver_rows(path, ("pi", "v")), "driver_id,pi,v", "0,1.0,1.0", ("pi", "v")
+    ),
 }
 
 

@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 import os
 
+import pytest
+
+from fairpool.cli import build_parser
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
@@ -34,8 +38,31 @@ def test_every_traced_layer_resolves_on_the_package():
         assert callable(owner), f"{module}.{attr}"
 
 
-def test_output_checks_import_cleanly():
-    path = os.path.join(PERFBENCH, "checks.py")
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+def load_perfbench(name):
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_output_checks_import_cleanly():
+    load_perfbench("checks")
+
+
+def test_every_benchmark_command_parses():
+    """Each argv that perfbench/run.py passes to the CLI parses, and a
+    sweep's grid flags land in the sweep's own dests."""
+    run = load_perfbench("run")
+    parser = build_parser()
+    for name, workload in run.load_workloads().items():
+        for argv in run.commands(workload, "day.cfg", "rep", run.r_grid(0)):
+            if argv[0] == "report-each":  # the harness's own loop over cells
+                continue
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{name}: {argv} does not parse")
+            if args.command == "sweep":
+                sweep = workload["sweep"]
+                assert (args.objectives, args.lambdas) == (sweep["objective"], sweep["lambda"])
