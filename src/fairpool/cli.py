@@ -17,7 +17,8 @@ import os
 import shutil
 import sys
 from dataclasses import replace
-from typing import Iterable
+from functools import cache, partial
+from typing import Callable, Iterable
 
 from .city import (
     CityGraph,
@@ -31,11 +32,11 @@ from .city import (
     write_locations,
     write_neighborhoods,
 )
-from .config import ConfigError, RunConfig, dump_config, load_config, parse_config
+from .config import ConfigError, RunConfig, dump_config, load_config, parse_config, validate_config
 from .csvio import read_rows, write_rows
 from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
 from .fleet import init_fleet, snapshot_rows
-from .matching import DelayConstraints, EpochResult
+from .matching import DelayConstraints
 from .objectives import OBJECTIVES, ObjectiveSpec, left_sum, scored_as
 from .redistribution import (
     EXACT_SHAPLEY_CAP,
@@ -82,7 +83,11 @@ def _synthetic_batches(config: RunConfig, graph: CityGraph, seed: int) -> list[R
     return batch_requests(stream, config.epoch_len_seconds)
 
 
-def build_batches(config: RunConfig, graph: CityGraph) -> tuple[list[RequestBatch], int | None]:
+Demand = tuple[list[RequestBatch], int | None]  # as build_batches returns it
+Episodes = Callable[[int], list[RequestBatch]]  # as training_episodes returns it
+
+
+def build_batches(config: RunConfig, graph: CityGraph) -> Demand:
     """Demand batches, and the trip-CSV rows dropped at ingest (None for
     synthetic demand, which drops nothing)."""
     if config.demand_kind == "synthetic":
@@ -92,17 +97,20 @@ def build_batches(config: RunConfig, graph: CityGraph) -> tuple[list[RequestBatc
 
 
 def _override(config: RunConfig, **changes) -> RunConfig:
-    """`config` with `changes` from the command line, checked as a config
-    file is: the merged config round-trips through the parser."""
-    return parse_config(dump_config(replace(config, **changes)), source="command line")
+    """`config` with command-line `changes`, checked as a config file is."""
+    config = replace(config, **changes)
+    validate_config(config, "command line")
+    return config
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
-    """The finite numbers of a comma-separated flag value."""
+    """The finite numbers of a comma-separated flag value, at least one."""
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ConfigError(f"cannot parse {flag} {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag} needs at least one value, got {text!r}")
     if not all(math.isfinite(value) for value in values):
         raise ConfigError(f"{flag} must be finite, got {text!r}")
     return values
@@ -111,20 +119,17 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """Config from --config (or all defaults), with the --seed, --objective
     and --lambda overrides a command has."""
-    if getattr(args, "config", None):
-        config = load_config(args.config)
-    else:
-        config = parse_config("")
+    config = load_config(args.config) if getattr(args, "config", None) else parse_config("")
     changes = {}
     if getattr(args, "seed", None) is not None:
         changes["seed"] = args.seed
     if getattr(args, "objective", None) is not None:
         if "," in args.objective:
             raise ConfigError("this command takes a single --objective")
-        changes["objective"] = args.objective
+        changes["objective"] = args.objective.strip()
     if getattr(args, "lam", None) is not None:
         lams = _parse_grid(args.lam, "--lambda")
-        if "," in args.lam or len(lams) != 1:
+        if "," in args.lam:
             raise ConfigError("this command takes a single --lambda")
         changes["lam"] = lams[0]
     return _override(config, **changes) if changes else config
@@ -143,50 +148,16 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def _spec_and_constraints(config: RunConfig) -> tuple[ObjectiveSpec, DelayConstraints]:
-    spec = ObjectiveSpec(config.objective, config.lam)
     constraints = DelayConstraints(config.max_pickup_delay, config.max_detour_delay)
-    return spec, constraints
+    return ObjectiveSpec(config.objective, config.lam), constraints
 
 
-class SharedDemand:
-    """Every demand stream of one configuration on its graph, each drawn on
-    first use and kept: the run's batches (`build_batches`) and the batches
-    of each training episode. Configurations that differ only in objective
-    and lambda draw the same demand, so a sweep's cells share one."""
-
-    def __init__(self, config: RunConfig, graph: CityGraph) -> None:
-        self.config = config
-        self.graph = graph
-        self._batches: tuple[list[RequestBatch], int | None] | None = None
-        self._episodes: dict[int, list[RequestBatch]] = {}
-
-    def batches(self) -> tuple[list[RequestBatch], int | None]:
-        if self._batches is None:
-            self._batches = build_batches(self.config, self.graph)
-        return self._batches
-
-    def episode(self, k: int) -> list[RequestBatch]:
-        """Training episode k: synthetic demand from its own seed, derived
-        from (config seed, k)."""
-        if k not in self._episodes:
-            seed = subseed(self.config.seed, f"train-ep{k}")
-            self._episodes[k] = _synthetic_batches(self.config, self.graph, seed)
-        return self._episodes[k]
-
-    def streams(self) -> int:
-        """Demand streams built so far."""
-        return (self._batches is not None) + len(self._episodes)
-
-
-def build_run(config: RunConfig, graph: CityGraph, demand: SharedDemand | None = None):
-    """Demand batches, objective, service guarantees, the seeded fleet and
-    the trip-CSV rows dropped at ingest (None if synthetic) of one
-    configuration on its graph (`build_graph(config)`), with the batches
-    taken from `demand` when it is given."""
-    batches, dropped = (demand or SharedDemand(config, graph)).batches()
-    spec, constraints = _spec_and_constraints(config)
-    fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
-    return batches, spec, constraints, fleet, dropped
+def training_episodes(config: RunConfig, graph: CityGraph) -> Episodes:
+    """Training episode k of `config` on `graph`: synthetic demand from its
+    own seed, derived from (config seed, k), drawn on first use and kept.
+    Configurations that differ only in objective and lambda train on the
+    same episodes, so a sweep's cells share one."""
+    return cache(lambda k: _synthetic_batches(config, graph, subseed(config.seed, f"train-ep{k}")))
 
 
 def train_synthetic(
@@ -194,21 +165,15 @@ def train_synthetic(
     graph: CityGraph,
     spec: ObjectiveSpec,
     constraints: DelayConstraints,
-    demand: SharedDemand,
+    episodes: Episodes,
 ) -> tuple[ValueModel, list[float]]:
-    """Tabular value model trained on value.episodes synthetic episodes from
-    `demand`, each on the seeded fleet placement, and the absolute TD error
-    of each episode. Episodes are drawn as training reaches them."""
+    """Tabular value model trained on `episodes(k)` for k below
+    value.episodes, each on the seeded fleet placement, and the absolute TD
+    error of each episode. Episodes are drawn as training reaches them."""
     model = ValueModel(gamma=config.gamma, alpha=config.value_alpha, seed=config.seed)
-    errors = train_value_model(
-        graph,
-        (demand.episode(k) for k in range(config.train_episodes)),
-        lambda: init_fleet(graph, config.num_drivers, config.capacity, config.seed),
-        spec,
-        model,
-        constraints,
-    )
-    return model, errors
+    fleet = partial(init_fleet, graph, config.num_drivers, config.capacity, config.seed)
+    played = (episodes(k) for k in range(config.train_episodes))
+    return model, train_value_model(graph, played, fleet, spec, model, constraints)
 
 
 # requests.csv, as run_one writes it and report reads it back
@@ -218,14 +183,14 @@ REQUEST_COLUMNS = (
 )
 
 
-def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDemand | None = None):
-    """Simulate one configuration on its graph and write the full artifact
-    set; returns the result, its report and the artifact names written. A
-    run that breaks a service guarantee raises before any result artifact is
-    written. Demand read from a trips CSV also gets `ingest.txt` with the
-    count of rows dropped at ingest. Runs that share `demand` build each of
-    its streams once."""
-    demand = demand or SharedDemand(config, graph)
+def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: Demand, episodes: Episodes):
+    """Simulate one configuration on its graph (`build_graph`) and demand
+    (`build_batches`), training a tabular value model on `episodes`
+    (`training_episodes`) first, and write the full artifact set; returns the
+    result, its report and the artifact names written. A run that breaks a
+    service guarantee raises before any result artifact is written. Demand
+    read from a trips CSV also gets `ingest.txt`, the count of its dropped rows."""
+    batches, rows_dropped = demand
     written: list[str] = []
 
     def artifact(name: str) -> str:
@@ -233,18 +198,16 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: SharedDem
         return os.path.join(out_dir, name)
 
     os.makedirs(out_dir, exist_ok=True)
-    batches, spec, constraints, fleet, rows_dropped = build_run(config, graph, demand)
+    spec, constraints = _spec_and_constraints(config)
+    fleet = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
     model = None
     if config.value_mode == "tabular":
-        model, _ = train_synthetic(config, graph, spec, constraints, demand)
+        model, _ = train_synthetic(config, graph, spec, constraints, episodes)
         save_value_model(model, artifact("value_table.txt"))
     snapshots: list[dict] = []  # fleet.jsonl: every driver after each epoch's commit
-
-    def snapshot(epoch: EpochResult) -> None:
-        snapshots.extend(snapshot_rows(fleet, epoch.epoch_index))
-
     result = run_simulation(
-        graph, batches, fleet, spec, constraints, value_model=model, on_epoch=snapshot
+        graph, batches, fleet, spec, constraints, value_model=model,
+        on_epoch=lambda epoch: snapshots.extend(snapshot_rows(fleet, epoch.epoch_index)),
     )
     violations = audit_journal(graph, result.fleet, result.log, constraints)
     if violations:
@@ -310,7 +273,8 @@ def cmd_gen_city(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    run_one(config, args.out, build_graph(config))
+    graph = build_graph(config)
+    run_one(config, args.out, graph, build_batches(config, graph), training_episodes(config, graph))
     return 0
 
 
@@ -327,16 +291,18 @@ def _copy_run(src_dir: str, artifacts: list[str], config: RunConfig, out_dir: st
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    objectives = args.objectives.split(",") if args.objectives else list(OBJECTIVES)
-    lambdas = _parse_grid(args.lambdas, "--lambda") if args.lambdas else [config.lam]
+    # each item stripped, as the config parser strips a value
+    objectives = [o.strip() for o in args.objectives.split(",")] if args.objectives else OBJECTIVES
+    lambdas = [config.lam] if args.lambdas is None else _parse_grid(args.lambdas, "--lambda")
     cells = [_override(config, objective=o, lam=lam) for o in objectives for lam in lambdas]
-    # cells differ only in objective and lambda, so they share one city and
-    # one demand, and cells that score alike (see scored_as) are one run
+    # cells differ only in objective and lambda, so they share one city, one
+    # demand and one set of training episodes, and cells that score alike
+    # (see scored_as) are one run
     graph = build_graph(config)
-    demand = SharedDemand(config, graph)
+    demand = build_batches(config, graph)
+    episodes = training_episodes(config, graph)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
-    failures = []
+    rows, failures = [], []
     simulated = {}  # scoring class -> (cell dir, artifact names, report) of its first run
     runs = 0
     for cell in cells:
@@ -350,7 +316,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 # a failed run is not kept: its failure may lie in its
                 # directory, so the next cell of its class runs again
                 runs += 1
-                _, report, artifacts = run_one(cell, cell_dir, graph, demand)
+                _, report, artifacts = run_one(cell, cell_dir, graph, demand, episodes)
                 simulated[scoring] = (cell_dir, artifacts, report)
         except Exception as exc:  # keep sweeping, record the failure
             failures.append((cell.objective, repr(cell.lam), str(exc)))
@@ -369,7 +335,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     meta = [
         f"cells = {len(cells)}",
         f"cells_simulated = {runs}",
-        f"demand_streams = {demand.streams()}",
+        f"demand_streams = {1 + episodes.cache_info().currsize}",
     ]
     _write_lines(os.path.join(args.out, "sweep_meta.txt"), meta)
     if failures:
@@ -386,7 +352,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("training requires synthetic demand")
     spec, constraints = _spec_and_constraints(config)
     graph = build_graph(config)
-    model, errors = train_synthetic(config, graph, spec, constraints, SharedDemand(config, graph))
+    episodes = training_episodes(config, graph)
+    model, errors = train_synthetic(config, graph, spec, constraints, episodes)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
     save_value_model(model, os.path.join(args.out, "value_table.txt"))
@@ -395,14 +362,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_driver_rows(path: str, names: tuple[str, ...]) -> list[list]:
-    """The rows of a `driver_id,<names>` CSV: one row per driver, every
-    named column a non-negative float."""
+def _read_driver_rows(path: str, names: tuple[str, ...], drivers: range | None = None) -> list[list]:
+    """The rows of a `driver_id,<names>` CSV: one row per driver, each one
+    of `drivers` if given, every named column a non-negative float."""
     rows: dict[int, list] = {}
     for line, row in read_rows(path, (("driver_id", int),) + tuple((n, float) for n in names)):
         driver_id = row[0]
         if driver_id in rows:
             raise ValueError(f"{path}:{line}: duplicate driver_id {driver_id}")
+        if drivers is not None and driver_id not in drivers:
+            raise ValueError(f"{path}:{line}: unknown driver_id {driver_id}")
         for name, x in zip(names, row[1:]):
             if x < 0:
                 raise ValueError(f"{path}:{line}: negative {name} {x!r} for driver {driver_id}")
@@ -415,11 +384,11 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     for shapley_meta.txt."""
     config = load_config(os.path.join(run_dir, "config.resolved"))
     graph = build_graph(config)
-    batches, spec, constraints, template, _ = build_run(config, graph)
-    model = None
+    batches, _ = build_batches(config, graph)
+    spec, constraints = _spec_and_constraints(config)
+    template = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
     table_path = os.path.join(run_dir, "value_table.txt")
-    if os.path.exists(table_path):
-        model = load_value_model(table_path)
+    model = load_value_model(table_path) if os.path.exists(table_path) else None
     oracle = ResimulationOracle(graph, batches, template, spec, constraints, value_model=model)
     driver_ids = [d.driver_id for d in template.drivers]
     seed = config.seed if args.seed is None else args.seed
@@ -459,7 +428,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         driver_ids = list(range(n))
         estimate = _run_shapley(oracle, driver_ids, args, seed=args.seed or 0)
         if args.pi:
-            by_driver = dict(_read_driver_rows(args.pi, ("pi",)))
+            by_driver = dict(_read_driver_rows(args.pi, ("pi",), range(n)))
             missing = [d for d in driver_ids if d not in by_driver]
             if missing:
                 raise ValueError(f"{args.pi}: missing incomes for drivers {missing}")
@@ -498,7 +467,7 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
     if not rows:
         raise ValueError(f"{source}: no drivers found")
     driver_ids, pi, v = (list(column) for column in zip(*rows))
-    grid = _parse_grid(args.r, "--r") if args.r else [i / 10 for i in range(11)]
+    grid = [i / 10 for i in range(11)] if args.r is None else _parse_grid(args.r, "--r")
     for r in grid:
         if not 0.0 <= r <= 1.0:
             raise ConfigError(f"--r: risk parameter {r!r} must lie in [0, 1]")
@@ -564,8 +533,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         for line, text in enumerate(fh, start=1):
             try:
                 row = json.loads(text)
-                # last snapshot wins; a driver the config lacks is malformed
-                incomes[drivers[str(row["driver_id"])]] = float(row["income"])
+                # last snapshot wins; a driver the config lacks, or an income
+                # that is not a finite JSON number, is malformed
+                income = row["income"]
+                if type(income) not in (int, float) or not math.isfinite(income):
+                    raise ValueError
+                incomes[drivers[str(row["driver_id"])]] = float(income)
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{fleet_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
     report = metrics_from_parts(incomes, log, neighborhoods)

@@ -6,7 +6,7 @@ each field names its dotted key, and its annotation parses the value (int,
 float, or str for the rest). load_config applies defaults and validates;
 dump_config emits every resolved key in sorted order, so the echo written
 next to run artifacts reloads to an identical config and reruns the exact
-experiment. Command-line overrides go through the same parse and checks.
+experiment. Command-line overrides go through the same checks.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .redistribution import PAYOUT_MODES
 
 VALUE_MODES = ("zero", "tabular")
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "dump_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "dump_config", "validate_config"]
 
 
 class ConfigError(Exception):
@@ -106,7 +106,7 @@ def parse_config(text: str, base_dir: str = ".", source: str = "<config>") -> Ru
             parsed = os.path.normpath(os.path.join(base_dir, str(parsed)))
         values[field_name] = parsed
     config = RunConfig(**values)
-    _validate(config, source)
+    validate_config(config, source)
     return config
 
 
@@ -119,7 +119,9 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)), source=path)
 
 
-def _validate(config: RunConfig, source: str) -> None:
+def validate_config(config: RunConfig, source: str) -> None:
+    """Raise ConfigError, naming `source` and the key, on the first value
+    of `config` out of its range."""
     def fail(key: str, message: str) -> None:
         raise ConfigError(f"{source}: {key}: {message}")
 

@@ -360,11 +360,11 @@ def train_synthetic(
     graph: CityGraph, spec: ObjectiveSpec, **fields
 ) -> tuple[ValueModel, list[float]]:
     """`cli.train_synthetic` on `graph` with the default config updated by
-    `fields` (RunConfig field names), each episode drawn by a fresh
-    SharedDemand: the trained model and each episode's absolute TD error."""
+    `fields` (RunConfig field names), on fresh `cli.training_episodes`: the
+    trained model and each episode's absolute TD error."""
     config = replace(parse_config(""), **fields)
-    demand = cli.SharedDemand(config, graph)
-    return cli.train_synthetic(config, graph, spec, DelayConstraints(), demand)
+    episodes = cli.training_episodes(config, graph)
+    return cli.train_synthetic(config, graph, spec, DelayConstraints(), episodes)
 
 
 def exhaustive_episode_incomes(

@@ -201,6 +201,50 @@ def test_override_errors_name_the_command_line(tmp_path, capsys, command, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, code, names",
+    [
+        ("sweep", ["--config", "TRIPS"], 3, "missing.csv"),
+        ("sweep", ["--lambda", ","], 2, "--lambda"),
+        ("sweep", ["--lambda", " "], 2, "--lambda"),
+        ("sweep", ["--lambda", ""], 2, "--lambda"),
+        ("redistribute", ["--r", ","], 2, "--r"),
+        ("redistribute", ["--r", ""], 2, "--r"),
+        ("simulate", ["--objective", "income\nseed = 3"], 2, "command line: objective.kind: "),
+    ],
+    ids=[
+        "missing_trips", "lambda_comma", "lambda_space", "lambda_empty", "r_comma", "r_empty",
+        "objective_newline",
+    ],
+)
+def test_bad_input_stops_a_command_before_its_output(tmp_path, capsys, command, flags, code, names):
+    """Each of these once wrote into --out: empty cell directories and one
+    failures.csv row per cell (missing trips), a header-only sweep.csv or
+    redistribution.csv (empty grids; an empty flag value ran the default
+    grid), or named line 21 of an internal config dump (a newline in a flag
+    value)."""
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    trips = SMALL_CITY + "demand.kind = csv\ndemand.trips = missing.csv\n"
+    flags = [write_config(tmp_path / "t.cfg", trips) if f == "TRIPS" else f for f in flags]
+    source = write_config(tmp_path / "s.csv", "driver_id,pi,v\n0,1.0,1.0\n")
+    out = tmp_path / "o"
+    argv = [command, source] if command == "redistribute" else [command, "--config", cfg]
+    assert main(argv + ["--out", str(out)] + flags) == code
+    assert names in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_strips_each_objective(tmp_path):
+    """Spaces around grid items are ignored, as around a config value."""
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", cfg, "--out", str(out)]
+    assert main(argv + ["--objective", "income, driver_fairness", "--lambda", "0, 1"]) == 0
+    assert sorted(row["objective"] for row in read_csv_rows(out / "sweep.csv")) == [
+        "driver_fairness", "driver_fairness", "income", "income",
+    ]
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     """A negative run seed once exited 3 from the generator, naming neither
     the key nor its source. shapley's --seed is hashed and takes any int."""
@@ -754,7 +798,7 @@ def test_sweep_defaults_cover_all_objectives(tmp_path):
     assert len({r["total_requests"] for r in rows}) == 1
 
 
-def test_sweep_failure_manifest(tmp_path):
+def test_sweep_failure_manifest(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.cfg",
         "city.width = 2\ncity.height = 2\ncity.neighborhoods = 1\n"
@@ -763,11 +807,9 @@ def test_sweep_failure_manifest(tmp_path):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", cfg, "--out", str(out), "--objective", "income", "--lambda", "0.0"])
     assert rc == 3
-    assert read_csv_rows(out / "sweep.csv") == []
-    failures = read_csv_rows(out / "failures.csv")
-    assert len(failures) == 1
-    assert failures[0]["objective"] == "income"
-    assert "missing.csv" in failures[0]["error"]
+    # the sweep's demand is built once, before any cell, as its city is
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 TABULAR_CITY = SMALL_CITY + "value.mode = tabular\nvalue.episodes = 2\n"
@@ -1179,6 +1221,16 @@ def fleet_row_for_driver_7(lines):
     return len(lines)
 
 
+def fleet_income(text, name):
+    """A last snapshot whose income is `text`, which is not a finite number."""
+    def corrupt(lines):
+        lines.append('{"driver_id": 1, "epoch": 9, "income": %s}\n' % text)
+        return len(lines)
+
+    corrupt.__name__ = f"fleet_income_{name}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
@@ -1193,6 +1245,10 @@ def fleet_row_for_driver_7(lines):
         ("requests.csv", unserviced_row_naming_a_driver),
         ("requests.csv", serviced_row_with_driver_9),
         ("fleet.jsonl", fleet_row_for_driver_7),
+        ("fleet.jsonl", fleet_income("Infinity", "infinity")),
+        ("fleet.jsonl", fleet_income("NaN", "nan")),
+        ("fleet.jsonl", fleet_income("true", "true")),
+        ("fleet.jsonl", fleet_income('"5"', "string")),
     ],
     ids=lambda case: getattr(case, "__name__", case),
 )
@@ -1341,6 +1397,16 @@ def test_shapley_pi_rejects_negative_income_with_exit_3(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
     assert f"{pi}:3: negative pi -1.0 for driver 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_pi_rejects_a_driver_the_table_lacks_with_exit_3(tmp_path, capsys):
+    """Driver 7 of a 2-driver table was once dropped without a word."""
+    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
+    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n1,2.0\n7,5.0\n")
+    out = tmp_path / "o"
+    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
+    assert f"{pi}:4: unknown driver_id 7" in capsys.readouterr().err
     assert not out.exists()
 
 
