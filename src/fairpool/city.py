@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .csvio import read_rows, write_rows
 from .seeds import Generator
@@ -48,15 +48,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     id: int
     lat: float
     lon: float
 
 
-@dataclass(frozen=True)
-class NeighborhoodMap:
+class NeighborhoodMap(NamedTuple):
     """Assignment of each location to a neighborhood label in [1, H]."""
 
     labels: tuple[int, ...]
@@ -66,30 +64,35 @@ class NeighborhoodMap:
         return self.labels[location_id]
 
 
-@dataclass
 class CityGraph:
     """A city: locations by id, the travel-time closure in minutes as float
     rows (``travel_minutes[origin][destination]``), the flat fare component
     and the neighborhood map. ``travel_secs`` holds the same closure in
     seconds, derived once."""
 
-    locations: list[Location]
-    travel_minutes: list[list[float]]  # closure rows, |L| x |L|
-    delta: float  # flat fare component, currency units
-    neighborhoods: NeighborhoodMap
-    travel_secs: list[list[float]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("locations", "travel_minutes", "delta", "neighborhoods", "travel_secs")
 
-    def __post_init__(self) -> None:
-        n = len(self.locations)
-        if len(self.travel_minutes) != n or any(len(row) != n for row in self.travel_minutes):
+    def __init__(
+        self,
+        locations: list[Location],
+        travel_minutes: list[list[float]],  # closure rows, |L| x |L|
+        delta: float,  # flat fare component, currency units
+        neighborhoods: NeighborhoodMap,
+    ) -> None:
+        n = len(locations)
+        if len(travel_minutes) != n or any(len(row) != n for row in travel_minutes):
             raise ValueError(f"travel matrix is not {n} x {n}, one row and column per location")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
-        if self.delta < 0:
+        if not math.isfinite(delta):
+            raise ValueError(f"delta must be finite, got {delta!r}")
+        if delta < 0:
             raise ValueError("delta must be nonnegative")
-        if len(self.neighborhoods.labels) != n:
+        if len(neighborhoods.labels) != n:
             raise ValueError("neighborhood map does not cover all locations")
-        self.travel_secs = [[m * 60.0 for m in row] for row in self.travel_minutes]
+        self.locations = locations
+        self.travel_minutes = travel_minutes
+        self.delta = delta
+        self.neighborhoods = neighborhoods
+        self.travel_secs = [[m * 60.0 for m in row] for row in travel_minutes]
 
     @property
     def num_locations(self) -> int:

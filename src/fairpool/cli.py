@@ -16,7 +16,6 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import replace
 from functools import cache, partial
 from typing import Callable, Iterable
 
@@ -98,7 +97,7 @@ def build_batches(config: RunConfig, graph: CityGraph) -> Demand:
 
 def _override(config: RunConfig, **changes) -> RunConfig:
     """`config` with command-line `changes`, checked as a config file is."""
-    config = replace(config, **changes)
+    config = config._replace(**changes)
     validate_config(config, "command line")
     return config
 
@@ -292,7 +291,9 @@ def _copy_run(src_dir: str, artifacts: list[str], config: RunConfig, out_dir: st
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
     # each item stripped, as the config parser strips a value
-    objectives = [o.strip() for o in args.objectives.split(",")] if args.objectives else OBJECTIVES
+    objectives = OBJECTIVES if args.objectives is None else [o.strip() for o in args.objectives.split(",")]
+    if not any(objectives):
+        raise ConfigError(f"--objective needs at least one value, got {args.objectives!r}")
     lambdas = [config.lam] if args.lambdas is None else _parse_grid(args.lambdas, "--lambda")
     cells = [_override(config, objective=o, lam=lam) for o in objectives for lam in lambdas]
     # cells differ only in objective and lambda, so they share one city, one
@@ -533,12 +534,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         for line, text in enumerate(fh, start=1):
             try:
                 row = json.loads(text)
-                # last snapshot wins; a driver the config lacks, or an income
-                # that is not a finite JSON number, is malformed
-                income = row["income"]
-                if type(income) not in (int, float) or not math.isfinite(income):
+                # last snapshot wins; a driver_id that is not a JSON integer
+                # naming a configured driver, or an income that is not a
+                # finite JSON number, is malformed
+                driver_id, income = row["driver_id"], row["income"]
+                if type(driver_id) is not int or driver_id not in incomes or (
+                    type(income) not in (int, float) or not math.isfinite(income)
+                ):
                     raise ValueError
-                incomes[drivers[str(row["driver_id"])]] = float(income)
+                incomes[driver_id] = float(income)
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{fleet_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
     report = metrics_from_parts(incomes, log, neighborhoods)

@@ -9,12 +9,9 @@ next to run artifacts reloads to an identical config and reruns the exact
 experiment. Command-line overrides go through the same checks.
 """
 
-from __future__ import annotations
-
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import get_type_hints
+from typing import Annotated, NamedTuple, get_type_hints
 
 from .objectives import OBJECTIVES
 from .redistribution import PAYOUT_MODES
@@ -28,52 +25,46 @@ class ConfigError(Exception):
     pass
 
 
-def _key(name: str, default: object):
-    """A RunConfig field read and written as the dotted config key `name`."""
-    return field(default=default, metadata={"key": name})
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = _key("seed", 0)
+class RunConfig(NamedTuple):
+    seed: Annotated[int, "seed"] = 0
     # city: a synthetic grid, or location/edge CSV files
-    city_kind: str = _key("city.kind", "grid")
-    city_width: int = _key("city.width", 5)
-    city_height: int = _key("city.height", 5)
-    city_edge_minutes: float = _key("city.edge_minutes", 1.0)
-    city_locations: str | None = _key("city.locations", None)
-    city_edges: str | None = _key("city.edges", None)
-    num_neighborhoods: int = _key("city.neighborhoods", 10)
-    delta: float = _key("fare.delta", 5.0)
+    city_kind: Annotated[str, "city.kind"] = "grid"
+    city_width: Annotated[int, "city.width"] = 5
+    city_height: Annotated[int, "city.height"] = 5
+    city_edge_minutes: Annotated[float, "city.edge_minutes"] = 1.0
+    city_locations: Annotated[str | None, "city.locations"] = None
+    city_edges: Annotated[str | None, "city.edges"] = None
+    num_neighborhoods: Annotated[int, "city.neighborhoods"] = 10
+    delta: Annotated[float, "fare.delta"] = 5.0
     # demand: a seeded synthetic stream, or a trip CSV
-    demand_kind: str = _key("demand.kind", "synthetic")
-    demand_rate_per_epoch: float = _key("demand.rate_per_epoch", 4.0)
-    demand_num_epochs: int = _key("demand.num_epochs", 50)
-    demand_hotspot_skew: float = _key("demand.hotspot_skew", 0.6)
-    demand_trips: str | None = _key("demand.trips", None)
+    demand_kind: Annotated[str, "demand.kind"] = "synthetic"
+    demand_rate_per_epoch: Annotated[float, "demand.rate_per_epoch"] = 4.0
+    demand_num_epochs: Annotated[int, "demand.num_epochs"] = 50
+    demand_hotspot_skew: Annotated[float, "demand.hotspot_skew"] = 0.6
+    demand_trips: Annotated[str | None, "demand.trips"] = None
     # fleet and matching
-    num_drivers: int = _key("fleet.num_drivers", 5)
-    capacity: int = _key("fleet.capacity", 4)
-    epoch_len_seconds: float = _key("epoch.length_seconds", 60.0)
-    max_pickup_delay: float = _key("constraints.max_pickup_delay", 300.0)
-    max_detour_delay: float = _key("constraints.max_detour_delay", 60.0)
-    objective: str = _key("objective.kind", "income")
-    lam: float = _key("objective.lambda", 0.0)
-    gamma: float = _key("objective.gamma", 0.9)
+    num_drivers: Annotated[int, "fleet.num_drivers"] = 5
+    capacity: Annotated[int, "fleet.capacity"] = 4
+    epoch_len_seconds: Annotated[float, "epoch.length_seconds"] = 60.0
+    max_pickup_delay: Annotated[float, "constraints.max_pickup_delay"] = 300.0
+    max_detour_delay: Annotated[float, "constraints.max_detour_delay"] = 60.0
+    objective: Annotated[str, "objective.kind"] = "income"
+    lam: Annotated[float, "objective.lambda"] = 0.0
+    gamma: Annotated[float, "objective.gamma"] = 0.9
     # value model
-    value_mode: str = _key("value.mode", "zero")
-    value_alpha: float = _key("value.alpha", 0.1)
-    train_episodes: int = _key("value.episodes", 0)
+    value_mode: Annotated[str, "value.mode"] = "zero"
+    value_alpha: Annotated[float, "value.alpha"] = 0.1
+    train_episodes: Annotated[int, "value.episodes"] = 0
     # redistribution defaults used by the payout commands
-    payout_mode: str = _key("payout.mode", "as_printed")
+    payout_mode: Annotated[str, "payout.mode"] = "as_printed"
 
 
-# dotted config key -> (dataclass field, value parser); the parser is the
-# field's annotation for int and float fields, str for the rest
-_HINTS = get_type_hints(RunConfig)
+# dotted config key -> (RunConfig field, value parser); the key is the
+# field's annotation metadata, and the parser is its type for int and float
+# fields, str for the rest
 _KEYS: dict[str, tuple[str, type]] = {
-    f.metadata["key"]: (f.name, _HINTS[f.name] if _HINTS[f.name] in (int, float) else str)
-    for f in fields(RunConfig)
+    hint.__metadata__[0]: (name, hint.__origin__ if hint.__origin__ in (int, float) else str)
+    for name, hint in get_type_hints(RunConfig, include_extras=True).items()
 }
 _PATH_FIELDS = ("city_locations", "city_edges", "demand_trips")
 
@@ -186,11 +177,10 @@ def dump_config(config: RunConfig) -> str:
     """Every key in sorted order, defaults applied; None-valued paths omitted.
     parse_config(dump_config(c)) == c."""
     lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
+    for key, (name, _) in _KEYS.items():
+        value = getattr(config, name)
         if value is None:
             continue
-        key = f.metadata["key"]
         rendered = repr(value) if isinstance(value, float) else str(value)
         lines.append(f"{key} = {rendered}")
     return "\n".join(sorted(lines)) + "\n"

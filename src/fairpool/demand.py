@@ -10,7 +10,7 @@ per-neighborhood demand totals, but never re-enters a later batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .city import CityGraph
 from .csvio import read_rows, write_rows
@@ -32,34 +32,39 @@ TRIP_HEADER = ("pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_
 TRIP_COLUMNS = tuple((name, float) for name in TRIP_HEADER)
 
 
-@dataclass(frozen=True)
-class RideRequest:
+class _RideRequest(NamedTuple):
     request_id: int
     origin: int
     destination: int
     created_at: float  # seconds since run start
 
-    def __post_init__(self) -> None:
-        if self.origin == self.destination:
-            raise ValueError(f"request {self.request_id}: origin equals destination")
-        if self.created_at < 0:
-            raise ValueError(f"request {self.request_id}: negative creation time")
+
+class RideRequest(_RideRequest):
+    __slots__ = ()
+
+    def __new__(cls, request_id: int, origin: int, destination: int, created_at: float) -> RideRequest:
+        if origin == destination:
+            raise ValueError(f"request {request_id}: origin equals destination")
+        if created_at < 0:
+            raise ValueError(f"request {request_id}: negative creation time")
+        return tuple.__new__(cls, (request_id, origin, destination, created_at))
 
 
-@dataclass(frozen=True)
-class RequestBatch:
+class RequestBatch(NamedTuple):
     epoch_index: int
     requests: tuple[RideRequest, ...]
     window_end: float  # dispatch clock: the end of the epoch's window
 
 
-@dataclass
 class RequestLog:
     """Append-only record of every batched request, with monotone serviced flags."""
 
-    all_requests: list[RideRequest] = field(default_factory=list)
-    serviced_ids: set[int] = field(default_factory=set)
-    assigned_driver: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("all_requests", "serviced_ids", "assigned_driver")
+
+    def __init__(self) -> None:
+        self.all_requests: list[RideRequest] = []
+        self.serviced_ids: set[int] = set()
+        self.assigned_driver: dict[int, int] = {}
 
     def add_batch(self, batch: RequestBatch) -> None:
         self.all_requests.extend(batch.requests)
@@ -69,8 +74,7 @@ class RequestLog:
         self.assigned_driver[request_id] = driver_id
 
 
-@dataclass
-class IngestResult:
+class IngestResult(NamedTuple):
     requests: list[RideRequest]
     dropped: int  # rows discarded because origin == destination after snapping
 

@@ -9,7 +9,7 @@ span both ongoing and finished rides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .city import CityGraph, fare
 from .demand import RideRequest
@@ -29,25 +29,44 @@ PICKUP = "pickup"
 DROPOFF = "dropoff"
 
 
-@dataclass(frozen=True)
-class Stop:
+class Stop(NamedTuple):
     kind: str  # PICKUP or DROPOFF
     request_id: int
     location: int
     arrival: float  # absolute seconds on the simulation clock
 
 
-@dataclass
+def _same_slots(a: object, b: object) -> bool:
+    """Value equality of two instances of one slotted class, slot by slot."""
+    names = type(a).__slots__
+    return tuple(getattr(a, n) for n in names) == tuple(getattr(b, n) for n in names)
+
+
 class DriverState:
-    driver_id: int
-    capacity: int
-    loc: int  # committed next location (current location when stationary)
-    secs_to_loc: float = 0.0
-    active: dict[int, RideRequest] = field(default_factory=dict)  # p_i
-    onboard: dict[int, float] = field(default_factory=dict)  # request_id -> pickup time
-    completed: dict[int, RideRequest] = field(default_factory=dict)  # s_i
-    route: tuple[Stop, ...] = ()  # committed stops; () when idle
-    income: float = 0.0
+    __slots__ = ("driver_id", "capacity", "loc", "secs_to_loc", "active", "onboard", "completed",
+                 "route", "income")
+
+    def __init__(
+        self,
+        driver_id: int,
+        capacity: int,
+        loc: int,
+        secs_to_loc: float = 0.0,
+        active: dict[int, RideRequest] | None = None,
+        onboard: dict[int, float] | None = None,
+    ) -> None:
+        self.driver_id = driver_id
+        self.capacity = capacity
+        self.loc = loc  # committed next location (current location when stationary)
+        self.secs_to_loc = secs_to_loc
+        self.active = {} if active is None else active  # p_i
+        self.onboard = {} if onboard is None else onboard  # request_id -> pickup time
+        self.completed: dict[int, RideRequest] = {}  # s_i
+        self.route: tuple[Stop, ...] = ()  # committed stops; () when idle
+        self.income = 0.0
+
+    def __eq__(self, other: object) -> bool:
+        return _same_slots(self, other) if type(other) is DriverState else NotImplemented
 
     @property
     def occupancy(self) -> int:
@@ -62,13 +81,20 @@ class DriverState:
         return self.route[-1].location if self.route else self.loc
 
 
-@dataclass
 class FleetState:
-    drivers: list[DriverState]
-    clock: float = 0.0
-    # Every executed stop is appended as (driver_id, stop) so a run can be
-    # audited against the service guarantees after the fact.
-    journal: list[tuple[int, Stop]] = field(default_factory=list)
+    __slots__ = ("drivers", "clock", "journal")
+
+    def __init__(
+        self, drivers: list[DriverState], clock: float = 0.0, journal: list[tuple[int, Stop]] | None = None
+    ) -> None:
+        self.drivers = drivers
+        self.clock = clock
+        # Every executed stop is appended as (driver_id, stop) so a run can be
+        # audited against the service guarantees after the fact.
+        self.journal = [] if journal is None else journal
+
+    def __eq__(self, other: object) -> bool:
+        return _same_slots(self, other) if type(other) is FleetState else NotImplemented
 
 
 def init_fleet(graph: CityGraph, num_drivers: int, capacity: int, seed: int) -> FleetState:

@@ -47,7 +47,7 @@ changing the optimum or the canonical argmax.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .city import CityGraph, fare
 from .demand import RequestBatch, RequestLog, RideRequest
@@ -83,16 +83,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DelayConstraints:
+class DelayConstraints(NamedTuple):
     """Service guarantees, both strict inequalities in seconds."""
 
     max_pickup_delay: float = 300.0  # wait from request creation to pickup
     max_detour_delay: float = 60.0  # dropoff lateness versus a direct ride from pickup
 
 
-@dataclass(frozen=True)
-class FeasibleAction:
+class FeasibleAction(NamedTuple):
     requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
     route: tuple[Stop, ...]  # () only for the empty action
 
@@ -105,7 +103,6 @@ class FeasibleAction:
 _ONLY_EMPTY = (FeasibleAction(requests=(), route=()),)
 
 
-@dataclass
 class RouteMemo:
     """The action tuples of earlier enumerations on one graph.
 
@@ -116,17 +113,22 @@ class RouteMemo:
     serve a single graph.
     """
 
-    entries: dict[tuple, tuple[FeasibleAction, ...]] = field(default_factory=dict)
-    hits: int = 0
+    __slots__ = ("entries", "hits")
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple, tuple[FeasibleAction, ...]] = {}
+        self.hits = 0
 
 
-@dataclass
 class RouteStats:
     """Route-search work: searches run and DFS nodes entered (roots
     included)."""
 
-    calls: int = 0
-    nodes: int = 0
+    __slots__ = ("calls", "nodes")
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.nodes = 0
 
 
 # a rider's state during route search
@@ -398,8 +400,7 @@ def enumerate_feasible(
     return result
 
 
-@dataclass(frozen=True)
-class AssignmentSolution:
+class AssignmentSolution(NamedTuple):
     total_weight: float
     chosen: tuple[int, ...]  # index into each driver's action list
     nodes: int  # search nodes entered by both passes together
@@ -516,8 +517,7 @@ def solve_assignment(
     return AssignmentSolution(total_weight=optimum, chosen=chosen, nodes=nodes[0])
 
 
-@dataclass
-class EpochResult:
+class EpochResult(NamedTuple):
     epoch_index: int
     clock: float
     batch_size: int

@@ -37,8 +37,7 @@ with an empty memo) instead of changing one that was scored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .city import NeighborhoodMap
 from .demand import RequestLog
@@ -60,18 +59,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObjectiveSpec:
+class _ObjectiveSpec(NamedTuple):
     name: str
-    lam: float = 0.0  # variance weight; ignored by requests / income
+    lam: float  # variance weight; ignored by requests / income
 
-    def __post_init__(self) -> None:
-        if self.name not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.name!r}, expected one of {OBJECTIVES}")
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lambda must be finite, got {self.lam!r}")
-        if self.lam < 0:
+
+class ObjectiveSpec(_ObjectiveSpec):
+    __slots__ = ()
+
+    def __new__(cls, name: str, lam: float = 0.0) -> ObjectiveSpec:
+        if name not in OBJECTIVES:
+            raise ValueError(f"unknown objective {name!r}, expected one of {OBJECTIVES}")
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam!r}")
+        if lam < 0:
             raise ValueError("lambda must be nonnegative")
+        return tuple.__new__(cls, (name, lam))
 
 
 def scored_as(spec: ObjectiveSpec) -> ObjectiveSpec:
@@ -90,12 +93,14 @@ def scored_as(spec: ObjectiveSpec) -> ObjectiveSpec:
     return spec
 
 
-@dataclass
 class NeighborhoodTallies:
     """Per-neighborhood request and service counts, indexed by label (1-based)."""
 
-    requested: list[int]
-    serviced: list[int]
+    __slots__ = ("requested", "serviced")
+
+    def __init__(self, requested: list[int], serviced: list[int]) -> None:
+        self.requested = requested
+        self.serviced = serviced
 
     @classmethod
     def empty(cls, num_neighborhoods: int) -> "NeighborhoodTallies":
@@ -125,15 +130,22 @@ class NeighborhoodTallies:
         return [h / k for h, k in zip(self.serviced[1:], self.requested[1:]) if k > 0]
 
 
-@dataclass
-class ObjectiveState:
-    """The quantities an objective reads, detached from full fleet state."""
-
+class _ObjectiveState(NamedTuple):
     incomes: list[float]  # per-driver income, order = driver index in the fleet
     rides: list[int]  # per-driver accepted request count (ongoing + finished)
     tallies: NeighborhoodTallies
     # variance memo of delta_objective; valid only while the state is unchanged
-    variances: dict[object, float] = field(default_factory=dict, repr=False, compare=False)
+    variances: dict[object, float]
+
+
+class ObjectiveState(_ObjectiveState):
+    """The quantities an objective reads, detached from full fleet state.
+    Each state starts with its own empty variance memo."""
+
+    __slots__ = ()
+
+    def __new__(cls, incomes: list[float], rides: list[int], tallies: NeighborhoodTallies) -> ObjectiveState:
+        return tuple.__new__(cls, (incomes, rides, tallies, {}))
 
     @classmethod
     def from_fleet(cls, fleet: FleetState, tallies: NeighborhoodTallies) -> "ObjectiveState":

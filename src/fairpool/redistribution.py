@@ -12,8 +12,7 @@ with high attributed value are topped up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .city import CityGraph
 from .csvio import read_rows
@@ -52,11 +51,16 @@ class CoalitionOracle(Protocol):
         ...
 
 
-@dataclass
 class TableOracle:
     """Explicit coalition-value map, mainly for tests and CSV input."""
 
-    values: dict[frozenset[int], float]
+    __slots__ = ("values",)
+
+    def __init__(self, values: dict[frozenset[int], float]) -> None:
+        self.values = values
+
+    def __eq__(self, other: object) -> bool:
+        return self.values == other.values if type(other) is TableOracle else NotImplemented
 
     def value(self, coalition: frozenset[int]) -> float:
         if not coalition:
@@ -67,7 +71,6 @@ class TableOracle:
             raise ValueError(f"coalition {sorted(coalition)} missing from table") from None
 
 
-@dataclass
 class ResimulationOracle:
     """Reruns the matching simulation restricted to a coalition.
 
@@ -77,14 +80,25 @@ class ResimulationOracle:
     memo: a driver in the same state meets the same batch in many coalitions.
     """
 
-    graph: CityGraph
-    batches: list[RequestBatch]
-    template: FleetState
-    spec: ObjectiveSpec
-    constraints: DelayConstraints = DelayConstraints()
-    value_model: ValueModel | None = None
-    _memo: dict[frozenset[int], dict[int, float]] = field(default_factory=dict)
-    route_memo: RouteMemo = field(default_factory=RouteMemo, init=False, repr=False)
+    __slots__ = ("graph", "batches", "template", "spec", "constraints", "value_model", "_memo", "route_memo")
+
+    def __init__(
+        self,
+        graph: CityGraph,
+        batches: list[RequestBatch],
+        template: FleetState,
+        spec: ObjectiveSpec,
+        constraints: DelayConstraints = DelayConstraints(),
+        value_model: ValueModel | None = None,
+    ) -> None:
+        self.graph = graph
+        self.batches = batches
+        self.template = template
+        self.spec = spec
+        self.constraints = constraints
+        self.value_model = value_model
+        self._memo: dict[frozenset[int], dict[int, float]] = {}
+        self.route_memo = RouteMemo()
 
     def incomes(self, coalition: frozenset[int]) -> dict[int, float]:
         if coalition not in self._memo:
@@ -112,8 +126,7 @@ class ResimulationOracle:
         return left_sum(self.incomes(coalition).values())
 
 
-@dataclass(frozen=True)
-class ShapleyEstimate:
+class ShapleyEstimate(NamedTuple):
     driver_ids: tuple[int, ...]
     values: tuple[float, ...]
     method: str  # exact | monte_carlo
@@ -218,16 +231,20 @@ def shapley_mc(
     )
 
 
-@dataclass(frozen=True)
-class RedistributionParams:
+class _RedistributionParams(NamedTuple):
     r: float
-    mode: str = "as_printed"
+    mode: str
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.r <= 1.0:
+
+class RedistributionParams(_RedistributionParams):
+    __slots__ = ()
+
+    def __new__(cls, r: float, mode: str = "as_printed") -> RedistributionParams:
+        if not 0.0 <= r <= 1.0:
             raise ValueError("risk parameter r must lie in [0, 1]")
-        if self.mode not in PAYOUT_MODES:
-            raise ValueError(f"unknown payout mode {self.mode!r}, expected one of {PAYOUT_MODES}")
+        if mode not in PAYOUT_MODES:
+            raise ValueError(f"unknown payout mode {mode!r}, expected one of {PAYOUT_MODES}")
+        return tuple.__new__(cls, (r, mode))
 
 
 def redistribute(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .city import CityGraph, NeighborhoodMap
 from .demand import RequestLog
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     total_requests: int
     total_serviced: int
     total_income: float
@@ -132,7 +131,7 @@ def write_reports(report: MetricsReport, out_dir: str) -> None:
     """Write `report.json` and `report.csv` into `out_dir`."""
     lines = ["metric,scope,value"] + [",".join(row) for row in _tabular_rows(report)]
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(json.dumps(asdict(report), sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(report._asdict(), sort_keys=True, indent=2) + "\n")
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -21,8 +21,10 @@ sequence of calls, so a run's bytes do not depend on numpy being installed:
 - ``permutation`` is Fisher-Yates with numpy's masked rejection interval.
 """
 
-import hashlib
 import math
+
+# CPython's built-in BLAKE2 is hashlib.blake2b, without hashlib's load of OpenSSL
+from _blake2 import blake2b
 
 __all__ = ["Generator", "subseed", "substream"]
 
@@ -237,7 +239,7 @@ class Generator:
 
 def subseed(root_seed: int, name: str) -> int:
     """Derive a stable 64-bit seed for the named substream."""
-    digest = hashlib.blake2b(f"{root_seed}:{name}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{root_seed}:{name}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

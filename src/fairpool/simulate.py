@@ -10,8 +10,7 @@ every epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .city import CityGraph, travel_seconds
 from .demand import RequestBatch, RequestLog
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class SimResult:
+class SimResult(NamedTuple):
     epochs: list[EpochResult]
     fleet: FleetState
     log: RequestLog

@@ -10,7 +10,7 @@ runs with no value model at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
 from .city import CityGraph
 from .fleet import DriverState
 
@@ -42,18 +42,18 @@ def state_key(
     )
 
 
-@dataclass
 class ValueModel:
-    gamma: float = 0.9
-    alpha: float = 0.1
-    seed: int = 0
-    table: dict[StateKey, float] = field(default_factory=dict)
+    __slots__ = ("gamma", "alpha", "seed", "table")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma < 1.0:
+    def __init__(self, gamma: float = 0.9, alpha: float = 0.1, seed: int = 0) -> None:
+        if not 0.0 <= gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if not 0.0 < self.alpha <= 1.0:
+        if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
+        self.gamma = gamma
+        self.alpha = alpha
+        self.seed = seed
+        self.table: dict[StateKey, float] = {}
 
     def estimate(self, key: StateKey) -> float:
         return self.table.get(key, 0.0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import csv
 import itertools
-from dataclasses import replace
 
 import numpy as np
 
@@ -362,7 +361,7 @@ def train_synthetic(
     """`cli.train_synthetic` on `graph` with the default config updated by
     `fields` (RunConfig field names), on fresh `cli.training_episodes`: the
     trained model and each episode's absolute TD error."""
-    config = replace(parse_config(""), **fields)
+    config = parse_config("")._replace(**fields)
     episodes = cli.training_episodes(config, graph)
     return cli.train_synthetic(config, graph, spec, DelayConstraints(), episodes)
 

@@ -211,18 +211,19 @@ def test_override_errors_name_the_command_line(tmp_path, capsys, command, flags,
         ("redistribute", ["--r", ","], 2, "--r"),
         ("redistribute", ["--r", ""], 2, "--r"),
         ("simulate", ["--objective", "income\nseed = 3"], 2, "command line: objective.kind: "),
+        ("sweep", ["--objective", ""], 2, "--objective"),
     ],
     ids=[
         "missing_trips", "lambda_comma", "lambda_space", "lambda_empty", "r_comma", "r_empty",
-        "objective_newline",
+        "objective_newline", "objective_empty",
     ],
 )
 def test_bad_input_stops_a_command_before_its_output(tmp_path, capsys, command, flags, code, names):
     """Each of these once wrote into --out: empty cell directories and one
     failures.csv row per cell (missing trips), a header-only sweep.csv or
     redistribution.csv (empty grids; an empty flag value ran the default
-    grid), or named line 21 of an internal config dump (a newline in a flag
-    value)."""
+    grid, and an empty --objective every objective), or named line 21 of an
+    internal config dump (a newline in a flag value)."""
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
     trips = SMALL_CITY + "demand.kind = csv\ndemand.trips = missing.csv\n"
     flags = [write_config(tmp_path / "t.cfg", trips) if f == "TRIPS" else f for f in flags]
@@ -1231,6 +1232,16 @@ def fleet_income(text, name):
     return corrupt
 
 
+def fleet_driver_id(text, name):
+    """A last snapshot whose driver_id is `text`, which is not a JSON integer."""
+    def corrupt(lines):
+        lines.append('{"driver_id": %s, "epoch": 9, "income": 1000.0}\n' % text)
+        return len(lines)
+
+    corrupt.__name__ = f"fleet_driver_id_{name}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
@@ -1249,6 +1260,9 @@ def fleet_income(text, name):
         ("fleet.jsonl", fleet_income("NaN", "nan")),
         ("fleet.jsonl", fleet_income("true", "true")),
         ("fleet.jsonl", fleet_income('"5"', "string")),
+        ("fleet.jsonl", fleet_driver_id('"1"', "string")),
+        ("fleet.jsonl", fleet_driver_id("1.0", "float")),
+        ("fleet.jsonl", fleet_driver_id("true", "true")),
     ],
     ids=lambda case: getattr(case, "__name__", case),
 )

@@ -1,6 +1,6 @@
 """Route feasibility, action enumeration, and the exact assignment solver."""
 
-import dataclasses
+import copy
 import gc
 import itertools
 import json
@@ -227,6 +227,14 @@ def driver_state(driver_id=0, loc=0, secs_to_loc=0.0, capacity=2, active=(), onb
     )
 
 
+def replaced(driver, **changes):
+    """A shallow copy of `driver` with the given attributes changed."""
+    twin = copy.copy(driver)
+    for name, value in changes.items():
+        setattr(twin, name, value)
+    return twin
+
+
 def assert_memo_is_exact(graph, first, second):
     """Enumerate the `first` then the `second` (driver, batch, clock,
     constraints) call into one shared memo: each answer must equal a memo-free
@@ -288,7 +296,7 @@ def test_route_memo_matches_fresh_enumeration(state, data):
     fresh = enumerate_feasible(graph, driver, batch, clock, C)
     memo = RouteMemo()
     first = enumerate_feasible(graph, driver, batch, clock, C, memo)
-    twin = dataclasses.replace(driver, driver_id=7)
+    twin = replaced(driver, driver_id=7)
     again = enumerate_feasible(graph, twin, batch, clock, C, memo)
     assert action_bits(first) == action_bits(fresh)
     assert again is first
@@ -306,19 +314,19 @@ def test_route_memo_matches_fresh_enumeration(state, data):
     field = data.draw(st.sampled_from(["secs_to_loc", "pickup", "capacity", "active", "clock", "loc"]))
     variant, variant_clock = driver, clock
     if field == "secs_to_loc":
-        variant = dataclasses.replace(driver, secs_to_loc=driver.secs_to_loc + 13.5)
+        variant = replaced(driver, secs_to_loc=driver.secs_to_loc + 13.5)
     elif field == "pickup" and driver.onboard:
         rid = min(driver.onboard)
-        variant = dataclasses.replace(driver, onboard={**driver.onboard, rid: driver.onboard[rid] - 25.0})
+        variant = replaced(driver, onboard={**driver.onboard, rid: driver.onboard[rid] - 25.0})
     elif field == "capacity":
-        variant = dataclasses.replace(driver, capacity=driver.capacity + 1)
+        variant = replaced(driver, capacity=driver.capacity + 1)
     elif field == "active":
         extra = req(300, batch[0].origin, batch[0].destination, t=clock - 30.0)
-        variant = dataclasses.replace(driver, active={**driver.active, 300: extra})
+        variant = replaced(driver, active={**driver.active, 300: extra})
     elif field == "clock":
         variant_clock = clock + 9.0
     elif field == "loc":
-        variant = dataclasses.replace(driver, loc=(driver.loc + 1) % graph.num_locations)
+        variant = replaced(driver, loc=(driver.loc + 1) % graph.num_locations)
     assert_memo_is_exact(graph, (driver, batch, clock, C), (variant, batch, variant_clock, C))
 
 
@@ -333,7 +341,7 @@ def test_enumerate_matches_filter_free_reference(state, idle):
     filter-free enumeration on the reference route search."""
     graph, driver, batch, clock = state
     if idle:
-        driver = dataclasses.replace(driver, active={}, onboard={})
+        driver = replaced(driver, active={}, onboard={})
     assert action_bits(enumerate_feasible(graph, driver, batch, clock, C)) == action_bits(
         helpers.enumerate_feasible_reference(graph, driver, batch, clock, C)
     )
@@ -535,7 +543,7 @@ def test_route_memo_key_separates_states_differing_in_one_field(field):
     graph = helpers.line_city(PAIR_GRAPH_MINUTES)
     base = pair_base()
     pair = KEY_FIELD_PAIRS[field]
-    other = dataclasses.replace(pair.get("driver", base), driver_id=1)
+    other = replaced(pair.get("driver", base), driver_id=1)
     batch = pair.get("batch", PAIR_BATCH)
     clock = pair.get("clock", 120.0)
     constraints = pair.get("constraints", C)

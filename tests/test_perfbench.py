@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from fairpool.cli import build_parser
+from fairpool.cli import build_parser, main
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -48,6 +48,20 @@ def load_perfbench(name):
 
 def test_output_checks_import_cleanly():
     load_perfbench("checks")
+
+
+def test_audit_run_passes_a_fresh_simulate_output(tmp_path):
+    """The output check rebuilds the run's requests, stops and drivers from
+    its artifacts, by keyword and by position, and audits them."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "city.width = 3\ncity.height = 3\ncity.neighborhoods = 2\nfleet.num_drivers = 2\n"
+        "demand.rate_per_epoch = 2.0\ndemand.num_epochs = 8\nseed = 5\n"
+    )
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    assert len((run_dir / "stops.csv").read_text().splitlines()) > 1  # the audit sees stops
+    assert load_perfbench("checks").audit_run(str(run_dir)) == []
 
 
 def test_every_benchmark_command_parses():

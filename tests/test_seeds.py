@@ -1,8 +1,13 @@
 """The pure-Python generator draws numpy's bits, and numpy stays a test-only
-oracle: nothing under src/fairpool or scripts/ imports it."""
+oracle: nothing under src/fairpool or scripts/ imports it. Substream seeds
+are BLAKE2b digests, and the package imports neither hashlib nor
+dataclasses, whose loading would slow every command's start."""
 
 import ast
+import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,3 +123,38 @@ def test_no_runtime_file_imports_numpy():
         if module.split(".")[0] == "numpy"
     ]
     assert offenders == []
+
+
+def test_no_package_file_imports_dataclasses_or_hashlib():
+    package = os.path.join(ROOT, "src", "fairpool")
+    paths = [os.path.join(package, n) for n in os.listdir(package) if n.endswith(".py")]
+    assert len(paths) > 10
+    offenders = [
+        (os.path.relpath(path, ROOT), module)
+        for path in paths
+        for module in imported_modules(path)
+        if module.split(".")[0] in ("dataclasses", "hashlib")
+    ]
+    assert offenders == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    """In a fresh interpreter without `site`, so only the package's own
+    imports count."""
+    src = os.path.join(ROOT, "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import fairpool.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'hashlib', '_hashlib') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "root, name",
+    [(0, "fleet"), (7, "demand"), (11, "train-ep0"), (3, "train-ep12"), (2**63, "mc-shapley"),
+     (2**63, "fleet"), (2**64 - 1, "train-ep0")],
+)
+def test_subseed_is_the_blake2b_digest_of_root_and_name(root, name):
+    digest = hashlib.blake2b(f"{root}:{name}".encode(), digest_size=8).digest()
+    assert subseed(root, name) == int.from_bytes(digest, "big")
