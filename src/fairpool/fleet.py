@@ -119,20 +119,16 @@ def apply_matching(fleet: FleetState, assignments: dict, graph: CityGraph) -> No
     RideRequest) and `route` (tuple of Stop, () for the empty action). Raises
     if any request is assigned twice or was already being serviced.
     """
-    taken: set[int] = set()
-    for driver in fleet.drivers:
-        taken.update(driver.active)
-        taken.update(driver.completed)
     seen: set[int] = set()
     for driver_id, action in assignments.items():
         for req in action.requests:
-            if req.request_id in taken:
-                raise ValueError(
-                    f"request {req.request_id} is already assigned and cannot go to driver {driver_id}"
-                )
-            if req.request_id in seen:
-                raise ValueError(f"request {req.request_id} assigned to two drivers")
-            seen.add(req.request_id)
+            rid = req.request_id
+            for driver in fleet.drivers:
+                if rid in driver.active or rid in driver.completed:
+                    raise ValueError(f"request {rid} is already assigned and cannot go to driver {driver_id}")
+            if rid in seen:
+                raise ValueError(f"request {rid} assigned to two drivers")
+            seen.add(rid)
 
     by_id = {driver.driver_id: driver for driver in fleet.drivers}
     for driver_id, action in assignments.items():

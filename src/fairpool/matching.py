@@ -32,7 +32,9 @@ Coalition resimulations replay the same demand with subsets of the fleet, so
 one driver meets the same batch in the same state many times over. A
 :class:`RouteMemo` passed to :func:`enumerate_feasible` stores the enumerated
 action tuple under everything route search reads and hands it back on a
-repeat, which makes the repeat exact by construction.
+repeat, which makes the repeat exact by construction. Each action carries the
+request ids, fares, origin labels and route end that scoring reads, so a
+repeat also skips deriving them.
 
 The assignment solve is a two-pass branch and bound over drivers in index
 order. Besides the per-driver-maxima bound it prunes by state dominance: two
@@ -91,16 +93,27 @@ class DelayConstraints(NamedTuple):
 
 
 class FeasibleAction(NamedTuple):
+    """A request subset a driver can take, its best route, and what an epoch
+    reads to score it, derived once by :meth:`build`."""
+
     requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
     route: tuple[Stop, ...]  # () only for the empty action
+    request_ids: tuple[int, ...]
+    fares: tuple[float, ...]  # fare(graph, origin, destination) per request
+    origin_labels: tuple[int, ...]
+    end: int | None  # the route's last stop; None for the empty action, which keeps the driver's
 
-    @property
-    def request_ids(self) -> tuple[int, ...]:
-        return tuple(req.request_id for req in self.requests)
+    @classmethod
+    def build(cls, graph: CityGraph, requests: tuple[RideRequest, ...],
+              route: tuple[Stop, ...]) -> FeasibleAction:
+        fares = tuple(fare(graph, r.origin, r.destination) for r in requests)
+        labels = tuple(graph.neighborhoods.label(r.origin) for r in requests)
+        ids = tuple(r.request_id for r in requests)
+        return cls(requests, route, ids, fares, labels, route[-1].location if route else None)
 
 
 # the empty action alone; every enumeration starts with this one shared action
-_ONLY_EMPTY = (FeasibleAction(requests=(), route=()),)
+_ONLY_EMPTY = (FeasibleAction((), (), (), (), (), None),)
 
 
 class RouteMemo:
@@ -186,11 +199,11 @@ def route_feasible(
     picked: list[float] = []
     status: list[int] = []  # _WAITING, _ONBOARD or _DONE
     for rid in ids:
-        req = requests[rid]
-        origin.append(req.origin)
-        dest.append(req.destination)
-        created.append(req.created_at)
-        direct.append(secs[req.origin][req.destination])
+        _, o, d, t = requests[rid]
+        origin.append(o)
+        dest.append(d)
+        created.append(t)
+        direct.append(secs[o][d])
         if rid in picked_at:
             picked.append(picked_at[rid])
             status.append(_ONBOARD)
@@ -203,18 +216,6 @@ def route_feasible(
     best_keys: list[int] | None = None
     keys: list[int] = []
     nodes = 0
-
-    def reachable(row: list[float], now: float) -> bool:
-        # admissible lower bounds: direct travel can only underestimate arrival
-        for j in riders:
-            state = status[j]
-            if state == _WAITING:
-                if now + row[origin[j]] - created[j] >= max_pickup:
-                    return False
-            elif state == _ONBOARD:
-                if now + row[dest[j]] - (picked[j] + direct[j]) >= max_detour:
-                    return False
-        return True
 
     def dfs(loc: int, now: float, delay_sum: float, in_car: int, left: int) -> None:
         nonlocal best_delay, best_keys, nodes
@@ -239,11 +240,7 @@ def route_feasible(
                     continue
                 picked[i] = arrival
                 status[i] = _ONBOARD
-                if reachable(secs[stop], arrival):
-                    keys.append(2 * i)
-                    dfs(stop, arrival, delay_sum + delay, in_car + 1, left)
-                    keys.pop()
-                status[i] = _WAITING
+                key = 2 * i
             elif state == _ONBOARD:
                 stop = dest[i]
                 arrival = now + row[stop]
@@ -251,11 +248,27 @@ def route_feasible(
                 if delay >= max_detour or delay_sum + delay > best_delay:
                     continue
                 status[i] = _DONE
-                if reachable(secs[stop], arrival):
-                    keys.append(2 * i + 1)
+                key = 2 * i + 1
+            else:
+                continue
+            # every open stop must stay reachable: direct travel is a lower bound
+            here = secs[stop]
+            for j in riders:
+                open_state = status[j]
+                if open_state == _WAITING:
+                    if arrival + here[origin[j]] - created[j] >= max_pickup:
+                        break
+                elif open_state == _ONBOARD:
+                    if arrival + here[dest[j]] - (picked[j] + direct[j]) >= max_detour:
+                        break
+            else:
+                keys.append(key)
+                if key & 1:
                     dfs(stop, arrival, delay_sum + delay, in_car - 1, left - 1)
-                    keys.pop()
-                status[i] = _ONBOARD
+                else:
+                    dfs(stop, arrival, delay_sum + delay, in_car + 1, left)
+                keys.pop()
+            status[i] = state
 
     dfs(driver.loc, clock + driver.secs_to_loc, 0.0, len(picked_at), n)
     del dfs  # it names itself through its closure cell: break the cycle
@@ -359,7 +372,7 @@ def enumerate_feasible(
     clock gets the stored tuple back as is. `stats` counts the route searches
     run.
     """
-    seats_free = driver.capacity - driver.occupancy
+    seats_free = driver.capacity - len(driver.onboard)
     if seats_free <= 0 or not batch:
         return _ONLY_EMPTY
     if memo is not None:
@@ -367,8 +380,8 @@ def enumerate_feasible(
             driver.loc,
             driver.secs_to_loc,
             driver.capacity,
-            tuple(sorted(driver.active.items())),
-            tuple(sorted(driver.onboard.items())),
+            tuple(sorted(driver.active.items())) if driver.active else (),
+            tuple(sorted(driver.onboard.items())) if driver.onboard else (),
             batch,
             clock,
             constraints,
@@ -390,7 +403,7 @@ def enumerate_feasible(
             if plan is None:
                 continue
             level.add(ids)
-            actions.append(FeasibleAction(requests=combo, route=plan))
+            actions.append(FeasibleAction.build(graph, combo, plan))
         if not level:
             break
         prev_level = level
@@ -435,16 +448,18 @@ def solve_assignment(
     n = len(weights)
     if n != len(request_ids):
         raise ValueError("weights and request_ids must align")
-    all_ids = sorted({rid for per in request_ids for ids in per for rid in ids})
-    bit = {rid: 1 << i for i, rid in enumerate(all_ids)}
-    masks = [[0 for _ in per] for per in request_ids]
+    # bits in first-seen order: masks are only tested for overlap and used
+    # as memo keys, so any one-to-one choice of bits prunes the same way
+    bit: dict[int, int] = {}
+    masks = [[0] * len(per) for per in request_ids]
     for i, per in enumerate(request_ids):
         for j, ids in enumerate(per):
             m = 0
             for rid in ids:
-                if m & bit[rid]:
+                b = bit.setdefault(rid, 1 << len(bit))
+                if m & b:
                     raise ValueError(f"duplicate request {rid} inside one action")
-                m |= bit[rid]
+                m |= b
             masks[i][j] = m
 
     suffix = [0.0] * (n + 1)
@@ -457,21 +472,24 @@ def solve_assignment(
     # so at mathematical ties they can round a hair below an achievable total;
     # prune with slack so the true optimum always survives, and keep leaf
     # comparisons exact.
-    slack = 1e-9 * (1.0 + left_sum(max(abs(w) for w in per) for per in weights))
+    slack = 1e-9 * (1.0 + left_sum(max(map(abs, per)) for per in weights))
 
-    by_weight = [sorted(range(len(w)), key=lambda j: -w[j]) for w in weights]
-    best = [float("-inf")]
-    nodes = [0]
+    # by -w[j], not by w[j] reversed: the two orders differ when a weight is nan
+    by_weight = [sorted(range(len(w)), key=[-x for x in w].__getitem__) if len(w) > 1 else (0,)
+                 for w in weights]
+    best = float("-inf")
+    nodes = 0
     # memo[i][used]: the dominating prefix sum recorded for state (i, used)
     memo: list[dict[int, float]] = [{} for _ in range(n)]
 
     def search_value(i: int, used: int, acc: float) -> None:
-        nodes[0] += 1
+        nonlocal best, nodes
+        nodes += 1
         if i == n:
-            if acc > best[0]:
-                best[0] = acc
+            if acc > best:
+                best = acc
             return
-        if acc + suffix[i] <= best[0] - slack:
+        if acc + suffix[i] <= best - slack:
             return
         seen = memo[i].get(used)
         if seen is not None and acc <= seen:
@@ -484,16 +502,17 @@ def solve_assignment(
 
     search_value(0, 0, 0.0)
     del search_value  # both searches name themselves: break each cycle
-    optimum = best[0]
+    optimum = best
     for level in memo:
         level.clear()
 
-    canonical = [
-        sorted(range(len(per)), key=lambda j: (per[j], j)) for per in request_ids
-    ]
+    # stable: equal id tuples stay in index order
+    canonical = [sorted(range(len(per)), key=per.__getitem__) if len(per) > 1 else (0,)
+                 for per in request_ids]
 
     def search_argmax(i: int, used: int, acc: float) -> tuple[int, ...] | None:
-        nodes[0] += 1
+        nonlocal nodes
+        nodes += 1
         if i == n:
             return () if acc == optimum else None
         failed = memo[i].get(used)
@@ -514,7 +533,7 @@ def solve_assignment(
     del search_argmax
     if chosen is None:
         raise RuntimeError("assignment search failed to reproduce its own optimum")
-    return AssignmentSolution(total_weight=optimum, chosen=chosen, nodes=nodes[0])
+    return AssignmentSolution(optimum, chosen, nodes)
 
 
 class EpochResult(NamedTuple):
@@ -523,7 +542,7 @@ class EpochResult(NamedTuple):
     batch_size: int
     assignments: dict[int, FeasibleAction]  # every driver, empty actions included
     deltas: dict[int, float]  # myopic objective gain of each chosen action
-    pre_keys: dict[int, StateKey]  # driver state keys before the actions applied
+    pre_keys: dict[int, StateKey]  # driver state keys before the actions; {} without a value model
     total_weight: float
     objective_value: float
     num_actions: int
@@ -543,11 +562,16 @@ def run_epoch(
     value_model: ValueModel | None = None,
     route_memo: RouteMemo | None = None,
 ) -> EpochResult:
-    """Match one batch at the current fleet clock and commit the result."""
+    """Match one batch at the current fleet clock and commit the result.
+
+    Actions come with their request ids, fares, origin labels and route end,
+    so scoring one is a delta_objective call plus, under a model, the value
+    of its end; the empty action's end (None) is the driver's own."""
     log.add_batch(batch)
     for req in batch.requests:
         tallies.add_requested(graph.neighborhoods.label(req.origin))
     state = ObjectiveState.from_fleet(fleet, tallies)
+    clock = fleet.clock
 
     per_driver: list[tuple[FeasibleAction, ...]] = []
     weights: list[list[float]] = []
@@ -557,24 +581,20 @@ def run_epoch(
     route_stats = RouteStats()
     for di, driver in enumerate(fleet.drivers):
         actions = enumerate_feasible(
-            graph, driver, batch.requests, fleet.clock, constraints, route_memo, route_stats
+            graph, driver, batch.requests, clock, constraints, route_memo, route_stats
         )
-        pre_keys[driver.driver_id] = state_key(graph, driver, fleet.clock)
+        if value_model is not None:
+            pre_keys[driver.driver_id] = state_key(graph, driver, clock)
         row_w: list[float] = []
         row_ids: list[tuple[int, ...]] = []
         row_d: list[float] = []
-        for action in actions:
-            fares = [fare(graph, r.origin, r.destination) for r in action.requests]
-            labels = [graph.neighborhoods.label(r.origin) for r in action.requests]
+        for _, _, request_ids, fares, labels, end in actions:
             delta = delta_objective(spec, state, di, fares, labels)
             weight = delta
             if value_model is not None:
-                end = action.route[-1].location if action.route else driver.route_end()
-                weight += value_model.gamma * value_model.estimate(
-                    state_key(graph, driver, fleet.clock, route_end=end)
-                )
+                weight += value_model.gamma * value_model.estimate(state_key(graph, driver, clock, end))
             row_w.append(weight)
-            row_ids.append(action.request_ids)
+            row_ids.append(request_ids)
             row_d.append(delta)
         per_driver.append(actions)
         weights.append(row_w)
@@ -585,20 +605,20 @@ def run_epoch(
     chosen: dict[int, FeasibleAction] = {}
     chosen_deltas: dict[int, float] = {}
     for di, driver in enumerate(fleet.drivers):
-        action = per_driver[di][solution.chosen[di]]
-        chosen[driver.driver_id] = action
-        chosen_deltas[driver.driver_id] = deltas[di][solution.chosen[di]]
+        j = solution.chosen[di]
+        chosen[driver.driver_id] = per_driver[di][j]
+        chosen_deltas[driver.driver_id] = deltas[di][j]
 
     apply_matching(fleet, chosen, graph)
     for driver_id, action in chosen.items():
-        for req in action.requests:
-            log.mark_serviced(req.request_id, driver_id)
-            tallies.add_serviced(graph.neighborhoods.label(req.origin))
+        for rid, origin_label in zip(action.request_ids, action.origin_labels):
+            log.mark_serviced(rid, driver_id)
+            tallies.add_serviced(origin_label)
 
     after = eval_objective(spec, ObjectiveState.from_fleet(fleet, tallies))
     return EpochResult(
         epoch_index=batch.epoch_index,
-        clock=fleet.clock,
+        clock=clock,
         batch_size=len(batch.requests),
         assignments=chosen,
         deltas=chosen_deltas,

@@ -224,8 +224,8 @@ def delta_objective(
     spec: ObjectiveSpec,
     state: ObjectiveState,
     driver_index: int,
-    fares: list[float],
-    origin_labels: list[int],
+    fares: Sequence[float],
+    origin_labels: Sequence[int],
 ) -> float:
     """Objective change if the driver at `driver_index` accepts the given
     requests, scored against the current state. Matches

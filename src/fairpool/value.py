@@ -87,26 +87,42 @@ def save_value_model(model: ValueModel, path: str) -> None:
 
 
 def load_value_model(path: str) -> ValueModel:
+    """The model save_value_model wrote. A malformed line, or a key given
+    twice in the header or the table, raises as `path:line: problem`."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("# value-table "):
             raise ValueError(f"{path}: not a value-table file")
-        params = dict(part.split("=", 1) for part in header.split()[2:])
+        params: dict[str, str] = {}
+        for part in header.split()[2:]:
+            name, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"{path}:1: header field {part!r} is not key=value")
+            if name in params:
+                raise ValueError(f"{path}:1: repeated header key {name}")
+            params[name] = value
         if params.get("mode") != "tabular":
             raise ValueError(f"{path}: expected mode=tabular, got mode={params.get('mode')}")
-        model = ValueModel(
-            gamma=float(params["gamma"]),
-            alpha=float(params["alpha"]),
-            seed=int(params["seed"]),
-        )
+        try:
+            model = ValueModel(float(params["gamma"]), float(params["alpha"]), int(params["seed"]))
+        except KeyError as exc:
+            raise ValueError(f"{path}:1: header lacks {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            value = float(parts[3])
+            try:
+                key = (int(parts[0]), int(parts[1]), int(parts[2]))
+                value = float(parts[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite table value")
-            model.table[(int(parts[0]), int(parts[1]), int(parts[2]))] = value
+            if key in model.table:
+                raise ValueError(f"{path}:{lineno}: repeated key {' '.join(parts[:3])}")
+            model.table[key] = value
     return model

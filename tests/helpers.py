@@ -27,8 +27,13 @@ from fairpool.fleet import (
     advance_fleet,
     apply_matching,
 )
-from fairpool.matching import DelayConstraints, FeasibleAction, enumerate_feasible
-from fairpool.objectives import ObjectiveSpec, ObjectiveState
+from fairpool.matching import (
+    AssignmentSolution,
+    DelayConstraints,
+    FeasibleAction,
+    enumerate_feasible,
+)
+from fairpool.objectives import ObjectiveSpec, ObjectiveState, left_sum
 from fairpool.value import ValueModel
 
 
@@ -188,7 +193,7 @@ def enumerate_feasible_reference(
     """Level-wise subset enumeration with no reach filter and no memo, every
     route from route_feasible_reference. Same order as enumerate_feasible:
     the empty action, then each level's sets in request-id order."""
-    actions = [FeasibleAction(requests=(), route=())]
+    actions = [FeasibleAction.build(graph, (), ())]
     seats_free = driver.capacity - driver.occupancy
     if seats_free <= 0 or not batch:
         return actions
@@ -204,7 +209,7 @@ def enumerate_feasible_reference(
             if plan is None:
                 continue
             level.add(ids)
-            actions.append(FeasibleAction(requests=combo, route=plan))
+            actions.append(FeasibleAction.build(graph, combo, plan))
         if not level:
             break
         prev_level = level
@@ -317,6 +322,120 @@ def kmeans_labels_reference(points: list[tuple[float, float]], k: int, seed: int
     order = sorted(range(k), key=lambda j: (centroids[j][0], centroids[j][1]))
     relabel = {old: new + 1 for new, old in enumerate(order)}
     return tuple(relabel[int(a)] for a in assign)
+
+
+def solve_assignment_reference(
+    weights: list[list[float]],
+    request_ids: list[list[tuple[int, ...]]],
+) -> AssignmentSolution:
+    """fairpool.matching.solve_assignment before its set-up was trimmed, kept
+    verbatim as the oracle for the same optimum, argmax and node count.
+
+    Exact maximum-weight assignment: one action per driver, no request in
+    two actions.
+
+    Branch and bound in two passes. The first finds the optimal value using a
+    sum-of-per-driver-maxima bound; the second walks drivers in index order
+    and actions in request-id order and returns the first assignment that
+    attains the optimum, which makes the reported argmax independent of
+    search heuristics.
+
+    Both passes prune by state dominance. A search state is the next driver
+    index plus the mask of requests already used, and the completions open
+    from it do not depend on how it was reached. Totals are folded left to
+    right in driver order, and IEEE-754 round-to-nearest addition is monotone
+    (a <= b implies fl(a + c) <= fl(b + c)), so a prefix sum no larger than
+    one already explored from the same state can neither fold to a larger
+    total nor reach the optimum where the larger prefix could not. Pass one
+    therefore skips a state whose prefix is at most the largest prefix it
+    already searched from there, and pass two skips a state whose prefix is
+    at most the largest one from which it already failed to reach the
+    optimum. Both prunes are exact: the optimum and the canonical argmax are
+    the ones an unpruned search returns, bit for bit.
+    """
+    n = len(weights)
+    if n != len(request_ids):
+        raise ValueError("weights and request_ids must align")
+    all_ids = sorted({rid for per in request_ids for ids in per for rid in ids})
+    bit = {rid: 1 << i for i, rid in enumerate(all_ids)}
+    masks = [[0 for _ in per] for per in request_ids]
+    for i, per in enumerate(request_ids):
+        for j, ids in enumerate(per):
+            m = 0
+            for rid in ids:
+                if m & bit[rid]:
+                    raise ValueError(f"duplicate request {rid} inside one action")
+                m |= bit[rid]
+            masks[i][j] = m
+
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        if not weights[i]:
+            raise ValueError(f"driver {i} has no actions; include the empty action")
+        suffix[i] = suffix[i + 1] + max(weights[i])
+
+    # Bounds are float sums taken in a different order than leaf accumulation,
+    # so at mathematical ties they can round a hair below an achievable total;
+    # prune with slack so the true optimum always survives, and keep leaf
+    # comparisons exact.
+    slack = 1e-9 * (1.0 + left_sum(max(abs(w) for w in per) for per in weights))
+
+    by_weight = [sorted(range(len(w)), key=lambda j: -w[j]) for w in weights]
+    best = [float("-inf")]
+    nodes = [0]
+    # memo[i][used]: the dominating prefix sum recorded for state (i, used)
+    memo: list[dict[int, float]] = [{} for _ in range(n)]
+
+    def search_value(i: int, used: int, acc: float) -> None:
+        nodes[0] += 1
+        if i == n:
+            if acc > best[0]:
+                best[0] = acc
+            return
+        if acc + suffix[i] <= best[0] - slack:
+            return
+        seen = memo[i].get(used)
+        if seen is not None and acc <= seen:
+            return
+        memo[i][used] = acc
+        for j in by_weight[i]:
+            if used & masks[i][j]:
+                continue
+            search_value(i + 1, used | masks[i][j], acc + weights[i][j])
+
+    search_value(0, 0, 0.0)
+    del search_value  # both searches name themselves: break each cycle
+    optimum = best[0]
+    for level in memo:
+        level.clear()
+
+    canonical = [
+        sorted(range(len(per)), key=lambda j: (per[j], j)) for per in request_ids
+    ]
+
+    def search_argmax(i: int, used: int, acc: float) -> tuple[int, ...] | None:
+        nodes[0] += 1
+        if i == n:
+            return () if acc == optimum else None
+        failed = memo[i].get(used)
+        if failed is not None and acc <= failed:
+            return None
+        for j in canonical[i]:
+            if used & masks[i][j]:
+                continue
+            if acc + weights[i][j] + suffix[i + 1] < optimum - slack:
+                continue
+            rest = search_argmax(i + 1, used | masks[i][j], acc + weights[i][j])
+            if rest is not None:
+                return (j,) + rest
+        memo[i][used] = acc
+        return None
+
+    chosen = search_argmax(0, 0, 0.0)
+    del search_argmax
+    if chosen is None:
+        raise RuntimeError("assignment search failed to reproduce its own optimum")
+    return AssignmentSolution(total_weight=optimum, chosen=chosen, nodes=nodes[0])
 
 
 def brute_force_assignment(

@@ -11,6 +11,8 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -814,6 +816,54 @@ def test_sweep_failure_manifest(tmp_path, capsys):
 
 
 TABULAR_CITY = SMALL_CITY + "value.mode = tabular\nvalue.episodes = 2\n"
+
+
+@pytest.fixture(scope="module")
+def tabular_run(tmp_path_factory):
+    """A simulate run directory with a trained value_table.txt."""
+    root = tmp_path_factory.mktemp("tabular")
+    cfg = write_config(root / "c.cfg", TABULAR_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(root / "run")]) == 0
+    with open(root / "run" / "value_table.txt") as fh:
+        return root / "run", fh.read()
+
+
+def first_row_key(text):
+    """The key fields of the table's first row, as written."""
+    return text.splitlines()[1].rsplit(" ", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "edit, line, message",
+    [
+        (lambda t: t.replace("gamma=0.9", "gamma"), 1, "header field 'gamma' is not key=value"),
+        (lambda t: t.replace(" gamma=0.9", ""), 1, "header lacks gamma"),
+        (lambda t: t.replace("gamma=0.9", "gamma=nan"), 1, r"gamma must lie in \[0, 1\)"),
+        (lambda t: t.replace("alpha=0.1", "alpha=0.1 alpha=0.5"), 1, "repeated header key alpha"),
+        (lambda t: re.sub(r"\n\S+ ", "\nx ", t, count=1), 2, "invalid literal for int"),
+        (lambda t: re.sub(r"\n(\S+ \S+ \S+) \S+\n", r"\n\1 abc\n", t, count=1), 2,
+         "could not convert string to float"),
+        (lambda t: t + first_row_key(t) + " 5.0\n", -1, r"repeated key \d+ \d+ \d+$"),
+    ],
+    ids=["no-equals", "missing-key", "nan-gamma", "repeated-header-key", "bad-key-field",
+         "bad-value", "repeated-table-key"],
+)
+def test_malformed_value_table_names_file_and_line(tabular_run, tmp_path, capsys, edit, line, message):
+    """`shapley RUN_DIR` on a run whose value_table.txt is broken exits 3
+    with the file and line of the fault; a repeated key is a fault too."""
+    run, text = tabular_run
+    assert text.startswith("# value-table mode=tabular gamma=0.9 alpha=0.1 seed=5\n")
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    table = copy / "value_table.txt"
+    edited = edit(text)
+    assert edited != text
+    table.write_text(edited)
+    if line == -1:  # the appended last row
+        line = len(edited.splitlines())
+    assert main(["shapley", str(copy), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert re.search(f"^error: {re.escape(str(table))}:{line}: {message}", err), err
 
 
 def simulate_cell(cfg, out, objective, lam):

@@ -26,7 +26,7 @@ from fairpool.matching import DelayConstraints, FeasibleAction, route_feasible
 def single_request_action(graph, driver, request, clock=0.0):
     plan = route_feasible(graph, driver, (request,), clock, DelayConstraints())
     assert plan is not None
-    return FeasibleAction(requests=(request,), route=plan)
+    return FeasibleAction.build(graph, (request,), plan)
 
 
 def test_init_fleet_deterministic():
@@ -71,7 +71,7 @@ def test_apply_matching_empty_assignment_is_identity():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0, 1])
     before = copy.deepcopy(fleet)
-    empty = {d.driver_id: FeasibleAction(requests=(), route=()) for d in fleet.drivers}
+    empty = {d.driver_id: FeasibleAction.build(graph, (), ()) for d in fleet.drivers}
     apply_matching(fleet, empty, graph)
     assert fleet == before
 
@@ -103,7 +103,7 @@ def test_apply_matching_requires_route_for_nonempty_action():
     graph = helpers.line_city([1.0])
     fleet = helpers.place_fleet(graph, [0])
     request = RideRequest(request_id=0, origin=0, destination=1, created_at=0.0)
-    bogus = FeasibleAction(requests=(request,), route=())
+    bogus = FeasibleAction.build(graph, (request,), ())
     with pytest.raises(ValueError, match="without a route"):
         apply_matching(fleet, {0: bogus}, graph)
 

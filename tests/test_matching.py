@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from fairpool.city import fare
 from fairpool.demand import RequestBatch, RequestLog, RideRequest
-from fairpool.fleet import DriverState, advance_fleet, apply_matching
+from fairpool.fleet import DROPOFF, DriverState, FleetState, Stop, advance_fleet, apply_matching
 from fairpool.matching import (
     DelayConstraints,
     FeasibleAction,
@@ -91,7 +92,7 @@ def test_new_work_cannot_break_existing_promises():
     plan = route_feasible(graph, driver, (committed,), fleet.clock, C)
     apply_matching(
         fleet,
-        {0: FeasibleAction(requests=(committed,), route=plan)},
+        {0: FeasibleAction.build(graph, (committed,), plan)},
         graph,
     )
     advance_fleet(fleet, 60.0)  # clock 120, en route; pickup promised for t=240
@@ -555,6 +556,96 @@ def test_route_memo_key_separates_states_differing_in_one_field(field):
     assert (len(memo.entries), memo.hits) == (2, 0)
 
 
+def row_bits(actions):
+    """What an epoch reads to score each action, floats as exact bits."""
+    return [
+        (a.request_ids, tuple(f.hex() for f in a.fares), a.origin_labels, a.end) for a in actions
+    ]
+
+
+@settings(max_examples=60)
+@given(state=driver_states(), labels=st.integers(min_value=1, max_value=3))
+def test_memo_hit_hands_back_the_row_a_fresh_enumeration_derives(state, labels):
+    """On a hit the stored actions carry, bit for bit, the request ids, fares,
+    origin labels and route end that a memo-free enumeration derives, and
+    those are the requests' own: fare(graph, o, d), the origin's label, the
+    last stop of a non-empty route and None for the empty action."""
+    graph, driver, batch, clock = state
+    minutes = [graph.travel_minutes[i][i + 1] for i in range(graph.num_locations - 1)]
+    graph = helpers.line_city(minutes, num_neighborhoods=min(labels, graph.num_locations))
+    fresh = enumerate_feasible(graph, driver, batch, clock, C)
+    memo = RouteMemo()
+    enumerate_feasible(graph, driver, batch, clock, C, memo)
+    hit = enumerate_feasible(graph, replaced(driver, driver_id=5), batch, clock, C, memo)
+    assert row_bits(hit) == row_bits(fresh)
+    for action in hit:
+        for value in (action.requests, action.route, action.request_ids, action.fares,
+                      action.origin_labels):
+            assert type(value) is tuple  # a shared row nobody can change
+        assert action.request_ids == tuple(r.request_id for r in action.requests)
+        assert [f.hex() for f in action.fares] == [
+            fare(graph, r.origin, r.destination).hex() for r in action.requests
+        ]
+        assert action.origin_labels == tuple(graph.neighborhoods.label(r.origin) for r in action.requests)
+        assert action.end == (action.route[-1].location if action.requests else None)
+
+
+def twin_drivers_with_different_route_ends():
+    """Two drivers in one memo-key state, both riders onboard with a seat to
+    spare, whose committed routes drop the riders in opposite orders, so one
+    route ends at location 0 and the other at location 4."""
+    to_0, to_4 = req(1, 2, 0, t=500.0), req(2, 2, 4, t=500.0)
+    twins = []
+    for driver_id, order in ((0, (to_0, to_4)), (1, (to_4, to_0))):
+        driver = driver_state(driver_id, loc=2, capacity=3, active=(to_0, to_4),
+                              onboard={1: 540.0, 2: 540.0})
+        driver.route = tuple(
+            Stop(DROPOFF, r.request_id, r.destination, 600.0 + 60.0 * k) for k, r in enumerate(order, 1)
+        )
+        twins.append(driver)
+    return twins
+
+
+def test_memo_hit_scores_the_empty_action_with_the_drivers_own_route_end():
+    """The route end of the empty action is not in the memo key: two drivers
+    can share a stored row but not their committed routes. Each driver's
+    empty action must score with its own route end, hit or not."""
+    graph = helpers.line_city([1.0] * 4, num_neighborhoods=2)
+    ends = twin_drivers_with_different_route_ends()
+    assert [d.route_end() for d in ends] == [4, 0]
+    model = ValueModel(gamma=0.5)
+    for driver, value in zip(ends, (10.0, -10.0)):
+        model.table[state_key(graph, driver, 600.0)] = value
+    # a request waiting since t=100 is past its pickup bound: only the empty action remains
+    batch = RequestBatch(epoch_index=0, requests=(req(3, 2, 3, t=100.0),), window_end=600.0)
+
+    def epoch(driver, memo):
+        fleet = FleetState(drivers=[copy.deepcopy(driver)], clock=600.0)
+        return run_epoch(graph, fleet, batch, *fresh_epoch_inputs(graph), ObjectiveSpec("income"), C,
+                         value_model=model, route_memo=memo)
+
+    memo = RouteMemo()
+    shared = [epoch(driver, memo) for driver in ends]
+    assert (len(memo.entries), memo.hits) == (1, 1)
+    assert [r.total_weight for r in shared] == [5.0, -5.0]
+    assert [r.total_weight for r in shared] == [epoch(driver, None).total_weight for driver in ends]
+
+
+def test_pre_keys_only_under_a_value_model():
+    """TD training reads pre_keys and always runs with a model; a myopic
+    epoch leaves them empty."""
+    graph = helpers.line_city([1.0, 1.0, 1.0], num_neighborhoods=2)
+    batch = RequestBatch(epoch_index=0, requests=(req(0, 0, 2, 50.0),), window_end=60.0)
+    for model in (None, ValueModel()):
+        fleet = helpers.place_fleet(graph, [0, 3])
+        advance_fleet(fleet, 60.0)
+        before = {d.driver_id: state_key(graph, d, 60.0) for d in fleet.drivers}
+        result = run_epoch(graph, fleet, batch, *fresh_epoch_inputs(graph), ObjectiveSpec("income"), C,
+                           value_model=model)
+        assert result.pre_keys == ({} if model is None else before)
+        assert len(before) == 2
+
+
 def test_solver_single_driver_picks_heavier_action():
     solution = solve_assignment([[1.0, 2.0]], [[(), (0,)]])
     assert solution.total_weight == 2.0
@@ -693,6 +784,70 @@ def test_solver_contended_epoch_is_pinned():
     assert solution.total_weight == 123.0
     assert solution.chosen == (0, 0, 0, 0, 0, 0, 0, 8, 0, 2, 0, 2, 3, 0, 4, 0, 5, 3, 0, 1)
     assert solution.nodes < 30_000
+
+
+def solve_outcome(solve, weights, ids):
+    """What a solve returns, with the total as its repr (so -0.0 and nan
+    compare), or the error it raises."""
+    try:
+        solution = solve(weights, ids)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(solution.total_weight), solution.chosen, solution.nodes
+
+
+# weights that tie, cancel, vanish, or sort specially under -w (inf, nan)
+ORACLE_WEIGHTS = (
+    TIE_POOLS[0] + TIE_POOLS[1] + (-0.0, -1.0, -2.5, float("inf"), float("-inf"), float("nan"))
+)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_solver_matches_its_reference_node_for_node(data):
+    """The solver searches exactly as the one it replaced (kept in
+    helpers): the same total weight bits, argmax and node count, which
+    epochs.jsonl records as solver_nodes, or the same error. Instances mix
+    tie plateaus, zero, negative, infinite and nan weights, requests shared
+    across drivers, drivers with one action (the empty one or another),
+    request ids far from contiguous and, now and then, malformed input."""
+    pool = data.draw(
+        st.lists(st.integers(min_value=-40, max_value=10**9), min_size=1, max_size=6, unique=True)
+    )
+    weight = st.one_of(st.sampled_from(ORACLE_WEIGHTS), st.floats(min_value=-5.0, max_value=10.0))
+    weights = []
+    ids = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        shape = data.draw(st.sampled_from(["empty-first", "empty-first", "empty-first", "one", "none"]))
+        if shape == "none":  # no action at all: rejected
+            weights.append([])
+            ids.append([])
+            continue
+        row_ids = [()] if shape == "empty-first" else []
+        n_more = 1 if shape == "one" else data.draw(st.integers(min_value=0, max_value=4))
+        for _ in range(n_more):
+            size = data.draw(st.integers(min_value=1, max_value=min(3, len(pool))))
+            action = data.draw(st.permutations(pool).map(lambda p: tuple(sorted(p[:size]))))
+            if data.draw(st.integers(min_value=0, max_value=30)) == 0:
+                action = action + action[:1]  # a duplicate inside one action: rejected
+            row_ids.append(action)
+        weights.append([data.draw(weight) for _ in row_ids])
+        ids.append(row_ids)
+    if len(ids) > 1 and data.draw(st.integers(min_value=0, max_value=30)) == 0:
+        ids.pop()  # misaligned driver lists: rejected
+    assert solve_outcome(solve_assignment, weights, ids) == solve_outcome(
+        helpers.solve_assignment_reference, weights, ids
+    )
+
+
+def test_solver_orders_nan_weights_as_the_negated_key_does():
+    """Pass one tries a driver's actions by the key -w[j]. With a nan weight,
+    sorting by w[j] with reverse=True gives another order, which the node
+    count recorded in epochs.jsonl would show (12 nodes here, not 11)."""
+    weights = [[-1.0, math.inf, math.nan, 0.0], [math.inf]]
+    ids = [[(), (0,), (0,), (0,)], [()]]
+    assert solve_outcome(solve_assignment, weights, ids) == ("inf", (0, 0), 11)
+    assert solve_outcome(helpers.solve_assignment_reference, weights, ids) == ("inf", (0, 0), 11)
 
 
 def test_route_search_and_solve_leave_no_reference_cycles():

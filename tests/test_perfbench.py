@@ -5,7 +5,11 @@ traced function fails here rather than in a traced benchmark run."""
 import ast
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -80,3 +84,33 @@ def test_every_benchmark_command_parses():
             if args.command == "sweep":
                 sweep = workload["sweep"]
                 assert (args.objectives, args.lambdas) == (sweep["objective"], sweep["lambda"])
+
+
+def test_worker_counts_every_coalition_epoch_in_its_own_process(tmp_path):
+    """epochs_per_s divides the epochs the worker counts by patching
+    fairpool.simulate.run_epoch in its own process. A tiny simulate ->
+    exact shapley pipeline (3 drivers, 4 epochs) must count 2**3 * 4 of
+    them: the simulate run plus all 7 coalition replays, none of them run
+    where the counter cannot see them."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "city.width = 3\ncity.height = 3\ncity.neighborhoods = 2\nfleet.num_drivers = 3\n"
+        "demand.rate_per_epoch = 2.0\ndemand.num_epochs = 4\nseed = 5\n"
+    )
+    run = str(tmp_path / "run")
+    spec = {
+        "src": os.path.join(PERFBENCH, os.pardir, "src"),
+        "commands": [
+            ["simulate", "--config", str(cfg), "--out", run],
+            ["shapley", run, "--out", run, "--method", "exact"],
+        ],
+        "mode": "plain",
+        "spawned": time.monotonic(),
+    }
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "worker.py"), json.dumps(spec)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert [(s["command"], s["exit"]) for s in result["stages"]] == [("simulate", 0), ("shapley", 0)]
+    assert result["epochs"] == 2**3 * 4
