@@ -14,6 +14,7 @@ Usage:
 import argparse
 
 from fairpool.city import gen_grid_city
+from fairpool.cli import BOUND_TOLERANCE
 from fairpool.demand import batch_requests, synth_demand
 from fairpool.fleet import init_fleet
 from fairpool.matching import DelayConstraints
@@ -28,8 +29,6 @@ from fairpool.redistribution import (
 )
 from fairpool.reporting import income_value_spread
 from fairpool.simulate import run_simulation
-
-BOUND_TOL = 1e-9
 
 
 def main() -> None:
@@ -73,7 +72,7 @@ def main() -> None:
             spread = income_value_spread(q, v)
             gain = mean_gain(pi, v, params)
             floor_ok = all(
-                qi >= minimum_wage_bound(vi, r) - BOUND_TOL for qi, vi in zip(q, v)
+                qi >= minimum_wage_bound(vi, r) - BOUND_TOLERANCE for qi, vi in zip(q, v)
             )
             print(
                 f"{mode:<12} {r:>4.1f} {sum(q):>9.2f} {spread:>9.4f} "

@@ -5,8 +5,8 @@ edge files give them), as plain Python float rows
 ``graph.travel_minutes[origin][destination]``, so the duration of any leg is
 a single lookup. The simulation clock runs in seconds, so a graph also keeps
 the closure in seconds, ``graph.travel_secs[origin][destination]``, built
-once; each entry is ``minutes * 60.0``. Hot loops index the rows directly;
-:func:`travel_seconds` reads the same rows.
+once; each entry is ``minutes * 60.0``. Every reader indexes the rows
+directly.
 
 The closure is exact to the bit. Each entry is the minimum, over all paths,
 of the path's edge times summed left to right from the origin. Dijkstra
@@ -34,7 +34,6 @@ __all__ = [
     "CityGraph",
     "build_travel_closure",
     "fare",
-    "travel_seconds",
     "kmeans_neighborhoods",
     "grid_components",
     "gen_grid_city",
@@ -149,10 +148,6 @@ def build_travel_closure(
 def fare(graph: CityGraph, origin: int, destination: int) -> float:
     """Price of a trip: travel minutes plus the flat component delta."""
     return graph.travel_minutes[origin][destination] + graph.delta
-
-
-def travel_seconds(graph: CityGraph, origin: int, destination: int) -> float:
-    return graph.travel_secs[origin][destination]
 
 
 def _sq_dists(coords: list[tuple[float, float]], x: float, y: float) -> list[float]:

@@ -203,22 +203,11 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: Demand, e
     if config.value_mode == "tabular":
         model, _ = train_synthetic(config, graph, spec, constraints, episodes)
         save_value_model(model, artifact("value_table.txt"))
+    epoch_records: list[dict] = []  # epochs.jsonl
     snapshots: list[dict] = []  # fleet.jsonl: every driver after each epoch's commit
-    result = run_simulation(
-        graph, batches, fleet, spec, constraints, value_model=model,
-        on_epoch=lambda epoch: snapshots.extend(snapshot_rows(fleet, epoch.epoch_index)),
-    )
-    violations = audit_journal(graph, result.fleet, result.log, constraints)
-    if violations:
-        raise RuntimeError(
-            f"journal audit found {len(violations)} violation(s), first: {violations[0]}"
-        )
 
-    _write_text(artifact("config.resolved"), dump_config(config))
-    if rows_dropped is not None:
-        _write_lines(artifact("ingest.txt"), [f"rows_dropped = {rows_dropped}"])
-    epoch_records = (
-        {
+    def record(epoch) -> None:
+        epoch_records.append({
             "epoch": epoch.epoch_index,
             "clock": epoch.clock,
             "batch_size": epoch.batch_size,
@@ -233,15 +222,25 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: Demand, e
             "solver_nodes": epoch.solver_nodes,
             "route_calls": epoch.route_calls,
             "route_nodes": epoch.route_nodes,
-        }
-        for epoch in result.epochs
-    )
+        })
+        snapshots.extend(snapshot_rows(fleet, epoch.epoch_index))
+
+    result = run_simulation(graph, batches, fleet, spec, constraints, value_model=model, on_epoch=record)
+    violations = audit_journal(graph, result.fleet, result.log, constraints)
+    if violations:
+        raise RuntimeError(
+            f"journal audit found {len(violations)} violation(s), first: {violations[0]}"
+        )
+
+    _write_text(artifact("config.resolved"), dump_config(config))
+    if rows_dropped is not None:
+        _write_lines(artifact("ingest.txt"), [f"rows_dropped = {rows_dropped}"])
     for name, records in (("epochs.jsonl", epoch_records), ("fleet.jsonl", snapshots)):
         _write_lines(artifact(name), (json.dumps(r, sort_keys=True) for r in records))
     log = result.log
     requests = (
         (r.request_id, r.origin, r.destination, repr(r.created_at),
-         int(r.request_id in log.serviced_ids), log.assigned_driver.get(r.request_id, ""))
+         int(r.request_id in log.assigned_driver), log.assigned_driver.get(r.request_id, ""))
         for r in log.all_requests
     )
     write_rows(artifact("requests.csv"), [name for name, _ in REQUEST_COLUMNS], requests)

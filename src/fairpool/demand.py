@@ -57,20 +57,19 @@ class RequestBatch(NamedTuple):
 
 
 class RequestLog:
-    """Append-only record of every batched request, with monotone serviced flags."""
+    """Append-only record of every batched request, and of the driver each
+    serviced request went to: a request is serviced when it has one."""
 
-    __slots__ = ("all_requests", "serviced_ids", "assigned_driver")
+    __slots__ = ("all_requests", "assigned_driver")
 
     def __init__(self) -> None:
         self.all_requests: list[RideRequest] = []
-        self.serviced_ids: set[int] = set()
         self.assigned_driver: dict[int, int] = {}
 
     def add_batch(self, batch: RequestBatch) -> None:
         self.all_requests.extend(batch.requests)
 
     def mark_serviced(self, request_id: int, driver_id: int) -> None:
-        self.serviced_ids.add(request_id)
         self.assigned_driver[request_id] = driver_id
 
 

@@ -3,15 +3,16 @@
 A driver's position is its committed next location plus the seconds remaining
 to reach it; stops carry absolute scheduled arrivals, so advancing the clock
 by a+b seconds is identical to advancing by a and then by b. Income accrues
-when a request is accepted, not when it completes, because a driver's earnings
-span both ongoing and finished rides.
+when a request is accepted, at the fare its action was scored with, not when
+it completes, because a driver's earnings span both ongoing and finished
+rides.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .city import CityGraph, fare
+from .city import CityGraph
 from .demand import RideRequest
 from .seeds import substream
 
@@ -36,12 +37,6 @@ class Stop(NamedTuple):
     arrival: float  # absolute seconds on the simulation clock
 
 
-def _same_slots(a: object, b: object) -> bool:
-    """Value equality of two instances of one slotted class, slot by slot."""
-    names = type(a).__slots__
-    return tuple(getattr(a, n) for n in names) == tuple(getattr(b, n) for n in names)
-
-
 class DriverState:
     __slots__ = ("driver_id", "capacity", "loc", "secs_to_loc", "active", "onboard", "completed",
                  "route", "income")
@@ -64,9 +59,6 @@ class DriverState:
         self.completed: dict[int, RideRequest] = {}  # s_i
         self.route: tuple[Stop, ...] = ()  # committed stops; () when idle
         self.income = 0.0
-
-    def __eq__(self, other: object) -> bool:
-        return _same_slots(self, other) if type(other) is DriverState else NotImplemented
 
     @property
     def occupancy(self) -> int:
@@ -93,9 +85,6 @@ class FleetState:
         # audited against the service guarantees after the fact.
         self.journal = [] if journal is None else journal
 
-    def __eq__(self, other: object) -> bool:
-        return _same_slots(self, other) if type(other) is FleetState else NotImplemented
-
 
 def init_fleet(graph: CityGraph, num_drivers: int, capacity: int, seed: int) -> FleetState:
     """Drivers placed uniformly at random over locations, deterministic per seed."""
@@ -112,12 +101,13 @@ def init_fleet(graph: CityGraph, num_drivers: int, capacity: int, seed: int) -> 
     return FleetState(drivers=drivers, clock=0.0)
 
 
-def apply_matching(fleet: FleetState, assignments: dict, graph: CityGraph) -> None:
+def apply_matching(fleet: FleetState, assignments: dict) -> None:
     """Commit chosen actions: extend p_i, accrue fares, install the new routes.
 
     `assignments` maps driver_id to an action carrying `requests` (tuple of
-    RideRequest) and `route` (tuple of Stop, () for the empty action). Raises
-    if any request is assigned twice or was already being serviced.
+    RideRequest), `fares` (the fare of each request, as the action was
+    scored) and `route` (tuple of Stop, () for the empty action). Raises if
+    any request is assigned twice or was already being serviced.
     """
     seen: set[int] = set()
     for driver_id, action in assignments.items():
@@ -137,9 +127,9 @@ def apply_matching(fleet: FleetState, assignments: dict, graph: CityGraph) -> No
         driver = by_id[driver_id]
         if not action.route:
             raise ValueError(f"driver {driver_id}: non-empty action without a route plan")
-        for req in action.requests:
+        for req, fare in zip(action.requests, action.fares):
             driver.active[req.request_id] = req
-            driver.income += fare(graph, req.origin, req.destination)
+            driver.income += fare
         driver.route = action.route
         first = action.route[0]
         driver.loc = first.location

@@ -609,7 +609,7 @@ def run_epoch(
         chosen[driver.driver_id] = per_driver[di][j]
         chosen_deltas[driver.driver_id] = deltas[di][j]
 
-    apply_matching(fleet, chosen, graph)
+    apply_matching(fleet, chosen)
     for driver_id, action in chosen.items():
         for rid, origin_label in zip(action.request_ids, action.origin_labels):
             log.mark_serviced(rid, driver_id)

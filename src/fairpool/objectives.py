@@ -112,7 +112,7 @@ class NeighborhoodTallies:
         for req in log.all_requests:
             label = neighborhoods.label(req.origin)
             tallies.requested[label] += 1
-            if req.request_id in log.serviced_ids:
+            if req.request_id in log.assigned_driver:
                 tallies.serviced[label] += 1
         return tallies
 
@@ -130,22 +130,18 @@ class NeighborhoodTallies:
         return [h / k for h, k in zip(self.serviced[1:], self.requested[1:]) if k > 0]
 
 
-class _ObjectiveState(NamedTuple):
-    incomes: list[float]  # per-driver income, order = driver index in the fleet
-    rides: list[int]  # per-driver accepted request count (ongoing + finished)
-    tallies: NeighborhoodTallies
-    # variance memo of delta_objective; valid only while the state is unchanged
-    variances: dict[object, float]
-
-
-class ObjectiveState(_ObjectiveState):
+class ObjectiveState:
     """The quantities an objective reads, detached from full fleet state.
     Each state starts with its own empty variance memo."""
 
-    __slots__ = ()
+    __slots__ = ("incomes", "rides", "tallies", "variances")
 
-    def __new__(cls, incomes: list[float], rides: list[int], tallies: NeighborhoodTallies) -> ObjectiveState:
-        return tuple.__new__(cls, (incomes, rides, tallies, {}))
+    def __init__(self, incomes: list[float], rides: list[int], tallies: NeighborhoodTallies) -> None:
+        self.incomes = incomes  # per-driver income, order = driver index in the fleet
+        self.rides = rides  # per-driver accepted request count (ongoing + finished)
+        self.tallies = tallies
+        # variance memo of delta_objective; valid only while the state is unchanged
+        self.variances: dict[object, float] = {}
 
     @classmethod
     def from_fleet(cls, fleet: FleetState, tallies: NeighborhoodTallies) -> "ObjectiveState":

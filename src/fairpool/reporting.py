@@ -60,7 +60,7 @@ def metrics_from_parts(
         if tallies.requested[j] > 0
     }
     total_requests = len(log.all_requests)
-    total_serviced = len(log.serviced_ids)
+    total_serviced = len(log.assigned_driver)
     income_values = list(incomes.values())
     rate_values = list(rates.values())
     return MetricsReport(

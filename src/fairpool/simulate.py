@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
-from .city import CityGraph, travel_seconds
+from .city import CityGraph
 from .demand import RequestBatch, RequestLog
-from .fleet import DriverState, FleetState, advance_fleet
+from .fleet import PICKUP, DriverState, FleetState, advance_fleet
 from .matching import DelayConstraints, EpochResult, RouteMemo, run_epoch
 from .objectives import NeighborhoodTallies, ObjectiveSpec
 from .value import ValueModel, td_update
@@ -30,7 +30,6 @@ __all__ = [
 
 
 class SimResult(NamedTuple):
-    epochs: list[EpochResult]
     fleet: FleetState
     log: RequestLog
     tallies: NeighborhoodTallies
@@ -52,15 +51,15 @@ def run_simulation(
     """Play the day: match every batch, then drain the fleet.
 
     `on_epoch` sees each epoch's result right after it is committed, before
-    the fleet moves on; the loop itself keeps no per-epoch fleet records, so
-    a caller that wants them (such as `fleet.jsonl`) takes them there.
+    the fleet moves on; the loop itself keeps no per-epoch records, so a
+    caller that wants them (such as `epochs.jsonl` and `fleet.jsonl`) takes
+    them there.
     `route_memo` is handed to every epoch's route enumeration; pass one only
     when it is shared with other runs on the same graph, since a single run
     seldom repeats a driver state.
     """
     log = RequestLog()
     tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
-    epochs: list[EpochResult] = []
     for batch in batches:
         if batch.window_end > fleet.clock:
             advance_fleet(fleet, batch.window_end - fleet.clock)
@@ -77,14 +76,13 @@ def run_simulation(
         )
         if on_epoch is not None:
             on_epoch(result)
-        epochs.append(result)
     horizon = fleet.clock
     for driver in fleet.drivers:
         if driver.route:
             horizon = max(horizon, driver.route[-1].arrival)
     if horizon > fleet.clock:
         advance_fleet(fleet, horizon - fleet.clock)
-    return SimResult(epochs=epochs, fleet=fleet, log=log, tallies=tallies)
+    return SimResult(fleet=fleet, log=log, tallies=tallies)
 
 
 def train_value_model(
@@ -203,14 +201,14 @@ def audit_journal(
         if rid not in requests:
             violations.append(f"stop for unknown request {rid}")
             continue
-        if rid not in log.serviced_ids:
+        assigned = log.assigned_driver.get(rid)
+        if assigned is None:
             violations.append(f"request {rid} executed but never marked serviced")
-        if log.assigned_driver.get(rid) != driver_id:
+        if assigned != driver_id:
             violations.append(
-                f"request {rid} executed by driver {driver_id}, assigned to "
-                f"{log.assigned_driver.get(rid)}"
+                f"request {rid} executed by driver {driver_id}, assigned to {assigned}"
             )
-        if stop.kind == "pickup":
+        if stop.kind == PICKUP:
             if rid in pickups:
                 violations.append(f"request {rid} picked up twice")
             pickups[rid] = (driver_id, stop.arrival)
@@ -234,14 +232,14 @@ def audit_journal(
             dropoffs[rid] = (driver_id, stop.arrival)
             occupancy[driver_id] -= 1
             req = requests[rid]
-            direct = travel_seconds(graph, req.origin, req.destination)
+            direct = graph.travel_secs[req.origin][req.destination]
             detour = stop.arrival - (pickups[rid][1] + direct)
             if not detour < constraints.max_detour_delay:
                 violations.append(
                     f"request {rid} dropoff detour {detour:.1f}s breaches "
                     f"{constraints.max_detour_delay:.0f}s"
                 )
-    for rid in sorted(log.serviced_ids):
+    for rid in sorted(log.assigned_driver):
         if rid not in pickups:
             violations.append(f"serviced request {rid} never picked up")
         if rid not in dropoffs:

@@ -528,7 +528,7 @@ def exhaustive_episode_incomes(
             advance_fleet(state, batch.window_end - state.clock)
         for assignment in joint_assignments(state, batch):
             branch = copy.deepcopy(state)
-            apply_matching(branch, assignment, graph)
+            apply_matching(branch, assignment)
             step = tuple(
                 rid
                 for d in sorted(assignment)

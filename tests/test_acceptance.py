@@ -250,22 +250,25 @@ def test_criterion_07_service_guarantee_audit():
     batches = batch_requests(synth_demand(graph, 4.0, 200, 0.6, 3))
     fleet = init_fleet(graph, 5, 4, 3)
     constraints = DelayConstraints()
-    result = run_simulation(graph, batches, fleet, ObjectiveSpec("income", 0.0), constraints)
+    epochs = []
+    result = run_simulation(
+        graph, batches, fleet, ObjectiveSpec("income", 0.0), constraints, on_epoch=epochs.append
+    )
 
     violations = audit_journal(graph, result.fleet, result.log, constraints)
     assert violations == []
 
     driver_ids = {d.driver_id for d in result.fleet.drivers}
     seen_requests = set()
-    for epoch in result.epochs:
+    for epoch in epochs:
         assert set(epoch.assignments) == driver_ids  # one action per driver
         for action in epoch.assignments.values():
             for rid in action.request_ids:
                 assert rid not in seen_requests  # each request assigned once
                 seen_requests.add(rid)
-    assert seen_requests == result.log.serviced_ids
+    assert seen_requests == set(result.log.assigned_driver)
     print(
-        f"[criterion 07] PASS {len(result.epochs)}-epoch audit clean: "
+        f"[criterion 07] PASS {len(epochs)}-epoch audit clean: "
         f"{len(seen_requests)} requests serviced, zero violations"
     )
 
@@ -322,7 +325,7 @@ def income_variance_run(seed, kind, lam):
     result = run_simulation(graph, batches, fleet, ObjectiveSpec(kind, lam), DelayConstraints())
     incomes = np.array([d.income for d in result.fleet.drivers])
     requested = sum(len(b.requests) for b in batches)
-    return float(np.var(incomes)), len(result.log.serviced_ids), requested
+    return float(np.var(incomes)), len(result.log.assigned_driver), requested
 
 
 def test_criterion_09_income_spread_trend():
@@ -468,7 +471,7 @@ def test_criterion_13_learned_dispatch_beats_myopic():
 
     myopic = run_simulation(graph, batches, fleet(), spec, constraints)
     assert sum(d.income for d in myopic.fleet.drivers) == 13.0
-    assert sorted(myopic.log.serviced_ids) == [0]  # grabbed the fat fare
+    assert sorted(myopic.log.assigned_driver) == [0]  # grabbed the fat fare
 
     train_stream = []
     for j in range(3):
@@ -482,10 +485,13 @@ def test_criterion_13_learned_dispatch_beats_myopic():
     train_value_model(graph, [batch_requests(train_stream)] * 300, fleet, spec, trained, constraints)
     assert trained.estimate((2, 0, 0)) > trained.estimate((1, 0, 0)) == 0.0
 
-    run = run_simulation(graph, batches, fleet(), spec, constraints, value_model=trained)
+    epochs = []
+    run = run_simulation(
+        graph, batches, fleet(), spec, constraints, value_model=trained, on_epoch=epochs.append
+    )
     trail = tuple(
         tuple(sorted(r for a in ep.assignments.values() for r in a.request_ids))
-        for ep in run.epochs
+        for ep in epochs
     )
     assert trail == best_trails[0]
     assert sum(d.income for d in run.fleet.drivers) == best_income

@@ -19,7 +19,6 @@ from fairpool.city import (
     kmeans_neighborhoods,
     load_edges,
     load_locations,
-    travel_seconds,
     write_edges,
     write_locations,
 )
@@ -131,7 +130,7 @@ def test_fare_is_minutes_plus_delta():
     graph = helpers.line_city([3.0, 4.0], delta=5.0)
     assert fare(graph, 0, 2) == 12.0
     assert fare(graph, 2, 0) == 12.0
-    assert travel_seconds(graph, 0, 2) == 7.0 * 60.0
+    assert graph.travel_secs[0][2] == 7.0 * 60.0
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
@@ -166,14 +165,13 @@ def test_travel_seconds_rows_are_bit_identical_to_scalar_conversion(tmp_path):
             want = (float(graph.travel_minutes[i][j]) * 60.0).hex()
             assert type(graph.travel_secs[i][j]) is float
             assert graph.travel_secs[i][j].hex() == want
-            assert travel_seconds(graph, i, j).hex() == want
 
     batches = batch_requests(synth_demand(graph, 3.0, 12, 0.5, seed=4))
     constraints = DelayConstraints()
     result = run_simulation(
         graph, batches, init_fleet(graph, 3, 2, seed=4), ObjectiveSpec(name="income"), constraints
     )
-    assert result.log.serviced_ids
+    assert result.log.assigned_driver
     assert audit_journal(graph, result.fleet, result.log, constraints) == []
 
 

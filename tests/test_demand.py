@@ -187,6 +187,5 @@ def test_request_log_counts_by_neighborhood():
     log.add_batch(RequestBatch(epoch_index=0, requests=(req(0, 1.0), req(1, 2.0)), window_end=60.0))
     log.add_batch(RequestBatch(epoch_index=1, requests=(req(2, 61.0),), window_end=120.0))
     log.mark_serviced(1, driver_id=0)
-    assert log.serviced_ids == {1}
     assert log.assigned_driver == {1: 0}
     assert [r.request_id for r in log.all_requests] == [0, 1, 2]

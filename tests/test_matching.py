@@ -93,7 +93,6 @@ def test_new_work_cannot_break_existing_promises():
     apply_matching(
         fleet,
         {0: FeasibleAction.build(graph, (committed,), plan)},
-        graph,
     )
     advance_fleet(fleet, 60.0)  # clock 120, en route; pickup promised for t=240
 
@@ -902,7 +901,7 @@ def test_run_epoch_requests_objective_maximizes_serviced_count():
     log, tallies = fresh_epoch_inputs(graph)
     result = run_epoch(graph, fleet, batch, log, tallies, ObjectiveSpec(name="requests"), C)
     assert result.total_weight == 2.0
-    assert sorted(log.serviced_ids) == [0, 1]
+    assert sorted(log.assigned_driver) == [0, 1]
 
 
 def test_run_epoch_income_matches_myopic_brute_force():
@@ -954,7 +953,7 @@ def test_run_epoch_weight_includes_discounted_continuation():
     )
     # taking the ride scores fare + gamma * V(end at 1); recompute by hand
     assert result.total_weight == 6.0 + 0.5 * 10.0
-    assert sorted(log.serviced_ids) == [0]
+    assert sorted(log.assigned_driver) == [0]
 
 
 def test_run_epoch_counts_demand_before_matching():
@@ -967,4 +966,4 @@ def test_run_epoch_counts_demand_before_matching():
     )
     run_epoch(graph, fleet, batch, log, tallies, ObjectiveSpec(name="income"), C)
     assert tallies.requested[1] == 2
-    assert tallies.serviced[1] == len(log.serviced_ids)
+    assert tallies.serviced[1] == len(log.assigned_driver)

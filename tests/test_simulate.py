@@ -16,18 +16,19 @@ from fairpool.value import ValueModel
 C = DelayConstraints()
 
 
-def small_run(graph, seed=2, objective="income", num_drivers=4):
+def small_run(graph, seed=2, objective="income", num_drivers=4, on_epoch=None):
     stream = synth_demand(graph, rate_per_epoch=3.0, num_epochs=25, hotspot_skew=0.5, seed=seed)
     batches = batch_requests(stream)
     fleet = init_fleet(graph, num_drivers=num_drivers, capacity=4, seed=seed)
-    result = run_simulation(graph, batches, fleet, ObjectiveSpec(name=objective))
+    result = run_simulation(graph, batches, fleet, ObjectiveSpec(name=objective), on_epoch=on_epoch)
     return batches, result
 
 
 def test_epochs_are_matched_at_window_end(grid55):
-    batches, result = small_run(grid55)
-    assert [e.epoch_index for e in result.epochs] == [b.epoch_index for b in batches]
-    for epoch in result.epochs:
+    epochs = []
+    batches, _ = small_run(grid55, on_epoch=epochs.append)
+    assert [e.epoch_index for e in epochs] == [b.epoch_index for b in batches]
+    for epoch in epochs:
         assert epoch.clock == (epoch.epoch_index + 1) * 60.0
 
 
@@ -36,15 +37,16 @@ def test_batches_cut_at_30s_dispatch_at_their_window_end(grid55):
     batches = batch_requests(stream, 30.0)
     assert [b.window_end for b in batches] == [(b.epoch_index + 1) * 30.0 for b in batches]
     fleet = init_fleet(grid55, num_drivers=4, capacity=4, seed=2)
-    result = run_simulation(grid55, batches, fleet, ObjectiveSpec(name="income"))
-    assert [e.epoch_index for e in result.epochs] == list(range(25))
-    for epoch in result.epochs:
+    epochs = []
+    run_simulation(grid55, batches, fleet, ObjectiveSpec(name="income"), on_epoch=epochs.append)
+    assert [e.epoch_index for e in epochs] == list(range(25))
+    for epoch in epochs:
         assert epoch.clock == (epoch.epoch_index + 1) * 30.0
 
 
 def test_drain_leaves_no_open_work(grid55):
     _, result = small_run(grid55)
-    assert result.log.serviced_ids, "expected some service at this demand rate"
+    assert result.log.assigned_driver, "expected some service at this demand rate"
     for driver in result.fleet.drivers:
         assert driver.route == ()
         assert driver.onboard == {}
@@ -58,7 +60,7 @@ def test_serviced_requests_partition_into_driver_ledgers(grid55):
         for rid in driver.completed:
             assert rid not in completed_by, "request finished by two drivers"
             completed_by[rid] = driver.driver_id
-    assert set(completed_by) == result.log.serviced_ids
+    assert set(completed_by) == set(result.log.assigned_driver)
     for rid, driver_id in completed_by.items():
         assert result.log.assigned_driver[rid] == driver_id
 
@@ -69,7 +71,7 @@ def test_income_equals_fares_of_serviced_requests(grid55):
     fares = sum(
         fare(grid55, req.origin, req.destination)
         for req in result.log.all_requests
-        if req.request_id in result.log.serviced_ids
+        if req.request_id in result.log.assigned_driver
     )
     assert total == pytest.approx(fares, abs=1e-9)
     assert total > 0.0
@@ -92,15 +94,15 @@ def test_on_epoch_sees_each_epoch_once_committed(grid55):
             assert driver.income == pytest.approx(helpers.driver_income(grid55, driver), abs=1e-9)
         seen.append(epoch)
 
-    result = run_simulation(grid55, batches, fleet, ObjectiveSpec(name="income"), on_epoch=check)
-    assert seen == result.epochs
+    run_simulation(grid55, batches, fleet, ObjectiveSpec(name="income"), on_epoch=check)
+    assert [e.epoch_index for e in seen] == [b.epoch_index for b in batches]
     assert any(action.requests for epoch in seen for action in epoch.assignments.values())
 
 
 def test_tallies_match_log(grid55):
     _, result = small_run(grid55)
     assert sum(result.tallies.requested) == len(result.log.all_requests)
-    assert sum(result.tallies.serviced) == len(result.log.serviced_ids)
+    assert sum(result.tallies.serviced) == len(result.log.assigned_driver)
 
 
 def test_honest_run_passes_audit(grid55):
@@ -110,7 +112,7 @@ def test_honest_run_passes_audit(grid55):
 
 def test_audit_flags_tampered_journal(grid55):
     _, result = small_run(grid55)
-    rid = min(result.log.serviced_ids)
+    rid = min(result.log.assigned_driver)
     driver_id = result.log.assigned_driver[rid]
     req = next(r for r in result.log.all_requests if r.request_id == rid)
 
@@ -127,7 +129,7 @@ def test_audit_flags_tampered_journal(grid55):
 
 def test_audit_flags_broken_promises(grid55):
     _, result = small_run(grid55)
-    rid = min(result.log.serviced_ids)
+    rid = min(result.log.assigned_driver)
     driver_id = result.log.assigned_driver[rid]
     req = next(r for r in result.log.all_requests if r.request_id == rid)
     # rebuild the journal with this request picked up past its deadline
@@ -145,16 +147,18 @@ def test_zero_model_run_is_exactly_myopic(grid55):
     stream = synth_demand(grid55, rate_per_epoch=3.0, num_epochs=15, hotspot_skew=0.5, seed=4)
     batches = batch_requests(stream)
     spec = ObjectiveSpec(name="income")
+    plain_epochs, zeroed_epochs = [], []
     plain = run_simulation(
-        grid55, batches, init_fleet(grid55, 4, 4, seed=4), spec,
+        grid55, batches, init_fleet(grid55, 4, 4, seed=4), spec, on_epoch=plain_epochs.append,
     )
     zeroed = run_simulation(
         grid55, batches, init_fleet(grid55, 4, 4, seed=4), spec,
         value_model=ValueModel(),  # untrained: every state is worth 0
+        on_epoch=zeroed_epochs.append,
     )
-    assert plain.log.serviced_ids == zeroed.log.serviced_ids
+    assert plain.log.assigned_driver.keys() == zeroed.log.assigned_driver.keys()
     assert plain.incomes() == zeroed.incomes()
-    assert [e.total_weight for e in plain.epochs] == [e.total_weight for e in zeroed.epochs]
+    assert [e.total_weight for e in plain_epochs] == [e.total_weight for e in zeroed_epochs]
 
 
 def test_subset_fleet_resets_state(grid55):
