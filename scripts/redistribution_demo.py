@@ -53,7 +53,7 @@ def main() -> None:
     pi = [pi_by_driver[d] for d in driver_ids]
 
     oracle = ResimulationOracle(graph, batches, init_fleet(graph, args.drivers, args.capacity, args.seed), spec)
-    estimate = shapley_exact(oracle, driver_ids)
+    estimate = shapley_exact(oracle)
     v = list(estimate.values)
 
     print(f"{'driver':>6} {'earned pi':>10} {'shapley v':>10}")

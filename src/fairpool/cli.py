@@ -390,11 +390,10 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     table_path = os.path.join(run_dir, "value_table.txt")
     model = load_value_model(table_path) if os.path.exists(table_path) else None
     oracle = ResimulationOracle(graph, batches, template, spec, constraints, value_model=model)
-    driver_ids = [d.driver_id for d in template.drivers]
     seed = config.seed if args.seed is None else args.seed
-    estimate = _run_shapley(oracle, driver_ids, args, seed=seed)
-    incomes = oracle.incomes(frozenset(driver_ids))
-    pi = [incomes.get(d, 0.0) for d in driver_ids]
+    estimate = _run_shapley(oracle, args, seed=seed)
+    incomes = oracle.incomes((1 << len(oracle.driver_ids)) - 1)
+    pi = [incomes.get(d, 0.0) for d in oracle.driver_ids]
     counters = [
         f"coalitions = {oracle.coalitions}",
         f"route_memo_entries = {len(oracle.route_memo.entries)}",
@@ -403,32 +402,35 @@ def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     return estimate, pi, counters
 
 
-def _run_shapley(oracle, driver_ids, args: argparse.Namespace, seed: int) -> ShapleyEstimate:
+def _run_shapley(oracle, args: argparse.Namespace, seed: int) -> ShapleyEstimate:
+    n = len(oracle.driver_ids)
     method = args.method
     if method == "auto":
-        method = "exact" if len(driver_ids) <= EXACT_SHAPLEY_CAP else "monte_carlo"
+        method = "exact" if n <= EXACT_SHAPLEY_CAP else "monte_carlo"
     if method == "exact":
-        if len(driver_ids) > EXACT_SHAPLEY_CAP:
+        if n > EXACT_SHAPLEY_CAP:
             raise ConfigError(
                 f"--method exact takes at most {EXACT_SHAPLEY_CAP} drivers, got "
-                f"{len(driver_ids)}; use --method monte_carlo"
+                f"{n}; use --method monte_carlo"
             )
-        return shapley_exact(oracle, driver_ids)
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    return shapley_mc(oracle, driver_ids, args.samples, seed)
+        return shapley_exact(oracle)
+    return shapley_mc(oracle, args.samples, seed)
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
+    if args.samples < 1:  # whatever the method and source
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     counters: list[str] = []
     if os.path.isdir(args.source):
+        if args.pi:
+            raise ConfigError("--pi is for table input only; a run directory has its own incomes")
         estimate, pi, counters = _shapley_from_run_dir(args.source, args)
     else:
-        oracle, n = load_coalition_table(args.source)
-        driver_ids = list(range(n))
-        estimate = _run_shapley(oracle, driver_ids, args, seed=args.seed or 0)
+        oracle = load_coalition_table(args.source)
+        driver_ids = oracle.driver_ids
+        estimate = _run_shapley(oracle, args, seed=args.seed or 0)
         if args.pi:
-            by_driver = dict(_read_driver_rows(args.pi, ("pi",), range(n)))
+            by_driver = dict(_read_driver_rows(args.pi, ("pi",), driver_ids))
             missing = [d for d in driver_ids if d not in by_driver]
             if missing:
                 raise ValueError(f"{args.pi}: missing incomes for drivers {missing}")

@@ -1,9 +1,11 @@
 """Shapley income attribution and risk-parameterized redistribution.
 
 A coalition oracle answers "what would this subset of drivers have earned
-on the same demand"; Shapley values split the full fleet's income by average
-marginal contribution (exactly for small fleets, by permutation sampling
-otherwise). The payout step then blends each driver's own number with a
+on the same demand", the subset given as a bitmask over the oracle's drivers
+(bit i is `oracle.driver_ids[i]`), the shape of a `coalition_bitmask,value`
+file. Shapley values split the full fleet's income by average marginal
+contribution (exactly for small fleets, by permutation sampling otherwise).
+The payout step then blends each driver's own number with a
 deficit-weighted share of a common pool, controlled by a risk knob r: at the
 extremes the payout pins to one of the two vectors, in between low earners
 with high attributed value are topped up.
@@ -12,7 +14,7 @@ with high attributed value are topped up.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Sequence
 
 from .city import CityGraph
 from .csvio import read_rows
@@ -30,7 +32,6 @@ EXACT_SHAPLEY_CAP = 12
 __all__ = [
     "PAYOUT_MODES",
     "EXACT_SHAPLEY_CAP",
-    "CoalitionOracle",
     "TableOracle",
     "ResimulationOracle",
     "ShapleyEstimate",
@@ -45,42 +46,41 @@ __all__ = [
 ]
 
 
-class CoalitionOracle(Protocol):
-    def value(self, coalition: frozenset[int]) -> float:
-        """Total income the coalition would earn operating alone."""
-        ...
-
-
 class TableOracle:
-    """Explicit coalition-value map, mainly for tests and CSV input."""
+    """Explicit coalition values keyed by bitmask, bit i standing for
+    driver_ids[i]; mainly for tests and CSV input."""
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "driver_ids")
 
-    def __init__(self, values: dict[frozenset[int], float]) -> None:
+    def __init__(self, values: dict[int, float], driver_ids: Sequence[int]) -> None:
         self.values = values
+        self.driver_ids = driver_ids
 
-    def __eq__(self, other: object) -> bool:
-        return self.values == other.values if type(other) is TableOracle else NotImplemented
-
-    def value(self, coalition: frozenset[int]) -> float:
-        if not coalition:
-            return self.values.get(frozenset(), 0.0)
+    def value(self, mask: int) -> float:
         try:
-            return self.values[coalition]
+            return self.values[mask]
         except KeyError:
-            raise ValueError(f"coalition {sorted(coalition)} missing from table") from None
+            if not mask:
+                return 0.0
+            members = sorted(d for i, d in enumerate(self.driver_ids) if mask >> i & 1)
+            raise ValueError(f"coalition {members} missing from table") from None
 
 
 class ResimulationOracle:
-    """Reruns the matching simulation restricted to a coalition.
+    """Reruns the matching simulation restricted to a coalition, given as a
+    bitmask over the template's drivers.
 
     Demand, seeds, and every driver's start position are identical across
-    calls, so coalition values are well-defined; results are memoized because
-    permutation prefixes repeat heavily. All resimulations share one route
-    memo: a driver in the same state meets the same batch in many coalitions.
+    calls, so coalition values are well-defined; incomes and values are
+    memoized because permutation prefixes repeat heavily. All resimulations
+    share one route memo: a driver in the same state meets the same batch in
+    many coalitions.
     """
 
-    __slots__ = ("graph", "batches", "template", "spec", "constraints", "value_model", "_memo", "route_memo")
+    __slots__ = (
+        "graph", "batches", "template", "spec", "constraints", "value_model", "driver_ids",
+        "_incomes", "_values", "route_memo",
+    )
 
     def __init__(
         self,
@@ -97,33 +97,37 @@ class ResimulationOracle:
         self.spec = spec
         self.constraints = constraints
         self.value_model = value_model
-        self._memo: dict[frozenset[int], dict[int, float]] = {}
+        self.driver_ids = tuple(d.driver_id for d in template.drivers)
+        self._incomes: dict[int, dict[int, float]] = {0: {}}
+        self._values: dict[int, float] = {}
         self.route_memo = RouteMemo()
 
-    def incomes(self, coalition: frozenset[int]) -> dict[int, float]:
-        if coalition not in self._memo:
-            if not coalition:
-                self._memo[coalition] = {}
-            else:
-                self._memo[coalition] = coalition_incomes(
-                    self.graph,
-                    self.batches,
-                    self.template,
-                    coalition,
-                    self.spec,
-                    self.constraints,
-                    value_model=self.value_model,
-                    route_memo=self.route_memo,
-                )
-        return self._memo[coalition]
+    def incomes(self, mask: int) -> dict[int, float]:
+        incomes = self._incomes.get(mask)
+        if incomes is None:
+            incomes = self._incomes[mask] = coalition_incomes(
+                self.graph,
+                self.batches,
+                self.template,
+                mask,
+                self.spec,
+                self.constraints,
+                value_model=self.value_model,
+                route_memo=self.route_memo,
+            )
+        return incomes
 
     @property
     def coalitions(self) -> int:
         """Distinct non-empty coalitions resimulated so far."""
-        return sum(1 for coalition in self._memo if coalition)
+        return len(self._incomes) - 1
 
-    def value(self, coalition: frozenset[int]) -> float:
-        return left_sum(self.incomes(coalition).values())
+    def value(self, mask: int) -> float:
+        try:
+            return self._values[mask]
+        except KeyError:
+            value = self._values[mask] = left_sum(self.incomes(mask).values())
+            return value
 
 
 class ShapleyEstimate(NamedTuple):
@@ -136,14 +140,11 @@ class ShapleyEstimate(NamedTuple):
     # single permutation
     std_errors: tuple[float, ...] = ()
 
-    def by_driver(self) -> dict[int, float]:
-        return dict(zip(self.driver_ids, self.values))
 
-
-def shapley_exact(oracle: CoalitionOracle, driver_ids: Sequence[int]) -> ShapleyEstimate:
-    """Exact Shapley values by full coalition enumeration (2^n evaluations),
-    for at most EXACT_SHAPLEY_CAP drivers."""
-    ids = tuple(driver_ids)
+def shapley_exact(oracle: TableOracle | ResimulationOracle) -> ShapleyEstimate:
+    """Exact Shapley values of the oracle's drivers by full coalition
+    enumeration (2^n evaluations), for at most EXACT_SHAPLEY_CAP drivers."""
+    ids = tuple(oracle.driver_ids)
     n = len(ids)
     if n == 0:
         raise ValueError("need at least one driver")
@@ -151,8 +152,7 @@ def shapley_exact(oracle: CoalitionOracle, driver_ids: Sequence[int]) -> Shapley
         raise ValueError(
             f"{n} drivers need 2^{n} coalition evaluations; use shapley_mc instead"
         )
-    coalition_of = [frozenset(ids[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-    vals = [oracle.value(c) for c in coalition_of]
+    vals = [oracle.value(mask) for mask in range(1 << n)]
     fact = [math.factorial(k) for k in range(n + 1)]
     # integer weights, one division at the end: on integer-valued tables the
     # accumulation is exact, so small examples come out correctly rounded
@@ -171,41 +171,34 @@ def shapley_exact(oracle: CoalitionOracle, driver_ids: Sequence[int]) -> Shapley
 
 
 def shapley_mc(
-    oracle: CoalitionOracle,
-    driver_ids: Sequence[int],
-    num_permutations: int,
-    seed: int,
+    oracle: TableOracle | ResimulationOracle, num_permutations: int, seed: int
 ) -> ShapleyEstimate:
-    """Shapley values by uniform permutation sampling.
+    """Shapley values of the oracle's drivers by uniform permutation sampling.
 
     Each permutation adds drivers one at a time and credits each with its
-    marginal contribution to the prefix; coalition values are memoized, so a
-    permutation costs at most n oracle calls and repeats cost none.
+    marginal contribution to the prefix; a permutation costs n oracle calls,
+    and the resimulation oracle memoizes the values, so repeats cost no
+    resimulation.
 
     Alongside the sums that make the values, each driver's marginal
     contributions feed a running (Welford) variance; the standard error of a
     value is the sample standard deviation over sqrt(num_permutations).
     """
-    ids = tuple(driver_ids)
+    ids = tuple(oracle.driver_ids)
     n = len(ids)
     if n == 0:
         raise ValueError("need at least one driver")
     if num_permutations < 1:
         raise ValueError("need at least one permutation")
     rng = substream(seed, "mc-shapley")
-    memo: dict[int, float] = {}
-
-    def val(mask: int) -> float:
-        if mask not in memo:
-            memo[mask] = oracle.value(frozenset(ids[i] for i in range(n) if mask >> i & 1))
-        return memo[mask]
-
+    val = oracle.value
+    empty = val(0)
     acc = [0.0] * n
     mean = [0.0] * n
     sq_dev = [0.0] * n  # sum of squared deviations from the running mean
     for k in range(1, num_permutations + 1):
         mask = 0
-        prev = val(0)
+        prev = empty
         for i in rng.permutation(n):
             mask |= 1 << i
             cur = val(mask)
@@ -303,21 +296,19 @@ def minimum_wage_bound(v_i: float, r: float) -> float:
     return min(r * v_i, (1.0 - r) * v_i)
 
 
-def load_coalition_table(path: str) -> tuple[TableOracle, int]:
-    """Read a `coalition_bitmask,value` CSV; returns the oracle and the driver
-    count inferred from the widest bitmask. Driver ids are bit positions."""
-    values: dict[frozenset[int], float] = {}
-    n = 0
+def load_coalition_table(path: str) -> TableOracle:
+    """Read a `coalition_bitmask,value` CSV into an oracle over drivers
+    0..n-1, n the width of the widest bitmask: driver ids are bit positions."""
+    values: dict[int, float] = {}
     for line, (mask, val) in read_rows(path, (("coalition_bitmask", int), ("value", float))):
         if mask < 0:
             raise ValueError(f"{path}:{line}: bitmask must be nonnegative")
-        coalition = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-        if coalition in values:
+        if mask in values:
             raise ValueError(f"{path}:{line}: duplicate coalition {mask}")
-        if not coalition and val != 0.0:
+        if not mask and val != 0.0:
             raise ValueError(f"{path}:{line}: the empty coalition must have value 0")
-        values[coalition] = val
-        n = max(n, mask.bit_length())
+        values[mask] = val
+    n = max(values, default=0).bit_length()
     if n == 0:
         raise ValueError(f"{path}: no coalitions found")
-    return TableOracle(values), n
+    return TableOracle(values, range(n))

@@ -23,7 +23,6 @@ __all__ = [
     "SimResult",
     "run_simulation",
     "train_value_model",
-    "subset_fleet",
     "coalition_incomes",
     "audit_journal",
 ]
@@ -130,29 +129,11 @@ def train_value_model(
     return errors
 
 
-def subset_fleet(template: FleetState, driver_ids: Iterable[int]) -> FleetState:
-    """Fresh fleet containing only the given drivers, at their seeded start
-    positions. Used to rerun a scenario with a coalition of the drivers."""
-    wanted = set(driver_ids)
-    by_id = {d.driver_id: d for d in template.drivers}
-    missing = wanted - set(by_id)
-    if missing:
-        raise ValueError(f"unknown driver ids {sorted(missing)}")
-    drivers = [
-        DriverState(driver_id=d.driver_id, capacity=d.capacity, loc=d.loc)
-        for d in template.drivers
-        if d.driver_id in wanted
-    ]
-    if not drivers:
-        raise ValueError("coalition must contain at least one driver")
-    return FleetState(drivers=drivers, clock=0.0)
-
-
 def coalition_incomes(
     graph: CityGraph,
     batches: list[RequestBatch],
     template: FleetState,
-    driver_ids: Iterable[int],
+    mask: int,
     spec: ObjectiveSpec,
     constraints: DelayConstraints = DelayConstraints(),
     value_model: ValueModel | None = None,
@@ -160,10 +141,21 @@ def coalition_incomes(
 ) -> dict[int, float]:
     """Incomes each coalition member earns when only the coalition operates.
 
-    Coalitions of one scenario replay the same demand, so a `route_memo`
-    shared across calls skips the route searches they have in common.
+    The coalition is a bitmask, bit i standing for `template.drivers[i]`;
+    each member starts afresh from its seeded start position. Coalitions of
+    one scenario replay the same demand, so a `route_memo` shared across
+    calls skips the route searches they have in common.
     """
-    fleet = subset_fleet(template, driver_ids)
+    drivers = template.drivers
+    if not mask:
+        raise ValueError("coalition must contain at least one driver")
+    if mask >> len(drivers):
+        raise ValueError(f"coalition bitmask {mask} names drivers past the fleet's {len(drivers)}")
+    fleet = FleetState([
+        DriverState(driver_id=d.driver_id, capacity=d.capacity, loc=d.loc)
+        for i, d in enumerate(drivers)
+        if mask >> i & 1
+    ])
     result = run_simulation(
         graph,
         batches,

@@ -540,17 +540,18 @@ def exhaustive_episode_incomes(
     return outcomes
 
 
-def random_game(rng: np.random.Generator, n: int) -> dict[frozenset[int], float]:
-    """Random superadditive-leaning coalition table over drivers 0..n-1."""
+def random_game(rng: np.random.Generator, n: int) -> dict[int, float]:
+    """Random superadditive-leaning coalition table over drivers 0..n-1,
+    keyed by bitmask as a `coalition_bitmask,value` file is."""
     base = rng.uniform(1.0, 10.0, size=n)
     synergy = rng.uniform(0.0, 2.0, size=(n, n))
-    table: dict[frozenset[int], float] = {frozenset(): 0.0}
+    table: dict[int, float] = {0: 0.0}
     for mask in range(1, 1 << n):
         members = [i for i in range(n) if mask >> i & 1]
         value = float(sum(base[i] for i in members))
         for a, b in itertools.combinations(members, 2):
             value += float(synergy[a, b])
-        table[frozenset(members)] = value
+        table[mask] = value
     return table
 
 

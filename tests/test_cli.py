@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import helpers
@@ -298,13 +299,33 @@ def test_redistribute_rejects_risk_outside_unit_interval_as_config_error(tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["table", "run"])
+@pytest.mark.parametrize("method", ["monte_carlo", "exact", "auto"])
 @pytest.mark.parametrize("samples", ["0", "-1"])
-def test_shapley_rejects_non_positive_samples_as_config_error(tmp_path, capsys, samples):
-    table = helpers.write_additive_table(tmp_path / "table.csv", 3)
+def test_shapley_rejects_non_positive_samples_as_config_error(
+    tmp_path, capsys, samples, method, source
+):
+    if source == "table":
+        src = helpers.write_additive_table(tmp_path / "table.csv", 3)
+    else:
+        src = str(tmp_path / "run")
+        cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+        assert main(["simulate", "--config", cfg, "--out", src]) == 0
     out = tmp_path / "o"
-    argv = ["shapley", table, "--out", str(out), "--method", "monte_carlo", "--samples", samples]
+    argv = ["shapley", src, "--out", str(out), "--method", method, "--samples", samples]
     assert main(argv) == 2
     assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_rejects_pi_with_a_run_directory_as_config_error(tmp_path, capsys):
+    run_dir = str(tmp_path / "run")
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    assert main(["simulate", "--config", cfg, "--out", run_dir]) == 0
+    out = tmp_path / "o"
+    assert main(["shapley", run_dir, "--out", str(out), "--pi", str(tmp_path / "pi.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--pi" in err and "table input only" in err
     assert not out.exists()
 
 
@@ -1234,6 +1255,44 @@ CSV_CITY_DIGESTS = {
     "run/shapley_meta.txt": "3f85e1c7ff1ac61b544ad25b9d1311144cab9b67a36bf64c2d43c02d66c8bfc6",
     "run/stops.csv": "43ca6feac895c5547bae74e28039a1d5c9639286a4615bf2661c8246247b35e2",
 }
+
+
+# sha256 of every artifact of the table-input paths, which no run directory
+# reaches: exact Shapley on a coalition_bitmask,value file, Monte Carlo
+# Shapley on it with --pi incomes, and a payout read from the driver_id,pi,v
+# file the latter wrote. The two inputs are pinned too, so a change in the
+# generated table shows as such.
+TABLE_DIGESTS = {
+    "pi.csv": "b0ffc7993df36f0b21870a0a9a29efdfd57b564a2e157bb545b6979f4f83b1ca",
+    "table.csv": "0e45d3b49d6aba671922d9135cf053ea2735c5809f5ef8dcd7e0baa3325f374c",
+    "exact/shapley.csv": "9450110655d14d7846bfaf1e1f515dcb55efbe571867912b8136c3136f49413f",
+    "exact/shapley_meta.txt": "8fbe834dba03e34041b780ee49e0065fa1aef4b2c81711769a6d9ed51b4da2fb",
+    "mc/shapley.csv": "93f0b708e00a103aae96512293ac58415aae33d9c0c6fb59efe44a1f49f04f7d",
+    "mc/shapley_meta.txt": "c8c5de2cbdd81ac68e2c0b1ad9f4fa1d239f503006b3e89e62626c6e1c8b7603",
+    "payout/redistribution.csv": "c3f0ad345c0b5a99c719d64ecae47116b3405fd7d46dda9765ee62004efab4b8",
+    "payout/redistribution_summary.csv": "a5a0aad6da1bf9f4464fbe01caedd8b5443005e2618891ed21370a55dd91eb77",
+}
+
+
+def test_table_input_artifacts_match_pinned_digests(tmp_path):
+    table = tmp_path / "table.csv"
+    with open(table, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["coalition_bitmask", "value"])
+        for mask, value in helpers.random_game(np.random.default_rng(5), 4).items():
+            writer.writerow([mask, repr(value)])
+    pi_csv = tmp_path / "pi.csv"
+    pi_csv.write_text("driver_id,pi\n0,12.5\n1,0.75\n2,20.0\n3,9.125\n")
+    for argv in (
+        ["shapley", str(table), "--out", str(tmp_path / "exact")],
+        [
+            "shapley", str(table), "--out", str(tmp_path / "mc"), "--method", "monte_carlo",
+            "--samples", "300", "--seed", "8", "--pi", str(pi_csv),
+        ],
+        ["redistribute", str(tmp_path / "mc" / "shapley.csv"), "--out", str(tmp_path / "payout")],
+    ):
+        assert main(argv) == 0, argv
+    assert dir_digests(tmp_path) == TABLE_DIGESTS
 
 
 def test_csv_city_requests_pipeline_artifacts_match_pinned_digests(tmp_path):

@@ -20,6 +20,13 @@ from fairpool.redistribution import load_coalition_table
 
 GRID = gen_grid_city(5, 5, 1.0, 5.0, 2, 0)
 
+
+def read_coalitions(path):
+    """A loaded table as (values, driver_ids), which compare by value."""
+    oracle = load_coalition_table(path)
+    return oracle.values, oracle.driver_ids
+
+
 # reader, header, one valid row, float columns
 READERS = {
     "locations": (load_locations, "id,lat,lon", "0,0.0,0.0", ("lat", "lon")),
@@ -30,7 +37,7 @@ READERS = {
         "0.0,0.0,4.0,4.0,5.0",
         ("pickup_lat", "pickup_lon", "dropoff_lat", "dropoff_lon", "epoch_seconds"),
     ),
-    "coalitions": (load_coalition_table, "coalition_bitmask,value", "1,1.0", ("value",)),
+    "coalitions": (read_coalitions, "coalition_bitmask,value", "1,1.0", ("value",)),
     "pi": (lambda path: _read_driver_rows(path, ("pi",)), "driver_id,pi", "0,1.0", ("pi",)),
     "shapley": (
         lambda path: _read_driver_rows(path, ("pi", "v")), "driver_id,pi,v", "0,1.0,1.0", ("pi", "v")

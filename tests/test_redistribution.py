@@ -1,6 +1,5 @@
 """Shapley attribution and the risk-blended payout scheme."""
 
-import itertools
 import math
 
 import numpy as np
@@ -29,31 +28,32 @@ from fairpool.redistribution import (
 from fairpool.simulate import coalition_incomes
 
 # worked three-driver pooling economy: drivers 1 and 2 are interchangeable,
-# driver 3 brings less and adds nothing once both of the others are present
+# driver 3 brings less and adds nothing once both of the others are present;
+# bits 0, 1 and 2 stand for drivers 1, 2 and 3
 WORKED_TABLE = {
-    frozenset(): 0.0,
-    frozenset({1}): 10.0,
-    frozenset({2}): 10.0,
-    frozenset({3}): 5.0,
-    frozenset({1, 2}): 15.0,
-    frozenset({1, 3}): 15.0,
-    frozenset({2, 3}): 15.0,
-    frozenset({1, 2, 3}): 15.0,
+    0b000: 0.0,
+    0b001: 10.0,  # {1}
+    0b010: 10.0,  # {2}
+    0b100: 5.0,  # {3}
+    0b011: 15.0,  # {1, 2}
+    0b101: 15.0,  # {1, 3}
+    0b110: 15.0,  # {2, 3}
+    0b111: 15.0,  # {1, 2, 3}
 }
 
 
 def test_worked_example_values_are_exact():
-    estimate = shapley_exact(TableOracle(WORKED_TABLE), (1, 2, 3))
+    estimate = shapley_exact(TableOracle(WORKED_TABLE, (1, 2, 3)))
     assert estimate.values == (float(35.0 / 6.0), float(35.0 / 6.0), float(10.0 / 3.0))
     assert sum(estimate.values) == 15.0
     assert estimate.method == "exact"
 
 
 def test_single_driver_gets_its_own_value():
-    oracle = TableOracle({frozenset(): 0.0, frozenset({4}): 12.5})
-    estimate = shapley_exact(oracle, (4,))
+    oracle = TableOracle({0: 0.0, 0b1: 12.5}, (4,))  # bit 0 is driver 4
+    estimate = shapley_exact(oracle)
     assert estimate.values == (12.5,)
-    assert estimate.by_driver() == {4: 12.5}
+    assert dict(zip(estimate.driver_ids, estimate.values)) == {4: 12.5}
 
 
 def test_symmetric_drivers_get_equal_values():
@@ -70,24 +70,23 @@ def test_symmetric_drivers_get_equal_values():
         for mask in range(8):
             size_01 = (mask & 1 > 0) + (mask & 2 > 0)
             has_2 = mask & 4 > 0
-            members = frozenset(i for i in range(3) if mask >> i & 1)
-            table[members] = profile_value[(size_01, has_2)]
-        estimate = shapley_exact(TableOracle(table), (0, 1, 2))
+            table[mask] = profile_value[(size_01, has_2)]
+        estimate = shapley_exact(TableOracle(table, (0, 1, 2)))
         assert estimate.values[0] == estimate.values[1]
 
 
 def test_dummy_driver_gets_zero():
-    # driver 9 never changes any coalition's value
+    # driver 9 never changes any coalition's value; bits 0, 1 and 2 stand
+    # for drivers 1, 2 and 9
     table = {}
     for mask in range(4):
-        members = frozenset(i for i in (1, 2) if mask >> (i - 1) & 1)
-        value = 7.0 * len(members)
-        table[members] = value
-        table[members | {9}] = value
-    table[frozenset()] = 0.0
-    table[frozenset({9})] = 0.0
-    estimate = shapley_exact(TableOracle(table), (1, 2, 9))
-    assert estimate.by_driver()[9] == 0.0
+        value = 7.0 * bin(mask).count("1")
+        table[mask] = value
+        table[mask | 0b100] = value
+    table[0b000] = 0.0
+    table[0b100] = 0.0
+    estimate = shapley_exact(TableOracle(table, (1, 2, 9)))
+    assert dict(zip(estimate.driver_ids, estimate.values))[9] == 0.0
 
 
 def test_efficiency_on_random_tables():
@@ -95,39 +94,39 @@ def test_efficiency_on_random_tables():
     for _ in range(10):
         n = int(rng.integers(2, 7))
         table = helpers.random_game(rng, n)
-        estimate = shapley_exact(TableOracle(table), tuple(range(n)))
+        estimate = shapley_exact(TableOracle(table, range(n)))
         assert sum(estimate.values) == pytest.approx(
-            table[frozenset(range(n))], abs=1e-9
+            table[(1 << n) - 1], abs=1e-9
         )
 
 
 def test_exact_cap_directs_to_sampling():
     ids = tuple(range(EXACT_SHAPLEY_CAP + 1))
     with pytest.raises(ValueError, match="shapley_mc"):
-        shapley_exact(TableOracle({}), ids)
+        shapley_exact(TableOracle({}, ids))
 
 
 def test_mc_single_driver_is_exact_for_any_sample_count():
-    oracle = TableOracle({frozenset(): 0.0, frozenset({0}): 9.0})
+    oracle = TableOracle({0: 0.0, 0b1: 9.0}, (0,))
     for samples in (1, 7):
-        estimate = shapley_mc(oracle, (0,), samples, seed=123)
+        estimate = shapley_mc(oracle, samples, seed=123)
         assert estimate.values == (9.0,)
         assert estimate.samples == samples
 
 
 def test_mc_deterministic_per_seed():
-    oracle = TableOracle(WORKED_TABLE)
-    a = shapley_mc(oracle, (1, 2, 3), 500, seed=5)
-    b = shapley_mc(oracle, (1, 2, 3), 500, seed=5)
-    c = shapley_mc(oracle, (1, 2, 3), 500, seed=6)
+    oracle = TableOracle(WORKED_TABLE, (1, 2, 3))
+    a = shapley_mc(oracle, 500, seed=5)
+    b = shapley_mc(oracle, 500, seed=5)
+    c = shapley_mc(oracle, 500, seed=6)
     assert a.values == b.values
     assert a.values != c.values
 
 
 def test_mc_approaches_exact_on_worked_example():
-    oracle = TableOracle(WORKED_TABLE)
-    estimate = shapley_mc(oracle, (1, 2, 3), 2000, seed=11)
-    exact = shapley_exact(oracle, (1, 2, 3))
+    oracle = TableOracle(WORKED_TABLE, (1, 2, 3))
+    estimate = shapley_mc(oracle, 2000, seed=11)
+    exact = shapley_exact(oracle)
     for got, want in zip(estimate.values, exact.values):
         assert got == pytest.approx(want, abs=1.0)
     # every permutation's marginals telescope, so efficiency holds exactly
@@ -137,33 +136,29 @@ def test_mc_approaches_exact_on_worked_example():
 
 def test_mc_standard_error_is_zero_on_an_additive_game():
     # every marginal contribution is the driver's own integer value, so the
-    # Welford sums see one repeated number and stay exactly zero
+    # Welford sums see one repeated number and stay exactly zero; bit d is
+    # driver d
     base = {0: 3.0, 1: 7.0, 2: 11.0, 3: 2.0}
-    table = {
-        frozenset(c): sum(base[d] for d in c)
-        for size in range(5)
-        for c in itertools.combinations(base, size)
-    }
-    estimate = shapley_mc(TableOracle(table), tuple(base), 300, seed=4)
+    table = {mask: sum(base[d] for d in base if mask >> d & 1) for mask in range(1 << len(base))}
+    estimate = shapley_mc(TableOracle(table, tuple(base)), 300, seed=4)
     assert estimate.values == tuple(base.values())
     assert estimate.std_errors == (0.0, 0.0, 0.0, 0.0)
-    assert shapley_exact(TableOracle(table), tuple(base)).std_errors == ()
+    assert shapley_exact(TableOracle(table, tuple(base))).std_errors == ()
 
 
 def test_mc_standard_error_falls_with_the_square_root_of_samples():
     rng = np.random.default_rng(11)  # the first game of criterion 02
     n = int(rng.integers(5, 9))
-    oracle = TableOracle(helpers.random_game(rng, n))
-    ids = tuple(range(n))
-    exact = shapley_exact(oracle, ids)
-    coarse = shapley_mc(oracle, ids, 200, seed=0)
-    fine = shapley_mc(oracle, ids, 3200, seed=0)
+    oracle = TableOracle(helpers.random_game(rng, n), range(n))
+    exact = shapley_exact(oracle)
+    coarse = shapley_mc(oracle, 200, seed=0)
+    fine = shapley_mc(oracle, 3200, seed=0)
     # 16x the permutations: about a quarter of the standard error
     for a, b in zip(coarse.std_errors, fine.std_errors):
         assert 3.0 < a / b < 5.5
     for value, want, err in zip(fine.values, exact.values, fine.std_errors):
         assert abs(value - want) < 4.0 * err
-    single = shapley_mc(oracle, ids, 1, seed=0)
+    single = shapley_mc(oracle, 1, seed=0)
     assert all(math.isnan(err) for err in single.std_errors)
 
 
@@ -297,9 +292,9 @@ def test_load_coalition_table_round_trip(tmp_path):
         "coalition_bitmask,value\n"
         "0,0.0\n1,10.0\n2,10.0\n4,5.0\n3,15.0\n5,15.0\n6,15.0\n7,15.0\n"
     )
-    oracle, n = load_coalition_table(path)
-    assert n == 3
-    estimate = shapley_exact(oracle, tuple(range(n)))
+    oracle = load_coalition_table(path)
+    assert oracle.driver_ids == range(3)
+    estimate = shapley_exact(oracle)
     assert sum(estimate.values) == 15.0
 
 
@@ -333,9 +328,9 @@ def test_load_coalition_table_errors(tmp_path):
 def test_table_oracle_missing_coalition(tmp_path):
     path = tmp_path / "game.csv"
     path.write_text("coalition_bitmask,value\n1,1.0\n2,1.0\n")
-    oracle, n = load_coalition_table(path)
+    oracle = load_coalition_table(path)
     with pytest.raises(ValueError, match="missing from table"):
-        shapley_exact(oracle, tuple(range(n)))
+        shapley_exact(oracle)
 
 
 def test_shared_route_memo_oracle_matches_fresh_resimulations(grid55):
@@ -358,18 +353,17 @@ def test_shared_route_memo_oracle_matches_fresh_resimulations(grid55):
         return ResimulationOracle(grid55, batches, template, spec, constraints, value_model=model)
 
     shared = oracle()
-    fresh_values = {frozenset(): 0.0}
+    fresh_values = {0: 0.0}
     for mask in range(1, 1 << len(ids)):
-        coalition = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        fresh = coalition_incomes(grid55, batches, template, coalition, spec, constraints, model)
-        got = shared.incomes(coalition)
+        fresh = coalition_incomes(grid55, batches, template, mask, spec, constraints, model)
+        got = shared.incomes(mask)
         assert {d: x.hex() for d, x in got.items()} == {d: x.hex() for d, x in fresh.items()}
-        fresh_values[coalition] = sum(fresh.values())
+        fresh_values[mask] = sum(fresh.values())
     assert shared.coalitions == 15
     assert shared.route_memo.hits > 0
 
     # Monte Carlo visits coalitions in permutation order, so the memo fills
     # in a different order than above; the estimate must not notice
-    mc_shared = shapley_mc(oracle(), ids, 200, seed=5)
-    mc_table = shapley_mc(TableOracle(fresh_values), ids, 200, seed=5)
+    mc_shared = shapley_mc(oracle(), 200, seed=5)
+    mc_table = shapley_mc(TableOracle(fresh_values, ids), 200, seed=5)
     assert [v.hex() for v in mc_shared.values] == [v.hex() for v in mc_table.values]

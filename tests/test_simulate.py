@@ -10,7 +10,7 @@ from fairpool.demand import batch_requests, synth_demand
 from fairpool.fleet import Stop, init_fleet
 from fairpool.matching import DelayConstraints
 from fairpool.objectives import ObjectiveSpec
-from fairpool.simulate import audit_journal, coalition_incomes, run_simulation, subset_fleet
+from fairpool.simulate import audit_journal, coalition_incomes, run_simulation
 from fairpool.value import ValueModel
 
 C = DelayConstraints()
@@ -161,17 +161,20 @@ def test_zero_model_run_is_exactly_myopic(grid55):
     assert [e.total_weight for e in plain_epochs] == [e.total_weight for e in zeroed_epochs]
 
 
-def test_subset_fleet_resets_state(grid55):
+def test_coalition_run_resets_state(grid55):
+    batches = batch_requests(synth_demand(grid55, 2.0, 15, 0.5, seed=9))
+    spec = ObjectiveSpec(name="income")
     template = init_fleet(grid55, num_drivers=5, capacity=3, seed=9)
     template.drivers[2].income = 99.0
-    subset = subset_fleet(template, [2, 4])
-    assert [d.driver_id for d in subset.drivers] == [2, 4]
-    assert [d.loc for d in subset.drivers] == [template.drivers[2].loc, template.drivers[4].loc]
-    assert all(d.income == 0.0 and d.capacity == 3 for d in subset.drivers)
-    with pytest.raises(ValueError, match="unknown driver"):
-        subset_fleet(template, [7])
+    # bits 2 and 4: drivers 2 and 4, fresh from the template's start positions
+    incomes = coalition_incomes(grid55, batches, template, 0b10100, spec)
+    fresh = init_fleet(grid55, num_drivers=5, capacity=3, seed=9)
+    assert incomes == coalition_incomes(grid55, batches, fresh, 0b10100, spec)
+    assert sorted(incomes) == [2, 4]
+    with pytest.raises(ValueError, match="past the fleet"):
+        coalition_incomes(grid55, batches, template, 1 << 5, spec)
     with pytest.raises(ValueError, match="at least one"):
-        subset_fleet(template, [])
+        coalition_incomes(grid55, batches, template, 0, spec)
 
 
 def test_full_coalition_matches_plain_run(grid55):
@@ -179,8 +182,9 @@ def test_full_coalition_matches_plain_run(grid55):
     batches = batch_requests(stream)
     template = init_fleet(grid55, num_drivers=3, capacity=4, seed=6)
     spec = ObjectiveSpec(name="income")
-    direct = run_simulation(grid55, batches, subset_fleet(template, [0, 1, 2]), spec)
-    via_coalition = coalition_incomes(grid55, batches, template, [0, 1, 2], spec)
+    fresh = init_fleet(grid55, num_drivers=3, capacity=4, seed=6)
+    direct = run_simulation(grid55, batches, fresh, spec)
+    via_coalition = coalition_incomes(grid55, batches, template, 0b111, spec)
     assert via_coalition == direct.incomes()
 
 
@@ -189,11 +193,11 @@ def test_subcoalition_run_is_consistent(grid55):
     batches = batch_requests(stream)
     template = init_fleet(grid55, num_drivers=3, capacity=4, seed=6)
     spec = ObjectiveSpec(name="income")
-    solo = coalition_incomes(grid55, batches, template, [1], spec)
+    solo = coalition_incomes(grid55, batches, template, 0b010, spec)  # driver 1
     assert set(solo) == {1}
     assert solo[1] >= 0.0
     # rerunning the same coalition reproduces the same incomes
-    assert solo == coalition_incomes(grid55, batches, template, [1], spec)
+    assert solo == coalition_incomes(grid55, batches, template, 0b010, spec)
 
 
 def test_training_is_deterministic(grid55):
