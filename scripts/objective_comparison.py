@@ -40,7 +40,7 @@ def run_cell(args, kind, lam, seed):
     result = run_simulation(
         graph, batches, fleet, ObjectiveSpec(kind, lam), DelayConstraints()
     )
-    return fairness_metrics(result.fleet, result.log, graph)
+    return fairness_metrics(result)
 
 
 def mean(xs: list[float]) -> float:

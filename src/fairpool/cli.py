@@ -33,10 +33,10 @@ from .city import (
 )
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config, validate_config
 from .csvio import read_rows, write_rows
-from .demand import RequestBatch, RequestLog, RideRequest, batch_requests, ingest_trips, synth_demand
+from .demand import RequestBatch, batch_requests, ingest_trips, synth_demand
 from .fleet import init_fleet, snapshot_rows
 from .matching import DelayConstraints
-from .objectives import OBJECTIVES, ObjectiveSpec, left_sum, scored_as
+from .objectives import OBJECTIVES, NeighborhoodTallies, ObjectiveSpec, left_sum, scored_as
 from .redistribution import (
     EXACT_SHAPLEY_CAP,
     RedistributionParams,
@@ -249,7 +249,7 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: Demand, e
     header = ["driver_id", "kind", "request_id", "location", "arrival"]
     write_rows(artifact("stops.csv"), header, stops)
 
-    report = fairness_metrics(result.fleet, log, graph)
+    report = fairness_metrics(result)
     write_reports(report, out_dir)
     written += ["report.json", "report.csv"]
     return result, report, written
@@ -506,7 +506,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     config = load_config(os.path.join(run_dir, "config.resolved"))
     locations, _ = _city_components(config)
     neighborhoods = city_neighborhoods(locations, config.num_neighborhoods, config.seed)
-    log = RequestLog()
+    tallies = NeighborhoodTallies.empty(neighborhoods.num_neighborhoods)
     places = range(len(locations))
     drivers = {str(d): d for d in range(config.num_drivers)}  # as run_one writes them
     seen: set[int] = set()
@@ -516,18 +516,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         if request_id in seen:
             raise ValueError(f"{requests_csv}:{line}: duplicate request_id {request_id}")
         seen.add(request_id)
-        try:
-            # a request between two locations of the city; a serviced one
-            # names a configured driver, an unserviced one names none
-            if origin not in places or destination not in places or (
-                (serviced, driver) != (0, "") and (serviced != 1 or driver not in drivers)
-            ):
-                raise ValueError
-            log.all_requests.append(RideRequest(request_id, origin, destination, created_at))
-            if serviced:
-                log.mark_serviced(request_id, drivers[driver])
-        except ValueError:
-            raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}") from None
+        # a request between two distinct locations of the city, made at or
+        # after the start; a serviced one names a configured driver, an
+        # unserviced one names none
+        if (
+            origin not in places or destination not in places or origin == destination
+            or created_at < 0
+            or ((serviced, driver) != (0, "") and (serviced != 1 or driver not in drivers))
+        ):
+            raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}")
+        label = neighborhoods.label(origin)
+        tallies.add_requested(label)
+        if serviced:
+            tallies.add_serviced(label)
     # every configured driver exists, even one that never had a snapshot row
     incomes = {d: 0.0 for d in drivers.values()}
     fleet_jsonl = os.path.join(run_dir, "fleet.jsonl")
@@ -537,16 +538,17 @@ def cmd_report(args: argparse.Namespace) -> int:
                 row = json.loads(text)
                 # last snapshot wins; a driver_id that is not a JSON integer
                 # naming a configured driver, or an income that is not a
-                # finite JSON number, is malformed
+                # finite, non-negative JSON number (a fare is never negative),
+                # is malformed
                 driver_id, income = row["driver_id"], row["income"]
                 if type(driver_id) is not int or driver_id not in incomes or (
-                    type(income) not in (int, float) or not math.isfinite(income)
+                    type(income) not in (int, float) or not math.isfinite(income) or income < 0
                 ):
                     raise ValueError
                 incomes[driver_id] = float(income)
             except (ValueError, KeyError, TypeError):
                 raise ValueError(f"{fleet_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
-    report = metrics_from_parts(incomes, log, neighborhoods)
+    report = metrics_from_parts(incomes, tallies)
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)
     write_reports(report, out_dir)

@@ -64,10 +64,6 @@ class DriverState:
     def occupancy(self) -> int:
         return len(self.onboard)
 
-    @property
-    def rides_count(self) -> int:
-        return len(self.active) + len(self.completed)
-
     def route_end(self) -> int:
         """Location where the driver will be free: last stop, or here if idle."""
         return self.route[-1].location if self.route else self.loc

@@ -4,6 +4,9 @@ Four interchangeable scores for an assignment state: requests served,
 platform income, and two fairness-regularized variants that subtract a
 lambda-weighted population variance, either of neighborhood service rates
 (serviced / requested, over neighborhoods with demand) or of driver incomes.
+Requests served is the sum of the serviced tallies: each accepted request is
+tallied once, in its origin's neighborhood, and sits in exactly one driver's
+ongoing or finished rides, so the sum is the paper's sum of |p_i| + |s_i|.
 With lambda = 0 both fairness objectives coincide with platform income, bit
 for bit: :func:`scored_as` names the spec every valid spec scores as, so a
 sweep simulates each distinct scoring behaviour once.
@@ -39,8 +42,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .city import NeighborhoodMap
-from .demand import RequestLog
 from .fleet import FleetState
 
 OBJECTIVES = ("requests", "income", "rider_fairness", "driver_fairness")
@@ -94,7 +95,9 @@ def scored_as(spec: ObjectiveSpec) -> ObjectiveSpec:
 
 
 class NeighborhoodTallies:
-    """Per-neighborhood request and service counts, indexed by label (1-based)."""
+    """Per-neighborhood request and service counts, indexed by label (1-based).
+
+    A run keeps one, and its scoring and its report both read it."""
 
     __slots__ = ("requested", "serviced")
 
@@ -105,16 +108,6 @@ class NeighborhoodTallies:
     @classmethod
     def empty(cls, num_neighborhoods: int) -> "NeighborhoodTallies":
         return cls(requested=[0] * (num_neighborhoods + 1), serviced=[0] * (num_neighborhoods + 1))
-
-    @classmethod
-    def from_log(cls, log: RequestLog, neighborhoods: NeighborhoodMap) -> "NeighborhoodTallies":
-        tallies = cls.empty(neighborhoods.num_neighborhoods)
-        for req in log.all_requests:
-            label = neighborhoods.label(req.origin)
-            tallies.requested[label] += 1
-            if req.request_id in log.assigned_driver:
-                tallies.serviced[label] += 1
-        return tallies
 
     def add_requested(self, label: int) -> None:
         self.requested[label] += 1
@@ -134,25 +127,20 @@ class ObjectiveState:
     """The quantities an objective reads, detached from full fleet state.
     Each state starts with its own empty variance memo."""
 
-    __slots__ = ("incomes", "rides", "tallies", "variances")
+    __slots__ = ("incomes", "tallies", "variances")
 
-    def __init__(self, incomes: list[float], rides: list[int], tallies: NeighborhoodTallies) -> None:
+    def __init__(self, incomes: list[float], tallies: NeighborhoodTallies) -> None:
         self.incomes = incomes  # per-driver income, order = driver index in the fleet
-        self.rides = rides  # per-driver accepted request count (ongoing + finished)
         self.tallies = tallies
         # variance memo of delta_objective; valid only while the state is unchanged
         self.variances: dict[object, float] = {}
 
     @classmethod
     def from_fleet(cls, fleet: FleetState, tallies: NeighborhoodTallies) -> "ObjectiveState":
-        return cls(
-            incomes=[d.income for d in fleet.drivers],
-            rides=[d.rides_count for d in fleet.drivers],
-            tallies=tallies,
-        )
+        return cls([d.income for d in fleet.drivers], tallies)
 
     def copy(self) -> "ObjectiveState":
-        return ObjectiveState(list(self.incomes), list(self.rides), self.tallies.copy())
+        return ObjectiveState(list(self.incomes), self.tallies.copy())
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -207,7 +195,7 @@ def population_variance(values: Sequence[float]) -> float:
 
 def eval_objective(spec: ObjectiveSpec, state: ObjectiveState) -> float:
     if spec.name == "requests":
-        return left_sum(state.rides)
+        return left_sum(state.tallies.serviced)
     total = pairwise_sum(state.incomes)
     if spec.name == "income" or spec.lam == 0.0:
         return total

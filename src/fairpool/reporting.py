@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .city import CityGraph, NeighborhoodMap
-from .demand import RequestLog
-from .fleet import FleetState
 from .objectives import NeighborhoodTallies, left_sum, pairwise_sum, population_variance
+
+if TYPE_CHECKING:
+    from .simulate import SimResult
 
 REPORT_VERSION = 1
 
@@ -29,7 +29,6 @@ __all__ = [
     "fairness_metrics",
     "income_value_spread",
     "write_reports",
-    "read_report",
 ]
 
 
@@ -44,23 +43,19 @@ class MetricsReport(NamedTuple):
     incomes: dict[int, float]
     income_min: float
     income_var: float
-    redistribution: dict | None = None  # summary of a payout run, when one happened
     report_version: int = REPORT_VERSION
 
 
-def metrics_from_parts(
-    incomes: dict[int, float], log: RequestLog, neighborhoods: NeighborhoodMap
-) -> MetricsReport:
-    """Metrics from the raw parts; lets reports be rebuilt from artifacts
-    without a travel closure."""
-    tallies = NeighborhoodTallies.from_log(log, neighborhoods)
-    rates = {
-        j: tallies.serviced[j] / tallies.requested[j]
-        for j in range(1, neighborhoods.num_neighborhoods + 1)
-        if tallies.requested[j] > 0
-    }
-    total_requests = len(log.all_requests)
-    total_serviced = len(log.assigned_driver)
+def metrics_from_parts(incomes: dict[int, float], tallies: NeighborhoodTallies) -> MetricsReport:
+    """Metrics from per-driver incomes and per-neighborhood tallies, the
+    parts `report` rebuilds from artifacts without a travel closure."""
+    rates: dict[int, float] = {}
+    total_requests = total_serviced = 0
+    for j, (k, h) in enumerate(zip(tallies.requested[1:], tallies.serviced[1:]), start=1):
+        total_requests += k
+        total_serviced += h
+        if k > 0:
+            rates[j] = h / k
     income_values = list(incomes.values())
     rate_values = list(rates.values())
     return MetricsReport(
@@ -77,9 +72,8 @@ def metrics_from_parts(
     )
 
 
-def fairness_metrics(fleet: FleetState, log: RequestLog, graph: CityGraph) -> MetricsReport:
-    incomes = {d.driver_id: d.income for d in fleet.drivers}
-    return metrics_from_parts(incomes, log, graph.neighborhoods)
+def fairness_metrics(result: SimResult) -> MetricsReport:
+    return metrics_from_parts(result.incomes(), result.tallies)
 
 
 def income_value_spread(q, v) -> float:
@@ -120,10 +114,6 @@ def _tabular_rows(report: MetricsReport) -> list[tuple[str, str, str]]:
         rows.append(("income", str(d), repr(report.incomes[d])))
     rows.append(("income_min", "overall", repr(report.income_min)))
     rows.append(("income_var", "overall", repr(report.income_var)))
-    if report.redistribution is not None:
-        for key in sorted(report.redistribution):
-            value = report.redistribution[key]
-            rows.append((f"redistribution_{key}", "overall", str(value)))
     return rows
 
 
@@ -134,17 +124,3 @@ def write_reports(report: MetricsReport, out_dir: str) -> None:
         fh.write(json.dumps(report._asdict(), sort_keys=True, indent=2) + "\n")
     with open(os.path.join(out_dir, "report.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_report(path: str) -> MetricsReport:
-    """Parse a `report.json` back; inverse of `write_reports`."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"cannot read report from {path}: {exc}") from exc
-    if payload.get("report_version") != REPORT_VERSION:
-        raise ValueError(f"{path}: unsupported report_version {payload.get('report_version')!r}")
-    payload["neighborhood_rates"] = {int(k): v for k, v in payload["neighborhood_rates"].items()}
-    payload["incomes"] = {int(k): v for k, v in payload["incomes"].items()}
-    return MetricsReport(**payload)

@@ -283,7 +283,6 @@ def random_objective_state(rng):
         tallies.serviced[j] = int(rng.integers(0, k - 2))
     return ObjectiveState(
         incomes=rng.uniform(0.0, 40.0, size=n),
-        rides=rng.integers(0, 10, size=n),
         tallies=tallies,
     )
 
@@ -310,7 +309,6 @@ def test_criterion_08_objective_identities():
             delta = delta_objective(spec, state, driver, fares, labels)
             after = state.copy()
             after.incomes[driver] += sum(fares)
-            after.rides[driver] += count
             for label in labels:
                 after.tallies.add_serviced(label)
             diff = eval_objective(spec, after) - eval_objective(spec, state)

@@ -993,12 +993,12 @@ GOLDEN_DIGESTS = {
     "keep_income/redistribution.csv": "6d140e8971285e275baf4a55f9535dcc5305eb7972e217d82a51e60e034be2a2",
     "keep_income/redistribution_summary.csv": "c8cdb88b4b77b9f568d6fd5a521b0278f5594bc7598445792a17102ac2f51dc7",
     "reread/report.csv": "583ed5e27f98d626e5f32b71c448f4b15e74f5af21d081c895f9a2df184e7a2c",
-    "reread/report.json": "f3d4531114d7fa562025e68cc22a9bc81ad64ced36055cc6e0e5b224f8a3094a",
+    "reread/report.json": "8a2603ea8fcae8c5996b5b6af394f3251956e3575c4d650a40fed3eafe98f351",
     "run/config.resolved": "448740c7ea820434cce58bd969d334366513311c55e384b0c41589d2143ebb6e",
     "run/epochs.jsonl": "290c10b5906da257e6ae514744609bb95c62b1bdc2089c10d63f5c91eecd1893",
     "run/fleet.jsonl": "3cc8be6eddc39dd72db59aee2254b94bb86bdc8c5acabc2c9fbfe5f05fed8a55",
     "run/report.csv": "583ed5e27f98d626e5f32b71c448f4b15e74f5af21d081c895f9a2df184e7a2c",
-    "run/report.json": "f3d4531114d7fa562025e68cc22a9bc81ad64ced36055cc6e0e5b224f8a3094a",
+    "run/report.json": "8a2603ea8fcae8c5996b5b6af394f3251956e3575c4d650a40fed3eafe98f351",
     "run/requests.csv": "b5fbdd4d17943dfde6b0aa09e1cb6d18070f242a913464bf929cf76bdc01d505",
     "run/shapley.csv": "9ed1cb282f40787e46554c5170b15a8c7b191333adbb74185681215cd9992f38",
     "run/shapley_meta.txt": "c3eaf6ed984109cf409a3d28ede4aff8e6567940c41a5ef1676f096fc28d615b",
@@ -1051,26 +1051,26 @@ FAIRNESS_LAMBDAS = ("0.0", "0.05", "1.0", "3000.0")
 # total_weight in epochs.jsonl, so these digests pin their float bits.
 FAIRNESS_DIGESTS = {
     "reread/driver_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
-    "reread/driver_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "reread/driver_fairness-lam0.0/report.json": "00dfa4392900538d666e03311cfd36023dc5e67f89f1770521e2f9ac030b7adb",
     "reread/driver_fairness-lam0.05/report.csv": "8eb3cf71584a01289d3e319926e70e80599153eb81e9ee41faa57df2da7e575f",
-    "reread/driver_fairness-lam0.05/report.json": "e0aee5f3f8d1d5c7ada63b0fca117b81ffeb68744c977e550c04aa8efcc4cdfb",
+    "reread/driver_fairness-lam0.05/report.json": "47e3428b192ea60bffbfec76f4303fd129505fe62e17129eeced90da2528b7c0",
     "reread/driver_fairness-lam1.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
-    "reread/driver_fairness-lam1.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "reread/driver_fairness-lam1.0/report.json": "f75ab39d9f7a957ee3c51550cee3e325b86ebdda0fd606b1f3c4ad0330933b89",
     "reread/driver_fairness-lam3000.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
-    "reread/driver_fairness-lam3000.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "reread/driver_fairness-lam3000.0/report.json": "f75ab39d9f7a957ee3c51550cee3e325b86ebdda0fd606b1f3c4ad0330933b89",
     "reread/rider_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
-    "reread/rider_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "reread/rider_fairness-lam0.0/report.json": "00dfa4392900538d666e03311cfd36023dc5e67f89f1770521e2f9ac030b7adb",
     "reread/rider_fairness-lam0.05/report.csv": "ab0bdbede104750f725c06ad7b84c1fe4bb626de1fb0d72f48db9c21ed8d00bb",
-    "reread/rider_fairness-lam0.05/report.json": "c51ebefdfc684b656adb90786f13eb391e86da3af614d07d8b94f6d0e12b9be2",
+    "reread/rider_fairness-lam0.05/report.json": "9340c85a5148a575bae9ed074b0f0f13bba2784c324b5ec3885298721c76cf1a",
     "reread/rider_fairness-lam1.0/report.csv": "f4a60c230cec69e1c44ee146ce1929fcf094d4ab39abdd4cf532ce4364105dec",
-    "reread/rider_fairness-lam1.0/report.json": "e6ba3156f17e5d420143f4687c4a9e52dafc4a91febcc40004441da4df484036",
+    "reread/rider_fairness-lam1.0/report.json": "f1f523ffe251bcee9fb239fdb165ecf39a7e5fd55c15c1f35a60ef9c0cdd9216",
     "reread/rider_fairness-lam3000.0/report.csv": "42db6970e126b03a3bb409d2be8d3df4139a521a39c9a28f19382c29aeb1f5e7",
-    "reread/rider_fairness-lam3000.0/report.json": "d80f3943a3e3acbefabdb557854b9b91ac8ec310ef1110f45a69acbe5cdf4428",
+    "reread/rider_fairness-lam3000.0/report.json": "950b90c90a1d3db8b51b4db87f4fe3b1b626dd486f4d80549bb411b28f87d2e9",
     "sweep/driver_fairness-lam0.0/config.resolved": "f036fc723628edd9c94a67e7d3eac5aed0d8dc5cef685484594b53a41a30b94c",
     "sweep/driver_fairness-lam0.0/epochs.jsonl": "27f7b06842a711e33086cad935b1a50ebccaf57ca3bee6355591ff4efe801df3",
     "sweep/driver_fairness-lam0.0/fleet.jsonl": "928a6349e6ad6463f690a8038de32b8e4c441a429f5868222ca83cb068175cef",
     "sweep/driver_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
-    "sweep/driver_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "sweep/driver_fairness-lam0.0/report.json": "00dfa4392900538d666e03311cfd36023dc5e67f89f1770521e2f9ac030b7adb",
     "sweep/driver_fairness-lam0.0/requests.csv": "6ae581285922ab2f04d17ea10ade447ffc9046c3891549d03184d06387b21cc9",
     "sweep/driver_fairness-lam0.0/stops.csv": "4f396a7a2276f304ec84299f461b517e7ac65ce092d381c418dc3e44129e4355",
     "sweep/driver_fairness-lam0.0/value_table.txt": "c355272a3e4c997ec0eb3b9f5f3ee6c6c9319771672b327845d166255d8ea46e",
@@ -1078,7 +1078,7 @@ FAIRNESS_DIGESTS = {
     "sweep/driver_fairness-lam0.05/epochs.jsonl": "63189ed82d9a636347973b688dcd2ece45115e45ca5a155252353421c753e9a8",
     "sweep/driver_fairness-lam0.05/fleet.jsonl": "b634bdf051fc9eb85af7d04adde684206f95db8e570b56920b08ca9b8273bdc1",
     "sweep/driver_fairness-lam0.05/report.csv": "8eb3cf71584a01289d3e319926e70e80599153eb81e9ee41faa57df2da7e575f",
-    "sweep/driver_fairness-lam0.05/report.json": "e0aee5f3f8d1d5c7ada63b0fca117b81ffeb68744c977e550c04aa8efcc4cdfb",
+    "sweep/driver_fairness-lam0.05/report.json": "47e3428b192ea60bffbfec76f4303fd129505fe62e17129eeced90da2528b7c0",
     "sweep/driver_fairness-lam0.05/requests.csv": "779be5f54440719d45d0d2eb81d701660b4f4c6ba2a9245837e108c3d40cb2ed",
     "sweep/driver_fairness-lam0.05/stops.csv": "bd14c38974c2468c9a7af067de81c25048e4a222a29a4626bab8554de05657e8",
     "sweep/driver_fairness-lam0.05/value_table.txt": "b823fa9505261fe55bc46e4e754d7964577334dcf46c33a425e33c76559616f3",
@@ -1086,7 +1086,7 @@ FAIRNESS_DIGESTS = {
     "sweep/driver_fairness-lam1.0/epochs.jsonl": "2a32907d74b4cdf2d6bac95c76658b64447d5c4e78b1b4a08b007f43094bd20c",
     "sweep/driver_fairness-lam1.0/fleet.jsonl": "5726a98d345d36837add4c8bbbcac5881f6e494f1b4649a7eac1c637f1bc498a",
     "sweep/driver_fairness-lam1.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
-    "sweep/driver_fairness-lam1.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "sweep/driver_fairness-lam1.0/report.json": "f75ab39d9f7a957ee3c51550cee3e325b86ebdda0fd606b1f3c4ad0330933b89",
     "sweep/driver_fairness-lam1.0/requests.csv": "2aaf810fea7cdd496f93484c94d987ba7ce61b3f39aaca55e7575dd4c8b4b5c0",
     "sweep/driver_fairness-lam1.0/stops.csv": "fd4f46a9ba93960f99e4cf22340885483cff5fc08e062d47e3ef03ca0ecc715b",
     "sweep/driver_fairness-lam1.0/value_table.txt": "390d3cefbb5894abecaddb1095a4cfbec6273d615c8f79a9ae2fa8eb46f72e49",
@@ -1094,7 +1094,7 @@ FAIRNESS_DIGESTS = {
     "sweep/driver_fairness-lam3000.0/epochs.jsonl": "2a32907d74b4cdf2d6bac95c76658b64447d5c4e78b1b4a08b007f43094bd20c",
     "sweep/driver_fairness-lam3000.0/fleet.jsonl": "5726a98d345d36837add4c8bbbcac5881f6e494f1b4649a7eac1c637f1bc498a",
     "sweep/driver_fairness-lam3000.0/report.csv": "3e51c1f56c06d46e5a42f7b412a67f43928853d76777d18529d5e183b9f835f3",
-    "sweep/driver_fairness-lam3000.0/report.json": "12c8590bee19f0808dbfebbd9d834ba8871010dc1e811d2f1e954a9823a5a5ce",
+    "sweep/driver_fairness-lam3000.0/report.json": "f75ab39d9f7a957ee3c51550cee3e325b86ebdda0fd606b1f3c4ad0330933b89",
     "sweep/driver_fairness-lam3000.0/requests.csv": "2aaf810fea7cdd496f93484c94d987ba7ce61b3f39aaca55e7575dd4c8b4b5c0",
     "sweep/driver_fairness-lam3000.0/stops.csv": "fd4f46a9ba93960f99e4cf22340885483cff5fc08e062d47e3ef03ca0ecc715b",
     "sweep/driver_fairness-lam3000.0/value_table.txt": "390d3cefbb5894abecaddb1095a4cfbec6273d615c8f79a9ae2fa8eb46f72e49",
@@ -1102,7 +1102,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam0.0/epochs.jsonl": "27f7b06842a711e33086cad935b1a50ebccaf57ca3bee6355591ff4efe801df3",
     "sweep/rider_fairness-lam0.0/fleet.jsonl": "928a6349e6ad6463f690a8038de32b8e4c441a429f5868222ca83cb068175cef",
     "sweep/rider_fairness-lam0.0/report.csv": "ab24e9632e0e25eb9e433457552748be5f26d767180d8b94a529894b470c6815",
-    "sweep/rider_fairness-lam0.0/report.json": "51cae6545c42297e6f272d1bdbfabd43735f87542b0854debf5788590ea239a0",
+    "sweep/rider_fairness-lam0.0/report.json": "00dfa4392900538d666e03311cfd36023dc5e67f89f1770521e2f9ac030b7adb",
     "sweep/rider_fairness-lam0.0/requests.csv": "6ae581285922ab2f04d17ea10ade447ffc9046c3891549d03184d06387b21cc9",
     "sweep/rider_fairness-lam0.0/stops.csv": "4f396a7a2276f304ec84299f461b517e7ac65ce092d381c418dc3e44129e4355",
     "sweep/rider_fairness-lam0.0/value_table.txt": "c355272a3e4c997ec0eb3b9f5f3ee6c6c9319771672b327845d166255d8ea46e",
@@ -1110,7 +1110,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam0.05/epochs.jsonl": "564df5d561da493ca1ac7bd0a9992e00a383fbf24690051a66fcd4aab3782027",
     "sweep/rider_fairness-lam0.05/fleet.jsonl": "74dea475870e321fa38f7b2e69eb4d18f6ce98ec42273a2c94a2cc1c9fcf9064",
     "sweep/rider_fairness-lam0.05/report.csv": "ab0bdbede104750f725c06ad7b84c1fe4bb626de1fb0d72f48db9c21ed8d00bb",
-    "sweep/rider_fairness-lam0.05/report.json": "c51ebefdfc684b656adb90786f13eb391e86da3af614d07d8b94f6d0e12b9be2",
+    "sweep/rider_fairness-lam0.05/report.json": "9340c85a5148a575bae9ed074b0f0f13bba2784c324b5ec3885298721c76cf1a",
     "sweep/rider_fairness-lam0.05/requests.csv": "8f5062249ae34502acef0eff70170f4eec021b0e4de8f06d831e16397191f20e",
     "sweep/rider_fairness-lam0.05/stops.csv": "279359857ce2168ac2b62796a6d204c9f332824c684bb9fb92d66a3d95b71782",
     "sweep/rider_fairness-lam0.05/value_table.txt": "1307c8a113eba1405a204cb50ba9f5e9dfe31038780f8cda20e4787fe6d0ac92",
@@ -1118,7 +1118,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam1.0/epochs.jsonl": "f8503e5e680fd3c6928b545c5eff97968119593481697fe027dca52acbfb1fde",
     "sweep/rider_fairness-lam1.0/fleet.jsonl": "6bbbe230a14090acdc6a62a6b3221cfd205753768e4a631b2ed2b53ed72b95ae",
     "sweep/rider_fairness-lam1.0/report.csv": "f4a60c230cec69e1c44ee146ce1929fcf094d4ab39abdd4cf532ce4364105dec",
-    "sweep/rider_fairness-lam1.0/report.json": "e6ba3156f17e5d420143f4687c4a9e52dafc4a91febcc40004441da4df484036",
+    "sweep/rider_fairness-lam1.0/report.json": "f1f523ffe251bcee9fb239fdb165ecf39a7e5fd55c15c1f35a60ef9c0cdd9216",
     "sweep/rider_fairness-lam1.0/requests.csv": "56ed3bd79dae26343651307d2e5ebe4f56836f9b28c52399a5c341308ae7eb7e",
     "sweep/rider_fairness-lam1.0/stops.csv": "bdf3a225ccefd963b7b32d8c1d130108c7cf00c58cdfed94cbd5b72ac5c38f81",
     "sweep/rider_fairness-lam1.0/value_table.txt": "75648d251b72637f8b5d5b07c46cf6e2724a92090db6df7dd5198e3b6260694d",
@@ -1126,7 +1126,7 @@ FAIRNESS_DIGESTS = {
     "sweep/rider_fairness-lam3000.0/epochs.jsonl": "f79b8e980b3ce920f7e993f1f6fb490679d3fb6a677aff70b962563bcefe0e2f",
     "sweep/rider_fairness-lam3000.0/fleet.jsonl": "52d037fa0182b4cae4f7fe1015ba94df5419f78736d399e7fb7ef5df1b21e047",
     "sweep/rider_fairness-lam3000.0/report.csv": "42db6970e126b03a3bb409d2be8d3df4139a521a39c9a28f19382c29aeb1f5e7",
-    "sweep/rider_fairness-lam3000.0/report.json": "d80f3943a3e3acbefabdb557854b9b91ac8ec310ef1110f45a69acbe5cdf4428",
+    "sweep/rider_fairness-lam3000.0/report.json": "950b90c90a1d3db8b51b4db87f4fe3b1b626dd486f4d80549bb411b28f87d2e9",
     "sweep/rider_fairness-lam3000.0/requests.csv": "2347556ec86dac5984e071033dc7af42d5a383c898f4a3167948bf7ca3e6619f",
     "sweep/rider_fairness-lam3000.0/stops.csv": "0ca8a4edb29cb57783358614bf35f77335d786670558312582f0cf24a204b1ae",
     "sweep/rider_fairness-lam3000.0/value_table.txt": "4a82efefcf0b2d1e141d4480d60fab520ef7f61ee3aeb6c43ced479a99ffa70b",
@@ -1174,7 +1174,7 @@ WIDE_DIGESTS = {
     "sweep/driver_fairness-lam1.0/epochs.jsonl": "ebc7d518cac88d245c1eb6226428f4ed52e473926e03795cdb73be734e244adf",
     "sweep/driver_fairness-lam1.0/fleet.jsonl": "62f54902b42865ce27e6a74dcc46be12f4f750ea9eb078eec92a2ebd79cefa8f",
     "sweep/driver_fairness-lam1.0/report.csv": "4e1a396558495e0606f1442e76e081fde74e8a4c40200a7558bebbc90e276936",
-    "sweep/driver_fairness-lam1.0/report.json": "04f283e9efe85fa004d3406eb800b4099e017ee64cb33c9540b8c7ce23dd7ae4",
+    "sweep/driver_fairness-lam1.0/report.json": "dc6de2577214b004abf40cfd5274a8b1477f17b4aa245df58d69b7914700e5c5",
     "sweep/driver_fairness-lam1.0/requests.csv": "87786a778e6c9a29c4e631e99bb257a39cf298ab708139389a16e9751744556b",
     "sweep/driver_fairness-lam1.0/stops.csv": "145516b0520b2f23e556038782b201aa6714f9822fad1cde50ee61b83e622121",
     "sweep/driver_fairness-lam1.0/value_table.txt": "508fc3ab69f69a34a472b466a069d29cb08d9c307e7887928421ed565ec60007",
@@ -1182,7 +1182,7 @@ WIDE_DIGESTS = {
     "sweep/rider_fairness-lam1.0/epochs.jsonl": "57262068a9fe9b407c1c88c7eeb205a7b198705260c49a06f0784c854b2d5604",
     "sweep/rider_fairness-lam1.0/fleet.jsonl": "4ede7fd9ba052ed8ec1c81e2009257ddabd6c01e34a3583ed8b6c5c15bdf3d19",
     "sweep/rider_fairness-lam1.0/report.csv": "b99f5d7da2d73ab944dfccc01b6e366b02aa6e5cfa2972fe6bb07d32d603689b",
-    "sweep/rider_fairness-lam1.0/report.json": "044a3709452c9b8056dedf301a41b8813ade2326b10336cb23098660d9627390",
+    "sweep/rider_fairness-lam1.0/report.json": "74cdf2bcef1e5ffb25c942688506f59267c90f4e85d1a4696b8db3949b9300ad",
     "sweep/rider_fairness-lam1.0/requests.csv": "e5fa2ba0b7797ee0292d1004ea4031cc6e8ea007bf96c8a9e701da3c4330a193",
     "sweep/rider_fairness-lam1.0/stops.csv": "8319b0ef8bfda7a28966b5105d157e1c679f5c55bfd0bf101e1245d88e31bdcd",
     "sweep/rider_fairness-lam1.0/value_table.txt": "a4de2f314437ab02166af9a52b6ef3dc2c507434df41f0777908bd0b087d884e",
@@ -1244,12 +1244,12 @@ CSV_CITY_DIGESTS = {
     "payout/redistribution.csv": "80d6c483f171920c37d9b537d4183ff8217825f96020696e03f82fee21bf90b4",
     "payout/redistribution_summary.csv": "690d3d88cb74a3577eec8520bfdd408e223773f722064842889985f784732aa6",
     "reread/report.csv": "c6a27beec5559ce5c675ff091fd0e5cd22c6f6adce13e00dabc0000aacf00292",
-    "reread/report.json": "91dd305c66d36059ae50fd138b016963356bfbf01d05e2ae3ab3195782a33a0e",
+    "reread/report.json": "68de22bba93d22d0ecfd76d84efb1a390d2a520d89a8d5bc4919a23b05e8bf3e",
     "run/epochs.jsonl": "cf71d0c7419c8ed7434a63e2b3251a5779a49617ac050f0a09b5817481621bfd",
     "run/fleet.jsonl": "c138195bd0cd081f4abec016c2432fcc7af6da84c6d95d168f14461a15f431f1",
     "run/ingest.txt": "4e93cfd113628e83c321e91dc92f59d17a37ed27d057db759e35024bbc3fb81d",
     "run/report.csv": "c6a27beec5559ce5c675ff091fd0e5cd22c6f6adce13e00dabc0000aacf00292",
-    "run/report.json": "91dd305c66d36059ae50fd138b016963356bfbf01d05e2ae3ab3195782a33a0e",
+    "run/report.json": "68de22bba93d22d0ecfd76d84efb1a390d2a520d89a8d5bc4919a23b05e8bf3e",
     "run/requests.csv": "de8aece51a9131bb2152a95fb29adf9b26bf44a0349bcc798d03c72f3780b155",
     "run/shapley.csv": "ad07cf08cc840f0c3ff523aaf268d7cd22f54f0a16c6e87ce2f2444d772ba7d9",
     "run/shapley_meta.txt": "3f85e1c7ff1ac61b544ad25b9d1311144cab9b67a36bf64c2d43c02d66c8bfc6",
@@ -1380,6 +1380,15 @@ def serviced_2(lines):
     return set_request_cell(lines, "1", 4, "2")
 
 
+def destination_equals_origin(lines):
+    i = next(i for i, line in enumerate(lines) if i and line.split(",")[4] == "1")
+    return set_request_cell(lines, "1", 2, lines[i].split(",")[1])
+
+
+def negative_created_at(lines):
+    return set_request_cell(lines, "0", 3, "-1.0")
+
+
 def unserviced_row_naming_a_driver(lines):
     return set_request_cell(lines, "0", 5, "1")
 
@@ -1399,7 +1408,8 @@ def fleet_row_for_driver_7(lines):
 
 
 def fleet_income(text, name):
-    """A last snapshot whose income is `text`, which is not a finite number."""
+    """A last snapshot whose income is `text`, which is not a finite,
+    non-negative number."""
     def corrupt(lines):
         lines.append('{"driver_id": 1, "epoch": 9, "income": %s}\n' % text)
         return len(lines)
@@ -1428,6 +1438,8 @@ def fleet_driver_id(text, name):
         ("requests.csv", origin_999),
         ("requests.csv", origin_minus_1),
         ("requests.csv", serviced_2),
+        ("requests.csv", destination_equals_origin),
+        ("requests.csv", negative_created_at),
         ("requests.csv", duplicated_request_row),
         ("requests.csv", unserviced_row_naming_a_driver),
         ("requests.csv", serviced_row_with_driver_9),
@@ -1436,6 +1448,7 @@ def fleet_driver_id(text, name):
         ("fleet.jsonl", fleet_income("NaN", "nan")),
         ("fleet.jsonl", fleet_income("true", "true")),
         ("fleet.jsonl", fleet_income('"5"', "string")),
+        ("fleet.jsonl", fleet_income("-5.0", "negative")),
         ("fleet.jsonl", fleet_driver_id('"1"', "string")),
         ("fleet.jsonl", fleet_driver_id("1.0", "float")),
         ("fleet.jsonl", fleet_driver_id("true", "true")),

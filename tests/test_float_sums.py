@@ -82,7 +82,7 @@ def outputs_with_sum(builtin_sum, monkeypatch, root):
         tallies = NeighborhoodTallies.empty(1)
         for _ in range(20):
             tallies.add_requested(1)
-        state = ObjectiveState(incomes=[0.0, 0.3], rides=[0, 0], tallies=tallies)
+        state = ObjectiveState(incomes=[0.0, 0.3], tallies=tallies)
         fares, labels = [0.1] * 10, [1] * 10
         deltas = [
             delta_objective(ObjectiveSpec(name, 1.0), state.copy(), 0, fares, labels)

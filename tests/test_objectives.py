@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from fairpool.demand import RequestBatch, RequestLog, RideRequest
 from fairpool.objectives import (
     OBJECTIVES,
     NeighborhoodTallies,
@@ -23,10 +22,8 @@ from fairpool.objectives import (
 )
 
 
-def state_of(incomes, rides=None, h=None, k=None):
+def state_of(incomes, h=None, k=None):
     incomes = [float(x) for x in incomes]
-    if rides is None:
-        rides = [0] * len(incomes)
     n = len(k) if k is not None else 1
     tallies = NeighborhoodTallies.empty(n)
     if k is not None:
@@ -34,7 +31,7 @@ def state_of(incomes, rides=None, h=None, k=None):
             tallies.requested[j] = kj
         for j, hj in enumerate(h, start=1):
             tallies.serviced[j] = hj
-    return ObjectiveState(incomes=incomes, rides=list(rides), tallies=tallies)
+    return ObjectiveState(incomes=incomes, tallies=tallies)
 
 
 def test_objective_spec_validation():
@@ -106,21 +103,6 @@ def test_pairwise_sum_of_negative_zeros_is_positive_zero():
         assert float_bits(pairwise_sum([-0.0] * n)) == float_bits(0.0)
 
 
-def test_tallies_from_log_counts_by_origin_neighborhood():
-    graph = helpers.line_city([1.0], num_neighborhoods=1)
-    log = RequestLog()
-    reqs = tuple(
-        RideRequest(request_id=i, origin=0, destination=1, created_at=float(i))
-        for i in range(3)
-    )
-    log.add_batch(RequestBatch(epoch_index=0, requests=reqs, window_end=60.0))
-    log.mark_serviced(1, driver_id=0)
-    tallies = NeighborhoodTallies.from_log(log, graph.neighborhoods)
-    assert tallies.requested[1] == 3
-    assert tallies.serviced[1] == 1
-    assert tallies.service_rates() == [1.0 / 3.0]
-
-
 def test_service_rates_skip_neighborhoods_without_demand():
     tallies = NeighborhoodTallies.empty(3)
     tallies.requested[2] = 4
@@ -129,7 +111,7 @@ def test_service_rates_skip_neighborhoods_without_demand():
 
 
 def test_eval_requests_counts_accepted_rides():
-    state = state_of([0.0, 0.0], rides=[5, 1])
+    state = state_of([0.0, 0.0], h=[5, 1], k=[7, 1])
     assert eval_objective(ObjectiveSpec(name="requests"), state) == 6.0
 
 
@@ -161,7 +143,7 @@ def test_driver_fairness_never_exceeds_income():
 
 
 def test_delta_empty_action_is_zero_for_every_objective():
-    state = state_of([10.0, 5.0], rides=[2, 1], h=[1], k=[3])
+    state = state_of([10.0, 5.0], h=[1], k=[3])
     for name in OBJECTIVES:
         spec = ObjectiveSpec(name=name, lam=0.5)
         assert delta_objective(spec, state, 0, [], []) == 0.0
@@ -188,13 +170,12 @@ def test_delta_driver_fairness_rewards_the_poorer_driver():
 
 
 def test_delta_matches_eval_difference_exactly_for_linear_objectives():
-    state = state_of([4.0, 2.0], rides=[1, 0], h=[1], k=[2])
+    state = state_of([4.0, 2.0], h=[1], k=[2])
     for name in ("requests", "income"):
         spec = ObjectiveSpec(name=name)
         delta = delta_objective(spec, state, 0, [7.0], [1])
         after = state.copy()
         after.incomes[0] += 7.0
-        after.rides[0] += 1
         after.tallies.add_serviced(1)
         assert delta == eval_objective(spec, after) - eval_objective(spec, state)
 
@@ -228,7 +209,6 @@ def test_delta_consistent_with_eval_on_random_states(data):
     delta = delta_objective(spec, state, driver_index, fares, labels)
     after = state.copy()
     after.incomes[driver_index] += float(sum(fares))
-    after.rides[driver_index] += n_new
     for label in labels:
         after.tallies.add_serviced(label)
     diff = eval_objective(spec, after) - eval_objective(spec, state)
@@ -324,11 +304,10 @@ def test_scored_as_scores_bit_for_bit_like_the_spec(data):
     finite = st.floats(allow_nan=False, allow_infinity=False)
     n_drivers = data.draw(st.integers(min_value=1, max_value=5))
     incomes = [data.draw(finite) for _ in range(n_drivers)]
-    rides = [data.draw(st.integers(min_value=0, max_value=9)) for _ in range(n_drivers)]
     n_nbhd = data.draw(st.integers(min_value=1, max_value=4))
     k = [data.draw(st.integers(min_value=0, max_value=12)) for _ in range(n_nbhd)]
     h = [data.draw(st.integers(min_value=0, max_value=kj)) for kj in k]
-    state = state_of(incomes, rides=rides, h=h, k=k)
+    state = state_of(incomes, h=h, k=k)
     driver_index = data.draw(st.integers(min_value=0, max_value=n_drivers - 1))
     count = data.draw(st.integers(min_value=0, max_value=3))
     fares = [data.draw(finite) for _ in range(count)]

@@ -1,50 +1,33 @@
 """Run metrics and their deterministic serialization."""
 
+import json
+
 import pytest
 
-import helpers
-from fairpool.demand import RequestBatch, RequestLog, RideRequest
 from fairpool.fleet import init_fleet
 from fairpool.objectives import ObjectiveSpec, ObjectiveState, NeighborhoodTallies, eval_objective
 from fairpool.reporting import (
-    REPORT_VERSION,
     MetricsReport,
     income_value_spread,
     metrics_from_parts,
-    read_report,
     write_reports,
 )
 
 import numpy as np
 
 
-def make_log(graph, per_neighborhood):
-    """per_neighborhood: {origin_location: (requested, serviced)}"""
-    log = RequestLog()
-    rid = 0
-    reqs = []
-    serviced = []
-    for origin, (k, h) in per_neighborhood.items():
-        destination = 0 if origin != 0 else 1
-        for i in range(k):
-            reqs.append(
-                RideRequest(request_id=rid, origin=origin, destination=destination,
-                            created_at=float(rid))
-            )
-            if i < h:
-                serviced.append(rid)
-            rid += 1
-    log.add_batch(RequestBatch(epoch_index=0, requests=tuple(reqs), window_end=60.0))
-    for r in serviced:
-        log.mark_serviced(r, driver_id=0)
-    return log
+def make_tallies(num_neighborhoods, per_label):
+    """per_label: {neighborhood label: (requested, serviced)}"""
+    tallies = NeighborhoodTallies.empty(num_neighborhoods)
+    for label, (k, h) in per_label.items():
+        tallies.requested[label] = k
+        tallies.serviced[label] = h
+    return tallies
 
 
 def test_metrics_hand_rates():
-    # two one-location neighborhoods: rates 0.2 and 0.4
-    graph = helpers.line_city([9.0], num_neighborhoods=2)
-    log = make_log(graph, {0: (5, 1), 1: (5, 2)})
-    report = metrics_from_parts({0: 30.0}, log, graph.neighborhoods)
+    # two neighborhoods: rates 0.2 and 0.4
+    report = metrics_from_parts({0: 30.0}, make_tallies(2, {1: (5, 1), 2: (5, 2)}))
     assert report.total_requests == 10
     assert report.total_serviced == 3
     assert report.overall_success_rate == 0.3
@@ -54,25 +37,20 @@ def test_metrics_hand_rates():
 
 
 def test_metrics_all_serviced():
-    graph = helpers.line_city([9.0], num_neighborhoods=2)
-    log = make_log(graph, {0: (2, 2), 1: (3, 3)})
-    report = metrics_from_parts({0: 10.0, 1: 4.0}, log, graph.neighborhoods)
+    report = metrics_from_parts({0: 10.0, 1: 4.0}, make_tallies(2, {1: (2, 2), 2: (3, 3)}))
     assert report.overall_success_rate == 1.0
     assert report.min_success_rate == 1.0
     assert report.success_rate_var == 0.0
 
 
 def test_metrics_equal_incomes_have_zero_variance():
-    graph = helpers.line_city([9.0])
-    log = make_log(graph, {0: (1, 1)})
-    report = metrics_from_parts({0: 12.0, 1: 12.0, 2: 12.0}, log, graph.neighborhoods)
+    report = metrics_from_parts({0: 12.0, 1: 12.0, 2: 12.0}, make_tallies(1, {1: (1, 1)}))
     assert report.income_var == 0.0
     assert report.income_min == 12.0
 
 
 def test_metrics_no_requests():
-    graph = helpers.line_city([9.0], num_neighborhoods=2)
-    report = metrics_from_parts({0: 0.0}, RequestLog(), graph.neighborhoods)
+    report = metrics_from_parts({0: 0.0}, NeighborhoodTallies.empty(2))
     assert report.total_requests == 0
     assert report.overall_success_rate is None
     assert report.neighborhood_rates == {}
@@ -81,9 +59,7 @@ def test_metrics_no_requests():
 
 
 def test_neighborhoods_without_demand_are_absent_not_zero():
-    graph = helpers.line_city([9.0], num_neighborhoods=2)
-    log = make_log(graph, {0: (4, 1)})  # all demand in neighborhood 1
-    report = metrics_from_parts({0: 6.0}, log, graph.neighborhoods)
+    report = metrics_from_parts({0: 6.0}, make_tallies(2, {1: (4, 1)}))  # all demand in neighborhood 1
     assert set(report.neighborhood_rates) == {1}
     assert report.min_success_rate == 0.25
 
@@ -95,7 +71,7 @@ def test_total_income_agrees_with_income_objective(grid55):
     stream = synth_demand(grid55, rate_per_epoch=2.0, num_epochs=12, hotspot_skew=0.5, seed=3)
     fleet = init_fleet(grid55, 3, 4, seed=3)
     result = run_simulation(grid55, batch_requests(stream), fleet, ObjectiveSpec(name="income"))
-    report = metrics_from_parts(result.incomes(), result.log, grid55.neighborhoods)
+    report = metrics_from_parts(result.incomes(), result.tallies)
     objective_value = eval_objective(
         ObjectiveSpec(name="income"),
         ObjectiveState.from_fleet(result.fleet, result.tallies),
@@ -135,14 +111,22 @@ def sample_report():
         incomes={0: 30.0, 1: 15.5},
         income_min=15.5,
         income_var=52.5625,
-        redistribution={"r": 0.5, "mode": "keep_income"},
     )
+
+
+def load_report(path):
+    """The report a `report.json` holds; its integer keys come back as strings."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    for field in ("neighborhood_rates", "incomes"):
+        payload[field] = {int(k): v for k, v in payload[field].items()}
+    return MetricsReport(**payload)
 
 
 def test_structured_report_round_trip(tmp_path):
     report = sample_report()
     write_reports(report, tmp_path)
-    assert read_report(tmp_path / "report.json") == report
+    assert load_report(tmp_path / "report.json") == report
 
 
 def test_report_writes_are_byte_deterministic(tmp_path):
@@ -166,20 +150,7 @@ def test_tabular_report_shape(tmp_path):
     assert "neighborhood_rate" in metrics or "success_rate" in metrics
 
 
-def test_read_report_rejects_other_versions(tmp_path):
-    report = sample_report()
-    write_reports(report, tmp_path)
-    path = tmp_path / "report.json"
-    text = path.read_text().replace(
-        f'"report_version": {REPORT_VERSION}', '"report_version": 999'
-    )
-    path.write_text(text)
-    with pytest.raises(ValueError, match="unsupported report_version"):
-        read_report(path)
-
-
 def test_report_with_none_rates_round_trips(tmp_path):
-    graph = helpers.line_city([9.0])
-    report = metrics_from_parts({0: 0.0}, RequestLog(), graph.neighborhoods)
+    report = metrics_from_parts({0: 0.0}, NeighborhoodTallies.empty(1))
     write_reports(report, tmp_path)
-    assert read_report(tmp_path / "report.json") == report
+    assert load_report(tmp_path / "report.json") == report

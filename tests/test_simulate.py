@@ -103,6 +103,9 @@ def test_tallies_match_log(grid55):
     _, result = small_run(grid55)
     assert sum(result.tallies.requested) == len(result.log.all_requests)
     assert sum(result.tallies.serviced) == len(result.log.assigned_driver)
+    # the requests objective reads the serviced tallies as the sum of |p_i| + |s_i|
+    rides = sum(len(d.active) + len(d.completed) for d in result.fleet.drivers)
+    assert rides == sum(result.tallies.serviced)
 
 
 def test_honest_run_passes_audit(grid55):
