@@ -28,6 +28,22 @@ break by an ulp, so the filter needs no rounding margin and its output is
 bit-identical to an unfiltered enumeration. For an idle driver the stop list
 is empty and the filter is the direct-pickup test alone.
 
+An idle driver's one-request action needs no search either: with no rider of
+its own, the search for request (o, d) has one path, root -> pickup ->
+dropoff. The pickup arrives at a1 = now + row[o] (now = clock + secs_to_loc,
+row the travel row of the driver's location), and its wait test is the
+filter's own expression, which the request has just passed. The pickup's
+reach test is (a1 + secs[o][d]) - (a1 + direct) >= max_detour, with direct =
+secs[o][d]. The dropoff arrives at a1 + secs[o][d], and its bound test
+evaluates that same delay, 0.0 for finite times, so it cannot fail once the
+reach test has passed. The leaf takes the plan unless its delay sum is nan,
+which only a nan creation time makes. :func:`enumerate_feasible` walks this
+path with these expressions and builds the two stops from the same arrival
+sums the stop replay folds, so the action is bit-identical. It counts the
+walk as the search it replaces: 3 nodes, or 1 when the reach test fails,
+which needs a detour bound of 0 or less. Sets of two or more requests still
+go through the search.
+
 Coalition resimulations replay the same demand with subsets of the fleet, so
 one driver meets the same batch in the same state many times over. A
 :class:`RouteMemo` passed to :func:`enumerate_feasible` stores the enumerated
@@ -49,6 +65,7 @@ changing the optimum or the canonical argmax.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 from .city import CityGraph, fare
@@ -94,7 +111,8 @@ class DelayConstraints(NamedTuple):
 
 class FeasibleAction(NamedTuple):
     """A request subset a driver can take, its best route, and what an epoch
-    reads to score it, derived once by :meth:`build`."""
+    reads to score it, derived once by :meth:`build` (or, with the same
+    bits, by :func:`enumerate_feasible` for an idle driver's singleton)."""
 
     requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
     route: tuple[Stop, ...]  # () only for the empty action
@@ -134,8 +152,10 @@ class RouteMemo:
 
 
 class RouteStats:
-    """Route-search work: searches run and DFS nodes entered (roots
-    included)."""
+    """Route-search work: searches decided and their DFS nodes entered
+    (roots included). An idle driver's singleton, walked by
+    :func:`enumerate_feasible` without the search, counts as the search it
+    replaces."""
 
     __slots__ = ("calls", "nodes")
 
@@ -367,10 +387,11 @@ def enumerate_feasible(
     The empty action (keep the current route) is always first. Subsets are
     grown level by level and a set is only attempted when every subset one
     smaller was feasible; requests whose singleton would fail the route
-    search's first step are dropped up front (see the module docstring).
-    With a memo, a driver state already enumerated against this batch and
-    clock gets the stored tuple back as is. `stats` counts the route searches
-    run.
+    search's first step are dropped up front, and an idle driver's
+    singletons are walked as their forced paths without the search (see the
+    module docstring). With a memo, a driver state already enumerated
+    against this batch and clock gets the stored tuple back as is. `stats`
+    counts the route searches decided, those forced paths included.
     """
     seats_free = driver.capacity - len(driver.onboard)
     if seats_free <= 0 or not batch:
@@ -393,7 +414,43 @@ def enumerate_feasible(
     actions = list(_ONLY_EMPTY)
     ordered = _first_step_survivors(graph, driver, batch, clock, constraints)
     prev_level: set[frozenset[int]] = {frozenset()}
-    for size in range(1, min(seats_free, len(ordered)) + 1):
+    first_size = 1
+    if not driver.active:
+        # level 1 is each survivor's forced path root -> pickup -> dropoff,
+        # walked with route_feasible's own expressions (module docstring)
+        secs = graph.travel_secs
+        minutes = graph.travel_minutes
+        labels = graph.neighborhoods.labels
+        delta = graph.delta
+        max_detour = constraints.max_detour_delay
+        now = clock + driver.secs_to_loc
+        row = secs[driver.loc]
+        inf = math.inf
+        new = tuple.__new__
+        prev_level = set()
+        nodes = 0
+        for r in ordered:
+            rid, o, d, created = r
+            picked = now + row[o]
+            direct = secs[o][d]
+            dropped = picked + direct
+            late = dropped - (picked + direct)
+            if late >= max_detour:
+                nodes += 1  # the pickup's reach test fails at the root
+                continue
+            nodes += 3
+            if not 0.0 + (picked - created) + late <= inf:
+                continue  # the leaf rejects a nan delay sum
+            route = (new(Stop, (PICKUP, rid, o, picked)), new(Stop, (DROPOFF, rid, d, dropped)))
+            actions.append(new(FeasibleAction, (
+                (r,), route, (rid,), (minutes[o][d] + delta,), (labels[o],), d
+            )))
+            prev_level.add(frozenset((rid,)))
+        if stats is not None:
+            stats.calls += len(ordered)
+            stats.nodes += nodes
+        first_size = 2
+    for size in range(first_size, min(seats_free, len(ordered)) + 1):
         level: set[frozenset[int]] = set()
         for combo in itertools.combinations(ordered, size):
             ids = frozenset(req.request_id for req in combo)
@@ -547,8 +604,8 @@ class EpochResult(NamedTuple):
     objective_value: float
     num_actions: int
     solver_nodes: int
-    route_calls: int  # route searches run
-    route_nodes: int  # route-search DFS nodes entered
+    route_calls: int  # route searches decided, an idle driver's forced singleton paths included
+    route_nodes: int  # their DFS nodes entered, roots included
 
 
 def run_epoch(

@@ -31,7 +31,10 @@ from fairpool.matching import (
     AssignmentSolution,
     DelayConstraints,
     FeasibleAction,
+    RouteStats,
+    _first_step_survivors,
     enumerate_feasible,
+    route_feasible,
 )
 from fairpool.objectives import ObjectiveSpec, ObjectiveState, left_sum
 from fairpool.value import ValueModel
@@ -214,6 +217,37 @@ def enumerate_feasible_reference(
             break
         prev_level = level
     return actions
+
+
+def enumerate_route_stats_reference(
+    graph: CityGraph,
+    driver: DriverState,
+    batch: tuple[RideRequest, ...],
+    clock: float,
+    constraints: DelayConstraints,
+) -> tuple[int, int]:
+    """The (calls, nodes) route-search work of an enumeration that sends
+    every subset, an idle driver's singletons included, through
+    route_feasible: the level-wise loop over the first-step survivors, all
+    searches counted by one RouteStats."""
+    stats = RouteStats()
+    seats_free = driver.capacity - driver.occupancy
+    if seats_free <= 0 or not batch:
+        return 0, 0
+    ordered = _first_step_survivors(graph, driver, batch, clock, constraints)
+    prev_level: set[frozenset[int]] = {frozenset()}
+    for size in range(1, min(seats_free, len(ordered)) + 1):
+        level: set[frozenset[int]] = set()
+        for combo in itertools.combinations(ordered, size):
+            ids = frozenset(req.request_id for req in combo)
+            if size > 1 and any(ids - {rid} not in prev_level for rid in ids):
+                continue
+            if route_feasible(graph, driver, combo, clock, constraints, stats) is not None:
+                level.add(ids)
+        if not level:
+            break
+        prev_level = level
+    return stats.calls, stats.nodes
 
 
 def sum_reference(values) -> float:

@@ -392,6 +392,37 @@ def test_busy_fleet_route_search_count_is_pinned(tmp_path):
     assert (calls, sum(r["route_nodes"] for r in records)) == (258, 1398)
 
 
+IDLE_CITY = """
+city.width = 5
+city.height = 5
+city.neighborhoods = 2
+fleet.num_drivers = 4
+fleet.capacity = 1
+demand.rate_per_epoch = 6.0
+demand.num_epochs = 10
+objective.kind = driver_fairness
+objective.lambda = 3000
+seed = 3
+"""
+
+
+def test_idle_fleet_route_search_count_is_pinned(tmp_path):
+    """No driver of this capacity-1 day ever takes a rider, so every route
+    search is an idle driver's single request, walked as its forced
+    root -> pickup -> dropoff path without the search. The counters keep
+    the values the full search gave: 161 searches of 3 nodes each."""
+    cfg = write_config(tmp_path / "idle.cfg", IDLE_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "epochs.jsonl") as fh:
+        records = [json.loads(line) for line in fh]
+    assert not any(r["assignments"] for r in records)
+    assert (
+        sum(r["route_calls"] for r in records),
+        sum(r["route_nodes"] for r in records),
+        sum(r["num_actions"] for r in records),
+    ) == (161, 483, 201)
+
+
 def test_resolved_config_echo_reproduces_run(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
     first = tmp_path / "first"

@@ -20,6 +20,7 @@ from fairpool.matching import (
     DelayConstraints,
     FeasibleAction,
     RouteMemo,
+    RouteStats,
     enumerate_feasible,
     route_feasible,
     run_epoch,
@@ -347,6 +348,63 @@ def test_enumerate_matches_filter_free_reference(state, idle):
     )
 
 
+@st.composite
+def idle_states(draw):
+    """An idle driver on a fractional line city, time left to its next
+    location 0 or fractional, capacity 1-4, and a batch whose creation times
+    put the direct pickup at, or an ulp either side of, the wait bound (or
+    well inside it, or nan), under detour bounds of 60 s, one ulp, 0 and -1."""
+    minutes = draw(st.lists(st.sampled_from((0.1, 0.5, 0.7, 1.0, 2.0)), min_size=2, max_size=5))
+    graph = helpers.line_city(minutes)
+    n_locs = len(minutes) + 1
+    clock = draw(st.sampled_from([301.5, 330.25, 420.0]))
+    driver = driver_state(
+        loc=draw(st.integers(min_value=0, max_value=n_locs - 1)),
+        secs_to_loc=draw(st.sampled_from([0.0, 0.1, 6.7])),
+        capacity=draw(st.integers(min_value=1, max_value=4)),
+    )
+    constraints = DelayConstraints(
+        max_detour_delay=draw(st.sampled_from([60.0, math.ulp(0.0), 0.0, -1.0]))
+    )
+    now = clock + driver.secs_to_loc
+    batch = []
+    for rid in range(draw(st.integers(min_value=1, max_value=5))):
+        origin = draw(st.integers(min_value=0, max_value=n_locs - 1))
+        destination = draw(st.sampled_from([x for x in range(n_locs) if x != origin]))
+        at_bound = now + graph.travel_secs[driver.loc][origin] - constraints.max_pickup_delay
+        t = draw(st.sampled_from([
+            at_bound,
+            math.nextafter(at_bound, -math.inf),
+            math.nextafter(at_bound, math.inf),
+            clock - 30.0,
+            math.nan,
+        ]))
+        batch.append(req(rid, origin, destination, t=t))
+    return graph, driver, tuple(batch), clock, constraints
+
+
+@settings(max_examples=200)
+@given(state=idle_states())
+def test_idle_singletons_match_the_route_search(state):
+    """An idle driver's one-request actions are walked without the route
+    search: they and every larger set equal the reference enumeration's,
+    field for field, and the work counted is that of sending each singleton
+    through route_feasible."""
+    graph, driver, batch, clock, constraints = state
+    stats = RouteStats()
+    actions = enumerate_feasible(graph, driver, batch, clock, constraints, stats=stats)
+    reference = helpers.enumerate_feasible_reference(graph, driver, batch, clock, constraints)
+    assert action_bits(actions) == action_bits(reference)
+    assert [(a.requests, a.fares, a.origin_labels, a.end) for a in actions] == [
+        (a.requests, a.fares, a.origin_labels, a.end) for a in reference
+    ]
+    assert all(type(a) is FeasibleAction for a in actions)
+    assert all(type(s) is Stop for a in actions for s in a.route)
+    assert (stats.calls, stats.nodes) == helpers.enumerate_route_stats_reference(
+        graph, driver, batch, clock, constraints
+    )
+
+
 def search_spy(monkeypatch):
     """Record the request ids of every route search enumerate_feasible runs."""
     searched = []
@@ -361,8 +419,9 @@ def search_spy(monkeypatch):
 
 def test_idle_reach_filter_boundary_is_the_route_search_test(monkeypatch):
     """Request 0's direct pickup delay is exactly the bound, so the route
-    search rejects it and the filter must keep it from being searched at all;
-    request 1's is one ulp below the bound and must survive."""
+    search rejects it and the filter must drop it; request 1's is one ulp
+    below the bound and must survive. An idle driver's singleton is its
+    forced path, walked without the route search."""
     graph = helpers.line_city([1.0, 1.0])
     clock = 300.0  # the pickup at location 1 is reached at 360 s
     bound = C.max_pickup_delay
@@ -379,7 +438,7 @@ def test_idle_reach_filter_boundary_is_the_route_search_test(monkeypatch):
         helpers.enumerate_feasible_reference(graph, idle, batch, clock, C)
     )
     assert [a.request_ids for a in actions] == [(), (1,)]
-    assert searched == [(1,)]
+    assert searched == []
 
 
 def test_first_step_filter_boundary_is_the_route_search_test(monkeypatch):
