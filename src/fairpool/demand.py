@@ -47,6 +47,8 @@ class RideRequest(_RideRequest):
             raise ValueError(f"request {request_id}: origin equals destination")
         if created_at < 0:
             raise ValueError(f"request {request_id}: negative creation time")
+        if not math.isfinite(created_at):
+            raise ValueError(f"request {request_id}: non-finite creation time {created_at}")
         return tuple.__new__(cls, (request_id, origin, destination, created_at))
 
 

@@ -28,21 +28,45 @@ break by an ulp, so the filter needs no rounding margin and its output is
 bit-identical to an unfiltered enumeration. For an idle driver the stop list
 is empty and the filter is the direct-pickup test alone.
 
-An idle driver's one-request action needs no search either: with no rider of
-its own, the search for request (o, d) has one path, root -> pickup ->
-dropoff. The pickup arrives at a1 = now + row[o] (now = clock + secs_to_loc,
-row the travel row of the driver's location), and its wait test is the
-filter's own expression, which the request has just passed. The pickup's
-reach test is (a1 + secs[o][d]) - (a1 + direct) >= max_detour, with direct =
-secs[o][d]. The dropoff arrives at a1 + secs[o][d], and its bound test
-evaluates that same delay, 0.0 for finite times, so it cannot fail once the
-reach test has passed. The leaf takes the plan unless its delay sum is nan,
-which only a nan creation time makes. :func:`enumerate_feasible` walks this
-path with these expressions and builds the two stops from the same arrival
-sums the stop replay folds, so the action is bit-identical. It counts the
-walk as the search it replaces: 3 nodes, or 1 when the reach test fails,
-which needs a detour bound of 0 or less. Sets of two or more requests still
-go through the search.
+A one-request route that carries one rider at a time needs no search
+either. Such are an idle driver's routes, whatever its capacity, and a
+single-seat driver's with nobody aboard and one accepted rider waiting.
+After each pickup the car is full or holds the route's only rider, so the
+next stop can only be that rider's dropoff: the search tree is one chain of
+stops per order of the riders, sharing only the root. A lone request has
+one chain, root -> pickup -> dropoff (so has a request reusing the waiting
+rider's id, which replaces that rider in the search's rider map); with a
+rider waiting there are two, each serving both riders in turn, lower
+request id first and then the other way round, the order of their first
+stop keys.
+
+:func:`enumerate_feasible` walks the chains with route_feasible's own
+expressions. A pickup tests the wait bound, the best-delay prune delay_sum +
+delay > best_delay, and reachability of the stops still open: its own
+dropoff and, first in a chain of two, the other rider's pickup. Its dropoff
+tests the prune and that pickup's reach. It need not repeat its own bound
+test: its detour delay (a + secs[o][d]) - (a + direct), with a the pickup's
+arrival and direct = secs[o][d], is the expression the pickup's reach test
+has just passed; likewise the second pickup's wait is the first dropoff's
+reach test of it. The leaf accepts delay_sum < best_delay, or an equal sum
+while no chain has been accepted: the search's key-order tie-break, since
+the first chain's keys sort below the second's. So the first chain's leaf
+prunes the second, as in the search.
+
+An idle driver's lone request needs less: its pickup's wait test is the
+filter's own expression, which it has just passed, its prunes compare with
+an infinite best, and its leaf accepts any delay sum but nan. Every time is
+finite (RideRequest rejects a non-finite creation time, a city is strongly
+connected with finite edges, and the clock and the time to the next
+location are sums of those), so that walk tests only its dropoff's reach, a
+delay of 0.0 that fails only under a detour bound of 0 or less.
+
+Each walk builds the winning chain's stops from its own arrival sums, which
+the search's stop replay folds the same way, so the action is
+bit-identical, and counts as the search it replaces: one call, and the root
+plus every node its chains enter (3 for an idle driver, or 1 when the reach
+test fails at the root; at most 9 for two chains). Every other route, and
+every set of two or more requests, goes through the search.
 
 Coalition resimulations replay the same demand with subsets of the fleet, so
 one driver meets the same batch in the same state many times over. A
@@ -112,7 +136,8 @@ class DelayConstraints(NamedTuple):
 class FeasibleAction(NamedTuple):
     """A request subset a driver can take, its best route, and what an epoch
     reads to score it, derived once by :meth:`build` (or, with the same
-    bits, by :func:`enumerate_feasible` for an idle driver's singleton)."""
+    bits, by :func:`enumerate_feasible` for a one-request action it walks
+    without the route search)."""
 
     requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
     route: tuple[Stop, ...]  # () only for the empty action
@@ -153,9 +178,10 @@ class RouteMemo:
 
 class RouteStats:
     """Route-search work: searches decided and their DFS nodes entered
-    (roots included). An idle driver's singleton, walked by
-    :func:`enumerate_feasible` without the search, counts as the search it
-    replaces."""
+    (roots included). A one-request action that :func:`enumerate_feasible`
+    walks without the search (an idle driver's, or a single-seat driver's
+    with one rider waiting) counts as the search it replaces: one call, and
+    the root plus every node its chains of stops enter."""
 
     __slots__ = ("calls", "nodes")
 
@@ -387,11 +413,13 @@ def enumerate_feasible(
     The empty action (keep the current route) is always first. Subsets are
     grown level by level and a set is only attempted when every subset one
     smaller was feasible; requests whose singleton would fail the route
-    search's first step are dropped up front, and an idle driver's
-    singletons are walked as their forced paths without the search (see the
-    module docstring). With a memo, a driver state already enumerated
-    against this batch and clock gets the stored tuple back as is. `stats`
-    counts the route searches decided, those forced paths included.
+    search's first step are dropped up front, and when each singleton's
+    route carries one rider at a time (an idle driver, or a single-seat
+    driver with one rider waiting) its one or two forced chains of stops are
+    walked without the search (see the module docstring). With a memo, a
+    driver state already enumerated against this batch and clock gets the
+    stored tuple back as is. `stats` counts the route searches decided,
+    those walks included.
     """
     seats_free = driver.capacity - len(driver.onboard)
     if seats_free <= 0 or not batch:
@@ -415,37 +443,87 @@ def enumerate_feasible(
     ordered = _first_step_survivors(graph, driver, batch, clock, constraints)
     prev_level: set[frozenset[int]] = {frozenset()}
     first_size = 1
-    if not driver.active:
-        # level 1 is each survivor's forced path root -> pickup -> dropoff,
-        # walked with route_feasible's own expressions (module docstring)
+    active = driver.active
+    if not active or (len(active) == 1 and driver.capacity == 1):
+        # level 1 carries one rider at a time (a single seat free means
+        # nobody aboard), so each survivor's route search is one chain of
+        # stops per order of its riders: walk them with route_feasible's own
+        # expressions (module docstring)
         secs = graph.travel_secs
         minutes = graph.travel_minutes
         labels = graph.neighborhoods.labels
         delta = graph.delta
+        max_pickup = constraints.max_pickup_delay
         max_detour = constraints.max_detour_delay
-        now = clock + driver.secs_to_loc
-        row = secs[driver.loc]
-        inf = math.inf
+        start, now = driver.loc, clock + driver.secs_to_loc
+        row = secs[start]
+        waiting = next(iter(active.values())) if active else None
         new = tuple.__new__
         prev_level = set()
         nodes = 0
         for r in ordered:
-            rid, o, d, created = r
-            picked = now + row[o]
-            direct = secs[o][d]
-            dropped = picked + direct
-            late = dropped - (picked + direct)
-            if late >= max_detour:
-                nodes += 1  # the pickup's reach test fails at the root
-                continue
-            nodes += 3
-            if not 0.0 + (picked - created) + late <= inf:
-                continue  # the leaf rejects a nan delay sum
-            route = (new(Stop, (PICKUP, rid, o, picked)), new(Stop, (DROPOFF, rid, d, dropped)))
+            rid, o, d, _ = r
+            if waiting is None:
+                # one chain, whose wait test the filter has just passed
+                picked = now + row[o]
+                direct = secs[o][d]
+                dropped = picked + direct
+                if dropped - (picked + direct) >= max_detour:
+                    nodes += 1  # the pickup's reach test fails at the root
+                    continue
+                nodes += 3
+                route = (new(Stop, (PICKUP, rid, o, picked)), new(Stop, (DROPOFF, rid, d, dropped)))
+            else:
+                if waiting[0] == rid:  # the search keys riders by id: one rider
+                    chains = ((r,),)
+                elif waiting[0] < rid:
+                    chains = ((waiting, r), (r, waiting))
+                else:
+                    chains = ((r, waiting), (waiting, r))
+                best_delay = math.inf
+                route = None
+                nodes += 1  # the root
+                for chain in chains:
+                    loc, at, delay_sum, stops = start, now, 0.0, ()
+                    # the rider still waiting, whose pickup (origin [1], creation
+                    # time [3]) must stay in reach
+                    after = chain[1:]
+                    for xid, xo, xd, created in chain:
+                        picked = at + secs[loc][xo]
+                        wait = picked - created
+                        if wait >= max_pickup or delay_sum + wait > best_delay:
+                            break
+                        here = secs[xo]
+                        dropped = picked + here[xd]
+                        # the dropoff's detour delay, and its reach test at the pickup
+                        late = dropped - (picked + here[xd])
+                        if late >= max_detour or (
+                            after and picked + here[after[0][1]] - after[0][3] >= max_pickup
+                        ):
+                            break
+                        nodes += 1
+                        delay_sum = delay_sum + wait
+                        if delay_sum + late > best_delay or (
+                            after and dropped + secs[xd][after[0][1]] - after[0][3] >= max_pickup
+                        ):
+                            break
+                        nodes += 1
+                        delay_sum = delay_sum + late
+                        stops += (
+                            new(Stop, (PICKUP, xid, xo, picked)), new(Stop, (DROPOFF, xid, xd, dropped))
+                        )
+                        loc, at, after = xd, dropped, ()
+                    else:  # the leaf: the first chain in key order wins a tie
+                        if delay_sum < best_delay or (delay_sum == best_delay and route is None):
+                            best_delay = delay_sum
+                            route = stops
+                if route is None:
+                    continue
             actions.append(new(FeasibleAction, (
-                (r,), route, (rid,), (minutes[o][d] + delta,), (labels[o],), d
+                (r,), route, (rid,), (minutes[o][d] + delta,), (labels[o],), route[-1][2]
             )))
-            prev_level.add(frozenset((rid,)))
+            if seats_free > 1:  # else the lattice stops at one request
+                prev_level.add(frozenset((rid,)))
         if stats is not None:
             stats.calls += len(ordered)
             stats.nodes += nodes
@@ -604,7 +682,7 @@ class EpochResult(NamedTuple):
     objective_value: float
     num_actions: int
     solver_nodes: int
-    route_calls: int  # route searches decided, an idle driver's forced singleton paths included
+    route_calls: int  # route searches decided, the one-request walks included
     route_nodes: int  # their DFS nodes entered, roots included
 
 

@@ -423,6 +423,43 @@ def test_idle_fleet_route_search_count_is_pinned(tmp_path):
     ) == (161, 483, 201)
 
 
+SINGLE_SEAT_CITY = """
+city.width = 5
+city.height = 5
+city.edge_minutes = 0.4
+city.neighborhoods = 2
+fleet.num_drivers = 3
+fleet.capacity = 1
+demand.rate_per_epoch = 6.0
+demand.num_epochs = 12
+objective.kind = income
+seed = 3
+"""
+
+
+def test_single_seat_route_search_count_is_pinned(tmp_path):
+    """Single-seat drivers of this short-edged day take riders, so besides
+    idle drivers' forced paths the enumeration meets a car with one rider
+    waiting and walks both stop orders of each request without the search
+    (43 times, 28 of them feasible); 19 searches with two riders waiting stay
+    with route_feasible. The counters and the whole epochs.jsonl keep the
+    values the full search gave."""
+    cfg = write_config(tmp_path / "single_seat.cfg", SINGLE_SEAT_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "epochs.jsonl", "rb") as fh:
+        raw = fh.read()
+    records = [json.loads(line) for line in raw.splitlines()]
+    assert sum(len(r["assignments"]) for r in records) == 14
+    assert (
+        sum(r["route_calls"] for r in records),
+        sum(r["route_nodes"] for r in records),
+        sum(r["num_actions"] for r in records),
+    ) == (103, 401, 107)
+    assert hashlib.sha256(raw).hexdigest() == (
+        "656df5903e7735bf6739ae871dcefddb5f78d7b252f30c36b673ec08d67841d0"
+    )
+
+
 def test_resolved_config_echo_reproduces_run(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
     first = tmp_path / "first"

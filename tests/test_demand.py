@@ -1,5 +1,7 @@
 """Request stream generation, epoch batching, and trip-file ingestion."""
 
+import math
+
 import pytest
 
 from fairpool.demand import (
@@ -180,6 +182,14 @@ def test_request_validation():
         RideRequest(request_id=0, origin=3, destination=3, created_at=0.0)
     with pytest.raises(ValueError, match="negative"):
         RideRequest(request_id=0, origin=0, destination=1, created_at=-2.0)
+
+
+@pytest.mark.parametrize("created_at", [math.nan, math.inf])
+def test_request_rejects_a_non_finite_creation_time(created_at):
+    """A nan time would pass the negative check (nan < 0 is false) and make
+    every route search reject the request without an error."""
+    with pytest.raises(ValueError, match=f"^request 7: non-finite creation time {created_at}$"):
+        RideRequest(request_id=7, origin=0, destination=1, created_at=created_at)
 
 
 def test_request_log_counts_by_neighborhood():

@@ -348,12 +348,24 @@ def test_enumerate_matches_filter_free_reference(state, idle):
     )
 
 
+def at_wait_bound(draw, arrival, bound):
+    """A creation time putting a pickup at `arrival` at the wait bound, one
+    ulp either side of it, or well inside it."""
+    at_bound = arrival - bound
+    return draw(st.sampled_from([
+        at_bound,
+        math.nextafter(at_bound, -math.inf),
+        math.nextafter(at_bound, math.inf),
+        arrival - 30.0,
+    ]))
+
+
 @st.composite
 def idle_states(draw):
     """An idle driver on a fractional line city, time left to its next
     location 0 or fractional, capacity 1-4, and a batch whose creation times
     put the direct pickup at, or an ulp either side of, the wait bound (or
-    well inside it, or nan), under detour bounds of 60 s, one ulp, 0 and -1."""
+    well inside it), under detour bounds of 60 s, one ulp, 0 and -1."""
     minutes = draw(st.lists(st.sampled_from((0.1, 0.5, 0.7, 1.0, 2.0)), min_size=2, max_size=5))
     graph = helpers.line_city(minutes)
     n_locs = len(minutes) + 1
@@ -371,28 +383,71 @@ def idle_states(draw):
     for rid in range(draw(st.integers(min_value=1, max_value=5))):
         origin = draw(st.integers(min_value=0, max_value=n_locs - 1))
         destination = draw(st.sampled_from([x for x in range(n_locs) if x != origin]))
-        at_bound = now + graph.travel_secs[driver.loc][origin] - constraints.max_pickup_delay
-        t = draw(st.sampled_from([
-            at_bound,
-            math.nextafter(at_bound, -math.inf),
-            math.nextafter(at_bound, math.inf),
-            clock - 30.0,
-            math.nan,
-        ]))
+        arrival = now + graph.travel_secs[driver.loc][origin]
+        t = at_wait_bound(draw, arrival, constraints.max_pickup_delay)
         batch.append(req(rid, origin, destination, t=t))
     return graph, driver, tuple(batch), clock, constraints
 
 
-@settings(max_examples=200)
-@given(state=idle_states())
-def test_idle_singletons_match_the_route_search(state):
-    """An idle driver's one-request actions are walked without the route
-    search: they and every larger set equal the reference enumeration's,
-    field for field, and the work counted is that of sending each singleton
-    through route_feasible."""
+@st.composite
+def single_seat_states(draw):
+    """A capacity-1 driver with nobody aboard and one accepted rider waiting,
+    whose id is below, above or equal to the batch's, on a fractional line
+    city at a fractional clock. Creation times put each direct pickup at, or
+    an ulp either side of, the wait bound, or well inside it; a request may
+    copy the waiting rider's trip and time, so the two stop orders tie in
+    delay. Detour bounds are 60 s, one ulp, 0 and -1."""
+    minutes = draw(st.lists(st.sampled_from((0.1, 0.5, 0.7, 1.0, 2.0)), min_size=2, max_size=5))
+    graph = helpers.line_city(minutes)
+    secs = graph.travel_secs
+    n_locs = len(minutes) + 1
+    clock = draw(st.sampled_from([301.5, 330.25, 420.0]))
+    loc = draw(st.integers(min_value=0, max_value=n_locs - 1))
+    secs_to_loc = draw(st.sampled_from([0.0, 0.1, 6.7]))
+    # half the draws at 60 s: a bound of 0 or less rejects every plan at the root
+    detour = st.one_of(st.just(60.0), st.sampled_from([math.ulp(0.0), 0.0, -1.0]))
+    constraints = DelayConstraints(max_detour_delay=draw(detour))
+    bound = constraints.max_pickup_delay
+    now = clock + secs_to_loc
+
+    def trip():
+        origin = draw(st.integers(min_value=0, max_value=n_locs - 1))
+        return origin, draw(st.sampled_from([x for x in range(n_locs) if x != origin]))
+
+    o, d = trip()
+    n_batch = draw(st.integers(min_value=1, max_value=4))
+    waiting_id = draw(st.sampled_from([5, 10 + n_batch, 10 + draw(st.integers(0, n_batch - 1))]))
+    waiting = req(waiting_id, o, d, t=at_wait_bound(draw, now + secs[loc][o], bound))
+    batch = []
+    for rid in range(10, 10 + n_batch):
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            batch.append(req(rid, waiting.origin, waiting.destination, t=waiting.created_at))
+            continue
+        o, d = trip()
+        # at the bound directly, or after serving the waiting rider first
+        leg_from = draw(st.sampled_from([(loc, now), (
+            waiting.destination,
+            now + secs[loc][waiting.origin] + secs[waiting.origin][waiting.destination],
+        )]))
+        batch.append(req(rid, o, d, t=at_wait_bound(draw, leg_from[1] + secs[leg_from[0]][o], bound)))
+    driver = driver_state(loc=loc, secs_to_loc=secs_to_loc, capacity=1, active=(waiting,))
+    return graph, driver, tuple(batch), clock, constraints
+
+
+@settings(max_examples=500)
+@given(state=st.one_of(idle_states(), single_seat_states()))
+def test_walked_singletons_match_the_route_search(state):
+    """An idle driver's one-request actions, and a single-seat driver's with
+    one rider waiting, are walked without the route search: they and every
+    larger set equal the reference enumeration's field for field, and the
+    work counted is that of sending each first-step survivor through
+    route_feasible."""
     graph, driver, batch, clock, constraints = state
     stats = RouteStats()
-    actions = enumerate_feasible(graph, driver, batch, clock, constraints, stats=stats)
+    with pytest.MonkeyPatch.context() as patch:
+        searched = search_spy(patch)
+        actions = enumerate_feasible(graph, driver, batch, clock, constraints, stats=stats)
+    assert all(len(ids) > 1 for ids in searched)
     reference = helpers.enumerate_feasible_reference(graph, driver, batch, clock, constraints)
     assert action_bits(actions) == action_bits(reference)
     assert [(a.requests, a.fares, a.origin_labels, a.end) for a in actions] == [

@@ -102,7 +102,8 @@ def test_negative_seed_and_rate_are_rejected():
 
 
 def imported_modules(path):
-    tree = ast.parse(open(path).read(), filename=path)
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
