@@ -61,7 +61,11 @@ def _city_components(config: RunConfig) -> tuple[list[Location], list[tuple[int,
     """Locations and raw edges of the configured city, before the closure."""
     if config.city_kind == "grid":
         return grid_components(config.city_width, config.city_height, config.city_edge_minutes)
-    return load_locations(config.city_locations), load_edges(config.city_edges)
+    locations = load_locations(config.city_locations)
+    if len(locations) < config.num_neighborhoods:
+        raise ValueError(f"{config.city_locations}: cannot split {len(locations)} locations into "
+                         f"{config.num_neighborhoods} neighborhoods")
+    return locations, load_edges(config.city_edges)
 
 
 def build_graph(config: RunConfig) -> CityGraph:
@@ -379,10 +383,26 @@ def _read_driver_rows(path: str, names: tuple[str, ...], drivers: range | None =
     return list(rows.values())
 
 
+def _run_config(run_dir: str) -> RunConfig:
+    """The config.resolved a command wrote to `run_dir`. dump_config writes
+    every key, so a key missing means the file was damaged, not that the
+    default applies: raises ValueError (a runtime error, exit 3) naming the
+    file and the first such key in dump order."""
+    path = os.path.join(run_dir, "config.resolved")
+    config = load_config(path)
+    with open(path) as fh:
+        present = {line.partition("=")[0].strip() for line in fh}
+    for line in dump_config(config).splitlines():
+        key = line.partition(" = ")[0]
+        if key not in present:
+            raise ValueError(f"{path}: missing key {key}")
+    return config
+
+
 def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
     """Shapley estimate, full-fleet incomes, and the resimulation counters
     for shapley_meta.txt."""
-    config = load_config(os.path.join(run_dir, "config.resolved"))
+    config = _run_config(run_dir)
     graph = build_graph(config)
     batches, _ = build_batches(config, graph)
     spec, constraints = _spec_and_constraints(config)
@@ -461,9 +481,8 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
     mode = args.mode or "as_printed"
     if os.path.isdir(source):
         # a run directory carries its configured payout mode; --mode wins
-        resolved = os.path.join(source, "config.resolved")
-        if args.mode is None and os.path.exists(resolved):
-            mode = load_config(resolved).payout_mode
+        if args.mode is None and os.path.exists(os.path.join(source, "config.resolved")):
+            mode = _run_config(source).payout_mode
         source = os.path.join(source, "shapley.csv")
     rows = _read_driver_rows(source, ("pi", "v"))
     if not rows:
@@ -503,7 +522,7 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     run_dir = args.source
-    config = load_config(os.path.join(run_dir, "config.resolved"))
+    config = _run_config(run_dir)
     locations, _ = _city_components(config)
     neighborhoods = city_neighborhoods(locations, config.num_neighborhoods, config.seed)
     tallies = NeighborhoodTallies.empty(neighborhoods.num_neighborhoods)

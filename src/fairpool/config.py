@@ -125,6 +125,9 @@ def validate_config(config: RunConfig, source: str) -> None:
             fail("city.width", "grid dimensions must be at least 1x1")
         if config.city_edge_minutes <= 0:
             fail("city.edge_minutes", "edge travel time must be positive")
+        locations = config.city_width * config.city_height
+        if config.num_neighborhoods > locations:
+            fail("city.neighborhoods", f"more than the grid's {locations} locations")
     else:
         if not config.city_locations or not config.city_edges:
             fail("city.locations", "csv city needs both city.locations and city.edges")

@@ -9,64 +9,56 @@ is solved to optimality.
 
 Subset enumeration prunes upward: travel times form a shortest-path metric,
 so dropping a rider from a feasible route never delays the remaining stops,
-which means any feasible subset has all its sub-subsets feasible and sizes
-can be grown level by level.
+which means any feasible subset has all its sub-subsets feasible. Level 1
+finds each request a driver can take alone; larger sets grow level by level
+from those feasible singles, a set being tried only when every subset one
+smaller was feasible.
 
-Before that search, every driver drops the requests whose singleton would
-die at the route search's first step. It lists its own possible first stops:
-each pickup or dropoff of a rider it has already accepted that passes every
+Before level 1, every driver drops the requests whose singleton would die at
+the route search's first step. It lists its own possible first stops: each
+pickup or dropoff of a rider it has already accepted that passes every
 search test not involving a new request (a free seat, the stop's own wait or
 detour bound, and direct reachability of its other riders). A request is
 dropped when its direct pickup already breaks the wait bound and, from every
 one of those stops, it fails the reachability test too. These are the
 expressions the search itself evaluates at depth one, so with that request
 every first stop is rejected before the search goes deeper: its singleton is
-infeasible, and by the lattice property so is every set that contains it,
-which level-wise growth would never try. Nothing rests on the triangle
-inequality, which the float sums of a CSV city with fractional edge times can
-break by an ulp, so the filter needs no rounding margin and its output is
-bit-identical to an unfiltered enumeration. For an idle driver the stop list
-is empty and the filter is the direct-pickup test alone.
+infeasible, and so is every set that contains it. Nothing rests on the
+triangle inequality, which the float sums of a CSV city with fractional edge
+times can break by an ulp, so the filter needs no rounding margin and its
+output is bit-identical to an unfiltered enumeration. For an idle driver the
+stop list is empty and the filter is the direct-pickup test alone.
 
-A one-request route that carries one rider at a time needs no search
-either. Such are an idle driver's routes, whatever its capacity, and a
-single-seat driver's with nobody aboard and one accepted rider waiting.
-After each pickup the car is full or holds the route's only rider, so the
-next stop can only be that rider's dropoff: the search tree is one chain of
-stops per order of the riders, sharing only the root. A lone request has
-one chain, root -> pickup -> dropoff (so has a request reusing the waiting
-rider's id, which replaces that rider in the search's rider map); with a
-rider waiting there are two, each serving both riders in turn, lower
-request id first and then the other way round, the order of their first
-stop keys.
+A one-request route that carries one rider at a time needs no search. Such
+are an idle driver's routes, whatever its capacity, and a single-seat
+driver's with nobody aboard and one accepted rider waiting. After each
+pickup the car is full or holds the route's only rider, so the next stop can
+only be that rider's dropoff: the search tree is one chain of stops per
+order of the riders, sharing only the root. A lone request has one chain,
+root -> pickup -> dropoff (so has a request reusing the waiting rider's id,
+which replaces that rider in the search's rider map); with a rider waiting
+there are two, each serving both riders in turn, lower request id first and
+then the other way round, the order of their first stop keys.
 
-:func:`enumerate_feasible` walks the chains with route_feasible's own
-expressions. A pickup tests the wait bound, the best-delay prune delay_sum +
-delay > best_delay, and reachability of the stops still open: its own
-dropoff and, first in a chain of two, the other rider's pickup. Its dropoff
-tests the prune and that pickup's reach. It need not repeat its own bound
-test: its detour delay (a + secs[o][d]) - (a + direct), with a the pickup's
-arrival and direct = secs[o][d], is the expression the pickup's reach test
-has just passed; likewise the second pickup's wait is the first dropoff's
-reach test of it. The leaf accepts delay_sum < best_delay, or an equal sum
-while no chain has been accepted: the search's key-order tie-break, since
-the first chain's keys sort below the second's. So the first chain's leaf
-prunes the second, as in the search.
+:func:`enumerate_feasible` has one walk for all these chains, and it uses
+route_feasible's own expressions. A pickup tests the wait bound, the
+best-delay prune delay_sum + delay > best_delay, and reachability of the
+stops still open: its own dropoff and, first in a chain of two, the other
+rider's pickup. Its dropoff tests the prune and that pickup's reach. It need
+not repeat its own bound test: its detour delay (a + secs[o][d]) - (a +
+direct), with a the pickup's arrival and direct = secs[o][d], is the
+expression the pickup's reach test has just passed; likewise the second
+pickup's wait is the first dropoff's reach test of it. The leaf accepts
+delay_sum < best_delay, or an equal sum while no chain has been accepted:
+the search's key-order tie-break, since the first chain's keys sort below
+the second's. So the first chain's leaf prunes the second, as in the search.
 
-An idle driver's lone request needs less: its pickup's wait test is the
-filter's own expression, which it has just passed, its prunes compare with
-an infinite best, and its leaf accepts any delay sum but nan. Every time is
-finite (RideRequest rejects a non-finite creation time, a city is strongly
-connected with finite edges, and the clock and the time to the next
-location are sums of those), so that walk tests only its dropoff's reach, a
-delay of 0.0 that fails only under a detour bound of 0 or less.
-
-Each walk builds the winning chain's stops from its own arrival sums, which
+The walk builds the winning chain's stops from its own arrival sums, which
 the search's stop replay folds the same way, so the action is
 bit-identical, and counts as the search it replaces: one call, and the root
-plus every node its chains enter (3 for an idle driver, or 1 when the reach
-test fails at the root; at most 9 for two chains). Every other route, and
-every set of two or more requests, goes through the search.
+plus every node its chains enter (3 for a lone request, or 1 when the reach
+test fails at the root; at most 9 for two chains). Every other driver's
+singles, and every set of two or more requests, go through the search.
 
 Coalition resimulations replay the same demand with subsets of the fleet, so
 one driver meets the same batch in the same state many times over. A
@@ -135,9 +127,9 @@ class DelayConstraints(NamedTuple):
 
 class FeasibleAction(NamedTuple):
     """A request subset a driver can take, its best route, and what an epoch
-    reads to score it, derived once by :meth:`build` (or, with the same
-    bits, by :func:`enumerate_feasible` for a one-request action it walks
-    without the route search)."""
+    reads to score it, derived once: by :meth:`build` for a set of two or
+    more requests, and with the same bits by :func:`enumerate_feasible` for
+    a single request, walked or searched."""
 
     requests: tuple[RideRequest, ...]  # sorted by request id; empty = keep current route
     route: tuple[Stop, ...]  # () only for the empty action
@@ -178,8 +170,8 @@ class RouteMemo:
 
 class RouteStats:
     """Route-search work: searches decided and their DFS nodes entered
-    (roots included). A one-request action that :func:`enumerate_feasible`
-    walks without the search (an idle driver's, or a single-seat driver's
+    (roots included). A single request that :func:`enumerate_feasible`
+    walks instead of searching (an idle driver's, or a single-seat driver's
     with one rider waiting) counts as the search it replaces: one call, and
     the root plus every node its chains of stops enter."""
 
@@ -410,16 +402,17 @@ def enumerate_feasible(
 ) -> tuple[FeasibleAction, ...]:
     """All request subsets the driver can take, each with its best route.
 
-    The empty action (keep the current route) is always first. Subsets are
-    grown level by level and a set is only attempted when every subset one
-    smaller was feasible; requests whose singleton would fail the route
-    search's first step are dropped up front, and when each singleton's
-    route carries one rider at a time (an idle driver, or a single-seat
-    driver with one rider waiting) its one or two forced chains of stops are
-    walked without the search (see the module docstring). With a memo, a
-    driver state already enumerated against this batch and clock gets the
-    stored tuple back as is. `stats` counts the route searches decided,
-    those walks included.
+    The empty action (keep the current route) is always first, then the
+    single requests in request-id order, then larger sets level by level,
+    each grown from the feasible singles and attempted only when every
+    subset one smaller was feasible. Requests whose single would fail the
+    route search's first step are dropped up front. An idle driver's
+    singles, and a single-seat driver's with one rider waiting, carry one
+    rider at a time: their one or two forced chains of stops are walked
+    instead of searched (see the module docstring). With a memo, a driver
+    state already enumerated against this batch and clock gets the stored
+    tuple back as is. `stats` counts the route searches decided, those
+    walks included.
     """
     seats_free = driver.capacity - len(driver.onboard)
     if seats_free <= 0 or not batch:
@@ -440,99 +433,86 @@ def enumerate_feasible(
             memo.hits += 1
             return stored
     actions = list(_ONLY_EMPTY)
-    ordered = _first_step_survivors(graph, driver, batch, clock, constraints)
-    prev_level: set[frozenset[int]] = {frozenset()}
-    first_size = 1
+    secs, minutes, delta = graph.travel_secs, graph.travel_minutes, graph.delta
+    labels = graph.neighborhoods.labels
+    max_pickup, max_detour = constraints
+    start, now = driver.loc, clock + driver.secs_to_loc
     active = driver.active
-    if not active or (len(active) == 1 and driver.capacity == 1):
-        # level 1 carries one rider at a time (a single seat free means
-        # nobody aboard), so each survivor's route search is one chain of
-        # stops per order of its riders: walk them with route_feasible's own
-        # expressions (module docstring)
-        secs = graph.travel_secs
-        minutes = graph.travel_minutes
-        labels = graph.neighborhoods.labels
-        delta = graph.delta
-        max_pickup = constraints.max_pickup_delay
-        max_detour = constraints.max_detour_delay
-        start, now = driver.loc, clock + driver.secs_to_loc
-        row = secs[start]
-        waiting = next(iter(active.values())) if active else None
-        new = tuple.__new__
-        prev_level = set()
-        nodes = 0
-        for r in ordered:
-            rid, o, d, _ = r
-            if waiting is None:
-                # one chain, whose wait test the filter has just passed
-                picked = now + row[o]
-                direct = secs[o][d]
-                dropped = picked + direct
-                if dropped - (picked + direct) >= max_detour:
-                    nodes += 1  # the pickup's reach test fails at the root
-                    continue
-                nodes += 3
-                route = (new(Stop, (PICKUP, rid, o, picked)), new(Stop, (DROPOFF, rid, d, dropped)))
-            else:
-                if waiting[0] == rid:  # the search keys riders by id: one rider
-                    chains = ((r,),)
-                elif waiting[0] < rid:
-                    chains = ((waiting, r), (r, waiting))
-                else:
-                    chains = ((r, waiting), (waiting, r))
-                best_delay = math.inf
-                route = None
-                nodes += 1  # the root
-                for chain in chains:
-                    loc, at, delay_sum, stops = start, now, 0.0, ()
-                    # the rider still waiting, whose pickup (origin [1], creation
-                    # time [3]) must stay in reach
-                    after = chain[1:]
-                    for xid, xo, xd, created in chain:
-                        picked = at + secs[loc][xo]
-                        wait = picked - created
-                        if wait >= max_pickup or delay_sum + wait > best_delay:
-                            break
-                        here = secs[xo]
-                        dropped = picked + here[xd]
-                        # the dropoff's detour delay, and its reach test at the pickup
-                        late = dropped - (picked + here[xd])
-                        if late >= max_detour or (
-                            after and picked + here[after[0][1]] - after[0][3] >= max_pickup
-                        ):
-                            break
-                        nodes += 1
-                        delay_sum = delay_sum + wait
-                        if delay_sum + late > best_delay or (
-                            after and dropped + secs[xd][after[0][1]] - after[0][3] >= max_pickup
-                        ):
-                            break
-                        nodes += 1
-                        delay_sum = delay_sum + late
-                        stops += (
-                            new(Stop, (PICKUP, xid, xo, picked)), new(Stop, (DROPOFF, xid, xd, dropped))
-                        )
-                        loc, at, after = xd, dropped, ()
-                    else:  # the leaf: the first chain in key order wins a tie
-                        if delay_sum < best_delay or (delay_sum == best_delay and route is None):
-                            best_delay = delay_sum
-                            route = stops
-                if route is None:
-                    continue
-            actions.append(new(FeasibleAction, (
-                (r,), route, (rid,), (minutes[o][d] + delta,), (labels[o],), route[-1][2]
-            )))
-            if seats_free > 1:  # else the lattice stops at one request
-                prev_level.add(frozenset((rid,)))
-        if stats is not None:
-            stats.calls += len(ordered)
-            stats.nodes += nodes
-        first_size = 2
-    for size in range(first_size, min(seats_free, len(ordered)) + 1):
+    # an idle driver, or a single seat with one rider waiting (a single free
+    # seat means nobody aboard): each request's route carries one rider at a
+    # time, so its chains of stops are walked instead of searched (module
+    # docstring)
+    walk = not active or (len(active) == 1 and driver.capacity == 1)
+    waiting = next(iter(active.values())) if active else None
+    new = tuple.__new__
+    ordered = _first_step_survivors(graph, driver, batch, clock, constraints)
+    singles = []
+    nodes = 0
+    for r in ordered:
+        rid, o, d, _ = r
+        if not walk:
+            route = route_feasible(graph, driver, (r,), clock, constraints, stats)
+        else:
+            if waiting is None or waiting[0] == rid:
+                # alone, or replacing the waiting rider in the search's map
+                # of riders by id: one chain
+                chains = ((r,),)
+            else:  # both orders, lower request id first
+                low, high = (waiting, r) if waiting[0] < rid else (r, waiting)
+                chains = ((low, high), (high, low))
+            best_delay = math.inf
+            route = None
+            nodes += 1  # the root
+            for chain in chains:
+                loc, at, delay_sum, stops = start, now, 0.0, ()
+                # the rider still waiting, whose pickup (origin [1], creation
+                # time [3]) must stay in reach
+                after = chain[1:]
+                for xid, xo, xd, created in chain:
+                    picked = at + secs[loc][xo]
+                    wait = picked - created
+                    if wait >= max_pickup or delay_sum + wait > best_delay:
+                        break
+                    here = secs[xo]
+                    dropped = picked + here[xd]
+                    # the dropoff's detour delay, and its reach test at the pickup
+                    late = dropped - (picked + here[xd])
+                    if late >= max_detour or (
+                        after and picked + here[after[0][1]] - after[0][3] >= max_pickup
+                    ):
+                        break
+                    nodes += 1
+                    delay_sum = delay_sum + wait
+                    if delay_sum + late > best_delay or (
+                        after and dropped + secs[xd][after[0][1]] - after[0][3] >= max_pickup
+                    ):
+                        break
+                    nodes += 1
+                    delay_sum = delay_sum + late
+                    stops += (new(Stop, (PICKUP, xid, xo, picked)), new(Stop, (DROPOFF, xid, xd, dropped)))
+                    loc, at, after = xd, dropped, ()
+                else:  # the leaf: the first chain in key order wins a tie
+                    if delay_sum < best_delay or (delay_sum == best_delay and route is None):
+                        best_delay = delay_sum
+                        route = stops
+        if route is None:
+            continue
+        # FeasibleAction.build's fields, with the same bits
+        actions.append(new(FeasibleAction, (
+            (r,), route, (rid,), (minutes[o][d] + delta,), (labels[o],), route[-1][2]
+        )))
+        singles.append(r)
+    if walk and stats is not None:  # each walk counts as the search it replaces
+        stats.calls += len(ordered)
+        stats.nodes += nodes
+    # larger sets grow level by level from the feasible singles; a single
+    # free seat takes one request at most, so it needs no level to grow from
+    prev_level = {frozenset((r[0],)) for r in singles} if seats_free > 1 else set()
+    for size in range(2, min(seats_free, len(singles)) + 1):
         level: set[frozenset[int]] = set()
-        for combo in itertools.combinations(ordered, size):
+        for combo in itertools.combinations(singles, size):
             ids = frozenset(req.request_id for req in combo)
-            if size > 1 and any(ids - {rid} not in prev_level for rid in ids):
+            if any(ids - {rid} not in prev_level for rid in ids):
                 continue
             plan = route_feasible(graph, driver, combo, clock, constraints, stats)
             if plan is None:

@@ -1611,6 +1611,53 @@ def test_non_finite_csv_edge_exits_3(tmp_path, capsys, minutes):
     assert f"edges.csv:2: non-finite minutes {minutes}" in capsys.readouterr().err
 
 
+def test_grid_with_more_neighborhoods_than_locations_is_a_config_error(tmp_path, capsys):
+    """A 2x2 grid cannot hold 9 neighborhoods: a config error naming the
+    key, caught before the run (it was once a runtime error, exit 3)."""
+    text = "city.width = 2\ncity.height = 2\ncity.neighborhoods = 9\n"
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: city.neighborhoods: more than the grid's 4 locations" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_csv_city_with_more_neighborhoods_than_locations_names_the_file(tmp_path, capsys):
+    """The 9 locations of a CSV city are only known once read: a runtime
+    error naming the locations file."""
+    text = write_csv_city(tmp_path).replace("city.neighborhoods = 2", "city.neighborhoods = 10")
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 3
+    locations = tmp_path / "city" / "locations.csv"
+    assert f"{locations}: cannot split 9 locations into 10 neighborhoods" in capsys.readouterr().err
+
+
+def test_run_directory_config_missing_a_key_exits_3(tmp_path, capsys):
+    """A config.resolved cut short was once filled from the defaults: shapley
+    on a 1-driver run wrote a 5-driver shapley.csv, and report exited 0.
+    Every command reading a run directory's config now refuses it, naming
+    the file and the first key dump_config would write that it lacks."""
+    text = SMALL_CITY.replace("fleet.num_drivers = 2", "fleet.num_drivers = 1")
+    cfg = write_config(tmp_path / "c.cfg", text + "value.mode = tabular\n")
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+    assert main(["shapley", str(run), "--out", str(run)]) == 0
+    resolved = run / "config.resolved"
+    lines = resolved.read_text().splitlines(keepends=True)
+    assert [line.split(" = ")[0] for line in lines[:4]] == [
+        "city.edge_minutes", "city.height", "city.kind", "city.neighborhoods"
+    ]
+    resolved.write_text("".join(lines[:3]))
+    for argv in (
+        ["shapley", str(run), "--out", str(tmp_path / "shapley")],
+        ["report", str(run), "--out", str(tmp_path / "report")],
+        ["redistribute", str(run), "--out", str(tmp_path / "payout")],
+    ):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {resolved}: missing key city.neighborhoods\n"
+    assert sorted(os.listdir(tmp_path)) == ["c.cfg", "run"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", ["pi", "v"])
 def test_redistribute_rejects_non_finite_input_with_exit_3(tmp_path, capsys, column, value):

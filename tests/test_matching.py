@@ -339,12 +339,18 @@ def test_route_memo_matches_fresh_enumeration(state, data):
 def test_enumerate_matches_filter_free_reference(state, idle):
     """The first-step reach filter changes no answer: busy and idle drivers
     on fractional and integer line cities get exactly the actions of a
-    filter-free enumeration on the reference route search."""
+    filter-free enumeration on the reference route search, and the route
+    search work counted, walks included, is that of every set of the
+    filter's survivors searched level by level."""
     graph, driver, batch, clock = state
     if idle:
         driver = replaced(driver, active={}, onboard={})
-    assert action_bits(enumerate_feasible(graph, driver, batch, clock, C)) == action_bits(
+    stats = RouteStats()
+    assert action_bits(enumerate_feasible(graph, driver, batch, clock, C, stats=stats)) == action_bits(
         helpers.enumerate_feasible_reference(graph, driver, batch, clock, C)
+    )
+    assert (stats.calls, stats.nodes) == helpers.enumerate_route_stats_reference(
+        graph, driver, batch, clock, C
     )
 
 
