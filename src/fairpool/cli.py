@@ -138,11 +138,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return _override(config, **changes) if changes else config
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _write_lines(path: str, lines: Iterable[str]) -> None:
     """Write each of `lines` followed by a newline."""
     with open(path, "w") as fh:
@@ -236,7 +231,7 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: Demand, e
             f"journal audit found {len(violations)} violation(s), first: {violations[0]}"
         )
 
-    _write_text(artifact("config.resolved"), dump_config(config))
+    _write_lines(artifact("config.resolved"), dump_config(config).splitlines())
     if rows_dropped is not None:
         _write_lines(artifact("ingest.txt"), [f"rows_dropped = {rows_dropped}"])
     for name, records in (("epochs.jsonl", epoch_records), ("fleet.jsonl", snapshots)):
@@ -269,7 +264,7 @@ def cmd_gen_city(args: argparse.Namespace) -> int:
     write_locations(locations, os.path.join(args.out, "locations.csv"))
     write_edges(edges, os.path.join(args.out, "edges.csv"))
     write_neighborhoods(neighborhoods, os.path.join(args.out, "neighborhoods.csv"))
-    _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
+    _write_lines(os.path.join(args.out, "config.resolved"), dump_config(config).splitlines())
     return 0
 
 
@@ -286,7 +281,7 @@ def _copy_run(src_dir: str, artifacts: list[str], config: RunConfig, out_dir: st
     os.makedirs(out_dir, exist_ok=True)
     for name in artifacts:
         if name == "config.resolved":
-            _write_text(os.path.join(out_dir, name), dump_config(config))
+            _write_lines(os.path.join(out_dir, name), dump_config(config).splitlines())
         elif out_dir != src_dir:
             shutil.copyfile(os.path.join(src_dir, name), os.path.join(out_dir, name))
 
@@ -359,7 +354,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     episodes = training_episodes(config, graph)
     model, errors = train_synthetic(config, graph, spec, constraints, episodes)
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "config.resolved"), dump_config(config))
+    _write_lines(os.path.join(args.out, "config.resolved"), dump_config(config).splitlines())
     save_value_model(model, os.path.join(args.out, "value_table.txt"))
     rows = ((episode, repr(error)) for episode, error in enumerate(errors))
     write_rows(os.path.join(args.out, "training_errors.csv"), ["episode", "abs_td_error"], rows)
@@ -548,6 +543,22 @@ def cmd_report(args: argparse.Namespace) -> int:
         tallies.add_requested(label)
         if serviced:
             tallies.add_serviced(label)
+    # every request of the run was in some epoch's batch, so a file cut
+    # short (even to its header) shows as fewer rows than the batches held
+    epochs_jsonl = os.path.join(run_dir, "epochs.jsonl")
+    batched = 0
+    with open(epochs_jsonl) as fh:
+        for line, text in enumerate(fh, start=1):
+            try:
+                batch_size = json.loads(text)["batch_size"]
+                if type(batch_size) is not int or batch_size < 0:
+                    raise ValueError
+            except (ValueError, KeyError, TypeError):
+                raise ValueError(f"{epochs_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
+            batched += batch_size
+    if len(seen) != batched:
+        raise ValueError(f"{requests_csv}: {len(seen)} requests, but the batch_size fields "
+                         f"of {epochs_jsonl} sum to {batched}")
     # every configured driver exists, even one that never had a snapshot row
     incomes = {d: 0.0 for d in drivers.values()}
     fleet_jsonl = os.path.join(run_dir, "fleet.jsonl")

@@ -15,19 +15,20 @@ from those feasible singles, a set being tried only when every subset one
 smaller was feasible.
 
 Before level 1, every driver drops the requests whose singleton would die at
-the route search's first step. It lists its own possible first stops: each
-pickup or dropoff of a rider it has already accepted that passes every
-search test not involving a new request (a free seat, the stop's own wait or
-detour bound, and direct reachability of its other riders). A request is
-dropped when its direct pickup already breaks the wait bound and, from every
-one of those stops, it fails the reachability test too. These are the
-expressions the search itself evaluates at depth one, so with that request
-every first stop is rejected before the search goes deeper: its singleton is
-infeasible, and so is every set that contains it. Nothing rests on the
-triangle inequality, which the float sums of a CSV city with fractional edge
-times can break by an ulp, so the filter needs no rounding margin and its
-output is bit-identical to an unfiltered enumeration. For an idle driver the
-stop list is empty and the filter is the direct-pickup test alone.
+the route search's first step; the caller guarantees it a free seat, as a
+full car takes only the empty action. It lists its own possible first stops:
+each pickup or dropoff of a rider it has already accepted that passes every
+other search test not involving a new request (the stop's own wait or detour
+bound, and direct reachability of its other riders). A request is dropped
+when its direct pickup already breaks the wait bound and, from every one of
+those stops, it fails the reachability test too. These are the expressions
+the search itself evaluates at depth one, so with that request every first
+stop is rejected before the search goes deeper: its singleton is infeasible,
+and so is every set that contains it. Nothing rests on the triangle
+inequality, which the float sums of a CSV city with fractional edge times
+can break by an ulp, so the filter needs no rounding margin and its output
+is bit-identical to an unfiltered enumeration. For an idle driver the stop
+list is empty and the filter is the direct-pickup test alone.
 
 A one-request route that carries one rider at a time needs no search. Such
 are an idle driver's routes, whatever its capacity, and a single-seat
@@ -336,12 +337,12 @@ def _first_step_survivors(
     """The batch in request-id order, less every request whose singleton
     route search rejects at its first step (see the module docstring).
 
-    The driver's own first stops are the pickups and dropoffs of its riders
-    that pass each search test not involving a new request: seats, the
-    stop's own wait or detour bound, and reachability of its other riders. A
-    request goes when its direct pickup breaks the wait bound and it is out
-    of reach from every such stop. Every test is route_feasible's own
-    expression at depth one."""
+    The caller guarantees a free seat. The driver's own first stops are the
+    pickups and dropoffs of its riders that pass each other search test not
+    involving a new request: the stop's own wait or detour bound, and
+    reachability of its other riders. A request goes when its direct pickup
+    breaks the wait bound and it is out of reach from every such stop. Every
+    test is route_feasible's own expression at depth one."""
     secs = graph.travel_secs
     max_pickup = constraints.max_pickup_delay
     max_detour = constraints.max_detour_delay
@@ -358,8 +359,6 @@ def _first_step_survivors(
                 continue
             riding = {oid: at for oid, at in onboard.items() if oid != rid}
         else:
-            if len(onboard) >= driver.capacity:
-                continue
             loc = req.origin
             arrival = now + row[loc]
             if arrival - req.created_at >= max_pickup:

@@ -71,15 +71,15 @@ class ResimulationOracle:
     bitmask over the template's drivers.
 
     Demand, seeds, and every driver's start position are identical across
-    calls, so coalition values are well-defined; incomes and values are
-    memoized because permutation prefixes repeat heavily. All resimulations
-    share one route memo: a driver in the same state meets the same batch in
-    many coalitions.
+    calls, so coalition values are well-defined; each coalition's incomes are
+    memoized, as permutation prefixes repeat heavily, and its value is summed
+    from them. All resimulations share one route memo: a driver in the same
+    state meets the same batch in many coalitions.
     """
 
     __slots__ = (
         "graph", "batches", "template", "spec", "constraints", "value_model", "driver_ids",
-        "_incomes", "_values", "route_memo",
+        "_incomes", "route_memo",
     )
 
     def __init__(
@@ -99,7 +99,6 @@ class ResimulationOracle:
         self.value_model = value_model
         self.driver_ids = tuple(d.driver_id for d in template.drivers)
         self._incomes: dict[int, dict[int, float]] = {0: {}}
-        self._values: dict[int, float] = {}
         self.route_memo = RouteMemo()
 
     def incomes(self, mask: int) -> dict[int, float]:
@@ -123,11 +122,7 @@ class ResimulationOracle:
         return len(self._incomes) - 1
 
     def value(self, mask: int) -> float:
-        try:
-            return self._values[mask]
-        except KeyError:
-            value = self._values[mask] = left_sum(self.incomes(mask).values())
-            return value
+        return left_sum(self.incomes(mask).values())
 
 
 class ShapleyEstimate(NamedTuple):
@@ -177,8 +172,8 @@ def shapley_mc(
 
     Each permutation adds drivers one at a time and credits each with its
     marginal contribution to the prefix; a permutation costs n oracle calls,
-    and the resimulation oracle memoizes the values, so repeats cost no
-    resimulation.
+    and the resimulation oracle memoizes each coalition's incomes, so repeats
+    cost no resimulation.
 
     Alongside the sums that make the values, each driver's marginal
     contributions feed a running (Welford) variance; the standard error of a

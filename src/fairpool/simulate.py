@@ -106,11 +106,12 @@ def train_value_model(
         prev: EpochResult | None = None
         total_error = 0.0
 
-        def update(result: EpochResult) -> None:
+        def update(result: EpochResult | None) -> None:
             nonlocal prev, total_error
             if prev is not None:
+                next_keys = dict.fromkeys(prev.pre_keys) if result is None else result.pre_keys
                 for d, key in prev.pre_keys.items():
-                    total_error += abs(td_update(model, key, prev.deltas[d], result.pre_keys[d]))
+                    total_error += abs(td_update(model, key, prev.deltas[d], next_keys[d]))
             prev = result
 
         run_simulation(
@@ -122,9 +123,7 @@ def train_value_model(
             value_model=model,
             on_epoch=update,
         )
-        if prev is not None:
-            for d, key in prev.pre_keys.items():
-                total_error += abs(td_update(model, key, prev.deltas[d], None))
+        update(None)
         errors.append(total_error)
     return errors
 

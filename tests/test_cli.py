@@ -147,6 +147,34 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
 
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("city.kind", "torus", "expected grid or csv, got 'torus'"),
+        ("city.width", "0", "grid dimensions must be at least 1x1"),
+        ("city.edge_minutes", "0", "edge travel time must be positive"),
+        ("city.neighborhoods", "0", "need at least one neighborhood"),
+        ("demand.kind", "poisson", "expected synthetic or csv, got 'poisson'"),
+        ("demand.rate_per_epoch", "-1", "rate must be nonnegative"),
+        ("demand.num_epochs", "-1", "epoch count must be nonnegative"),
+        ("fare.delta", "-1", "delta must be nonnegative"),
+        ("fleet.num_drivers", "0", "need at least one driver"),
+        ("epoch.length_seconds", "0", "epoch length must be positive"),
+        ("objective.gamma", "1.0", "gamma must lie in [0, 1)"),
+        ("value.mode", "learned", "expected one of ('zero', 'tabular'), got 'learned'"),
+        ("value.alpha", "0", "alpha must lie in (0, 1]"),
+        ("value.episodes", "-1", "episode count must be nonnegative"),
+        ("payout.mode", "split", "expected one of ('as_printed', 'keep_income'), got 'split'"),
+    ],
+)
+def test_out_of_range_config_value_exits_2_naming_its_key(tmp_path, capsys, key, value, message):
+    cfg = write_config(tmp_path / "c.cfg", f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {key}: {message}\n"
+    assert not out.exists()
+
+
 FLOAT_KEYS = sorted(key for key, (_, parser) in config_module._KEYS.items() if parser is float)
 
 
@@ -1496,6 +1524,27 @@ def fleet_driver_id(text, name):
     return corrupt
 
 
+def garbage_epochs_line(lines):
+    lines[1] = "garbage\n"
+    return 2
+
+
+def epochs_line_without_batch_size(lines):
+    lines.append('{"epoch": 99}\n')
+    return len(lines)
+
+
+def epochs_batch_size(text, name):
+    """A last epoch whose batch_size is `text`, which is not a non-negative
+    JSON integer."""
+    def corrupt(lines):
+        lines.append('{"batch_size": %s, "epoch": 99}\n' % text)
+        return len(lines)
+
+    corrupt.__name__ = f"epochs_batch_size_{name}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
@@ -1520,6 +1569,13 @@ def fleet_driver_id(text, name):
         ("fleet.jsonl", fleet_driver_id('"1"', "string")),
         ("fleet.jsonl", fleet_driver_id("1.0", "float")),
         ("fleet.jsonl", fleet_driver_id("true", "true")),
+        ("epochs.jsonl", garbage_epochs_line),
+        ("epochs.jsonl", epochs_line_without_batch_size),
+        ("epochs.jsonl", epochs_batch_size("-1", "negative")),
+        ("epochs.jsonl", epochs_batch_size("1.0", "float")),
+        ("epochs.jsonl", epochs_batch_size('"1"', "string")),
+        ("epochs.jsonl", epochs_batch_size("true", "true")),
+        ("epochs.jsonl", epochs_batch_size("null", "null")),
     ],
     ids=lambda case: getattr(case, "__name__", case),
 )
@@ -1535,6 +1591,42 @@ def test_report_names_the_file_and_line_of_a_bad_artifact(tmp_path, capsys, name
         fh.writelines(lines)
     assert main(["report", str(run_dir), "--out", str(tmp_path / "rebuilt")]) == 3
     assert f"error: {path}:{line}: " in capsys.readouterr().err
+
+
+# the README day city with 6 drivers, at seed 7
+DAY_CITY = """
+city.width = 5
+city.height = 5
+city.neighborhoods = 4
+demand.rate_per_epoch = 5.0
+demand.num_epochs = 30
+fleet.num_drivers = 6
+seed = 7
+"""
+
+
+@pytest.mark.parametrize("kept", [0, 100])
+def test_report_rejects_requests_csv_cut_short(tmp_path, capsys, kept):
+    """A requests.csv cut to its header once gave total_requests 0 beside
+    the run's income, with exit 0; its rows must add up to the batches'."""
+    cfg = write_config(tmp_path / "c.cfg", DAY_CITY)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    epochs = [json.loads(line) for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
+    assert sum(epoch["batch_size"] for epoch in epochs) == 159
+    requests_csv = run_dir / "requests.csv"
+    with open(requests_csv, newline="") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 160
+    with open(requests_csv, "w", newline="") as fh:
+        fh.writelines(lines[: 1 + kept])
+    out = tmp_path / "rebuilt"
+    assert main(["report", str(run_dir), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {requests_csv}: {kept} requests, but the batch_size fields "
+        f"of {run_dir / 'epochs.jsonl'} sum to 159\n"
+    )
+    assert not out.exists()
 
 
 def write_csv_city(root):
@@ -1737,6 +1829,73 @@ def test_redistribute_locates_negative_input_with_exit_3(tmp_path, capsys, colum
     assert main(["redistribute", src, "--out", str(out)]) == 3
     assert f"{src}:3: negative {column} -1.0 for driver 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a fairness-scored run whose full fleet earns nothing while smaller
+# coalitions earn: some drivers' average marginal contribution is negative
+NEGATIVE_V_CITY = """
+city.width = 5
+city.height = 4
+city.neighborhoods = 2
+fleet.num_drivers = 4
+fleet.capacity = 3
+demand.rate_per_epoch = 5.0
+demand.num_epochs = 15
+value.mode = tabular
+value.episodes = 3
+objective.kind = driver_fairness
+objective.lambda = 2.0
+seed = 4
+"""
+
+
+def test_redistribute_refuses_the_negative_v_of_a_fairness_run(tmp_path, capsys):
+    """The payout rule needs every v >= 0, which a coalition game under a
+    fairness objective need not give: shapley writes such a v, and
+    redistribute exits 3 naming its row."""
+    cfg = write_config(tmp_path / "c.cfg", NEGATIVE_V_CITY)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    assert main(["shapley", str(run_dir), "--out", str(run_dir)]) == 0
+    rows = read_csv_rows(run_dir / "shapley.csv")
+    assert [r["pi"] for r in rows] == ["0.0"] * 4
+    assert [float(r["v"]) for r in rows] == pytest.approx([-1 / 12, 35 / 12, 23 / 12, -4.75])
+    capsys.readouterr()
+    out = tmp_path / "pay"
+    assert main(["redistribute", str(run_dir), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {run_dir / 'shapley.csv'}:2: negative v {float(rows[0]['v'])!r} for driver 0\n"
+    )
+    assert not out.exists()
+
+
+def test_redistribute_header_only_file_exits_3(tmp_path, capsys):
+    src = write_config(tmp_path / "shapley.csv", "driver_id,pi,v\n")
+    out = tmp_path / "o"
+    assert main(["redistribute", src, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {src}: no drivers found\n"
+    assert not out.exists()
+
+
+def test_shapley_pi_missing_a_driver_of_the_table_exits_3(tmp_path, capsys):
+    table = helpers.write_additive_table(tmp_path / "table.csv", 3)
+    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n2,2.0\n")
+    out = tmp_path / "o"
+    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
+    assert capsys.readouterr().err == f"error: {pi}: missing incomes for drivers [1]\n"
+    assert not out.exists()
+
+
+def test_redistribute_leaves_gain_blank_when_a_value_is_zero(tmp_path):
+    """The gain metric divides by each v, so a zero v leaves g and
+    std_q_over_v blank instead of failing the run."""
+    src = write_config(tmp_path / "shapley.csv", "driver_id,pi,v\n0,4.0,0.0\n1,2.0,6.0\n")
+    out = tmp_path / "o"
+    assert main(["redistribute", src, "--out", str(out), "--r", "0,0.5,1"]) == 0
+    summary = read_csv_rows(out / "redistribution_summary.csv")
+    assert [r["r"] for r in summary] == ["0.0", "0.5", "1.0"]
+    assert all(r["g"] == "" and r["std_q_over_v"] == "" for r in summary)
+    assert all(r["sum_v"] == "6.0" for r in summary)
 
 
 def test_shapley_run_dir_honours_seed_flag(tmp_path):

@@ -88,7 +88,7 @@ def outputs_with_sum(builtin_sum, monkeypatch, root):
             delta_objective(ObjectiveSpec(name, 1.0), state.copy(), 0, fares, labels)
             for name in ("income", "driver_fairness", "rider_fairness")
         ]
-        incomes = SimpleNamespace(_values={}, incomes=lambda mask: {d: 0.1 for d in range(10)})
+        incomes = SimpleNamespace(incomes=lambda mask: {d: 0.1 for d in range(10)})
         value = ResimulationOracle.value(incomes, (1 << 10) - 1)
         return {
             "shapley_meta.txt": read(shap / "shapley_meta.txt"),

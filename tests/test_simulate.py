@@ -6,8 +6,8 @@ import pytest
 
 import helpers
 from fairpool.city import fare
-from fairpool.demand import batch_requests, synth_demand
-from fairpool.fleet import Stop, init_fleet
+from fairpool.demand import RequestLog, RideRequest, batch_requests, synth_demand
+from fairpool.fleet import DROPOFF, PICKUP, DriverState, FleetState, Stop, init_fleet
 from fairpool.matching import DelayConstraints
 from fairpool.objectives import ObjectiveSpec
 from fairpool.simulate import audit_journal, coalition_incomes, run_simulation
@@ -144,6 +144,75 @@ def test_audit_flags_broken_promises(grid55):
     ]
     violations = audit_journal(grid55, forged, result.log, C)
     assert any("pickup wait" in v for v in violations)
+
+
+def pickup(rid, at):
+    """Driver 0 picks request `rid` up at location 0 at time `at`."""
+    return 0, Stop(PICKUP, rid, 0, at)
+
+
+def dropoff(rid, at):
+    """Driver 0 drops request `rid` off at its destination at time `at`."""
+    return 0, Stop(DROPOFF, rid, (2, 4)[rid], at)
+
+
+@pytest.mark.parametrize(
+    "journal, assigned, expected",
+    [
+        ([pickup(0, 10.0), dropoff(0, 130.0)], {0: 0}, []),
+        (
+            [pickup(0, 10.0), dropoff(0, 130.0)],
+            {},
+            ["request 0 executed but never marked serviced",
+             "request 0 executed by driver 0, assigned to None"] * 2,
+        ),
+        (
+            [pickup(0, 10.0), dropoff(0, 130.0)],
+            {0: 1},
+            ["request 0 executed by driver 0, assigned to 1"] * 2,
+        ),
+        (
+            [pickup(0, 10.0), pickup(1, 10.0), dropoff(0, 130.0), dropoff(1, 250.0)],
+            {0: 0, 1: 0},
+            ["driver 0 over capacity at t=10.0"],
+        ),
+        (
+            [pickup(0, 10.0), dropoff(0, 130.0), dropoff(0, 130.0)],
+            {0: 0},
+            ["request 0 dropped off twice"],
+        ),
+        (
+            [dropoff(0, 5.0), pickup(0, 10.0), dropoff(0, 130.0)],
+            {0: 0},
+            ["request 0 dropped off before pickup"],
+        ),
+        (
+            [pickup(0, 10.0), dropoff(0, 190.0)],
+            {0: 0},
+            ["request 0 dropoff detour 60.0s breaches 60s"],
+        ),
+        (
+            [pickup(0, 10.0), dropoff(0, 130.0)],
+            {0: 0, 1: 1},
+            ["serviced request 1 never picked up", "serviced request 1 never dropped off"],
+        ),
+        ([pickup(0, 10.0)], {0: 0}, ["serviced request 0 never dropped off"]),
+    ],
+    ids=[
+        "clean", "never_marked_serviced", "wrong_driver", "over_capacity", "dropped_off_twice",
+        "dropped_off_before_pickup", "detour_breach", "never_picked_up", "never_dropped_off",
+    ],
+)
+def test_audit_names_each_violation(grid55, journal, assigned, expected):
+    """A hand-built journal on the 60 s grid: two one-seat drivers, request 0
+    from location 0 to 2 (120 s direct) and request 1 from 0 to 4 (240 s),
+    both made at t=0."""
+    assert [grid55.travel_secs[0][2], grid55.travel_secs[0][4]] == [120.0, 240.0]
+    fleet = FleetState([DriverState(0, 1, 0), DriverState(1, 1, 0)], journal=journal)
+    log = RequestLog()
+    log.all_requests = [RideRequest(0, 0, 2, 0.0), RideRequest(1, 0, 4, 0.0)]
+    log.assigned_driver = dict(assigned)
+    assert audit_journal(grid55, fleet, log, C) == expected
 
 
 def test_zero_model_run_is_exactly_myopic(grid55):
