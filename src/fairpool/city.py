@@ -59,9 +59,6 @@ class NeighborhoodMap(NamedTuple):
     labels: tuple[int, ...]
     num_neighborhoods: int
 
-    def label(self, location_id: int) -> int:
-        return self.labels[location_id]
-
 
 class CityGraph:
     """A city: locations by id, the travel-time closure in minutes as float

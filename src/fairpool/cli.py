@@ -41,7 +41,6 @@ from .redistribution import (
     EXACT_SHAPLEY_CAP,
     RedistributionParams,
     ResimulationOracle,
-    ShapleyEstimate,
     load_coalition_table,
     mean_gain,
     minimum_wage_bound,
@@ -394,66 +393,90 @@ def _run_config(run_dir: str) -> RunConfig:
     return config
 
 
-def _shapley_from_run_dir(run_dir: str, args: argparse.Namespace):
-    """Shapley estimate, full-fleet incomes, and the resimulation counters
-    for shapley_meta.txt."""
-    config = _run_config(run_dir)
-    graph = build_graph(config)
-    batches, _ = build_batches(config, graph)
-    spec, constraints = _spec_and_constraints(config)
-    template = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
-    table_path = os.path.join(run_dir, "value_table.txt")
-    model = load_value_model(table_path) if os.path.exists(table_path) else None
-    oracle = ResimulationOracle(graph, batches, template, spec, constraints, value_model=model)
-    seed = config.seed if args.seed is None else args.seed
-    estimate = _run_shapley(oracle, args, seed=seed)
-    incomes = oracle.incomes((1 << len(oracle.driver_ids)) - 1)
-    pi = [incomes.get(d, 0.0) for d in oracle.driver_ids]
-    counters = [
-        f"coalitions = {oracle.coalitions}",
-        f"route_memo_entries = {len(oracle.route_memo.entries)}",
-        f"route_memo_hits = {oracle.route_memo.hits}",
-    ]
-    return estimate, pi, counters
-
-
-def _run_shapley(oracle, args: argparse.Namespace, seed: int) -> ShapleyEstimate:
-    n = len(oracle.driver_ids)
-    method = args.method
-    if method == "auto":
-        method = "exact" if n <= EXACT_SHAPLEY_CAP else "monte_carlo"
-    if method == "exact":
-        if n > EXACT_SHAPLEY_CAP:
-            raise ConfigError(
-                f"--method exact takes at most {EXACT_SHAPLEY_CAP} drivers, got "
-                f"{n}; use --method monte_carlo"
-            )
-        return shapley_exact(oracle)
-    return shapley_mc(oracle, args.samples, seed)
+def _read_fleet_incomes(fleet_jsonl: str, num_drivers: int, epochs: int) -> dict[int, float]:
+    """Each driver's last income in a run's fleet.jsonl, which run_one
+    writes as one row per driver after each of the run's `epochs` epochs."""
+    # every configured driver exists, even one that never had a snapshot row
+    incomes = {d: 0.0 for d in range(num_drivers)}
+    rows = 0
+    with open(fleet_jsonl) as fh:
+        for rows, text in enumerate(fh, start=1):
+            try:
+                row = json.loads(text)
+                # last snapshot wins; a driver_id that is not a JSON integer
+                # naming a configured driver, or an income that is not a
+                # finite, non-negative JSON number (a fare is never negative),
+                # is malformed
+                driver_id, income = row["driver_id"], row["income"]
+                if type(driver_id) is not int or driver_id not in incomes or (
+                    type(income) not in (int, float) or not math.isfinite(income) or income < 0
+                ):
+                    raise ValueError
+                incomes[driver_id] = float(income)
+            except (ValueError, KeyError, TypeError):
+                raise ValueError(f"{fleet_jsonl}:{rows}: malformed row {text.rstrip()!r}") from None
+    if rows != num_drivers * epochs:
+        raise ValueError(f"{fleet_jsonl}: {rows} rows, but {num_drivers} drivers over "
+                         f"{epochs} epochs make {num_drivers * epochs}")
+    return incomes
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
     if args.samples < 1:  # whatever the method and source
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    counters: list[str] = []
-    if os.path.isdir(args.source):
+    from_run = os.path.isdir(args.source)
+    if from_run:
         if args.pi:
             raise ConfigError("--pi is for table input only; a run directory has its own incomes")
-        estimate, pi, counters = _shapley_from_run_dir(args.source, args)
+        config = _run_config(args.source)
+        graph = build_graph(config)
+        batches, _ = build_batches(config, graph)
+        fleet_jsonl = os.path.join(args.source, "fleet.jsonl")
+        recorded = _read_fleet_incomes(fleet_jsonl, config.num_drivers, len(batches))
+        spec, constraints = _spec_and_constraints(config)
+        template = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
+        # run_one dispatched with a value model exactly when value.mode is
+        # tabular, and saved that model as value_table.txt
+        table_path = os.path.join(args.source, "value_table.txt")
+        model = load_value_model(table_path) if config.value_mode == "tabular" else None
+        oracle = ResimulationOracle(graph, batches, template, spec, constraints, value_model=model)
+        seed = config.seed if args.seed is None else args.seed
     else:
         oracle = load_coalition_table(args.source)
-        driver_ids = oracle.driver_ids
-        estimate = _run_shapley(oracle, args, seed=args.seed or 0)
-        if args.pi:
-            by_driver = dict(_read_driver_rows(args.pi, ("pi",), driver_ids))
-            missing = [d for d in driver_ids if d not in by_driver]
-            if missing:
-                raise ValueError(f"{args.pi}: missing incomes for drivers {missing}")
-            pi = [by_driver[d] for d in driver_ids]
-        else:
-            # a coalition table fixes total income but not its split; default
-            # the per-driver incomes to the attributed values
-            pi = list(estimate.values)
+        seed = args.seed or 0
+    driver_ids = oracle.driver_ids
+    method = args.method
+    if method == "auto":
+        method = "exact" if len(driver_ids) <= EXACT_SHAPLEY_CAP else "monte_carlo"
+    if method == "exact" and len(driver_ids) > EXACT_SHAPLEY_CAP:
+        raise ConfigError(
+            f"--method exact takes at most {EXACT_SHAPLEY_CAP} drivers, got "
+            f"{len(driver_ids)}; use --method monte_carlo"
+        )
+    estimate = shapley_exact(oracle) if method == "exact" else shapley_mc(oracle, args.samples, seed)
+    counters: list[str] = []
+    if from_run:
+        incomes = oracle.incomes((1 << len(driver_ids)) - 1)
+        pi = [incomes.get(d, 0.0) for d in driver_ids]
+        for d, p in zip(driver_ids, pi):
+            if p != recorded[d]:
+                raise ValueError(f"{fleet_jsonl}: driver {d} earned {recorded[d]!r} in the run "
+                                 f"but {p!r} in its replay")
+        counters = [
+            f"coalitions = {oracle.coalitions}",
+            f"route_memo_entries = {len(oracle.route_memo.entries)}",
+            f"route_memo_hits = {oracle.route_memo.hits}",
+        ]
+    elif args.pi:
+        by_driver = dict(_read_driver_rows(args.pi, ("pi",), driver_ids))
+        missing = [d for d in driver_ids if d not in by_driver]
+        if missing:
+            raise ValueError(f"{args.pi}: missing incomes for drivers {missing}")
+        pi = [by_driver[d] for d in driver_ids]
+    else:
+        # a coalition table fixes total income but not its split; default
+        # the per-driver incomes to the attributed values
+        pi = list(estimate.values)
     os.makedirs(args.out, exist_ok=True)
     rows = ((d, repr(p), repr(v)) for d, p, v in zip(estimate.driver_ids, pi, estimate.values))
     write_rows(os.path.join(args.out, "shapley.csv"), ["driver_id", "pi", "v"], rows)
@@ -539,45 +562,27 @@ def cmd_report(args: argparse.Namespace) -> int:
             or ((serviced, driver) != (0, "") and (serviced != 1 or driver not in drivers))
         ):
             raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}")
-        label = neighborhoods.label(origin)
+        label = neighborhoods.labels[origin]
         tallies.add_requested(label)
         if serviced:
             tallies.add_serviced(label)
     # every request of the run was in some epoch's batch, so a file cut
     # short (even to its header) shows as fewer rows than the batches held
     epochs_jsonl = os.path.join(run_dir, "epochs.jsonl")
-    batched = 0
+    batched = epochs = 0
     with open(epochs_jsonl) as fh:
-        for line, text in enumerate(fh, start=1):
+        for epochs, text in enumerate(fh, start=1):
             try:
                 batch_size = json.loads(text)["batch_size"]
                 if type(batch_size) is not int or batch_size < 0:
                     raise ValueError
             except (ValueError, KeyError, TypeError):
-                raise ValueError(f"{epochs_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
+                raise ValueError(f"{epochs_jsonl}:{epochs}: malformed row {text.rstrip()!r}") from None
             batched += batch_size
     if len(seen) != batched:
         raise ValueError(f"{requests_csv}: {len(seen)} requests, but the batch_size fields "
                          f"of {epochs_jsonl} sum to {batched}")
-    # every configured driver exists, even one that never had a snapshot row
-    incomes = {d: 0.0 for d in drivers.values()}
-    fleet_jsonl = os.path.join(run_dir, "fleet.jsonl")
-    with open(fleet_jsonl) as fh:
-        for line, text in enumerate(fh, start=1):
-            try:
-                row = json.loads(text)
-                # last snapshot wins; a driver_id that is not a JSON integer
-                # naming a configured driver, or an income that is not a
-                # finite, non-negative JSON number (a fare is never negative),
-                # is malformed
-                driver_id, income = row["driver_id"], row["income"]
-                if type(driver_id) is not int or driver_id not in incomes or (
-                    type(income) not in (int, float) or not math.isfinite(income) or income < 0
-                ):
-                    raise ValueError
-                incomes[driver_id] = float(income)
-            except (ValueError, KeyError, TypeError):
-                raise ValueError(f"{fleet_jsonl}:{line}: malformed row {text.rstrip()!r}") from None
+    incomes = _read_fleet_incomes(os.path.join(run_dir, "fleet.jsonl"), config.num_drivers, epochs)
     report = metrics_from_parts(incomes, tallies)
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -143,7 +143,7 @@ class FeasibleAction(NamedTuple):
     def build(cls, graph: CityGraph, requests: tuple[RideRequest, ...],
               route: tuple[Stop, ...]) -> FeasibleAction:
         fares = tuple(fare(graph, r.origin, r.destination) for r in requests)
-        labels = tuple(graph.neighborhoods.label(r.origin) for r in requests)
+        labels = tuple(graph.neighborhoods.labels[r.origin] for r in requests)
         ids = tuple(r.request_id for r in requests)
         return cls(requests, route, ids, fares, labels, route[-1].location if route else None)
 
@@ -683,7 +683,7 @@ def run_epoch(
     of its end; the empty action's end (None) is the driver's own."""
     log.add_batch(batch)
     for req in batch.requests:
-        tallies.add_requested(graph.neighborhoods.label(req.origin))
+        tallies.add_requested(graph.neighborhoods.labels[req.origin])
     state = ObjectiveState.from_fleet(fleet, tallies)
     clock = fleet.clock
 

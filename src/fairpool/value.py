@@ -36,7 +36,7 @@ def state_key(
     state after committing to a different route."""
     end = driver.route_end() if route_end is None else route_end
     return (
-        graph.neighborhoods.label(end),
+        graph.neighborhoods.labels[end],
         driver.occupancy,
         int(clock // BUCKET_SECONDS),
     )

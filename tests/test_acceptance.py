@@ -445,7 +445,7 @@ def test_criterion_13_learned_dispatch_beats_myopic():
     # from 0 to 1 and 3 minutes from 1 to 2; stops 1 and 2 cluster into one
     # neighborhood, the far stop 0 into another.
     graph = helpers.line_city([8.0, 3.0], delta=5.0, num_neighborhoods=2, seed=0)
-    assert [graph.neighborhoods.label(i) for i in range(3)] == [1, 2, 2]
+    assert [graph.neighborhoods.labels[i] for i in range(3)] == [1, 2, 2]
     spec = ObjectiveSpec("income", 0.0)
     constraints = DelayConstraints()
 

@@ -91,7 +91,7 @@ def test_gen_city_writes_loadable_csvs(tmp_path):
     rows = read_csv_rows(out / "neighborhoods.csv")
     assert len(rows) == 12
     for row in rows:
-        assert int(row["neighborhood"]) == graph.neighborhoods.label(int(row["location_id"]))
+        assert int(row["neighborhood"]) == graph.neighborhoods.labels[int(row["location_id"])]
 
     resolved = load_config(str(out / "config.resolved"))
     assert resolved.city_width == 4
@@ -303,12 +303,11 @@ def test_unparsable_lambda_flag_is_a_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_single_run_rejects_comma_objective(tmp_path):
+def test_single_run_rejects_comma_objective(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
-    rc = main(
-        ["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--objective", "income,requests"]
-    )
-    assert rc == 2
+    for flag, value in (("--objective", "income,requests"), ("--lambda", "1,2")):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), flag, value]) == 2
+        assert f"error: this command takes a single {flag}\n" == capsys.readouterr().err
 
 
 def test_missing_shapley_source_exits_3(tmp_path, capsys):
@@ -676,6 +675,17 @@ def test_train_writes_model_and_error_curve(tmp_path):
         assert fh.read() == first
 
 
+def test_train_on_csv_demand_is_a_config_error(tmp_path, capsys):
+    """With no training episodes the config is sound, but train has nothing
+    to train on."""
+    write_trips(tmp_path / "trips.csv")
+    cfg = write_config(tmp_path / "c.cfg", LINE_CFG + "value.mode = tabular\nvalue.episodes = 0\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: training requires synthetic demand\n"
+    assert not out.exists()
+
+
 def test_train_requires_tabular_mode(tmp_path):
     cfg = write_config(tmp_path / "t.cfg", SMALL_CITY)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -702,6 +712,98 @@ def test_shapley_on_run_directory(tmp_path):
     with open(out / "shapley_meta.txt") as fh:
         meta = fh.read()
     assert "method = exact" in meta
+
+
+TABULAR_CITY = SMALL_CITY + "value.mode = tabular\nvalue.episodes = 2\n"
+
+
+def test_shapley_replay_of_a_tabular_run_needs_its_value_table(tmp_path, capsys):
+    """The replay once ran without a value model when the table was gone,
+    and attributed incomes the run never earned, with exit 0."""
+    cfg = write_config(tmp_path / "c.cfg", TABULAR_CITY)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    table = run_dir / "value_table.txt"
+    table.unlink()
+    out = tmp_path / "shap"
+    assert main(["shapley", str(run_dir), "--out", str(out)]) == 3
+    assert str(table) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shapley_replay_of_a_zero_run_ignores_a_stray_value_table(tmp_path):
+    """config.resolved names the value model the run dispatched with; a
+    value_table.txt beside a value.mode = zero run is not it."""
+    tabular = tmp_path / "tabular"
+    cfg = write_config(tmp_path / "t.cfg", TABULAR_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(tabular)]) == 0
+    run_dir = tmp_path / "run"
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    assert main(["shapley", str(run_dir), "--out", str(tmp_path / "clean")]) == 0
+    shutil.copyfile(tabular / "value_table.txt", run_dir / "value_table.txt")
+    assert main(["shapley", str(run_dir), "--out", str(tmp_path / "stray")]) == 0
+    for name in ("shapley.csv", "shapley_meta.txt"):
+        assert (tmp_path / "stray" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+
+
+def drop_last_epoch(lines):
+    del lines[-2:]  # SMALL_CITY has 2 drivers
+
+
+def duplicate_a_row(lines):
+    lines.insert(3, lines[3])
+
+
+@pytest.mark.parametrize("command", ["report", "shapley"])
+@pytest.mark.parametrize("corrupt, rows", [(drop_last_epoch, 12), (duplicate_a_row, 15)])
+def test_fleet_jsonl_needs_one_row_per_driver_per_epoch(tmp_path, capsys, command, corrupt, rows):
+    """A fleet.jsonl that lost its last epoch once gave report the incomes
+    of the epoch before, and a duplicated row was taken, both with exit 0."""
+    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    fleet_jsonl = run_dir / "fleet.jsonl"
+    lines = fleet_jsonl.read_text().splitlines(keepends=True)
+    assert len(lines) == 14
+    corrupt(lines)
+    fleet_jsonl.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert main([command, str(run_dir), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {fleet_jsonl}: {rows} rows, but 2 drivers over 7 epochs make 14\n"
+    )
+    assert not out.exists()
+
+
+def test_shapley_replay_must_earn_what_the_run_earned(tmp_path, capsys):
+    """Demand edited after the run replays to other incomes; shapley once
+    attributed those with exit 0."""
+    trips = write_trips(tmp_path / "trips.csv")
+    cfg = write_config(tmp_path / "c.cfg", LINE_CFG)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    with open(trips) as fh:
+        lines = fh.read().splitlines()
+    lines[1] = "0,0,0,1,10"  # the first trip's dropoff moves one stop closer
+    with open(trips, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "shap"
+    assert main(["shapley", str(run_dir), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {run_dir / 'fleet.jsonl'}: driver 1 earned 38.0 in the run but 37.0 in its replay\n"
+    )
+    assert not out.exists()
+
+
+def test_shapley_needs_the_run_s_fleet_jsonl(tmp_path, capsys):
+    """A directory without fleet.jsonl, such as train's output, has no
+    incomes to replay."""
+    cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
+    train_dir = tmp_path / "train"
+    assert main(["train", "--config", cfg, "--out", str(train_dir)]) == 0
+    assert main(["shapley", str(train_dir), "--out", str(tmp_path / "shap")]) == 3
+    assert str(train_dir / "fleet.jsonl") in capsys.readouterr().err
 
 
 def test_shapley_on_coalition_table(tmp_path):

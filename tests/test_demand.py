@@ -71,7 +71,7 @@ def test_synth_demand_shape(grid55):
 
 def test_synth_demand_full_skew_single_origin_neighborhood(grid55):
     stream = synth_demand(grid55, rate_per_epoch=5.0, num_epochs=12, hotspot_skew=1.0, seed=5)
-    labels = {grid55.neighborhoods.label(r.origin) for r in stream}
+    labels = {grid55.neighborhoods.labels[r.origin] for r in stream}
     assert len(labels) == 1
 
 

@@ -705,7 +705,7 @@ def test_memo_hit_hands_back_the_row_a_fresh_enumeration_derives(state, labels):
         assert [f.hex() for f in action.fares] == [
             fare(graph, r.origin, r.destination).hex() for r in action.requests
         ]
-        assert action.origin_labels == tuple(graph.neighborhoods.label(r.origin) for r in action.requests)
+        assert action.origin_labels == tuple(graph.neighborhoods.labels[r.origin] for r in action.requests)
         assert action.end == (action.route[-1].location if action.requests else None)
 
 

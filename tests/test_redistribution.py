@@ -1,6 +1,7 @@
 """Shapley attribution and the risk-blended payout scheme."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,11 @@ def test_load_coalition_table_errors(tmp_path):
     empty.write_text("coalition_bitmask,value\n")
     with pytest.raises(ValueError, match="no coalitions"):
         load_coalition_table(empty)
+
+    negative = tmp_path / "n.csv"
+    negative.write_text("coalition_bitmask,value\n-1,1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(negative))}:2: bitmask must be nonnegative$"):
+        load_coalition_table(negative)
 
 
 def test_table_oracle_missing_coalition(tmp_path):
