@@ -393,32 +393,45 @@ def _run_config(run_dir: str) -> RunConfig:
     return config
 
 
-def _read_fleet_incomes(fleet_jsonl: str, num_drivers: int, epochs: int) -> dict[int, float]:
-    """Each driver's last income in a run's fleet.jsonl, which run_one
-    writes as one row per driver after each of the run's `epochs` epochs."""
-    # every configured driver exists, even one that never had a snapshot row
-    incomes = {d: 0.0 for d in range(num_drivers)}
-    rows = 0
-    with open(fleet_jsonl) as fh:
-        for rows, text in enumerate(fh, start=1):
+def _read_jsonl(path: str, valid: Callable[[int, dict], bool]) -> list[dict]:
+    """The rows of the JSON-lines file at `path`, each row k (from 0) one
+    that `valid(k, row)` accepts; a line that does not decode, or that
+    `valid` refuses or cannot read, raises ValueError naming its line."""
+    rows = []
+    with open(path) as fh:
+        for k, text in enumerate(fh):
             try:
                 row = json.loads(text)
-                # last snapshot wins; a driver_id that is not a JSON integer
-                # naming a configured driver, or an income that is not a
-                # finite, non-negative JSON number (a fare is never negative),
-                # is malformed
-                driver_id, income = row["driver_id"], row["income"]
-                if type(driver_id) is not int or driver_id not in incomes or (
-                    type(income) not in (int, float) or not math.isfinite(income) or income < 0
-                ):
+                if not valid(k, row):
                     raise ValueError
-                incomes[driver_id] = float(income)
-            except (ValueError, KeyError, TypeError):
-                raise ValueError(f"{fleet_jsonl}:{rows}: malformed row {text.rstrip()!r}") from None
-    if rows != num_drivers * epochs:
-        raise ValueError(f"{fleet_jsonl}: {rows} rows, but {num_drivers} drivers over "
+            except (ValueError, KeyError, TypeError, OverflowError):
+                raise ValueError(f"{path}:{k + 1}: malformed row {text.rstrip()!r}") from None
+            rows.append(row)
+    return rows
+
+
+def _read_fleet_incomes(fleet_jsonl: str, num_drivers: int, epochs: int) -> dict[int, float]:
+    """Each driver's income after the last of a run's `epochs` epochs (0.0
+    when it had none) from its fleet.jsonl, whose row k run_one writes for
+    driver k % num_drivers after epoch k // num_drivers."""
+
+    def placed(k: int, row: dict) -> bool:
+        # epoch and driver_id are the JSON integers row k's position gives;
+        # an income is a finite, non-negative JSON number (a fare is never
+        # negative)
+        epoch, driver_id, income = row["epoch"], row["driver_id"], row["income"]
+        return (
+            type(epoch) is type(driver_id) is int and (epoch, driver_id) == divmod(k, num_drivers)
+            and type(income) in (int, float) and math.isfinite(income) and income >= 0
+        )
+
+    rows = _read_jsonl(fleet_jsonl, placed)
+    if len(rows) != num_drivers * epochs:
+        raise ValueError(f"{fleet_jsonl}: {len(rows)} rows, but {num_drivers} drivers over "
                          f"{epochs} epochs make {num_drivers * epochs}")
-    return incomes
+    # the last epoch's rows, drivers 0 to num_drivers - 1 in order, if any
+    last = [float(row["income"]) for row in rows[len(rows) - num_drivers:]]
+    return dict(enumerate(last or [0.0] * num_drivers))
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
@@ -453,8 +466,9 @@ def cmd_shapley(args: argparse.Namespace) -> int:
             f"--method exact takes at most {EXACT_SHAPLEY_CAP} drivers, got "
             f"{len(driver_ids)}; use --method monte_carlo"
         )
-    estimate = shapley_exact(oracle) if method == "exact" else shapley_mc(oracle, args.samples, seed)
-    counters: list[str] = []
+    # the incomes to attribute, settled before any coalition is valued: a
+    # replay that does not earn what its run earned refuses the run at once
+    pi = None
     if from_run:
         incomes = oracle.incomes((1 << len(driver_ids)) - 1)
         pi = [incomes.get(d, 0.0) for d in driver_ids]
@@ -462,18 +476,14 @@ def cmd_shapley(args: argparse.Namespace) -> int:
             if p != recorded[d]:
                 raise ValueError(f"{fleet_jsonl}: driver {d} earned {recorded[d]!r} in the run "
                                  f"but {p!r} in its replay")
-        counters = [
-            f"coalitions = {oracle.coalitions}",
-            f"route_memo_entries = {len(oracle.route_memo.entries)}",
-            f"route_memo_hits = {oracle.route_memo.hits}",
-        ]
     elif args.pi:
         by_driver = dict(_read_driver_rows(args.pi, ("pi",), driver_ids))
         missing = [d for d in driver_ids if d not in by_driver]
         if missing:
             raise ValueError(f"{args.pi}: missing incomes for drivers {missing}")
         pi = [by_driver[d] for d in driver_ids]
-    else:
+    estimate = shapley_exact(oracle) if method == "exact" else shapley_mc(oracle, args.samples, seed)
+    if pi is None:
         # a coalition table fixes total income but not its split; default
         # the per-driver incomes to the attributed values
         pi = list(estimate.values)
@@ -489,7 +499,12 @@ def cmd_shapley(args: argparse.Namespace) -> int:
     ]
     if estimate.method == "monte_carlo":
         meta.append(f"std_error_max = {max(estimate.std_errors)!r}")
-    meta.extend(counters)
+    if from_run:
+        meta += [
+            f"coalitions = {oracle.coalitions}",
+            f"route_memo_entries = {len(oracle.route_memo.entries)}",
+            f"route_memo_hits = {oracle.route_memo.hits}",
+        ]
     _write_lines(os.path.join(args.out, "shapley_meta.txt"), meta)
     return 0
 
@@ -497,14 +512,20 @@ def cmd_shapley(args: argparse.Namespace) -> int:
 def cmd_redistribute(args: argparse.Namespace) -> int:
     source = args.source
     mode = args.mode or "as_printed"
+    drivers = None
     if os.path.isdir(source):
-        # a run directory carries its configured payout mode; --mode wins
-        if args.mode is None and os.path.exists(os.path.join(source, "config.resolved")):
-            mode = _run_config(source).payout_mode
+        # a run directory carries its drivers and its configured payout
+        # mode; --mode wins
+        if os.path.exists(os.path.join(source, "config.resolved")):
+            config = _run_config(source)
+            mode = args.mode or config.payout_mode
+            drivers = range(config.num_drivers)
         source = os.path.join(source, "shapley.csv")
-    rows = _read_driver_rows(source, ("pi", "v"))
+    rows = _read_driver_rows(source, ("pi", "v"), drivers)
     if not rows:
         raise ValueError(f"{source}: no drivers found")
+    if drivers is not None and len(rows) != len(drivers):
+        raise ValueError(f"{source}: {len(rows)} drivers, but the run has {len(drivers)}")
     driver_ids, pi, v = (list(column) for column in zip(*rows))
     grid = [i / 10 for i in range(11)] if args.r is None else _parse_grid(args.r, "--r")
     for r in grid:
@@ -546,22 +567,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     tallies = NeighborhoodTallies.empty(neighborhoods.num_neighborhoods)
     places = range(len(locations))
     drivers = {str(d): d for d in range(config.num_drivers)}  # as run_one writes them
-    seen: set[int] = set()
+    requests = 0  # rows read so far
     requests_csv = os.path.join(run_dir, "requests.csv")
     for line, row in read_rows(requests_csv, REQUEST_COLUMNS):
         request_id, origin, destination, created_at, serviced, driver = row
-        if request_id in seen:
-            raise ValueError(f"{requests_csv}:{line}: duplicate request_id {request_id}")
-        seen.add(request_id)
-        # a request between two distinct locations of the city, made at or
-        # after the start; a serviced one names a configured driver, an
-        # unserviced one names none
+        # row k holds request k (run_one writes them in id order), between
+        # two distinct locations of the city, made at or after the start; a
+        # serviced one names a configured driver, an unserviced one names none
         if (
-            origin not in places or destination not in places or origin == destination
+            request_id != requests
+            or origin not in places or destination not in places or origin == destination
             or created_at < 0
             or ((serviced, driver) != (0, "") and (serviced != 1 or driver not in drivers))
         ):
             raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}")
+        requests += 1
         label = neighborhoods.labels[origin]
         tallies.add_requested(label)
         if serviced:
@@ -569,20 +589,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     # every request of the run was in some epoch's batch, so a file cut
     # short (even to its header) shows as fewer rows than the batches held
     epochs_jsonl = os.path.join(run_dir, "epochs.jsonl")
-    batched = epochs = 0
-    with open(epochs_jsonl) as fh:
-        for epochs, text in enumerate(fh, start=1):
-            try:
-                batch_size = json.loads(text)["batch_size"]
-                if type(batch_size) is not int or batch_size < 0:
-                    raise ValueError
-            except (ValueError, KeyError, TypeError):
-                raise ValueError(f"{epochs_jsonl}:{epochs}: malformed row {text.rstrip()!r}") from None
-            batched += batch_size
-    if len(seen) != batched:
-        raise ValueError(f"{requests_csv}: {len(seen)} requests, but the batch_size fields "
+    epochs = _read_jsonl(epochs_jsonl, lambda k, e: type(e["batch_size"]) is int and e["batch_size"] >= 0)
+    batched = 0
+    for epoch in epochs:
+        batched += epoch["batch_size"]
+    if requests != batched:
+        raise ValueError(f"{requests_csv}: {requests} requests, but the batch_size fields "
                          f"of {epochs_jsonl} sum to {batched}")
-    incomes = _read_fleet_incomes(os.path.join(run_dir, "fleet.jsonl"), config.num_drivers, epochs)
+    incomes = _read_fleet_incomes(os.path.join(run_dir, "fleet.jsonl"), config.num_drivers, len(epochs))
     report = metrics_from_parts(incomes, tallies)
     out_dir = args.out or run_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -31,6 +31,7 @@ from fairpool.city import (
 )
 from fairpool import cli
 from fairpool import config as config_module
+from fairpool import redistribution
 from fairpool.cli import main
 from fairpool.config import load_config
 from fairpool.demand import batch_requests, ingest_trips
@@ -749,15 +750,19 @@ def test_shapley_replay_of_a_zero_run_ignores_a_stray_value_table(tmp_path):
 
 def drop_last_epoch(lines):
     del lines[-2:]  # SMALL_CITY has 2 drivers
+    return ": 12 rows, but 2 drivers over 7 epochs make 14"
 
 
 def duplicate_a_row(lines):
+    # the copy sits where driver 0 after epoch 2 belongs, so the row's
+    # position refuses it before the count is reached
     lines.insert(3, lines[3])
+    return f":5: malformed row {lines[4].rstrip()!r}"
 
 
 @pytest.mark.parametrize("command", ["report", "shapley"])
-@pytest.mark.parametrize("corrupt, rows", [(drop_last_epoch, 12), (duplicate_a_row, 15)])
-def test_fleet_jsonl_needs_one_row_per_driver_per_epoch(tmp_path, capsys, command, corrupt, rows):
+@pytest.mark.parametrize("corrupt", [drop_last_epoch, duplicate_a_row])
+def test_fleet_jsonl_needs_one_row_per_driver_per_epoch(tmp_path, capsys, command, corrupt):
     """A fleet.jsonl that lost its last epoch once gave report the incomes
     of the epoch before, and a duplicated row was taken, both with exit 0."""
     cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
@@ -766,13 +771,11 @@ def test_fleet_jsonl_needs_one_row_per_driver_per_epoch(tmp_path, capsys, comman
     fleet_jsonl = run_dir / "fleet.jsonl"
     lines = fleet_jsonl.read_text().splitlines(keepends=True)
     assert len(lines) == 14
-    corrupt(lines)
+    where = corrupt(lines)
     fleet_jsonl.write_text("".join(lines))
     out = tmp_path / "out"
     assert main([command, str(run_dir), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        f"error: {fleet_jsonl}: {rows} rows, but 2 drivers over 7 epochs make 14\n"
-    )
+    assert capsys.readouterr().err == f"error: {fleet_jsonl}{where}\n"
     assert not out.exists()
 
 
@@ -793,6 +796,39 @@ def test_shapley_replay_must_earn_what_the_run_earned(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {run_dir / 'fleet.jsonl'}: driver 1 earned 38.0 in the run but 37.0 in its replay\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+def test_shapley_checks_the_replay_before_any_other_coalition(tmp_path, capsys, monkeypatch, method):
+    """A run whose fleet.jsonl disagrees with its replay once cost every
+    coalition of the estimate (63 here) before exit 3; the full fleet's
+    replay alone refuses it."""
+    cfg = write_config(tmp_path / "c.cfg", DAY_CITY)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    fleet_jsonl = run_dir / "fleet.jsonl"
+    lines = fleet_jsonl.read_text().splitlines(keepends=True)
+    last = json.loads(lines[-1])
+    assert last["driver_id"] == 5
+    earned = last["income"]
+    last["income"] = earned + 1.0
+    lines[-1] = json.dumps(last, sort_keys=True) + "\n"
+    fleet_jsonl.write_text("".join(lines))
+    masks = []
+    replay = redistribution.coalition_incomes
+
+    def counted(graph, batches, template, mask, *args, **kwargs):
+        masks.append(mask)
+        return replay(graph, batches, template, mask, *args, **kwargs)
+
+    monkeypatch.setattr(redistribution, "coalition_incomes", counted)
+    out = tmp_path / "shap"
+    assert main(["shapley", str(run_dir), "--out", str(out), "--method", method]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {fleet_jsonl}: driver 5 earned {earned + 1.0!r} in the run but {earned!r} in its replay\n"
+    )
+    assert masks == [(1 << 6) - 1]
     assert not out.exists()
 
 
@@ -1600,6 +1636,18 @@ def duplicated_request_row(lines):
     return len(lines)
 
 
+def swapped_request_rows(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+    return 2
+
+
+def swapped_fleet_rows(lines):
+    """Driver 1's last row where its first belongs: every row is well
+    formed, and the file once gave report the first epoch's income."""
+    lines[1], lines[-1] = lines[-1], lines[1]
+    return 2
+
+
 def fleet_row_for_driver_7(lines):
     lines.append('{"driver_id": 7, "epoch": 0, "income": 5.0}\n')
     return len(lines)
@@ -1607,9 +1655,9 @@ def fleet_row_for_driver_7(lines):
 
 def fleet_income(text, name):
     """A last snapshot whose income is `text`, which is not a finite,
-    non-negative number."""
+    non-negative number; the row keeps its place, driver 1 after epoch 6."""
     def corrupt(lines):
-        lines.append('{"driver_id": 1, "epoch": 9, "income": %s}\n' % text)
+        lines[-1] = re.sub(r'"income": [^,]*', f'"income": {text}', lines[-1])
         return len(lines)
 
     corrupt.__name__ = f"fleet_income_{name}"
@@ -1617,9 +1665,10 @@ def fleet_income(text, name):
 
 
 def fleet_driver_id(text, name):
-    """A last snapshot whose driver_id is `text`, which is not a JSON integer."""
+    """A last snapshot whose driver_id is `text`, which is not a JSON
+    integer, in the place of driver 1 (Python takes 1.0 and true for 1)."""
     def corrupt(lines):
-        lines.append('{"driver_id": %s, "epoch": 9, "income": 1000.0}\n' % text)
+        lines[-1] = lines[-1].replace('"driver_id": 1,', f'"driver_id": {text},')
         return len(lines)
 
     corrupt.__name__ = f"fleet_driver_id_{name}"
@@ -1660,6 +1709,8 @@ def epochs_batch_size(text, name):
         ("requests.csv", destination_equals_origin),
         ("requests.csv", negative_created_at),
         ("requests.csv", duplicated_request_row),
+        ("requests.csv", swapped_request_rows),
+        ("fleet.jsonl", swapped_fleet_rows),
         ("requests.csv", unserviced_row_naming_a_driver),
         ("requests.csv", serviced_row_with_driver_9),
         ("fleet.jsonl", fleet_row_for_driver_7),
@@ -1668,6 +1719,7 @@ def epochs_batch_size(text, name):
         ("fleet.jsonl", fleet_income("true", "true")),
         ("fleet.jsonl", fleet_income('"5"', "string")),
         ("fleet.jsonl", fleet_income("-5.0", "negative")),
+        ("fleet.jsonl", fleet_income("1" + "0" * 400, "past_float")),
         ("fleet.jsonl", fleet_driver_id('"1"', "string")),
         ("fleet.jsonl", fleet_driver_id("1.0", "float")),
         ("fleet.jsonl", fleet_driver_id("true", "true")),
@@ -1691,8 +1743,12 @@ def test_report_names_the_file_and_line_of_a_bad_artifact(tmp_path, capsys, name
     line = corrupt(lines)
     with open(path, "w", newline="") as fh:
         fh.writelines(lines)
-    assert main(["report", str(run_dir), "--out", str(tmp_path / "rebuilt")]) == 3
-    assert f"error: {path}:{line}: " in capsys.readouterr().err
+    # shapley reads a run's incomes from fleet.jsonl as report does
+    for command in ["report", "shapley"] if name == "fleet.jsonl" else ["report"]:
+        out = tmp_path / command
+        assert main([command, str(run_dir), "--out", str(out)]) == 3, command
+        assert f"error: {path}:{line}: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 # the README day city with 6 drivers, at seed 7
@@ -1846,91 +1902,12 @@ def test_run_directory_config_missing_a_key_exits_3(tmp_path, capsys):
         ["shapley", str(run), "--out", str(tmp_path / "shapley")],
         ["report", str(run), "--out", str(tmp_path / "report")],
         ["redistribute", str(run), "--out", str(tmp_path / "payout")],
+        # the run's drivers come from config.resolved whatever the mode
+        ["redistribute", str(run), "--out", str(tmp_path / "payout"), "--mode", "keep_income"],
     ):
         assert main(argv) == 3, argv
         assert capsys.readouterr().err == f"error: {resolved}: missing key city.neighborhoods\n"
     assert sorted(os.listdir(tmp_path)) == ["c.cfg", "run"]
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("column", ["pi", "v"])
-def test_redistribute_rejects_non_finite_input_with_exit_3(tmp_path, capsys, column, value):
-    """A nan or inf in pi or v once gave nan payouts and exit 0."""
-    row = {"pi": "3.0", "v": "4.0", column: value}
-    text = f"driver_id,pi,v\n0,5.0,4.0\n1,{row['pi']},{row['v']}\n"
-    src = write_config(tmp_path / "shapley.csv", text)
-    out = tmp_path / "o"
-    assert main(["redistribute", src, "--out", str(out)]) == 3
-    assert f"{src}:3: non-finite {column} {value}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_shapley_rejects_non_finite_coalition_value_with_exit_3(tmp_path, capsys):
-    table = write_config(tmp_path / "table.csv", "coalition_bitmask,value\n0,0.0\n1,nan\n")
-    out = tmp_path / "o"
-    assert main(["shapley", table, "--out", str(out)]) == 3
-    assert f"{table}:3: non-finite value nan" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_shapley_rejects_non_finite_pi_with_exit_3(tmp_path, capsys):
-    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
-    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n1,inf\n")
-    out = tmp_path / "o"
-    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
-    assert f"{pi}:3: non-finite pi inf" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_redistribute_rejects_duplicate_driver_id_with_exit_3(tmp_path, capsys):
-    """Two rows for driver 0 once paid driver 0 twice."""
-    src = write_config(tmp_path / "shapley.csv", "driver_id,pi,v\n0,1.0,1.0\n\n0,3.0,2.0\n")
-    out = tmp_path / "o"
-    assert main(["redistribute", src, "--out", str(out)]) == 3
-    assert f"{src}:4: duplicate driver_id 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_shapley_pi_rejects_duplicate_driver_id_with_exit_3(tmp_path, capsys):
-    """A second income row for driver 0 was once kept without a word."""
-    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
-    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n1,2.0\n0,3.0\n")
-    out = tmp_path / "o"
-    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
-    assert f"{pi}:4: duplicate driver_id 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_shapley_pi_rejects_negative_income_with_exit_3(tmp_path, capsys):
-    """A negative income was once written to shapley.csv, which redistribute
-    then refused."""
-    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
-    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n1,2.0\n0,-1.0\n")
-    out = tmp_path / "o"
-    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
-    assert f"{pi}:3: negative pi -1.0 for driver 0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_shapley_pi_rejects_a_driver_the_table_lacks_with_exit_3(tmp_path, capsys):
-    """Driver 7 of a 2-driver table was once dropped without a word."""
-    table = helpers.write_additive_table(tmp_path / "table.csv", 2)
-    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n1,2.0\n7,5.0\n")
-    out = tmp_path / "o"
-    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
-    assert f"{pi}:4: unknown driver_id 7" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("column", ["pi", "v"])
-def test_redistribute_locates_negative_input_with_exit_3(tmp_path, capsys, column):
-    row = {"pi": "3.0", "v": "4.0", column: "-1.0"}
-    text = f"driver_id,pi,v\n1,5.0,4.0\n0,{row['pi']},{row['v']}\n"
-    src = write_config(tmp_path / "shapley.csv", text)
-    out = tmp_path / "o"
-    assert main(["redistribute", src, "--out", str(out)]) == 3
-    assert f"{src}:3: negative {column} -1.0 for driver 0" in capsys.readouterr().err
-    assert not out.exists()
 
 
 # a fairness-scored run whose full fleet earns nothing while smaller
@@ -1971,21 +1948,102 @@ def test_redistribute_refuses_the_negative_v_of_a_fairness_run(tmp_path, capsys)
     assert not out.exists()
 
 
-def test_redistribute_header_only_file_exits_3(tmp_path, capsys):
-    src = write_config(tmp_path / "shapley.csv", "driver_id,pi,v\n")
+NON_FINITE_ROWS = {
+    "pi": "driver_id,pi,v\n0,5.0,4.0\n1,{},4.0\n",
+    "v": "driver_id,pi,v\n0,5.0,4.0\n1,3.0,{}\n",
+}
+NEGATIVE_ROWS = {
+    "pi": "driver_id,pi,v\n1,5.0,4.0\n0,-1.0,4.0\n",
+    "v": "driver_id,pi,v\n1,5.0,4.0\n0,3.0,-1.0\n",
+}
+
+
+# command, the text of its input file, and the whole of stderr; "redistribute"
+# reads the file as a driver_id,pi,v CSV, "shapley" as a coalition table, and
+# "shapley --pi" as the incomes of a 3-driver additive table
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        # a nan or inf in pi or v once gave nan payouts and exit 0
+        *(
+            pytest.param("redistribute", rows.format(value), f"{{path}}:3: non-finite {column} {value}",
+                         id=f"redistribute-non-finite-{column}-{value}")
+            for column, rows in NON_FINITE_ROWS.items() for value in ("nan", "inf", "-inf")
+        ),
+        pytest.param("shapley", "coalition_bitmask,value\n0,0.0\n1,nan\n",
+                     "{path}:3: non-finite value nan", id="shapley-non-finite-value"),
+        pytest.param("shapley --pi", "driver_id,pi\n0,1.0\n1,inf\n",
+                     "{path}:3: non-finite pi inf", id="shapley-pi-non-finite"),
+        # two rows for driver 0 once paid driver 0 twice
+        pytest.param("redistribute", "driver_id,pi,v\n0,1.0,1.0\n\n0,3.0,2.0\n",
+                     "{path}:4: duplicate driver_id 0", id="redistribute-duplicate-driver"),
+        # a second income row for driver 0 was once kept without a word
+        pytest.param("shapley --pi", "driver_id,pi\n0,1.0\n1,2.0\n0,3.0\n",
+                     "{path}:4: duplicate driver_id 0", id="shapley-pi-duplicate-driver"),
+        # a negative income was once written to shapley.csv, which
+        # redistribute then refused
+        pytest.param("shapley --pi", "driver_id,pi\n1,2.0\n0,-1.0\n",
+                     "{path}:3: negative pi -1.0 for driver 0", id="shapley-pi-negative"),
+        # a driver the table lacks was once dropped without a word
+        pytest.param("shapley --pi", "driver_id,pi\n0,1.0\n1,2.0\n7,5.0\n",
+                     "{path}:4: unknown driver_id 7", id="shapley-pi-unknown-driver"),
+        *(
+            pytest.param("redistribute", rows, f"{{path}}:3: negative {column} -1.0 for driver 0",
+                         id=f"redistribute-negative-{column}")
+            for column, rows in NEGATIVE_ROWS.items()
+        ),
+        pytest.param("redistribute", "driver_id,pi,v\n", "{path}: no drivers found",
+                     id="redistribute-header-only"),
+        pytest.param("shapley --pi", "driver_id,pi\n0,1.0\n2,2.0\n",
+                     "{path}: missing incomes for drivers [1]", id="shapley-pi-missing-driver"),
+    ],
+)
+def test_driver_file_error_exits_3(tmp_path, capsys, command, text, error):
+    path = write_config(tmp_path / "input.csv", text)
     out = tmp_path / "o"
-    assert main(["redistribute", src, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"error: {src}: no drivers found\n"
+    argv = [command.split()[0], path, "--out", str(out)]
+    if command == "shapley --pi":
+        argv[1:2] = [helpers.write_additive_table(tmp_path / "table.csv", 3), "--pi", path]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
     assert not out.exists()
 
 
-def test_shapley_pi_missing_a_driver_of_the_table_exits_3(tmp_path, capsys):
-    table = helpers.write_additive_table(tmp_path / "table.csv", 3)
-    pi = write_config(tmp_path / "pi.csv", "driver_id,pi\n0,1.0\n2,2.0\n")
-    out = tmp_path / "o"
-    assert main(["shapley", table, "--out", str(out), "--pi", pi]) == 3
-    assert capsys.readouterr().err == f"error: {pi}: missing incomes for drivers [1]\n"
-    assert not out.exists()
+def drop_driver_5(lines):
+    del lines[6:]
+    return ": 5 drivers, but the run has 6"
+
+
+def renumber_driver_5(lines):
+    lines[6] = "7" + lines[6][1:]
+    return ":7: unknown driver_id 7"
+
+
+def keep_the_header(lines):
+    del lines[1:]
+    return ": no drivers found"
+
+
+@pytest.mark.parametrize("corrupt", [drop_driver_5, renumber_driver_5, keep_the_header])
+def test_redistribute_of_a_run_pays_each_of_its_drivers(tmp_path, capsys, corrupt):
+    """A run's shapley.csv missing driver 5 once paid the other 5 drivers
+    with exit 0; its config.resolved names the 6 the run has."""
+    cfg = write_config(tmp_path / "c.cfg", DAY_CITY)
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    assert main(["shapley", str(run_dir), "--out", str(run_dir)]) == 0
+    shapley_csv = run_dir / "shapley.csv"
+    with open(shapley_csv, newline="") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 7
+    where = corrupt(lines)
+    with open(shapley_csv, "w", newline="") as fh:
+        fh.writelines(lines)
+    for mode in ([], ["--mode", "keep_income"]):
+        out = tmp_path / "pay"
+        assert main(["redistribute", str(run_dir), "--out", str(out)] + mode) == 3
+        assert capsys.readouterr().err == f"error: {shapley_csv}{where}\n"
+        assert not out.exists()
 
 
 def test_redistribute_leaves_gain_blank_when_a_value_is_zero(tmp_path):
