@@ -378,14 +378,22 @@ def _read_driver_rows(path: str, names: tuple[str, ...], drivers: range | None =
 
 
 def _run_config(run_dir: str) -> RunConfig:
-    """The config.resolved a command wrote to `run_dir`. dump_config writes
-    every key, so a key missing means the file was damaged, not that the
-    default applies: raises ValueError (a runtime error, exit 3) naming the
-    file and the first such key in dump order."""
+    """The config.resolved a command wrote to `run_dir`. One that is missing,
+    unparsable, out of range or lacks a key means the run directory was
+    damaged, not that the user's config is wrong: raises ValueError (a
+    runtime error, exit 3) naming the file. dump_config writes every key, so
+    a missing key's default does not apply; the first one in dump order is
+    named."""
     path = os.path.join(run_dir, "config.resolved")
-    config = load_config(path)
-    with open(path) as fh:
-        present = {line.partition("=")[0].strip() for line in fh}
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        config = parse_config(text, base_dir=os.path.abspath(run_dir), source=path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from None
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
+    present = {line.partition("=")[0].strip() for line in text.splitlines()}
     for line in dump_config(config).splitlines():
         key = line.partition(" = ")[0]
         if key not in present:

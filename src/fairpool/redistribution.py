@@ -48,13 +48,17 @@ __all__ = [
 
 class TableOracle:
     """Explicit coalition values keyed by bitmask, bit i standing for
-    driver_ids[i]; mainly for tests and CSV input."""
+    driver_ids[i]; mainly for tests and CSV input. A coalition missing from
+    the table is an error naming `source`, found when it is first asked for."""
 
-    __slots__ = ("values", "driver_ids")
+    __slots__ = ("values", "driver_ids", "source")
 
-    def __init__(self, values: dict[int, float], driver_ids: Sequence[int]) -> None:
+    def __init__(
+        self, values: dict[int, float], driver_ids: Sequence[int], source: str = "<table>"
+    ) -> None:
         self.values = values
         self.driver_ids = driver_ids
+        self.source = source
 
     def value(self, mask: int) -> float:
         try:
@@ -63,7 +67,7 @@ class TableOracle:
             if not mask:
                 return 0.0
             members = sorted(d for i, d in enumerate(self.driver_ids) if mask >> i & 1)
-            raise ValueError(f"coalition {members} missing from table") from None
+            raise ValueError(f"{self.source}: coalition {members} missing from table") from None
 
 
 class ResimulationOracle:
@@ -306,4 +310,4 @@ def load_coalition_table(path: str) -> TableOracle:
     n = max(values, default=0).bit_length()
     if n == 0:
         raise ValueError(f"{path}: no coalitions found")
-    return TableOracle(values, range(n))
+    return TableOracle(values, range(n), path)

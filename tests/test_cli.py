@@ -1882,31 +1882,58 @@ def test_csv_city_with_more_neighborhoods_than_locations_names_the_file(tmp_path
     assert f"{locations}: cannot split 9 locations into 10 neighborhoods" in capsys.readouterr().err
 
 
-def test_run_directory_config_missing_a_key_exits_3(tmp_path, capsys):
+def cut_config_short(resolved, lines):
+    assert [line.split(" = ")[0] for line in lines[:4]] == [
+        "city.edge_minutes", "city.height", "city.kind", "city.neighborhoods"
+    ]
+    resolved.write_text("".join(lines[:3]))
+    return f"{resolved}: missing key city.neighborhoods"
+
+
+def break_config_line(resolved, lines):
+    lines[1] = "bogus line\n"
+    resolved.write_text("".join(lines))
+    return f"{resolved}:2: expected `key = value`, got 'bogus line'"
+
+
+def zero_config_drivers(resolved, lines):
+    resolved.write_text("".join(lines).replace("fleet.num_drivers = 1", "fleet.num_drivers = 0"))
+    return f"{resolved}: fleet.num_drivers: need at least one driver"
+
+
+def delete_config(resolved, lines):
+    resolved.unlink()
+    return f"cannot read config {resolved}: [Errno 2] No such file or directory: '{resolved}'"
+
+
+@pytest.mark.parametrize("damage", [cut_config_short, break_config_line, zero_config_drivers, delete_config])
+def test_damaged_run_directory_config_exits_3(tmp_path, capsys, damage):
     """A config.resolved cut short was once filled from the defaults: shapley
-    on a 1-driver run wrote a 5-driver shapley.csv, and report exited 0.
-    Every command reading a run directory's config now refuses it, naming
-    the file and the first key dump_config would write that it lacks."""
+    on a 1-driver run wrote a 5-driver shapley.csv, and report exited 0. A
+    deleted, unparsable or out-of-range one exited 2, as a config error,
+    though a command wrote it. Every command reading a run directory's config
+    now refuses each damage as a runtime error naming the file, and a cut
+    one by the first key dump_config would write that it lacks."""
     text = SMALL_CITY.replace("fleet.num_drivers = 2", "fleet.num_drivers = 1")
     cfg = write_config(tmp_path / "c.cfg", text + "value.mode = tabular\n")
     run = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
     assert main(["shapley", str(run), "--out", str(run)]) == 0
     resolved = run / "config.resolved"
-    lines = resolved.read_text().splitlines(keepends=True)
-    assert [line.split(" = ")[0] for line in lines[:4]] == [
-        "city.edge_minutes", "city.height", "city.kind", "city.neighborhoods"
-    ]
-    resolved.write_text("".join(lines[:3]))
-    for argv in (
+    error = damage(resolved, resolved.read_text().splitlines(keepends=True))
+    commands = [
         ["shapley", str(run), "--out", str(tmp_path / "shapley")],
         ["report", str(run), "--out", str(tmp_path / "report")],
-        ["redistribute", str(run), "--out", str(tmp_path / "payout")],
-        # the run's drivers come from config.resolved whatever the mode
-        ["redistribute", str(run), "--out", str(tmp_path / "payout"), "--mode", "keep_income"],
-    ):
+    ]
+    if damage is not delete_config:  # redistribute pays a bare shapley.csv
+        commands += [
+            ["redistribute", str(run), "--out", str(tmp_path / "payout")],
+            # the run's drivers come from config.resolved whatever the mode
+            ["redistribute", str(run), "--out", str(tmp_path / "payout"), "--mode", "keep_income"],
+        ]
+    for argv in commands:
         assert main(argv) == 3, argv
-        assert capsys.readouterr().err == f"error: {resolved}: missing key city.neighborhoods\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
     assert sorted(os.listdir(tmp_path)) == ["c.cfg", "run"]
 
 
@@ -1996,6 +2023,9 @@ NEGATIVE_ROWS = {
                      id="redistribute-header-only"),
         pytest.param("shapley --pi", "driver_id,pi\n0,1.0\n2,2.0\n",
                      "{path}: missing incomes for drivers [1]", id="shapley-pi-missing-driver"),
+        # an incomplete table once named no file
+        pytest.param("shapley", "coalition_bitmask,value\n1,1.0\n2,2.0\n",
+                     "{path}: coalition [0, 1] missing from table", id="shapley-missing-coalition"),
     ],
 )
 def test_driver_file_error_exits_3(tmp_path, capsys, command, text, error):

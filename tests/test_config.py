@@ -14,6 +14,7 @@ from fairpool.config import (
     load_config,
     parse_config,
 )
+from fairpool.objectives import left_sum
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
@@ -155,3 +156,13 @@ def test_readme_config_block_lists_every_key_with_its_default():
     assert sorted(listed) == sorted(_KEYS)
     defaults = dict(line.split(" = ") for line in dump_config(RunConfig()).splitlines())
     assert {key: listed[key] for key in defaults} == defaults  # paths have no default
+
+
+def test_readme_library_example_runs():
+    """README's library example wires one day through simulation, Shapley
+    attribution and the payout rule; its attribution is efficient."""
+    with open(README) as fh:
+        (block,) = [part.split("```", 1)[0] for part in fh.read().split("```python\n")[1:]]
+    namespace = {}
+    exec(compile(block, README, "exec"), namespace)
+    assert left_sum(namespace["v"]) == pytest.approx(left_sum(namespace["pi"]), abs=1e-9)

@@ -1,5 +1,5 @@
 """The pure-Python generator draws numpy's bits, and numpy stays a test-only
-oracle: nothing under src/fairpool or scripts/ imports it. Substream seeds
+oracle: nothing under src/fairpool imports it. Substream seeds
 are BLAKE2b digests, and the package imports neither hashlib nor
 dataclasses, whose loading would slow every command's start."""
 
@@ -113,9 +113,8 @@ def imported_modules(path):
 
 def test_no_runtime_file_imports_numpy():
     paths = []
-    for folder in ("src/fairpool", "scripts"):
-        for dirpath, _, names in os.walk(os.path.join(ROOT, folder)):
-            paths += [os.path.join(dirpath, n) for n in names if n.endswith(".py")]
+    for dirpath, _, names in os.walk(os.path.join(ROOT, "src/fairpool")):
+        paths += [os.path.join(dirpath, n) for n in names if n.endswith(".py")]
     assert len(paths) > 10
     offenders = [
         (os.path.relpath(path, ROOT), module)
