@@ -34,7 +34,7 @@ from .city import (
 from .config import ConfigError, RunConfig, dump_config, load_config, parse_config, validate_config
 from .csvio import read_rows, write_rows
 from .demand import RequestBatch, batch_requests, ingest_trips, synth_demand
-from .fleet import init_fleet, snapshot_rows
+from .fleet import init_fleet
 from .matching import DelayConstraints
 from .objectives import OBJECTIVES, NeighborhoodTallies, ObjectiveSpec, left_sum, scored_as
 from .redistribution import (
@@ -173,7 +173,7 @@ def train_synthetic(
     return model, train_value_model(graph, played, fleet, spec, model, constraints)
 
 
-# requests.csv, as run_one writes it and report reads it back
+# requests.csv, as run_one writes it and load_run reads it back
 REQUEST_COLUMNS = (
     ("request_id", int), ("origin", int), ("destination", int),
     ("created_at", float), ("serviced", int), ("driver", str),
@@ -221,7 +221,12 @@ def run_one(config: RunConfig, out_dir: str, graph: CityGraph, demand: Demand, e
             "route_calls": epoch.route_calls,
             "route_nodes": epoch.route_nodes,
         })
-        snapshots.extend(snapshot_rows(fleet, epoch.epoch_index))
+        snapshots.extend(
+            {"epoch": epoch.epoch_index, "driver_id": d.driver_id, "location": d.loc,
+             "occupancy": d.occupancy, "active": len(d.active), "completed": len(d.completed),
+             "income": d.income}
+            for d in fleet.drivers
+        )
 
     result = run_simulation(graph, batches, fleet, spec, constraints, value_model=model, on_epoch=record)
     violations = audit_journal(graph, result.fleet, result.log, constraints)
@@ -377,30 +382,6 @@ def _read_driver_rows(path: str, names: tuple[str, ...], drivers: range | None =
     return list(rows.values())
 
 
-def _run_config(run_dir: str) -> RunConfig:
-    """The config.resolved a command wrote to `run_dir`. One that is missing,
-    unparsable, out of range or lacks a key means the run directory was
-    damaged, not that the user's config is wrong: raises ValueError (a
-    runtime error, exit 3) naming the file. dump_config writes every key, so
-    a missing key's default does not apply; the first one in dump order is
-    named."""
-    path = os.path.join(run_dir, "config.resolved")
-    try:
-        with open(path) as fh:
-            text = fh.read()
-        config = parse_config(text, base_dir=os.path.abspath(run_dir), source=path)
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from None
-    except ConfigError as exc:
-        raise ValueError(str(exc)) from None
-    present = {line.partition("=")[0].strip() for line in text.splitlines()}
-    for line in dump_config(config).splitlines():
-        key = line.partition(" = ")[0]
-        if key not in present:
-            raise ValueError(f"{path}: missing key {key}")
-    return config
-
-
 def _read_jsonl(path: str, valid: Callable[[int, dict], bool]) -> list[dict]:
     """The rows of the JSON-lines file at `path`, each row k (from 0) one
     that `valid(k, row)` accepts; a line that does not decode, or that
@@ -418,42 +399,94 @@ def _read_jsonl(path: str, valid: Callable[[int, dict], bool]) -> list[dict]:
     return rows
 
 
-def _read_fleet_incomes(fleet_jsonl: str, num_drivers: int, epochs: int) -> dict[int, float]:
-    """Each driver's income after the last of a run's `epochs` epochs (0.0
-    when it had none) from its fleet.jsonl, whose row k run_one writes for
-    driver k % num_drivers after epoch k // num_drivers."""
+def load_run(run_dir: str) -> tuple[RunConfig, list[Location], list[list], dict[int, float]]:
+    """The run `run_one` wrote to `run_dir`, read back from its
+    config.resolved, requests.csv, epochs.jsonl and fleet.jsonl in that
+    order: the config, the city's locations, the requests.csv rows and each
+    driver's income after the last epoch (0.0 when there was none). Every
+    file is checked against what run_one writes, so a damaged one raises
+    ValueError (a runtime error, exit 3) naming the file, and its line where
+    one is at fault; a config.resolved that is missing, unparsable, out of
+    range or lacks a key is damage too, not a config error. Needs no travel
+    closure."""
+    path = os.path.join(run_dir, "config.resolved")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        config = parse_config(text, base_dir=os.path.abspath(run_dir), source=path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc}") from None
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from None
+    # dump_config writes every key, so a missing key's default does not
+    # apply; the first one in dump order is named
+    present = {line.partition("=")[0].strip() for line in text.splitlines()}
+    for line in dump_config(config).splitlines():
+        key = line.partition(" = ")[0]
+        if key not in present:
+            raise ValueError(f"{path}: missing key {key}")
+    locations, _ = _city_components(config)
+    places = range(len(locations))
+    num_drivers = config.num_drivers
+    drivers = {str(d) for d in range(num_drivers)}  # as run_one writes them
+    requests = []
+    requests_csv = os.path.join(run_dir, "requests.csv")
+    for line, row in read_rows(requests_csv, REQUEST_COLUMNS):
+        request_id, origin, destination, created_at, serviced, driver = row
+        # row k holds request k (run_one writes them in id order), between
+        # two distinct locations of the city, made at or after the start; a
+        # serviced one names a configured driver, an unserviced one names none
+        if (
+            request_id != len(requests)
+            or origin not in places or destination not in places or origin == destination
+            or created_at < 0
+            or ((serviced, driver) != (0, "") and (serviced != 1 or driver not in drivers))
+        ):
+            raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}")
+        requests.append(row)
+    # every request of the run was in some epoch's batch, so a file cut
+    # short (even to its header) shows as fewer rows than the batches held
+    epochs_jsonl = os.path.join(run_dir, "epochs.jsonl")
+    epochs = _read_jsonl(epochs_jsonl, lambda k, e: type(e["batch_size"]) is int and e["batch_size"] >= 0)
+    batched = 0
+    for epoch in epochs:
+        batched += epoch["batch_size"]
+    if len(requests) != batched:
+        raise ValueError(f"{requests_csv}: {len(requests)} requests, but the batch_size fields "
+                         f"of {epochs_jsonl} sum to {batched}")
 
     def placed(k: int, row: dict) -> bool:
-        # epoch and driver_id are the JSON integers row k's position gives;
-        # an income is a finite, non-negative JSON number (a fare is never
-        # negative)
+        # fleet.jsonl row k is driver k % num_drivers after epoch
+        # k // num_drivers, both JSON integers; an income is a finite,
+        # non-negative JSON number (a fare is never negative)
         epoch, driver_id, income = row["epoch"], row["driver_id"], row["income"]
         return (
             type(epoch) is type(driver_id) is int and (epoch, driver_id) == divmod(k, num_drivers)
             and type(income) in (int, float) and math.isfinite(income) and income >= 0
         )
 
+    fleet_jsonl = os.path.join(run_dir, "fleet.jsonl")
     rows = _read_jsonl(fleet_jsonl, placed)
-    if len(rows) != num_drivers * epochs:
+    if len(rows) != num_drivers * len(epochs):
         raise ValueError(f"{fleet_jsonl}: {len(rows)} rows, but {num_drivers} drivers over "
-                         f"{epochs} epochs make {num_drivers * epochs}")
+                         f"{len(epochs)} epochs make {num_drivers * len(epochs)}")
     # the last epoch's rows, drivers 0 to num_drivers - 1 in order, if any
     last = [float(row["income"]) for row in rows[len(rows) - num_drivers:]]
-    return dict(enumerate(last or [0.0] * num_drivers))
+    return config, locations, requests, dict(enumerate(last or [0.0] * num_drivers))
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
     if args.samples < 1:  # whatever the method and source
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed is not None and args.seed < 0:  # as simulate's --seed, whatever the source
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     from_run = os.path.isdir(args.source)
     if from_run:
         if args.pi:
             raise ConfigError("--pi is for table input only; a run directory has its own incomes")
-        config = _run_config(args.source)
+        config, _, _, recorded = load_run(args.source)
         graph = build_graph(config)
         batches, _ = build_batches(config, graph)
-        fleet_jsonl = os.path.join(args.source, "fleet.jsonl")
-        recorded = _read_fleet_incomes(fleet_jsonl, config.num_drivers, len(batches))
         spec, constraints = _spec_and_constraints(config)
         template = init_fleet(graph, config.num_drivers, config.capacity, config.seed)
         # run_one dispatched with a value model exactly when value.mode is
@@ -482,6 +515,7 @@ def cmd_shapley(args: argparse.Namespace) -> int:
         pi = [incomes.get(d, 0.0) for d in driver_ids]
         for d, p in zip(driver_ids, pi):
             if p != recorded[d]:
+                fleet_jsonl = os.path.join(args.source, "fleet.jsonl")
                 raise ValueError(f"{fleet_jsonl}: driver {d} earned {recorded[d]!r} in the run "
                                  f"but {p!r} in its replay")
     elif args.pi:
@@ -525,7 +559,7 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
         # a run directory carries its drivers and its configured payout
         # mode; --mode wins
         if os.path.exists(os.path.join(source, "config.resolved")):
-            config = _run_config(source)
+            config = load_run(source)[0]
             mode = args.mode or config.payout_mode
             drivers = range(config.num_drivers)
         source = os.path.join(source, "shapley.csv")
@@ -568,45 +602,16 @@ def cmd_redistribute(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    run_dir = args.source
-    config = _run_config(run_dir)
-    locations, _ = _city_components(config)
+    config, locations, requests, incomes = load_run(args.source)
     neighborhoods = city_neighborhoods(locations, config.num_neighborhoods, config.seed)
     tallies = NeighborhoodTallies.empty(neighborhoods.num_neighborhoods)
-    places = range(len(locations))
-    drivers = {str(d): d for d in range(config.num_drivers)}  # as run_one writes them
-    requests = 0  # rows read so far
-    requests_csv = os.path.join(run_dir, "requests.csv")
-    for line, row in read_rows(requests_csv, REQUEST_COLUMNS):
-        request_id, origin, destination, created_at, serviced, driver = row
-        # row k holds request k (run_one writes them in id order), between
-        # two distinct locations of the city, made at or after the start; a
-        # serviced one names a configured driver, an unserviced one names none
-        if (
-            request_id != requests
-            or origin not in places or destination not in places or origin == destination
-            or created_at < 0
-            or ((serviced, driver) != (0, "") and (serviced != 1 or driver not in drivers))
-        ):
-            raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}")
-        requests += 1
+    for _, origin, _, _, serviced, _ in requests:
         label = neighborhoods.labels[origin]
         tallies.add_requested(label)
         if serviced:
             tallies.add_serviced(label)
-    # every request of the run was in some epoch's batch, so a file cut
-    # short (even to its header) shows as fewer rows than the batches held
-    epochs_jsonl = os.path.join(run_dir, "epochs.jsonl")
-    epochs = _read_jsonl(epochs_jsonl, lambda k, e: type(e["batch_size"]) is int and e["batch_size"] >= 0)
-    batched = 0
-    for epoch in epochs:
-        batched += epoch["batch_size"]
-    if requests != batched:
-        raise ValueError(f"{requests_csv}: {requests} requests, but the batch_size fields "
-                         f"of {epochs_jsonl} sum to {batched}")
-    incomes = _read_fleet_incomes(os.path.join(run_dir, "fleet.jsonl"), config.num_drivers, len(epochs))
     report = metrics_from_parts(incomes, tallies)
-    out_dir = args.out or run_dir
+    out_dir = args.out or args.source
     os.makedirs(out_dir, exist_ok=True)
     write_reports(report, out_dir)
     return 0

@@ -2,7 +2,7 @@
 
 Every CSV the program reads (city locations and edges, trips, coalition
 tables, `driver_id,pi` incomes, `driver_id,pi,v` Shapley files and the
-`requests.csv` that `report` re-reads from a run) follows one rule set,
+`requests.csv` that `load_run` re-reads from a run) follows one rule set,
 applied here: the stripped header cells equal the expected column names,
 empty rows are skipped, every other row has exactly one field per column,
 each field parses as its column's type, and every float is finite. A

@@ -23,7 +23,6 @@ __all__ = [
     "init_fleet",
     "apply_matching",
     "advance_fleet",
-    "snapshot_rows",
 ]
 
 PICKUP = "pickup"
@@ -173,18 +172,3 @@ def advance_fleet(fleet: FleetState, dt_seconds: float) -> None:
             driver.secs_to_loc = stops[idx].arrival - new_clock
     fleet.clock = new_clock
 
-
-def snapshot_rows(fleet: FleetState, epoch: int) -> list[dict]:
-    """One record per driver, suitable for the line-delimited snapshot file."""
-    return [
-        {
-            "epoch": epoch,
-            "driver_id": d.driver_id,
-            "location": d.loc,
-            "occupancy": d.occupancy,
-            "active": len(d.active),
-            "completed": len(d.completed),
-            "income": d.income,
-        }
-        for d in fleet.drivers
-    ]

@@ -279,7 +279,8 @@ def test_sweep_strips_each_objective(tmp_path):
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     """A negative run seed once exited 3 from the generator, naming neither
-    the key nor its source. shapley's --seed is hashed and takes any int."""
+    the key nor its source. shapley's --seed once took a negative seed, with
+    exit 0, from a table or a run directory alike."""
     out = tmp_path / "o"
     cfg = write_config(tmp_path / "neg.cfg", SMALL_CITY.replace("seed = 5", "seed = -3"))
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -288,9 +289,13 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
     assert "error: command line: seed: " in capsys.readouterr().err
     assert not out.exists()
-    table = helpers.write_additive_table(tmp_path / "table.csv", 3)
-    argv = ["shapley", table, "--out", str(out), "--method", "monte_carlo", "--samples", "4"]
-    assert main(argv + ["--seed", "-1"]) == 0
+    run_dir = str(tmp_path / "run")
+    assert main(["simulate", "--config", cfg, "--out", run_dir]) == 0
+    for source in (helpers.write_additive_table(tmp_path / "table.csv", 3), run_dir):
+        argv = ["shapley", source, "--out", str(out), "--method", "monte_carlo", "--samples", "3"]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "sweep"])
@@ -748,37 +753,6 @@ def test_shapley_replay_of_a_zero_run_ignores_a_stray_value_table(tmp_path):
         assert (tmp_path / "stray" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
 
 
-def drop_last_epoch(lines):
-    del lines[-2:]  # SMALL_CITY has 2 drivers
-    return ": 12 rows, but 2 drivers over 7 epochs make 14"
-
-
-def duplicate_a_row(lines):
-    # the copy sits where driver 0 after epoch 2 belongs, so the row's
-    # position refuses it before the count is reached
-    lines.insert(3, lines[3])
-    return f":5: malformed row {lines[4].rstrip()!r}"
-
-
-@pytest.mark.parametrize("command", ["report", "shapley"])
-@pytest.mark.parametrize("corrupt", [drop_last_epoch, duplicate_a_row])
-def test_fleet_jsonl_needs_one_row_per_driver_per_epoch(tmp_path, capsys, command, corrupt):
-    """A fleet.jsonl that lost its last epoch once gave report the incomes
-    of the epoch before, and a duplicated row was taken, both with exit 0."""
-    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
-    run_dir = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
-    fleet_jsonl = run_dir / "fleet.jsonl"
-    lines = fleet_jsonl.read_text().splitlines(keepends=True)
-    assert len(lines) == 14
-    where = corrupt(lines)
-    fleet_jsonl.write_text("".join(lines))
-    out = tmp_path / "out"
-    assert main([command, str(run_dir), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"error: {fleet_jsonl}{where}\n"
-    assert not out.exists()
-
-
 def test_shapley_replay_must_earn_what_the_run_earned(tmp_path, capsys):
     """Demand edited after the run replays to other incomes; shapley once
     attributed those with exit 0."""
@@ -832,14 +806,18 @@ def test_shapley_checks_the_replay_before_any_other_coalition(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_shapley_needs_the_run_s_fleet_jsonl(tmp_path, capsys):
-    """A directory without fleet.jsonl, such as train's output, has no
-    incomes to replay."""
+def test_shapley_needs_a_run_s_artifacts(tmp_path, capsys):
+    """A directory with a config.resolved but no run artifacts, such as
+    train's output, has no incomes to replay: the loader names requests.csv,
+    the first artifact it reads after the config."""
     cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
     train_dir = tmp_path / "train"
     assert main(["train", "--config", cfg, "--out", str(train_dir)]) == 0
-    assert main(["shapley", str(train_dir), "--out", str(tmp_path / "shap")]) == 3
-    assert str(train_dir / "fleet.jsonl") in capsys.readouterr().err
+    out = tmp_path / "shap"
+    assert main(["shapley", str(train_dir), "--out", str(out)]) == 3
+    requests_csv = train_dir / "requests.csv"
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{requests_csv}'\n"
+    assert not out.exists()
 
 
 def test_shapley_on_coalition_table(tmp_path):
@@ -1571,35 +1549,38 @@ def test_report_rebuild_is_byte_identical(tmp_path):
         assert fh.read() == want_csv
 
 
-def rename_driver_header(lines):
-    lines[0] = lines[0].replace(",driver\r\n", ",driver_id\r\n")
-    return 1
-
-
-def letter_request_id(lines):
-    lines[1] = "x" + lines[1][lines[1].index(",") :]
-    return 2
-
-
-def serviced_row_without_driver(lines):
-    i = next(i for i, line in enumerate(lines) if i and line.split(",")[4] == "1")
-    lines[i] = lines[i][: lines[i].rindex(",") + 1] + "\r\n"
-    return i + 1
-
-
-def garbage_fleet_line(lines):
-    lines.append("garbage\n")
-    return len(lines)
+def request_row(lines, i):
+    """The error for requests.csv line i + 1, parsed as load_run reads it."""
+    cells = lines[i].rstrip("\r\n").split(",")
+    row = [int(cells[0]), int(cells[1]), int(cells[2]), float(cells[3]), int(cells[4]), cells[5]]
+    return f"{{path}}:{i + 1}: malformed request row {row!r}"
 
 
 def set_request_cell(lines, serviced, column, value):
     """Set one cell of the first requests.csv row with that `serviced` flag;
-    returns its line."""
+    returns the error for its line."""
     i = next(i for i, line in enumerate(lines) if i and line.split(",")[4] == serviced)
     cells = lines[i].rstrip("\r\n").split(",")
     cells[column] = value
     lines[i] = ",".join(cells) + "\r\n"
-    return i + 1
+    return request_row(lines, i)
+
+
+def rename_driver_header(lines):
+    lines[0] = lines[0].replace(",driver\r\n", ",driver_id\r\n")
+    return (
+        "{path}:1: expected header request_id,origin,destination,created_at,serviced,driver, got "
+        "['request_id', 'origin', 'destination', 'created_at', 'serviced', 'driver_id']"
+    )
+
+
+def letter_request_id(lines):
+    lines[1] = "x" + lines[1][lines[1].index(",") :]
+    return f"{{path}}:2: malformed row {lines[1].rstrip().split(',')!r}"
+
+
+def serviced_row_without_driver(lines):
+    return set_request_cell(lines, "1", 5, "")
 
 
 def origin_999(lines):
@@ -1633,24 +1614,75 @@ def serviced_row_with_driver_9(lines):
 
 def duplicated_request_row(lines):
     lines.append(lines[1])
-    return len(lines)
+    return request_row(lines, len(lines) - 1)
 
 
 def swapped_request_rows(lines):
     lines[1], lines[2] = lines[2], lines[1]
-    return 2
+    return request_row(lines, 1)
+
+
+def cut_requests_to_the_header(lines):
+    """A requests.csv cut short, even to its header, once gave total_requests
+    0 beside the run's income, with exit 0: its rows must add up to the
+    batches'."""
+    batched = len(lines) - 1
+    del lines[1:]
+    return f"{{path}}: 0 requests, but the batch_size fields of {{run}}/epochs.jsonl sum to {batched}"
+
+
+def cut_requests_short(lines):
+    batched = len(lines) - 1
+    del lines[4:]
+    return f"{{path}}: 3 requests, but the batch_size fields of {{run}}/epochs.jsonl sum to {batched}"
+
+
+def delete_requests(lines):
+    lines.clear()
+    return "[Errno 2] No such file or directory: '{path}'"
+
+
+def blank_line_in_the_middle(lines):
+    """A blank line, as a hand edit may leave one, which the config and CSV
+    readers skip."""
+    lines.insert(len(lines) // 2, "\r\n" if lines[0].endswith("\r\n") else "\n")
+
+
+def jsonl_row(lines, i):
+    """The error for JSON-lines line i + 1."""
+    return f"{{path}}:{i + 1}: malformed row {lines[i].rstrip()!r}"
+
+
+def append_garbage_line(lines):
+    lines.append("garbage\n")
+    return jsonl_row(lines, len(lines) - 1)
 
 
 def swapped_fleet_rows(lines):
     """Driver 1's last row where its first belongs: every row is well
     formed, and the file once gave report the first epoch's income."""
     lines[1], lines[-1] = lines[-1], lines[1]
-    return 2
+    return jsonl_row(lines, 1)
 
 
 def fleet_row_for_driver_7(lines):
     lines.append('{"driver_id": 7, "epoch": 0, "income": 5.0}\n')
-    return len(lines)
+    return jsonl_row(lines, len(lines) - 1)
+
+
+def drop_last_epoch(lines):
+    """A fleet.jsonl that lost its last epoch once gave report the incomes
+    of the epoch before, with exit 0."""
+    rows = len(lines)
+    del lines[-2:]  # SMALL_CITY has 2 drivers
+    return f"{{path}}: {rows - 2} rows, but 2 drivers over {rows // 2} epochs make {rows}"
+
+
+def duplicate_a_row(lines):
+    # the copy sits where driver 0 after epoch 2 belongs, so the row's
+    # position refuses it before the count is reached
+    lines.insert(3, lines[3])
+    return jsonl_row(lines, 4)
 
 
 def fleet_income(text, name):
@@ -1658,7 +1690,7 @@ def fleet_income(text, name):
     non-negative number; the row keeps its place, driver 1 after epoch 6."""
     def corrupt(lines):
         lines[-1] = re.sub(r'"income": [^,]*', f'"income": {text}', lines[-1])
-        return len(lines)
+        return jsonl_row(lines, len(lines) - 1)
 
     corrupt.__name__ = f"fleet_income_{name}"
     return corrupt
@@ -1669,7 +1701,7 @@ def fleet_driver_id(text, name):
     integer, in the place of driver 1 (Python takes 1.0 and true for 1)."""
     def corrupt(lines):
         lines[-1] = lines[-1].replace('"driver_id": 1,', f'"driver_id": {text},')
-        return len(lines)
+        return jsonl_row(lines, len(lines) - 1)
 
     corrupt.__name__ = f"fleet_driver_id_{name}"
     return corrupt
@@ -1677,12 +1709,13 @@ def fleet_driver_id(text, name):
 
 def garbage_epochs_line(lines):
     lines[1] = "garbage\n"
-    return 2
+    return jsonl_row(lines, 1)
+
 
 
 def epochs_line_without_batch_size(lines):
     lines.append('{"epoch": 99}\n')
-    return len(lines)
+    return jsonl_row(lines, len(lines) - 1)
 
 
 def epochs_batch_size(text, name):
@@ -1690,19 +1723,39 @@ def epochs_batch_size(text, name):
     JSON integer."""
     def corrupt(lines):
         lines.append('{"batch_size": %s, "epoch": 99}\n' % text)
-        return len(lines)
+        return jsonl_row(lines, len(lines) - 1)
 
     corrupt.__name__ = f"epochs_batch_size_{name}"
     return corrupt
 
 
+RUN_DIR_COMMANDS = ("report", "shapley", "redistribute")
+
+
+@pytest.fixture(scope="module")
+def sound_run(tmp_path_factory):
+    """A SMALL_CITY run directory with its shapley.csv, and the digests of
+    what each run-directory command writes from it."""
+    root = tmp_path_factory.mktemp("sound")
+    cfg = write_config(root / "c.cfg", SMALL_CITY)
+    run = root / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(run)]) == 0
+    assert main(["shapley", str(run), "--out", str(run)]) == 0
+    outputs = {}
+    for command in RUN_DIR_COMMANDS:
+        assert main([command, str(run), "--out", str(root / command)]) == 0
+        outputs[command] = dir_digests(root / command)
+    return run, outputs
+
+
 @pytest.mark.parametrize(
     "name, corrupt",
     [
+        ("config.resolved", blank_line_in_the_middle),
+        ("requests.csv", blank_line_in_the_middle),
         ("requests.csv", rename_driver_header),
         ("requests.csv", letter_request_id),
         ("requests.csv", serviced_row_without_driver),
-        ("fleet.jsonl", garbage_fleet_line),
         ("requests.csv", origin_999),
         ("requests.csv", origin_minus_1),
         ("requests.csv", serviced_2),
@@ -1710,10 +1763,24 @@ def epochs_batch_size(text, name):
         ("requests.csv", negative_created_at),
         ("requests.csv", duplicated_request_row),
         ("requests.csv", swapped_request_rows),
-        ("fleet.jsonl", swapped_fleet_rows),
         ("requests.csv", unserviced_row_naming_a_driver),
         ("requests.csv", serviced_row_with_driver_9),
+        ("requests.csv", cut_requests_to_the_header),
+        ("requests.csv", cut_requests_short),
+        ("requests.csv", delete_requests),
+        ("epochs.jsonl", garbage_epochs_line),
+        ("epochs.jsonl", append_garbage_line),
+        ("epochs.jsonl", epochs_line_without_batch_size),
+        ("epochs.jsonl", epochs_batch_size("-1", "negative")),
+        ("epochs.jsonl", epochs_batch_size("1.0", "float")),
+        ("epochs.jsonl", epochs_batch_size('"1"', "string")),
+        ("epochs.jsonl", epochs_batch_size("true", "true")),
+        ("epochs.jsonl", epochs_batch_size("null", "null")),
+        ("fleet.jsonl", append_garbage_line),
+        ("fleet.jsonl", swapped_fleet_rows),
         ("fleet.jsonl", fleet_row_for_driver_7),
+        ("fleet.jsonl", drop_last_epoch),
+        ("fleet.jsonl", duplicate_a_row),
         ("fleet.jsonl", fleet_income("Infinity", "infinity")),
         ("fleet.jsonl", fleet_income("NaN", "nan")),
         ("fleet.jsonl", fleet_income("true", "true")),
@@ -1723,32 +1790,40 @@ def epochs_batch_size(text, name):
         ("fleet.jsonl", fleet_driver_id('"1"', "string")),
         ("fleet.jsonl", fleet_driver_id("1.0", "float")),
         ("fleet.jsonl", fleet_driver_id("true", "true")),
-        ("epochs.jsonl", garbage_epochs_line),
-        ("epochs.jsonl", epochs_line_without_batch_size),
-        ("epochs.jsonl", epochs_batch_size("-1", "negative")),
-        ("epochs.jsonl", epochs_batch_size("1.0", "float")),
-        ("epochs.jsonl", epochs_batch_size('"1"', "string")),
-        ("epochs.jsonl", epochs_batch_size("true", "true")),
-        ("epochs.jsonl", epochs_batch_size("null", "null")),
     ],
     ids=lambda case: getattr(case, "__name__", case),
 )
-def test_report_names_the_file_and_line_of_a_bad_artifact(tmp_path, capsys, name, corrupt):
-    cfg = write_config(tmp_path / "c.cfg", SMALL_CITY)
-    run_dir = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
-    path = run_dir / name
+def test_damaged_run_directory_gets_one_answer(sound_run, tmp_path, capsys, name, corrupt):
+    """`corrupt` edits the lines of one file a run directory's loader reads
+    (leaving none deletes it) and returns the error every run-directory
+    command must give, or None for an edit they all accept with the clean
+    run's bytes. Commands once disagreed: a requests.csv cut to its header
+    or deleted, or an epochs.jsonl with a garbage line, got exit 3 from
+    report but exit 0 from shapley and redistribute; swapped fleet.jsonl rows
+    got exit 0 from redistribute."""
+    clean, outputs = sound_run
+    run = tmp_path / "run"
+    shutil.copytree(clean, run)
+    path = run / name
     with open(path, newline="") as fh:
         lines = fh.readlines()
-    line = corrupt(lines)
-    with open(path, "w", newline="") as fh:
-        fh.writelines(lines)
-    # shapley reads a run's incomes from fleet.jsonl as report does
-    for command in ["report", "shapley"] if name == "fleet.jsonl" else ["report"]:
+    error = corrupt(lines)
+    if lines:
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines)
+    else:
+        path.unlink()
+    for command in RUN_DIR_COMMANDS:
         out = tmp_path / command
-        assert main([command, str(run_dir), "--out", str(out)]) == 3, command
-        assert f"error: {path}:{line}: " in capsys.readouterr().err
-        assert not out.exists()
+        if error is None:
+            assert main([command, str(run), "--out", str(out)]) == 0, command
+            assert capsys.readouterr().err == ""
+            assert dir_digests(out) == outputs[command], command
+        else:
+            assert main([command, str(run), "--out", str(out)]) == 3, command
+            message = error.replace("{path}", str(path)).replace("{run}", str(run))
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not out.exists(), command
 
 
 # the README day city with 6 drivers, at seed 7
@@ -1763,30 +1838,6 @@ seed = 7
 """
 
 
-@pytest.mark.parametrize("kept", [0, 100])
-def test_report_rejects_requests_csv_cut_short(tmp_path, capsys, kept):
-    """A requests.csv cut to its header once gave total_requests 0 beside
-    the run's income, with exit 0; its rows must add up to the batches'."""
-    cfg = write_config(tmp_path / "c.cfg", DAY_CITY)
-    run_dir = tmp_path / "run"
-    assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
-    epochs = [json.loads(line) for line in (run_dir / "epochs.jsonl").read_text().splitlines()]
-    assert sum(epoch["batch_size"] for epoch in epochs) == 159
-    requests_csv = run_dir / "requests.csv"
-    with open(requests_csv, newline="") as fh:
-        lines = fh.readlines()
-    assert len(lines) == 160
-    with open(requests_csv, "w", newline="") as fh:
-        fh.writelines(lines[: 1 + kept])
-    out = tmp_path / "rebuilt"
-    assert main(["report", str(run_dir), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        f"error: {requests_csv}: {kept} requests, but the batch_size fields "
-        f"of {run_dir / 'epochs.jsonl'} sum to 159\n"
-    )
-    assert not out.exists()
-
-
 def write_csv_city(root):
     """The gen-city CSVs of a 3x3 grid and a config that reads them."""
     cfg = write_config(root / "g.cfg", "city.width = 3\ncity.height = 3\ncity.neighborhoods = 2\n")
@@ -1795,21 +1846,26 @@ def write_csv_city(root):
 
 
 @pytest.mark.parametrize("city", ["grid", "csv"])
-def test_report_rebuild_needs_no_travel_closure(tmp_path, monkeypatch, city):
+@pytest.mark.parametrize("command", ["report", "redistribute"])
+def test_report_rebuild_needs_no_travel_closure(tmp_path, monkeypatch, command, city):
+    """report, and redistribute on a run directory, read the run through
+    load_run, which needs the city's locations but never its closure."""
     text = SMALL_CITY if city == "grid" else write_csv_city(tmp_path)
     cfg = write_config(tmp_path / "c.cfg", text)
     run_dir = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(run_dir)]) == 0
+    if command == "redistribute":
+        assert main(["shapley", str(run_dir), "--out", str(run_dir)]) == 0
+    want = tmp_path / "want"
+    assert main([command, str(run_dir), "--out", str(want)]) == 0
 
     def no_closure(*args):
-        raise AssertionError("report built a travel closure")
+        raise AssertionError(f"{command} built a travel closure")
 
     monkeypatch.setattr("fairpool.city.build_travel_closure", no_closure)
-    rebuilt = tmp_path / "rebuilt"
-    assert main(["report", str(run_dir), "--out", str(rebuilt)]) == 0
-    for name in ("report.json", "report.csv"):
-        with open(run_dir / name, "rb") as want, open(rebuilt / name, "rb") as got:
-            assert got.read() == want.read(), name
+    got = tmp_path / "got"
+    assert main([command, str(run_dir), "--out", str(got)]) == 0
+    assert dir_digests(got) == dir_digests(want)
 
 
 def test_gen_city_needs_no_travel_closure(tmp_path, monkeypatch):

@@ -18,7 +18,6 @@ from fairpool.fleet import (
     advance_fleet,
     apply_matching,
     init_fleet,
-    snapshot_rows,
 )
 from fairpool.matching import DelayConstraints, FeasibleAction, route_feasible
 
@@ -235,15 +234,3 @@ def test_route_end_points_to_last_stop():
     request = RideRequest(request_id=0, origin=0, destination=2, created_at=0.0)
     apply_matching(fleet, {0: single_request_action(graph, driver, request)})
     assert driver.route_end() == 2
-
-
-def test_snapshot_rows_shape():
-    graph = helpers.line_city([1.0])
-    fleet = helpers.place_fleet(graph, [0, 1])
-    rows = snapshot_rows(fleet, epoch=3)
-    assert rows == [
-        {"epoch": 3, "driver_id": 0, "location": 0, "occupancy": 0,
-         "active": 0, "completed": 0, "income": 0.0},
-        {"epoch": 3, "driver_id": 1, "location": 1, "occupancy": 0,
-         "active": 0, "completed": 0, "income": 0.0},
-    ]
