@@ -445,9 +445,13 @@ def load_run(run_dir: str) -> tuple[RunConfig, list[Location], list[list], dict[
             raise ValueError(f"{requests_csv}:{line}: malformed request row {row!r}")
         requests.append(row)
     # every request of the run was in some epoch's batch, so a file cut
-    # short (even to its header) shows as fewer rows than the batches held
+    # short (even to its header) shows as fewer rows than the batches held;
+    # batches are numbered from 0, empty ones included, so row k is epoch k,
+    # a JSON integer like its batch size
     epochs_jsonl = os.path.join(run_dir, "epochs.jsonl")
-    epochs = _read_jsonl(epochs_jsonl, lambda k, e: type(e["batch_size"]) is int and e["batch_size"] >= 0)
+    epochs = _read_jsonl(epochs_jsonl, lambda k, e: (
+        type(e["epoch"]) is type(e["batch_size"]) is int and e["epoch"] == k and e["batch_size"] >= 0
+    ))
     batched = 0
     for epoch in epochs:
         batched += epoch["batch_size"]

@@ -67,7 +67,11 @@ one driver meets the same batch in the same state many times over. A
 action tuple under everything route search reads and hands it back on a
 repeat, which makes the repeat exact by construction. Each action carries the
 request ids, fares, origin labels and route end that scoring reads, so a
-repeat also skips deriving them.
+repeat also skips deriving them. The same memo, passed to :func:`run_epoch`,
+stores each epoch's assignment solution under the solve's two arguments, the
+weight rows and the request-id rows: coalitions that reach an epoch in the
+same state score the same actions and pose the same solve, and
+:func:`solve_assignment` is a pure function of its arguments.
 
 The assignment solve is a two-pass branch and bound over drivers in index
 order. Besides the per-driver-maxima bound it prunes by state dominance: two
@@ -153,20 +157,34 @@ _ONLY_EMPTY = (FeasibleAction((), (), (), (), (), None),)
 
 
 class RouteMemo:
-    """The action tuples of earlier enumerations on one graph.
+    """The action tuples of earlier enumerations on one graph, and the
+    solutions of earlier assignment solves.
 
-    The key is everything route search reads: the driver's loc, secs_to_loc,
-    capacity, active requests, onboard riders with their pickup times, the
-    batch, the clock and the constraints. It leaves out the driver id, so
-    drivers in the same state share an entry, and the graph, so a memo must
-    serve a single graph.
+    An enumeration's key is everything route search reads: the driver's loc,
+    secs_to_loc, capacity, active requests, onboard riders with their pickup
+    times, the batch, the clock and the constraints. It leaves out the driver
+    id, so drivers in the same state share an entry, and the graph, so a memo
+    must serve a single graph.
+
+    A solve's key is its two arguments as tuples: the weight rows and the
+    request-id rows. Float keys compare by value, which differs from their
+    bits in two ways only. 0.0 and -0.0 are equal, but a solve cannot tell
+    them apart: every sum it folds starts at +0.0 and so is never -0.0, and
+    x + 0.0 and x + -0.0 are both x for any other x; its sorts, maxima and
+    comparisons treat the two zeros alike. So rows differing only in the
+    sign of a zero get the same total_weight bits, chosen and nodes. A nan
+    equals no other float, so a row holding one matches only a row holding
+    the very same object, which has the same bits. `solves` and `solve_hits`
+    are counted apart from the enumerations' `entries` and `hits`.
     """
 
-    __slots__ = ("entries", "hits")
+    __slots__ = ("entries", "hits", "solves", "solve_hits")
 
     def __init__(self) -> None:
         self.entries: dict[tuple, tuple[FeasibleAction, ...]] = {}
         self.hits = 0
+        self.solves: dict[tuple, AssignmentSolution] = {}
+        self.solve_hits = 0
 
 
 class RouteStats:
@@ -181,10 +199,6 @@ class RouteStats:
     def __init__(self) -> None:
         self.calls = 0
         self.nodes = 0
-
-
-# a rider's state during route search
-_WAITING, _ONBOARD, _DONE = 0, 1, 2
 
 
 def route_feasible(
@@ -215,6 +229,15 @@ def route_feasible(
     and only the winning plan's stops are built, replaying its keys with the
     same arrival sums the search took. `stats` counts the search and its
     nodes.
+
+    The riders not yet done are one list in index order, each entry its open
+    stop as (target, base, bound, key): a pickup's is (origin, creation time,
+    wait bound), a dropoff's (destination, pickup time + direct ride, detour
+    bound), the base summed once with the bits the search would sum it with
+    at every test. A stop's delay is then arrival - base and its reach test
+    arrival + travel - base >= bound, the same expressions for both kinds. A
+    pickup swaps its entry for the dropoff's, a dropoff removes it, and both
+    put it back on the way up.
     """
     requests: dict[int, RideRequest] = dict(driver.active)
     for req in new_requests:
@@ -230,36 +253,27 @@ def route_feasible(
     capacity = driver.capacity
     picked_at = driver.onboard
     ids = sorted(requests)
-    n = len(ids)
-    origin: list[int] = []
     dest: list[int] = []
-    created: list[float] = []
     direct: list[float] = []
-    picked: list[float] = []
-    status: list[int] = []  # _WAITING, _ONBOARD or _DONE
-    for rid in ids:
+    open_stops: list[tuple[int, float, float, int]] = []  # (target, base, bound, key)
+    for i, rid in enumerate(ids):
         _, o, d, t = requests[rid]
-        origin.append(o)
         dest.append(d)
-        created.append(t)
         direct.append(secs[o][d])
         if rid in picked_at:
-            picked.append(picked_at[rid])
-            status.append(_ONBOARD)
+            open_stops.append((d, picked_at[rid] + direct[i], max_detour, 2 * i + 1))
         else:
-            picked.append(0.0)
-            status.append(_WAITING)
-    riders = range(n)
+            open_stops.append((o, t, max_pickup, 2 * i))
 
     best_delay = float("inf")
     best_keys: list[int] | None = None
     keys: list[int] = []
     nodes = 0
 
-    def dfs(loc: int, now: float, delay_sum: float, in_car: int, left: int) -> None:
+    def dfs(loc: int, now: float, delay_sum: float, in_car: int) -> None:
         nonlocal best_delay, best_keys, nodes
         nodes += 1
-        if not left:
+        if not open_stops:
             if delay_sum < best_delay or (
                 delay_sum == best_delay and (best_keys is None or keys < best_keys)
             ):
@@ -267,49 +281,37 @@ def route_feasible(
                 best_keys = keys[:]
             return
         row = secs[loc]
-        for i in riders:
-            state = status[i]
-            if state == _WAITING:
-                if in_car >= capacity:
-                    continue
-                stop = origin[i]
-                arrival = now + row[stop]
-                delay = arrival - created[i]
-                if delay >= max_pickup or delay_sum + delay > best_delay:
-                    continue
-                picked[i] = arrival
-                status[i] = _ONBOARD
-                key = 2 * i
-            elif state == _ONBOARD:
-                stop = dest[i]
-                arrival = now + row[stop]
-                delay = arrival - (picked[i] + direct[i])
-                if delay >= max_detour or delay_sum + delay > best_delay:
-                    continue
-                status[i] = _DONE
-                key = 2 * i + 1
-            else:
+        # a step edits open_stops and restores it before the loop moves on,
+        # so the iteration is undisturbed
+        for p, entry in enumerate(open_stops):
+            stop, base, bound, key = entry
+            dropoff = key & 1
+            if not dropoff and in_car >= capacity:
                 continue
+            arrival = now + row[stop]
+            delay = arrival - base
+            if delay >= bound or delay_sum + delay > best_delay:
+                continue
+            if dropoff:
+                del open_stops[p]
+            else:
+                i = key >> 1
+                open_stops[p] = (dest[i], arrival + direct[i], max_detour, key + 1)
             # every open stop must stay reachable: direct travel is a lower bound
             here = secs[stop]
-            for j in riders:
-                open_state = status[j]
-                if open_state == _WAITING:
-                    if arrival + here[origin[j]] - created[j] >= max_pickup:
-                        break
-                elif open_state == _ONBOARD:
-                    if arrival + here[dest[j]] - (picked[j] + direct[j]) >= max_detour:
-                        break
+            for target, other_base, other_bound, _ in open_stops:
+                if arrival + here[target] - other_base >= other_bound:
+                    break
             else:
                 keys.append(key)
-                if key & 1:
-                    dfs(stop, arrival, delay_sum + delay, in_car - 1, left - 1)
-                else:
-                    dfs(stop, arrival, delay_sum + delay, in_car + 1, left)
+                dfs(stop, arrival, delay_sum + delay, in_car - 1 if dropoff else in_car + 1)
                 keys.pop()
-            status[i] = state
+            if dropoff:
+                open_stops.insert(p, entry)
+            else:
+                open_stops[p] = entry
 
-    dfs(driver.loc, clock + driver.secs_to_loc, 0.0, len(picked_at), n)
+    dfs(driver.loc, clock + driver.secs_to_loc, 0.0, len(picked_at))
     del dfs  # it names itself through its closure cell: break the cycle
     if stats is not None:
         stats.nodes += nodes
@@ -319,10 +321,11 @@ def route_feasible(
     plan = []
     loc, now = driver.loc, clock + driver.secs_to_loc
     for key in best_keys:
-        i = key >> 1
-        stop = dest[i] if key & 1 else origin[i]
+        rid = ids[key >> 1]
+        _, o, d, _ = requests[rid]
+        stop = d if key & 1 else o
         now = now + secs[loc][stop]
-        plan.append(Stop(DROPOFF if key & 1 else PICKUP, ids[i], stop, now))
+        plan.append(Stop(DROPOFF if key & 1 else PICKUP, rid, stop, now))
         loc = stop
     return tuple(plan)
 
@@ -680,7 +683,9 @@ def run_epoch(
 
     Actions come with their request ids, fares, origin labels and route end,
     so scoring one is a delta_objective call plus, under a model, the value
-    of its end; the empty action's end (None) is the driver's own."""
+    of its end; the empty action's end (None) is the driver's own. A
+    `route_memo` serves both the route enumerations and the solve (see
+    :class:`RouteMemo`); the result is the same with or without one."""
     log.add_batch(batch)
     for req in batch.requests:
         tallies.add_requested(graph.neighborhoods.labels[req.origin])
@@ -715,7 +720,15 @@ def run_epoch(
         ids.append(row_ids)
         deltas.append(row_d)
 
-    solution = solve_assignment(weights, ids)
+    if route_memo is None:
+        solution = solve_assignment(weights, ids)
+    else:
+        key = (tuple(map(tuple, weights)), tuple(map(tuple, ids)))
+        solution = route_memo.solves.get(key)
+        if solution is None:
+            solution = route_memo.solves[key] = solve_assignment(weights, ids)
+        else:
+            route_memo.solve_hits += 1
     chosen: dict[int, FeasibleAction] = {}
     chosen_deltas: dict[int, float] = {}
     for di, driver in enumerate(fleet.drivers):

@@ -78,7 +78,8 @@ class ResimulationOracle:
     calls, so coalition values are well-defined; each coalition's incomes are
     memoized, as permutation prefixes repeat heavily, and its value is summed
     from them. All resimulations share one route memo: a driver in the same
-    state meets the same batch in many coalitions.
+    state meets the same batch in many coalitions, and a fleet in the same
+    state poses the same assignment solve.
     """
 
     __slots__ = (

@@ -53,9 +53,9 @@ def run_simulation(
     the fleet moves on; the loop itself keeps no per-epoch records, so a
     caller that wants them (such as `epochs.jsonl` and `fleet.jsonl`) takes
     them there.
-    `route_memo` is handed to every epoch's route enumeration; pass one only
-    when it is shared with other runs on the same graph, since a single run
-    seldom repeats a driver state.
+    `route_memo` is handed to every epoch's route enumerations and solve;
+    pass one only when it is shared with other runs on the same graph, since
+    a single run seldom repeats a driver state or a solve.
     """
     log = RequestLog()
     tallies = NeighborhoodTallies.empty(graph.neighborhoods.num_neighborhoods)
@@ -143,7 +143,7 @@ def coalition_incomes(
     The coalition is a bitmask, bit i standing for `template.drivers[i]`;
     each member starts afresh from its seeded start position. Coalitions of
     one scenario replay the same demand, so a `route_memo` shared across
-    calls skips the route searches they have in common.
+    calls skips the route searches and solves they have in common.
     """
     drivers = template.drivers
     if not mask:

@@ -34,7 +34,6 @@ from fairpool.matching import (
     RouteStats,
     _first_step_survivors,
     enumerate_feasible,
-    route_feasible,
 )
 from fairpool.objectives import ObjectiveSpec, ObjectiveState, left_sum
 from fairpool.value import ValueModel
@@ -94,14 +93,19 @@ def route_feasible_reference(
     new_requests: tuple[RideRequest, ...],
     clock: float,
     constraints: DelayConstraints,
+    stats: RouteStats | None = None,
 ) -> tuple[Stop, ...] | None:
     """The route search as it was before travel times were kept in seconds:
     every leg is read from the minutes closure and converted to seconds on
     the spot. Same DFS, same pruning, same tie-break, so the
-    kernel in fairpool.matching must return the identical plan."""
+    kernel in fairpool.matching must return the identical plan. `stats`
+    counts the search and the DFS nodes it enters, roots included, which
+    the kernel must count alike."""
     requests: dict[int, RideRequest] = dict(driver.active)
     for req in new_requests:
         requests[req.request_id] = req
+    if stats is not None:
+        stats.calls += 1
     if not requests:
         return ()
 
@@ -133,6 +137,8 @@ def route_feasible_reference(
         return True
 
     def dfs(loc: int, now: float, delay_sum: float) -> None:
+        if stats is not None:
+            stats.nodes += 1
         if not onboard and not pending:
             key_seq = tuple(keys)
             if delay_sum < best_delay[0] or (
@@ -228,8 +234,8 @@ def enumerate_route_stats_reference(
 ) -> tuple[int, int]:
     """The (calls, nodes) route-search work of an enumeration that sends
     every subset, an idle driver's singletons included, through
-    route_feasible: the level-wise loop over the first-step survivors, all
-    searches counted by one RouteStats."""
+    route_feasible_reference: the level-wise loop over the first-step
+    survivors, all searches counted by one RouteStats."""
     stats = RouteStats()
     seats_free = driver.capacity - driver.occupancy
     if seats_free <= 0 or not batch:
@@ -242,7 +248,7 @@ def enumerate_route_stats_reference(
             ids = frozenset(req.request_id for req in combo)
             if size > 1 and any(ids - {rid} not in prev_level for rid in ids):
                 continue
-            if route_feasible(graph, driver, combo, clock, constraints, stats) is not None:
+            if route_feasible_reference(graph, driver, combo, clock, constraints, stats) is not None:
                 level.add(ids)
         if not level:
             break

@@ -1712,20 +1712,38 @@ def garbage_epochs_line(lines):
     return jsonl_row(lines, 1)
 
 
+def swapped_epochs_rows(lines):
+    """Epochs 1 and 2 out of order: every row is well formed and the batch
+    sizes still add up, and the file once got exit 0 from every command."""
+    lines[1], lines[2] = lines[2], lines[1]
+    return jsonl_row(lines, 1)
+
 
 def epochs_line_without_batch_size(lines):
-    lines.append('{"epoch": 99}\n')
+    # in the next epoch's place, so only the missing field refuses it
+    lines.append('{"epoch": %d}\n' % len(lines))
     return jsonl_row(lines, len(lines) - 1)
 
 
 def epochs_batch_size(text, name):
     """A last epoch whose batch_size is `text`, which is not a non-negative
-    JSON integer."""
+    JSON integer, in the next epoch's place."""
     def corrupt(lines):
-        lines.append('{"batch_size": %s, "epoch": 99}\n' % text)
+        lines.append('{"batch_size": %s, "epoch": %d}\n' % (text, len(lines)))
         return jsonl_row(lines, len(lines) - 1)
 
     corrupt.__name__ = f"epochs_batch_size_{name}"
+    return corrupt
+
+
+def epoch_number(text, name):
+    """Epoch 1's row with its epoch written as `text`, which is not a JSON
+    integer (Python takes 1.0 and true for 1)."""
+    def corrupt(lines):
+        lines[1] = lines[1].replace('"epoch": 1,', f'"epoch": {text},')
+        return jsonl_row(lines, 1)
+
+    corrupt.__name__ = f"epoch_number_{name}"
     return corrupt
 
 
@@ -1769,6 +1787,10 @@ def sound_run(tmp_path_factory):
         ("requests.csv", cut_requests_short),
         ("requests.csv", delete_requests),
         ("epochs.jsonl", garbage_epochs_line),
+        ("epochs.jsonl", swapped_epochs_rows),
+        ("epochs.jsonl", epoch_number('"1"', "string")),
+        ("epochs.jsonl", epoch_number("1.0", "float")),
+        ("epochs.jsonl", epoch_number("true", "true")),
         ("epochs.jsonl", append_garbage_line),
         ("epochs.jsonl", epochs_line_without_batch_size),
         ("epochs.jsonl", epochs_batch_size("-1", "negative")),
@@ -1800,7 +1822,8 @@ def test_damaged_run_directory_gets_one_answer(sound_run, tmp_path, capsys, name
     run's bytes. Commands once disagreed: a requests.csv cut to its header
     or deleted, or an epochs.jsonl with a garbage line, got exit 3 from
     report but exit 0 from shapley and redistribute; swapped fleet.jsonl rows
-    got exit 0 from redistribute."""
+    got exit 0 from redistribute, and swapped epochs.jsonl rows from all
+    three."""
     clean, outputs = sound_run
     run = tmp_path / "run"
     shutil.copytree(clean, run)

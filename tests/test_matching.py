@@ -595,6 +595,59 @@ def test_route_search_breaks_delay_ties_by_stop_keys(case):
     assert stop_keys(plan) == expected
 
 
+@st.composite
+def busy_capacity4_states(draw):
+    """A capacity-4 driver with one to three riders aboard and up to two
+    waiting, on a line city of fractional legs (so sums of legs can break
+    the triangle inequality by an ulp), time left to its next location 0 or
+    fractional, and one to three new requests made within the last minute:
+    deep search trees, where the bounds and the best-delay prune cut many
+    branches at different depths."""
+    minutes = draw(st.lists(st.sampled_from((0.1, 0.3, 0.5, 0.7, 1.1)), min_size=2, max_size=5))
+    graph = helpers.line_city(minutes)
+    n_locs = len(minutes) + 1
+    clock = draw(st.sampled_from([120.0, 301.5, 330.25]))
+
+    def ride(rid, earliest):
+        origin = draw(st.integers(min_value=0, max_value=n_locs - 1))
+        destination = draw(st.sampled_from([x for x in range(n_locs) if x != origin]))
+        return req(rid, origin, destination, t=draw(st.floats(min_value=earliest, max_value=clock)))
+
+    active, onboard = [], {}
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        rider = ride(100 + k, clock - 120.0)
+        active.append(rider)
+        onboard[rider.request_id] = draw(st.floats(min_value=rider.created_at, max_value=clock))
+    active += [ride(200 + k, clock - 120.0) for k in range(draw(st.integers(min_value=0, max_value=2)))]
+    driver = driver_state(
+        loc=draw(st.integers(min_value=0, max_value=n_locs - 1)),
+        secs_to_loc=draw(st.sampled_from([0.0, 6.7, 13.3])),
+        capacity=4,
+        active=active,
+        onboard=onboard,
+    )
+    batch = tuple(ride(i, clock - 60.0) for i in range(draw(st.integers(min_value=1, max_value=3))))
+    return graph, driver, batch, clock
+
+
+@settings(max_examples=300)
+@given(state=busy_capacity4_states())
+def test_route_search_counts_the_reference_nodes_on_busy_states(state):
+    """Every request subset of a busy capacity-4 driver gets the reference
+    search's plan, bit for bit, and the same work: one call and the same
+    DFS nodes entered, each search counted on its own."""
+    graph, driver, batch, clock = state
+    for size in range(1, len(batch) + 1):
+        for combo in itertools.combinations(batch, size):
+            stats, reference = RouteStats(), RouteStats()
+            plan = route_feasible(graph, driver, combo, clock, C, stats)
+            assert plan_bits(plan) == plan_bits(
+                helpers.route_feasible_reference(graph, driver, combo, clock, C, reference)
+            )
+            assert stats.calls == 1
+            assert (stats.calls, stats.nodes) == (reference.calls, reference.nodes)
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 def test_route_search_matches_reference_on_tie_plateaus(data):
@@ -957,6 +1010,29 @@ def test_solver_matches_its_reference_node_for_node(data):
     assert solve_outcome(solve_assignment, weights, ids) == solve_outcome(
         helpers.solve_assignment_reference, weights, ids
     )
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_solver_cannot_tell_the_sign_of_a_zero_weight(data):
+    """A shared memo keys each solve by its weight rows, where 0.0 == -0.0:
+    rows that differ only in the sign of their zeros must give the same
+    total weight bits, argmax and node count, so a hit hands back what the
+    solve itself would return."""
+    pool = (0.0, 0.0, 0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 2.0, -2.5, 1e16)
+    weights, flipped, ids = [], [], []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+        row_ids = [()]
+        for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+            size = data.draw(st.integers(min_value=1, max_value=3))
+            row_ids.append(data.draw(st.permutations(range(4)).map(lambda p: tuple(sorted(p[:size])))))
+        row = [data.draw(st.sampled_from(pool)) for _ in row_ids]
+        weights.append(row)
+        flipped.append([-w if w == 0.0 and data.draw(st.booleans()) else w for w in row])
+        ids.append(row_ids)
+    assert tuple(map(tuple, flipped)) == tuple(map(tuple, weights))  # one memo key
+    a, b = solve_assignment(weights, ids), solve_assignment(flipped, ids)
+    assert (a.total_weight.hex(), a.chosen, a.nodes) == (b.total_weight.hex(), b.chosen, b.nodes)
 
 
 def test_solver_orders_nan_weights_as_the_negated_key_does():

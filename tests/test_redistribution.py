@@ -367,6 +367,7 @@ def test_shared_route_memo_oracle_matches_fresh_resimulations(grid55):
         fresh_values[mask] = sum(fresh.values())
     assert shared.coalitions == 15
     assert shared.route_memo.hits > 0
+    assert shared.route_memo.solve_hits > 0
 
     # Monte Carlo visits coalitions in permutation order, so the memo fills
     # in a different order than above; the estimate must not notice

@@ -8,7 +8,7 @@ import helpers
 from fairpool.city import fare
 from fairpool.demand import RequestLog, RideRequest, batch_requests, synth_demand
 from fairpool.fleet import DROPOFF, PICKUP, DriverState, FleetState, Stop, init_fleet
-from fairpool.matching import DelayConstraints
+from fairpool.matching import DelayConstraints, RouteMemo
 from fairpool.objectives import ObjectiveSpec
 from fairpool.simulate import audit_journal, coalition_incomes, run_simulation
 from fairpool.value import ValueModel
@@ -293,3 +293,35 @@ def test_zero_episodes_leave_model_untouched(grid55):
     )
     assert errors == []
     assert model.table == {}
+
+
+@pytest.mark.parametrize("objective", ["income", "driver_fairness"])
+def test_shared_memo_runs_match_memo_free_runs_epoch_for_epoch(grid55, objective):
+    """Coalitions of a contended 5-driver day share one memo, which hands
+    back route enumerations and assignment solves met before: every epoch
+    of every run keeps the total weight bits, assignments and solver nodes
+    of the same run without a memo."""
+    batches = batch_requests(synth_demand(grid55, 6.0, 20, 0.6, seed=7))
+    template = init_fleet(grid55, num_drivers=5, capacity=4, seed=7)
+    spec = ObjectiveSpec(name=objective, lam=1.0)
+    memo = RouteMemo()
+
+    def epochs(mask, route_memo):
+        fleet = FleetState([
+            DriverState(driver_id=d.driver_id, capacity=d.capacity, loc=d.loc)
+            for i, d in enumerate(template.drivers) if mask >> i & 1
+        ])
+        seen = []
+        run_simulation(grid55, batches, fleet, spec, route_memo=route_memo, on_epoch=lambda e: seen.append((
+            e.total_weight.hex(),
+            {d: a.request_ids for d, a in e.assignments.items()},
+            e.solver_nodes,
+        )))
+        return seen
+
+    # the full fleet twice (the second run hits every epoch's solve), then
+    # every coalition, which meets solves of the others
+    for mask in [31, 31] + list(range(1, 31)):
+        assert epochs(mask, memo) == epochs(mask, None)
+    assert memo.solve_hits > len(batches)
+
